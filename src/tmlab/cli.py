@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 import click
@@ -53,10 +54,23 @@ def _load_scenario(config_path: str) -> Scenario:
         sys.exit(EXIT_CONFIG)
 
 
-def _open_out(out: Optional[str]):
-    if out is None or out == "-":
-        return sys.stdout, False
-    return open(out, "w", encoding="utf-8", newline=""), True
+def _parse_counterfunctions(cf: str, phi: Optional[str]):
+    """The --cf counterfunction and the optional --phi override."""
+    try:
+        return parse_counterfunction(cf), parse_counterfunction(phi) if phi else None
+    except RateError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+
+
+@contextmanager
+def _output(path: Optional[str]):
+    """The file at path, or standard output for None and "-"."""
+    if path is None or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 @main.command("run")
@@ -72,45 +86,23 @@ def cmd_run(config_path, steps, out):
         sys.exit(EXIT_CONFIG)
     traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, n_steps,
                scenario_hash=sc.scenario_hash)
-    stream, close = _open_out(out)
-    try:
+    with _output(out) as stream:
         traj.write_csv(stream)
-    finally:
-        if close:
-            stream.close()
     if traj.error:
         click.echo(f"solver failure: {traj.error}", err=True)
         sys.exit(EXIT_SOLVER)
     sys.exit(EXIT_OK)
 
 
-RATE_NAMES = (
-    "chi", "Sigma", "Sigma_tilde", "Sigma_star", "Sigma_tilde_star",
-    "Psi", "Psi_star", "mu", "mu_star",
-)
+# the asymptotic-regularity table, then the two metastability rates
+RATE_NAMES = tuple(R.RATES) + ("mu", "mu_star")
 
 
 def _rate_value(name, k, sc: Scenario, f, phi):
-    b, K, ct, cap = sc.bundle, sc.K, sc.chi_T_fn, sc.bit_cap
-    if name == "chi":
-        return R.chi(k, b, K, ct, cap)
-    if name == "Sigma":
-        return R.Sigma(k, b, K, ct, cap)
-    if name == "Sigma_tilde":
-        return R.Sigma_tilde(k, b, K, ct, cap)
-    if name == "Sigma_star":
-        return R.Sigma_star(k, b, K, ct, cap)
-    if name == "Sigma_tilde_star":
-        return R.Sigma_tilde_star(k, b, K, ct, cap)
-    if name == "Psi":
-        return R.Psi(k, b, K, ct, cap)
-    if name == "Psi_star":
-        return R.Psi_star(k, b, K, ct, cap)
-    if name == "mu":
-        return R.mu(k, f, b, K, ct, Phi_override=phi, bit_cap=cap)
-    if name == "mu_star":
-        return R.mu_star(k, f, b, K, ct, Phi_override=phi, bit_cap=cap)
-    raise AssertionError(name)
+    if name in R.RATES:
+        return R.rate(name, k, sc.bundle, sc.K, sc.chi_T_fn, sc.bit_cap)
+    return getattr(R, name)(k, f, sc.bundle, sc.K, sc.chi_T_fn,
+                            Phi_override=phi, bit_cap=sc.bit_cap)
 
 
 @main.command("rates")
@@ -132,14 +124,8 @@ def cmd_rates(config_path, k_max, which, cf, phi, out):
         if name not in RATE_NAMES:
             click.echo(f"config error: unknown rate {name!r}", err=True)
             sys.exit(EXIT_CONFIG)
-    try:
-        f = parse_counterfunction(cf)
-        phi_cf = parse_counterfunction(phi) if phi else None
-    except RateError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    stream, close = _open_out(out)
-    try:
+    f, phi_cf = _parse_counterfunctions(cf, phi)
+    with _output(out) as stream:
         writer = csv.writer(stream)
         writer.writerow(["k"] + names)
         for k in range(k_max + 1):
@@ -147,9 +133,6 @@ def cmd_rates(config_path, k_max, which, cf, phi, out):
             for name in names:
                 row.append(_rate_value(name, k, sc, f, phi_cf).render())
             writer.writerow(row)
-    finally:
-        if close:
-            stream.close()
     sys.exit(EXIT_OK)
 
 
@@ -371,12 +354,8 @@ def cmd_verify(suite_name, seed, samples, tol, report_path, inject_broken_model)
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    payload = json.dumps(report, indent=2, default=str)
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        click.echo(payload)
+    with _output(report_path) as fh:
+        fh.write(json.dumps(report, indent=2, default=str) + "\n")
     for c in checks:
         log.info("%s: %s", c["check_id"], "pass" if c["pass"] else "FAIL")
     sys.exit(EXIT_OK if report["pass"] else EXIT_FAIL)
@@ -393,12 +372,7 @@ def cmd_verify(suite_name, seed, samples, tol, report_path, inject_broken_model)
 def cmd_metastable(config_path, k, cf, cap, phi, report_path):
     """Search the metastability index and compare it with the computed rate."""
     sc = _load_scenario(config_path)
-    try:
-        f = parse_counterfunction(cf)
-        phi_cf = parse_counterfunction(phi) if phi else None
-    except RateError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    f, phi_cf = _parse_counterfunctions(cf, phi)
     traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps,
                scenario_hash=sc.scenario_hash)
     if traj.error:
@@ -410,12 +384,8 @@ def cmd_metastable(config_path, k, cf, cap, phi, report_path):
         Phi_override=phi_cf, bit_cap=sc.bit_cap,
     )
     result = V.check_mu(traj, query, bound, tol=sc.tol)
-    payload = json.dumps(result.to_json(), indent=2)
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        click.echo(payload)
+    with _output(report_path) as fh:
+        fh.write(json.dumps(result.to_json(), indent=2) + "\n")
     sys.exit(EXIT_OK if result.passed else EXIT_FAIL)
 
 

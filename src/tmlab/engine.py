@@ -25,15 +25,6 @@ class EngineError(RuntimeError):
 
 
 @dataclass
-class IterationState:
-    n: int
-    x_n: Point
-    u_n: Optional[Point]  # combination used to produce x_{n+1}; None before a step
-    anchor: Point
-    x0: Point
-
-
-@dataclass
 class TrajectoryRecord:
     n: int
     x: Point
@@ -57,9 +48,6 @@ class Trajectory:
     def __len__(self):
         return len(self.records)
 
-    def point(self, n: int) -> Point:
-        return self.records[n].x
-
     def dist_points(self, i: int, j: int) -> float:
         return self.space.dist(self.records[i].x, self.records[j].x)
 
@@ -78,22 +66,6 @@ class Trajectory:
                 + [f"{float(c):.17g}" for c in rec.x.data]
                 + [f"{rec.d_step:.17g}", f"{rec.d_Tn:.17g}", f"{rec.d_p:.17g}"]
             )
-
-
-def step(
-    state: IterationState,
-    family: MappingFamily,
-    bundle: ScheduleBundle,
-    space: SpaceModel,
-) -> IterationState:
-    """One step of the anchored iteration."""
-    n = state.n
-    beta, lam = bundle.beta(n), bundle.lam(n)
-    u_n = space.comb(state.anchor, state.x_n, beta)
-    x_next = space.comb(u_n, family.apply(n, u_n), lam)
-    return IterationState(
-        n=n + 1, x_n=x_next, u_n=u_n, anchor=state.anchor, x0=state.x0
-    )
 
 
 def run(

@@ -178,18 +178,16 @@ class ProximalFamily(MappingFamily):
         super().__init__(space, center)
         self.descriptor = descriptor
         self.gammas = gammas
+        self._projection = None
+        if isinstance(descriptor, IndicatorOfBall):
+            ball = BallSet(descriptor.center, descriptor.radius)
+            self._projection = MetricProjectionFamily(space, ball)
 
     def apply(self, n, x):
-        if isinstance(self.descriptor, HalfSquaredNorm):
-            g = self.gammas(n)
-            return self.space.comb(x, self.descriptor.center, g / (1.0 + g))
-        # indicator of a ball: projection
-        d = self.space.dist(x, self.descriptor.center)
-        if d <= self.descriptor.radius:
-            return x
-        return self.space.comb(
-            self.descriptor.center, x, self.descriptor.radius / d
-        )
+        if self._projection is not None:
+            return self._projection.apply(n, x)
+        g = self.gammas(n)
+        return self.space.comb(x, self.descriptor.center, g / (1.0 + g))
 
 
 class ResolventFamily(MappingFamily):

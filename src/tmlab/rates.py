@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional
 
 import mpmath
 
@@ -80,11 +81,14 @@ def _ceil_scaled_exp(coeff: int, n: int, cap: Optional[int]) -> int:
     """ceil(coeff * e**n) with upward-directed rounding.
 
     coeff * e**n has about 1.443*n bits, so overflow is detected before the
-    exponential is ever formed.
+    exponential is ever formed.  An n above the cap is refused before the
+    float estimate, which could not represent it: e**n has more than n bits.
     """
     if n < 0:
         raise RateError("negative argument")
     n = int(n)
+    if cap is not None and n > cap:
+        raise CapExceeded()
     est_bits = int(n * 1.4427) + coeff.bit_length() + 2
     if cap is not None and est_bits > cap:
         raise CapExceeded()
@@ -292,24 +296,6 @@ class Monotonize(Counterfunction):
 
 
 @dataclass(frozen=True, repr=False)
-class CeilLnOfLinear(Counterfunction):
-    """n -> ceil(ln(a*n + b))."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 1:
-            raise RateError("need a >= 0 and b >= 1 so the log argument is positive")
-
-    def __call__(self, n, cap=None):
-        return self._check(ceil_ln(self.a * n + self.b), cap)
-
-    def render(self):
-        return f"ceil_ln({self.a}*n+{self.b})"
-
-
-@dataclass(frozen=True, repr=False)
 class CeilScaledExp(Counterfunction):
     """n -> ceil(c * e**n), rounded upward (rates may be overestimated)."""
 
@@ -451,7 +437,7 @@ class RateValue:
     def render(self) -> str:
         if self.is_astronomical:
             return f"ASTRO:{self.expr}"
-        return str(self.value)
+        return _decimal(self.value)
 
     # total order: every Astronomical value sits above every finite one,
     # and Astronomical values compare equal among themselves
@@ -478,6 +464,24 @@ class RateValue:
 
     def __hash__(self):
         return hash(self._key())
+
+
+# str() of an int refuses more than 4300 digits (CPython >= 3.11); longer
+# values are rendered in chunks of fewer digits than that
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of a natural of any length."""
+    if n < _CHUNK:
+        return str(n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 def _coerce(x) -> RateValue:
@@ -521,10 +525,6 @@ class ScenarioBounds:
 # ---------------------------------------------------------------------------
 
 
-def eval_cf(f: Counterfunction, n: int) -> int:
-    return f(n)
-
-
 def iterate(
     f: Counterfunction, m: int, start: int, bit_cap: int = DEFAULT_BIT_CAP
 ) -> RateValue:
@@ -559,7 +559,8 @@ def omega2(k: int, K: int) -> int:
 
 
 def omega1_cf(K: int) -> Counterfunction:
-    # k -> 24K(k+1)^2
+    # k -> 24K(k+1)^2; every intermediate node is at most the final value,
+    # so evaluating it under a cap gives the same verdict as the value itself
     return Compose(Affine(24 * K, 0), Compose(Power(2), Affine(1, 1)))
 
 
@@ -574,20 +575,13 @@ def bound_n_star(
 ) -> RateValue:
     """omega1 applied to the r(omega2(k))-fold iterate of hat(f) from 0."""
     expr = f"bound_n_star(k={k},f={f.render()},K={K})"
-
-    def thunk():
-        steps = r_of_k(omega2(k, K), K)
-        h = _iterate_int(hat(f, K), steps, 0, bit_cap)
-        return omega1_checked(h, K, bit_cap)
-
-    return _guard(expr, bit_cap, thunk)
+    return _guard(expr, bit_cap, lambda: _n_star_int(k, f, K, bit_cap))
 
 
-def omega1_checked(k: int, K: int, cap: Optional[int]) -> int:
-    v = 24 * K * (k + 1) ** 2
-    if cap is not None and v.bit_length() > cap:
-        raise CapExceeded()
-    return v
+def _n_star_int(k: int, f: Counterfunction, K: int, cap: Optional[int]) -> int:
+    steps = r_of_k(omega2(k, K), K)
+    h = _iterate_int(hat(f, K), steps, 0, cap)
+    return omega1_cf(K)(h, cap)
 
 
 def zeta(
@@ -601,9 +595,11 @@ def zeta(
     if S < 1:
         raise RateError("S must be >= 1")
     expr = f"zeta(k={k},n={n})"
-    return _guard(
-        expr, bit_cap, lambda: sigma(n + ceil_ln(3 * S * (k + 1)), bit_cap) + 1
-    )
+    return _guard(expr, bit_cap, lambda: _zeta_int(k, n, sigma, S, bit_cap))
+
+
+def _zeta_int(k: int, n: int, sigma: Counterfunction, S: int, cap) -> int:
+    return sigma(n + ceil_ln(3 * S * (k + 1)), cap) + 1
 
 
 def zeta_star(
@@ -617,93 +613,11 @@ def zeta_star(
     if S < 1:
         raise RateError("S must be >= 1")
     expr = f"zeta_star(k={k},n={n})"
-    return _guard(expr, bit_cap, lambda: sigma_star(n, 3 * S * (k + 1) - 1) + 1)
+    return _guard(expr, bit_cap, lambda: _zeta_star_int(k, n, sigma_star, S))
 
 
-# ---------------------------------------------------------------------------
-# Asymptotic-regularity rates
-# ---------------------------------------------------------------------------
-
-ChiT = Callable[[int], int]
-
-
-def chi(
-    k: int,
-    bundle,
-    K: int,
-    chi_T_fn: ChiT,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> RateValue:
-    expr = f"chi(k={k})"
-    return _guard(expr, bit_cap, lambda: _chi_int(k, bundle, K, chi_T_fn, bit_cap))
-
-
-def _chi_int(k, bundle, K, chi_T_fn, cap):
-    return max(
-        chi_T_fn(2 * (k + 1) - 1),
-        bundle.chi_lambda(8 * K * (k + 1) - 1, cap),
-        bundle.chi_beta(8 * K * (k + 1) - 1, cap),
-    )
-
-
-def Sigma(k, bundle, K, chi_T_fn, bit_cap: int = DEFAULT_BIT_CAP) -> RateValue:
-    expr = f"Sigma(k={k})"
-
-    def thunk():
-        c = _chi_int(3 * k + 2, bundle, K, chi_T_fn, bit_cap)
-        return bundle.sigma(c + 2 + ceil_ln(6 * K * (k + 1)), bit_cap) + 1
-
-    return _guard(expr, bit_cap, thunk)
-
-
-def Sigma_star(k, bundle, K, chi_T_fn, bit_cap: int = DEFAULT_BIT_CAP) -> RateValue:
-    expr = f"Sigma_star(k={k})"
-
-    def thunk():
-        c = _chi_int(3 * k + 2, bundle, K, chi_T_fn, bit_cap)
-        return bundle.sigma_star(c, 6 * K * (k + 1) - 1) + 1
-
-    return _guard(expr, bit_cap, thunk)
-
-
-def _tilde(inner_int, k, bundle, K, chi_T_fn, cap):
-    L = bundle.Lambda
-    return max(
-        bundle.N_Lambda,
-        inner_int(2 * L * (k + 1) - 1, bundle, K, chi_T_fn, cap),
-        bundle.eta(4 * K * L * (k + 1) - 1, cap),
-    )
-
-
-def _Sigma_int(k, bundle, K, chi_T_fn, cap):
-    c = _chi_int(3 * k + 2, bundle, K, chi_T_fn, cap)
-    return bundle.sigma(c + 2 + ceil_ln(6 * K * (k + 1)), cap) + 1
-
-
-def _Sigma_star_int(k, bundle, K, chi_T_fn, cap):
-    c = _chi_int(3 * k + 2, bundle, K, chi_T_fn, cap)
-    return bundle.sigma_star(c, 6 * K * (k + 1) - 1) + 1
-
-
-def Sigma_tilde(k, bundle, K, chi_T_fn, bit_cap: int = DEFAULT_BIT_CAP) -> RateValue:
-    expr = f"Sigma_tilde(k={k})"
-    return _guard(
-        expr, bit_cap, lambda: _tilde(_Sigma_int, k, bundle, K, chi_T_fn, bit_cap)
-    )
-
-
-def Sigma_tilde_star(
-    k, bundle, K, chi_T_fn, bit_cap: int = DEFAULT_BIT_CAP
-) -> RateValue:
-    expr = f"Sigma_tilde_star(k={k})"
-    return _guard(
-        expr, bit_cap, lambda: _tilde(_Sigma_star_int, k, bundle, K, chi_T_fn, bit_cap)
-    )
-
-
-# ---------------------------------------------------------------------------
-# T_m-asymptotic-regularity rates
-# ---------------------------------------------------------------------------
+def _zeta_star_int(k: int, n: int, sigma_star, S: int) -> int:
+    return sigma_star(n, 3 * S * (k + 1) - 1) + 1
 
 
 def psi_from_phi(
@@ -719,31 +633,82 @@ def psi_from_phi(
     if Gamma < 1 or G < 1:
         raise RateError("Gamma and G must be >= 1")
     expr = f"psi(k={k})"
-    return _guard(
-        expr,
-        bit_cap,
-        lambda: max(phi((1 + 2 * Gamma * G) * (k + 1) - 1, bit_cap), N_Gamma),
+    return _guard(expr, bit_cap, lambda: _psi_int(phi, k, Gamma, G, N_Gamma, bit_cap))
+
+
+def _psi_int(phi, k: int, Gamma: int, G: int, N_Gamma: int, cap) -> int:
+    return max(phi((1 + 2 * Gamma * G) * (k + 1) - 1, cap), N_Gamma)
+
+
+# ---------------------------------------------------------------------------
+# The table of asymptotic-regularity rates
+# ---------------------------------------------------------------------------
+
+ChiT = Callable[[int], int]
+
+
+def _chi_int(k, bundle, K, chi_T_fn, cap):
+    return max(
+        chi_T_fn(2 * (k + 1) - 1),
+        bundle.chi_lambda(8 * K * (k + 1) - 1, cap),
+        bundle.chi_beta(8 * K * (k + 1) - 1, cap),
     )
 
 
-def _Psi_int(k, bundle, K, chi_T_fn, cap, star: bool):
-    inner = _Sigma_star_int if star else _Sigma_int
-    j = (1 + 2 * bundle.Gamma * bundle.G) * (k + 1) - 1
-    return max(_tilde(inner, j, bundle, K, chi_T_fn, cap), bundle.N_Gamma)
+# Sigma and Sigma* are zeta and zeta* with S = 2K, taken after chi(3k+2)
 
 
-def Psi(k, bundle, K, chi_T_fn, bit_cap: int = DEFAULT_BIT_CAP) -> RateValue:
-    expr = f"Psi(k={k})"
-    return _guard(
-        expr, bit_cap, lambda: _Psi_int(k, bundle, K, chi_T_fn, bit_cap, star=False)
+def _Sigma_int(k, bundle, K, chi_T_fn, cap):
+    c = _chi_int(3 * k + 2, bundle, K, chi_T_fn, cap)
+    return _zeta_int(k, c + 2, bundle.sigma, 2 * K, cap)
+
+
+def _Sigma_star_int(k, bundle, K, chi_T_fn, cap):
+    c = _chi_int(3 * k + 2, bundle, K, chi_T_fn, cap)
+    return _zeta_star_int(k, c, bundle.sigma_star, 2 * K)
+
+
+def _tilde(inner_int, k, bundle, K, chi_T_fn, cap):
+    L = bundle.Lambda
+    return max(
+        bundle.N_Lambda,
+        inner_int(2 * L * (k + 1) - 1, bundle, K, chi_T_fn, cap),
+        bundle.eta(4 * K * L * (k + 1) - 1, cap),
     )
 
 
-def Psi_star(k, bundle, K, chi_T_fn, bit_cap: int = DEFAULT_BIT_CAP) -> RateValue:
-    expr = f"Psi_star(k={k})"
-    return _guard(
-        expr, bit_cap, lambda: _Psi_int(k, bundle, K, chi_T_fn, bit_cap, star=True)
-    )
+def _Psi_int(inner_int, k, bundle, K, chi_T_fn, cap):
+    """The T_m-asymptotic-regularity rate: _tilde(inner_int) promoted to a
+    single member of the family by psi_from_phi's formula."""
+    phi = lambda j, jcap: _tilde(inner_int, j, bundle, K, chi_T_fn, jcap)
+    return _psi_int(phi, k, bundle.Gamma, bundle.G, bundle.N_Gamma, cap)
+
+
+# name -> integer function (k, bundle, K, chi_T_fn, cap); raises CapExceeded
+RATES: dict[str, Callable[..., int]] = {
+    "chi": _chi_int,
+    "Sigma": _Sigma_int,
+    "Sigma_tilde": partial(_tilde, _Sigma_int),
+    "Sigma_star": _Sigma_star_int,
+    "Sigma_tilde_star": partial(_tilde, _Sigma_star_int),
+    "Psi": partial(_Psi_int, _Sigma_int),
+    "Psi_star": partial(_Psi_int, _Sigma_star_int),
+}
+
+
+def rate(
+    name: str, k: int, bundle, K: int, chi_T_fn: ChiT, bit_cap: int = DEFAULT_BIT_CAP
+) -> RateValue:
+    """The rate RATES[name] at k, or Astronomical past the bit cap."""
+    fn = RATES[name]
+    expr = f"{name}(k={k})"
+    return _guard(expr, bit_cap, lambda: fn(k, bundle, K, chi_T_fn, bit_cap))
+
+
+# one public function per table entry: chi(k, bundle, K, chi_T_fn, bit_cap)
+chi, Sigma, Sigma_tilde, Sigma_star, Sigma_tilde_star, Psi, Psi_star = (
+    partial(rate, name) for name in RATES
+)
 
 
 # ---------------------------------------------------------------------------
@@ -768,17 +733,7 @@ def _omega3_int(k, f, Phi, K, cap) -> int:
     if cv is not None:
         # the outer application swallows the inner tower entirely
         return cv
-    steps = r_of_k(omega2(k, K), K)
-    h = _iterate_int(hat(Compose(monotonize(f), Phi), K), steps, 0, cap)
-    return Phi(omega1_checked(h, K, cap), cap)
-
-
-def _meta_zeta(i: int, m: int, sigma: Counterfunction, K: int, cap) -> int:
-    return sigma(m + ceil_ln(12 * K * K * (i + 1)), cap) + 1
-
-
-def _meta_zeta_star(i: int, m: int, sigma_star, K: int) -> int:
-    return sigma_star(m, 12 * K * K * (i + 1) - 1) + 1
+    return Phi(_n_star_int(k, Compose(monotonize(f), Phi), K, cap), cap)
 
 
 def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
@@ -786,10 +741,11 @@ def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
     kt = 4 * (k + 1) ** 2 - 1
     eta_val = bundle.eta(24 * K * K * (kt + 1) - 1, cap)
 
+    # zeta (or zeta*) with S = 4K^2
     if star:
-        zeta_fn = lambda i, m: _meta_zeta_star(i, m, bundle.sigma_star, K)
+        zeta_fn = lambda i, m: _zeta_star_int(i, m, bundle.sigma_star, 4 * K * K)
     else:
-        zeta_fn = lambda i, m: _meta_zeta(i, m, bundle.sigma, K, cap)
+        zeta_fn = lambda i, m: _zeta_int(i, m, bundle.sigma, 4 * K * K, cap)
 
     def fbar(i: int) -> int:
         return f(zeta_fn(kt, max(i, eta_val)), cap)
@@ -803,45 +759,37 @@ def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
     if Phi_override is not None:
         Phi = Phi_override
     else:
-        psi_int = lambda j, jcap: _Psi_int(j, bundle, K, chi_T_fn, jcap, star=star)
         label = "Psi_star" if star else "Psi"
+        psi = RATES[label]
+        psi_int = lambda j, jcap: psi(j, bundle, K, chi_T_fn, jcap)
         Phi = Wrapped(psi_int, label, is_monotone=True)
 
     w3 = _omega3_int(12 * (kt + 1) - 1, ftilde, Phi, K, cap)
     return zeta_fn(kt, max(w3, eta_val))
 
 
-def mu(
-    k: int,
-    f: Counterfunction,
-    bundle,
-    K: int,
-    chi_T_fn: ChiT,
-    Phi_override: Optional[Counterfunction] = None,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> RateValue:
-    """Metastability rate built on the divergence rate sigma."""
-    expr = f"mu(k={k},f={f.render()})"
-    return _guard(
-        expr,
-        bit_cap,
-        lambda: _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, bit_cap, star=False),
-    )
+def _metastability(name: str, star: bool, doc: str):
+    def value(
+        k: int,
+        f: Counterfunction,
+        bundle,
+        K: int,
+        chi_T_fn: ChiT,
+        Phi_override: Optional[Counterfunction] = None,
+        bit_cap: int = DEFAULT_BIT_CAP,
+    ) -> RateValue:
+        expr = f"{name}(k={k},f={f.render()})"
+        thunk = lambda: _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, bit_cap, star)
+        return _guard(expr, bit_cap, thunk)
+
+    value.__name__ = value.__qualname__ = name
+    value.__doc__ = doc
+    return value
 
 
-def mu_star(
-    k: int,
-    f: Counterfunction,
-    bundle,
-    K: int,
-    chi_T_fn: ChiT,
-    Phi_override: Optional[Counterfunction] = None,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> RateValue:
-    """Metastability rate built on the product-convergence rate sigma*."""
-    expr = f"mu_star(k={k},f={f.render()})"
-    return _guard(
-        expr,
-        bit_cap,
-        lambda: _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, bit_cap, star=True),
-    )
+mu = _metastability(
+    "mu", False, "Metastability rate built on the divergence rate sigma."
+)
+mu_star = _metastability(
+    "mu_star", True, "Metastability rate built on the product-convergence rate sigma*."
+)

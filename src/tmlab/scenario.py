@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import rates
 from .geometry import (
@@ -43,7 +43,7 @@ from .mappings import (
     ResolventFamily,
     RotationFamily,
 )
-from .rates import Counterfunction, monotonize, parse_counterfunction
+from .rates import parse_counterfunction
 from .schedules import ScheduleBundle, ScheduleError, preset
 
 
@@ -95,24 +95,19 @@ class Scenario:
     scenario_hash: str
     chi_T_fn: Callable[[int], int] = field(default=lambda k: 0)
 
-    def bounds(self) -> rates.ScenarioBounds:
-        return rates.ScenarioBounds(K=self.K, M=self.M)
-
 
 def _parse_point(space: SpaceModel, text: str, key: str) -> Point:
     try:
         if isinstance(space, Tripod):
             leg_s, _, len_s = text.partition(":")
-            return Point.tripod(int(leg_s), float(len_s))
-        coords = [float(t) for t in text.split(",")]
+            return Point.tripod(int(leg_s), _finite(len_s))
+        coords = [_finite(t) for t in text.split(",")]
         if isinstance(space, Euclidean):
             if len(coords) != space.dim:
-                raise ConfigError(
-                    f"field {key!r}: expected {space.dim} coordinates"
-                )
+                raise ValueError(f"expected {space.dim} coordinates")
             return Point.euclidean(*coords)
         if len(coords) != 2:
-            raise ConfigError(f"field {key!r}: disk points need two coordinates")
+            raise ValueError("disk points need two coordinates")
         return Point.disk(*coords)
     except (ValueError, GeometryError) as exc:
         raise ConfigError(f"field {key!r}: {exc}") from exc
@@ -126,6 +121,25 @@ def _get(cfg, key, default=None, required=False):
     return default
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def _number(cfg, key, parse, default=None, required=False):
+    """Field ``key`` read by ``parse`` (int or _finite), or ``default`` when
+    it is absent.  A malformed value raises ConfigError naming the key."""
+    text = _get(cfg, key, required=required)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"field {key!r}: {exc}") from exc
+
+
 def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
     kind = _get(cfg, "family.kind", required=True).lower()
     if kind == "identity":
@@ -133,12 +147,12 @@ def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
         point = _parse_point(space, fp, "family.fixed_point") if fp else None
         return IdentityFamily(space, point)
     if kind == "rotation":
-        angle = float(_get(cfg, "family.angle", default="1.5707963267948966"))
+        angle = _number(cfg, "family.angle", _finite, 1.5707963267948966)
         return RotationFamily(space, angle)
     if kind == "constant":
         # one fixed nonexpansive map repeated at every index; angle 0 means
         # the identity map (usable in any model and dimension)
-        angle = float(_get(cfg, "family.angle", default="0.0"))
+        angle = _number(cfg, "family.angle", _finite, 0.0)
         if angle == 0.0:
             return ConstantFamily(space, lambda pt: pt, space.base_point())
         rot = RotationFamily(space, angle)
@@ -149,7 +163,7 @@ def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
         center = _parse_point(
             space, _get(cfg, "family.center", required=True), "family.center"
         )
-        radius = float(_get(cfg, "family.radius", required=True))
+        radius = _number(cfg, "family.radius", _finite, required=True)
         return MetricProjectionFamily(space, BallSet(center, radius))
     if kind == "proximal":
         fn = _get(cfg, "family.function", default="half-squared-norm").lower()
@@ -160,7 +174,7 @@ def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
             descriptor = HalfSquaredNorm(center)
         elif fn == "ball-indicator":
             descriptor = IndicatorOfBall(
-                center, float(_get(cfg, "family.radius", required=True))
+                center, _number(cfg, "family.radius", _finite, required=True)
             )
         else:
             raise ConfigError(f"unknown convex function {fn!r}")
@@ -169,7 +183,7 @@ def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
         base_kind = _get(cfg, "family.base.kind", default="rotation").lower()
         if base_kind == "rotation":
             base = RotationFamily(
-                space, float(_get(cfg, "family.base.angle", default="1.0"))
+                space, _number(cfg, "family.base.angle", _finite, 1.0)
             )
         elif base_kind == "projection":
             center = _parse_point(
@@ -177,10 +191,8 @@ def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
                 _get(cfg, "family.base.center", required=True),
                 "family.base.center",
             )
-            base = MetricProjectionFamily(
-                space,
-                BallSet(center, float(_get(cfg, "family.base.radius", required=True))),
-            )
+            radius = _number(cfg, "family.base.radius", _finite, required=True)
+            base = MetricProjectionFamily(space, BallSet(center, radius))
         else:
             raise ConfigError(f"unknown resolvent base {base_kind!r}")
         return ResolventFamily(
@@ -188,8 +200,8 @@ def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
             base_map=lambda pt: base.apply(0, pt),
             base_fixed_point=base.fixed_point,
             gammas=bundle.gamma,
-            inner_tol=float(_get(cfg, "family.inner_tol", default="1e-12")),
-            max_iterations=int(_get(cfg, "family.max_iterations", default="10000")),
+            inner_tol=_number(cfg, "family.inner_tol", _finite, 1e-12),
+            max_iterations=_number(cfg, "family.max_iterations", int, 10000),
         )
     raise ConfigError(f"unknown family kind {kind!r}")
 
@@ -200,63 +212,61 @@ def _build_bundle(cfg: dict) -> ScheduleBundle:
         bundle = preset(name)
     except ScheduleError as exc:
         raise ConfigError(str(exc)) from exc
-    # inline modulus overrides, given in the counterfunction mini-grammar
-    overrides = {
-        "schedule.chi_beta": "chi_beta",
-        "schedule.chi_lambda": "chi_lambda",
-        "schedule.chi_gamma": "chi_gamma",
-        "schedule.eta": "eta",
-        "schedule.B": "B",
-    }
-    for key, attr in overrides.items():
+    # overrides: moduli in the counterfunction mini-grammar, then constants;
+    # the rebuilt bundle validates and monotonizes them like a preset's
+    changes = {}
+    for attr in ("chi_beta", "chi_lambda", "chi_gamma", "eta", "B"):
+        key = f"schedule.{attr}"
         if key in cfg:
             try:
-                setattr(bundle, attr, monotonize(parse_counterfunction(cfg[key])))
+                changes[attr] = parse_counterfunction(cfg[key])
             except rates.RateError as exc:
                 raise ConfigError(f"field {key!r}: {exc}") from exc
-    for key, attr in (
-        ("schedule.Gamma", "Gamma"),
-        ("schedule.N_Gamma", "N_Gamma"),
-        ("schedule.G", "G"),
-        ("schedule.Lambda", "Lambda"),
-        ("schedule.N_Lambda", "N_Lambda"),
-    ):
-        if key in cfg:
-            setattr(bundle, attr, int(cfg[key]))
-    return bundle
+    for attr in ("Gamma", "N_Gamma", "G", "Lambda", "N_Lambda"):
+        if f"schedule.{attr}" in cfg:
+            changes[attr] = _number(cfg, f"schedule.{attr}", int)
+    try:
+        return replace(bundle, **changes)
+    except ScheduleError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
 
 
 def build_scenario(cfg: dict) -> Scenario:
     space_kind = _get(cfg, "space.kind", required=True)
-    dim = int(_get(cfg, "space.dim", default="2"))
+    dim = _number(cfg, "space.dim", int, 2)
     try:
         space = make_model(space_kind, dim)
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
 
     bundle = _build_bundle(cfg)
-    family = _build_family(cfg, space, bundle)
+    try:
+        family = _build_family(cfg, space, bundle)
+    except GeometryError as exc:
+        raise ConfigError(f"family: {exc}") from exc
     p = family.fixed_point
 
     u = _parse_point(space, _get(cfg, "run.u", required=True), "run.u")
     x0 = _parse_point(space, _get(cfg, "run.x0", required=True), "run.x0")
-    steps = int(_get(cfg, "run.steps", default="100"))
+    steps = _number(cfg, "run.steps", int, 100)
     if steps < 1:
         raise ConfigError("field 'run.steps': must be >= 1")
-    seed = int(_get(cfg, "run.seed", default="0"))
-    tol = float(_get(cfg, "run.tol", default="1e-9"))
-    bit_cap = int(_get(cfg, "run.bit_cap", default=str(rates.DEFAULT_BIT_CAP)))
+    seed = _number(cfg, "run.seed", int, 0)
+    tol = _number(cfg, "run.tol", _finite, 1e-9)
+    bit_cap = _number(cfg, "run.bit_cap", int, rates.DEFAULT_BIT_CAP)
 
-    M = max(space.dist(x0, p), space.dist(u, p))
-    k_raw = _get(cfg, "run.K")
-    if k_raw is not None:
-        K = int(k_raw)
-        if K < math.ceil(M):
-            raise ConfigError(
-                f"field 'run.K': K={K} below ceil(M)={math.ceil(M)}"
-            )
-    else:
-        K = max(1, math.ceil(M))
+    try:
+        M = max(space.dist(x0, p), space.dist(u, p))
+        ceil_M = math.ceil(M)
+    except OverflowError as exc:
+        raise ConfigError(
+            "fields 'run.x0', 'run.u': distance to the fixed point overflows"
+        ) from exc
+    K = _number(cfg, "run.K", int)
+    if K is None:
+        K = max(1, ceil_M)
+    elif K < ceil_M:
+        raise ConfigError(f"field 'run.K': K={K} below ceil(M)={ceil_M}")
 
     digest = hashlib.sha256(
         "\n".join(f"{k}={v}" for k, v in sorted(cfg.items())).encode()

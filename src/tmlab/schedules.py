@@ -62,15 +62,13 @@ class ScheduleBundle:
     Gamma: int
     N_Gamma: int
     G: int
-    # exact rational evaluators, when the sequences are rational-valued
+    # exact rational evaluator of beta, when the sequence is rational-valued
     beta_exact: Optional[Callable[[int], Fraction]] = None
-    lam_exact: Optional[Callable[[int], Fraction]] = None
-    gamma_exact: Optional[Callable[[int], Fraction]] = None
-    b_monotonized: bool = True
 
     def __post_init__(self):
-        if self.Lambda < 1 or self.Gamma < 1 or self.G < 1:
-            raise ScheduleError("Lambda, Gamma and G must be positive naturals")
+        for name in ("Lambda", "Gamma", "G"):
+            if getattr(self, name) < 1:
+                raise ScheduleError(f"{name} must be a positive natural")
         # monotone counterfunctions are required by the rate formulas; B in
         # particular is monotonized even though its defining condition does
         # not ask for it
@@ -105,13 +103,11 @@ def chi_T(bundle: ScheduleBundle, K: int, k: int) -> int:
 def _harmonic_base(gamma_const: bool) -> ScheduleBundle:
     if gamma_const:
         gamma = lambda n: 1.0
-        gamma_exact = lambda n: Fraction(1)
         chi_gamma = Const(0)
         Gamma, N_Gamma, G = 1, 0, 1
         name = "constant-gamma-harmonic-beta"
     else:
         gamma = lambda n: 1.0 + 1.0 / (n + 1)
-        gamma_exact = lambda n: 1 + Fraction(1, n + 1)
         # |gamma_n - gamma_{n+1}| = 1/((n+1)(n+2)); tail from n is 1/(n+1)
         chi_gamma = Identity()
         Gamma, N_Gamma, G = 1, 0, 2
@@ -134,8 +130,6 @@ def _harmonic_base(gamma_const: bool) -> ScheduleBundle:
         N_Gamma=N_Gamma,
         G=G,
         beta_exact=lambda n: Fraction(n + 1, n + 2),
-        lam_exact=lambda n: Fraction(1, 2),
-        gamma_exact=gamma_exact,
     )
 
 

@@ -161,3 +161,78 @@ def test_log_level_flag_accepted(runner, cfg_path):
     res = runner.invoke(main, ["--log-level", "info", "rates", cfg_path,
                                "--k-max", "0", "--which", "chi"])
     assert res.exit_code == 0
+
+
+ALL_RATES = ("chi", "Sigma", "Sigma_tilde", "Sigma_star", "Sigma_tilde_star",
+             "Psi", "Psi_star", "mu", "mu_star")
+
+
+def test_rates_routes_every_name(runner, cfg_path):
+    import csv
+    import io
+
+    from tmlab import cli, rates
+    from tmlab.scenario import scenario_from_text
+
+    assert cli.RATE_NAMES == ALL_RATES
+    for name in ALL_RATES:
+        assert callable(getattr(rates, name))
+    res = runner.invoke(main, [
+        "rates", cfg_path, "--which", ",".join(ALL_RATES), "--k-max", "3",
+        "--phi", "const:0",
+    ])
+    assert res.exit_code == 0
+    rows = list(csv.reader(io.StringIO(res.output)))
+    assert rows[0] == ["k", *ALL_RATES]
+    sc = scenario_from_text(IDENTITY_CFG)
+    f, phi = rates.Const(0), rates.Const(0)
+    for k in range(4):
+        assert rows[k + 1][0] == str(k)
+        for name, cell in zip(ALL_RATES, rows[k + 1][1:]):
+            fn = getattr(rates, name)
+            if name in ("mu", "mu_star"):
+                want = fn(k, f, sc.bundle, sc.K, sc.chi_T_fn,
+                          Phi_override=phi, bit_cap=sc.bit_cap)
+            else:
+                want = fn(k, sc.bundle, sc.K, sc.chi_T_fn, sc.bit_cap)
+            assert cell == want.render(), (name, k)
+
+
+def test_rates_mu_default_phi_exits_0(runner, cfg_path):
+    res = runner.invoke(main, ["rates", cfg_path, "--which", "mu", "--k-max", "0"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1] == '0,"ASTRO:mu(k=0,f=const:0)"'
+
+
+PROJECTION_CFG = """
+space.kind = euclidean
+space.dim = 2
+family.kind = projection
+family.center = 0,0
+family.radius = 1
+schedule.preset = harmonic
+run.u = 0,0
+run.x0 = 1,0
+"""
+
+
+@pytest.mark.parametrize("line,field", [
+    ("schedule.Lambda = 0", "Lambda"),
+    ("schedule.Lambda = abc", "schedule.Lambda"),
+    ("family.radius = abc", "family.radius"),
+    ("run.x0 = inf,0", "run.x0"),
+], ids=["Lambda=0", "Lambda=abc", "radius=abc", "x0=inf"])
+@pytest.mark.parametrize("command", [["run", "--steps", "2"],
+                                     ["rates", "--which", "Psi_star"]],
+                         ids=["run", "rates"])
+def test_malformed_numbers_exit_2_naming_the_field(runner, tmp_path, line, field,
+                                                   command):
+    key = line.partition("=")[0].strip()
+    kept = [ln for ln in PROJECTION_CFG.splitlines()
+            if ln.partition("=")[0].strip() != key]
+    p = tmp_path / "bad.cfg"
+    p.write_text("\n".join(kept + [line]) + "\n")
+    res = runner.invoke(main, [command[0], str(p), *command[1:]])
+    assert res.exit_code == 2, res.output
+    assert field in res.stderr
+    assert isinstance(res.exception, SystemExit)  # no uncaught error

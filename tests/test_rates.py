@@ -329,3 +329,56 @@ def test_scenario_bounds_validation():
         R.ScenarioBounds(K=1, M=1.5)
     with pytest.raises(R.RateError):
         R.ScenarioBounds(K=1, M=0.5, S=0)
+
+
+# ---------------------------------------------------------------------------
+# The table of rates, and values past the float and str() ranges
+# ---------------------------------------------------------------------------
+
+
+def test_rate_table_matches_public_functions(golden):
+    b, K, ct = golden
+    assert tuple(R.RATES) == ("chi", "Sigma", "Sigma_tilde", "Sigma_star",
+                              "Sigma_tilde_star", "Psi", "Psi_star")
+    for name, fn in R.RATES.items():
+        for k in range(3):
+            want = R.RateValue.finite(fn(k, b, K, ct, R.DEFAULT_BIT_CAP))
+            assert R.rate(name, k, b, K, ct) == want
+            assert getattr(R, name)(k, b, K, ct) == want
+        tiny = R.rate(name, 7, b, K, ct, bit_cap=1)
+        assert tiny.render() == f"ASTRO:{name}(k=7)"
+
+
+def test_ceil_scaled_exp_refuses_arguments_past_float_range():
+    # 10**400 does not fit a float; e**n has more than n bits, so any
+    # n above the cap is refused before the float estimate is formed
+    with pytest.raises(R.CapExceeded):
+        R.CeilScaledExp(2)(10 ** 400, cap=2 ** 20)
+    with pytest.raises(R.CapExceeded):
+        R.CeilScaledExp(2)(2 ** 20 + 1, cap=2 ** 20)
+
+
+def test_mu_default_phi_is_astronomical(golden):
+    b, K, ct = golden
+    got = R.mu(0, R.Const(0), b, K, ct, bit_cap=2 ** 20)
+    assert got.render() == "ASTRO:mu(k=0,f=const:0)"
+
+
+@pytest.mark.parametrize("n", [
+    0, 10 ** 3999, 10 ** 4000 - 1, 10 ** 4000, 10 ** 4000 + 1,
+    10 ** 8000, 10 ** 8000 + 7, 7 ** 20000,
+], ids=lambda n: f"{n.bit_length()}-bits-mod-1000={n % 1000}")
+def test_render_past_str_digit_limit(n):
+    from decimal import Decimal
+
+    assert R.RateValue.finite(n).render() == str(Decimal(n))
+
+
+def test_render_of_a_6008_digit_mu():
+    from decimal import Decimal
+
+    b = preset("constant-gamma-harmonic-beta")
+    got = R.mu(5, R.Const(0), b, 2, lambda k: 0, Phi_override=R.Const(0))
+    text = got.render()
+    assert len(text) == 6008
+    assert text == str(Decimal(got.value))

@@ -140,3 +140,51 @@ run.x0 = 1,0
 """)
     out = sc.family.apply(0, sc.x0)
     assert sc.space.dist(out, sc.x0) > 0
+
+
+def test_schedule_overrides_are_validated_and_monotonized():
+    sc = scenario_from_text(BASE + "schedule.chi_beta = table:[5,1,9]\n")
+    assert [sc.bundle.chi_beta(i) for i in range(4)] == [5, 5, 9, 9]
+    with pytest.raises(ConfigError, match="Lambda"):
+        scenario_from_text(BASE + "schedule.Lambda = 0\n")
+    with pytest.raises(ConfigError, match="schedule.G"):
+        scenario_from_text(BASE + "schedule.G = 1.5\n")
+
+
+def _with_line(line):
+    key = line.partition("=")[0].strip()
+    kept = [ln for ln in BASE.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+@pytest.mark.parametrize("line,key", [
+    ("space.dim = two", "space.dim"),
+    ("family.angle = nan", "family.angle"),
+    ("run.steps = 1e3", "run.steps"),
+    ("run.tol = inf", "run.tol"),
+    ("run.bit_cap = big", "run.bit_cap"),
+    ("run.K = 2.5", "run.K"),
+    ("run.seed = x", "run.seed"),
+])
+def test_numeric_fields_name_the_key(line, key):
+    with pytest.raises(ConfigError, match=key):
+        scenario_from_text(_with_line(line))
+
+
+def test_points_must_be_finite():
+    for bad in ("inf,0", "0,nan"):
+        with pytest.raises(ConfigError, match="run.x0"):
+            scenario_from_text(_with_line(f"run.x0 = {bad}"))
+    with pytest.raises(ConfigError, match="run.x0"):
+        scenario_from_text(_with_line("run.x0 = 1e308,1e308"))
+
+
+def test_family_geometry_errors_are_config_errors():
+    with pytest.raises(ConfigError, match="family"):
+        scenario_from_text(BASE.replace("space.dim = 2", "space.dim = 3"))
+
+
+def test_point_errors_name_the_field_once():
+    with pytest.raises(ConfigError) as info:
+        scenario_from_text(BASE.replace("run.x0 = 1,0", "run.x0 = 1,0,0"))
+    assert str(info.value) == "field 'run.x0': expected 2 coordinates"
