@@ -10,8 +10,9 @@ representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Optional
 
 import mpmath
@@ -105,16 +106,22 @@ def _ceil_scaled_exp(coeff: int, n: int, cap: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def within_cap(value: int, cap: Optional[int]) -> int:
+    """value, or CapExceeded when it has more than cap bits."""
+    if cap is not None and value.bit_length() > cap:
+        raise CapExceeded()
+    return value
+
+
 class Counterfunction:
     """A total function on big naturals, represented as an expression tree."""
-
-    monotone: bool = True
 
     def __call__(self, n: int, cap: Optional[int] = None) -> int:
         raise NotImplementedError
 
-    def constant_value(self) -> Optional[int]:
-        """The single value this function takes, if it is constant."""
+    def constant_value(self, cap: Optional[int] = None) -> Optional[int]:
+        """The single value this function takes, if it is constant.  Folding
+        evaluates nodes under cap, so it raises CapExceeded past it."""
         return None
 
     def render(self) -> str:
@@ -123,20 +130,15 @@ class Counterfunction:
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counterfunction({self.render()})"
 
-    def _check(self, value: int, cap: Optional[int]) -> int:
-        if cap is not None and value.bit_length() > cap:
-            raise CapExceeded()
-        return value
-
 
 @dataclass(frozen=True, repr=False)
 class Const(Counterfunction):
     c: int
 
     def __call__(self, n, cap=None):
-        return self._check(self.c, cap)
+        return within_cap(self.c, cap)
 
-    def constant_value(self):
+    def constant_value(self, cap=None):
         return self.c
 
     def render(self):
@@ -146,7 +148,7 @@ class Const(Counterfunction):
 @dataclass(frozen=True, repr=False)
 class Identity(Counterfunction):
     def __call__(self, n, cap=None):
-        return self._check(n, cap)
+        return within_cap(n, cap)
 
     def render(self):
         return "id"
@@ -162,9 +164,9 @@ class Affine(Counterfunction):
             raise RateError("affine coefficients must be naturals")
 
     def __call__(self, n, cap=None):
-        return self._check(self.a * n + self.b, cap)
+        return within_cap(self.a * n + self.b, cap)
 
-    def constant_value(self):
+    def constant_value(self, cap=None):
         return self.b if self.a == 0 else None
 
     def render(self):
@@ -184,7 +186,7 @@ class Power(Counterfunction):
         # overflows before forming the power
         if cap is not None and n > 1 and self.e * (n.bit_length() - 1) + 1 > cap:
             raise CapExceeded()
-        return self._check(n ** self.e, cap)
+        return within_cap(n ** self.e, cap)
 
     def render(self):
         return f"pow:{self.e}"
@@ -197,13 +199,12 @@ class Max(Counterfunction):
     def __post_init__(self):
         if not self.children:
             raise RateError("max needs at least one child")
-        object.__setattr__(self, "monotone", all(c.monotone for c in self.children))
 
     def __call__(self, n, cap=None):
         return max(c(n, cap) for c in self.children)
 
-    def constant_value(self):
-        vals = [c.constant_value() for c in self.children]
+    def constant_value(self, cap=None):
+        vals = [c.constant_value(cap) for c in self.children]
         if all(v is not None for v in vals):
             return max(vals)
         return None
@@ -217,21 +218,16 @@ class Compose(Counterfunction):
     outer: Counterfunction
     inner: Counterfunction
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "monotone", self.outer.monotone and self.inner.monotone
-        )
-
     def __call__(self, n, cap=None):
         return self.outer(self.inner(n, cap), cap)
 
-    def constant_value(self):
-        cv = self.outer.constant_value()
+    def constant_value(self, cap=None):
+        cv = self.outer.constant_value(cap)
         if cv is not None:
             return cv
-        ci = self.inner.constant_value()
+        ci = self.inner.constant_value(cap)
         if ci is not None:
-            return self.outer(ci)
+            return self.outer(ci, cap)
         return None
 
     def render(self):
@@ -242,57 +238,21 @@ class Compose(Counterfunction):
 class Table(Counterfunction):
     values: tuple
 
-    monotone = False
-
     def __post_init__(self):
         if not self.values:
             raise RateError("table needs at least one value")
-        object.__setattr__(
-            self,
-            "monotone",
-            all(a <= b for a, b in zip(self.values, self.values[1:])),
-        )
 
     def __call__(self, n, cap=None):
         i = min(n, len(self.values) - 1)
-        return self._check(self.values[i], cap)
+        return within_cap(self.values[i], cap)
 
-    def constant_value(self):
+    def constant_value(self, cap=None):
         if len(set(self.values)) == 1:
             return self.values[0]
         return None
 
     def render(self):
         return "table:[" + ",".join(str(v) for v in self.values) + "]"
-
-
-@dataclass(repr=False)
-class Monotonize(Counterfunction):
-    child: Counterfunction
-    _cache: list = field(default_factory=list)
-
-    monotone = True
-
-    def __call__(self, n, cap=None):
-        if self.child.monotone:
-            return self.child(n, cap)
-        if isinstance(self.child, Table):
-            # eventually constant: the running max stabilizes at the table end
-            i = min(n, len(self.child.values) - 1)
-            return self._check(max(self.child.values[: i + 1]), cap)
-        while len(self._cache) <= n:
-            i = len(self._cache)
-            v = self.child(i)
-            if self._cache:
-                v = max(v, self._cache[-1])
-            self._cache.append(v)
-        return self._check(self._cache[n], cap)
-
-    def constant_value(self):
-        return self.child.constant_value()
-
-    def render(self):
-        return f"mono({self.child.render()})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -318,23 +278,29 @@ class Wrapped(Counterfunction):
 
     fn: Callable[[int, Optional[int]], int]
     label: str
-    is_monotone: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "monotone", self.is_monotone)
 
     def __call__(self, n, cap=None):
-        return self._check(self.fn(n, cap), cap)
+        return within_cap(self.fn(n, cap), cap)
 
     def render(self):
         return self.label
 
 
 def monotonize(f: Counterfunction) -> Counterfunction:
-    """f^M(k) = max_{i<=k} f(i); the identity on already-monotone trees."""
-    if f.monotone:
-        return f
-    return Monotonize(f)
+    """A monotone upper bound on f^M(k) = max_{i<=k} f(i), built on the tree.
+
+    Exact through Table (its prefix max) and Max.  Through Compose it is
+    mono(outer) o mono(inner), which bounds f^M from above; that is sound
+    because every consumer of a counterfunction accepts any larger one.
+    Every other node is monotone already and is returned as is.
+    """
+    if isinstance(f, Table):
+        return Table(tuple(accumulate(f.values, max)))
+    if isinstance(f, Max):
+        return Max(tuple(monotonize(c) for c in f.children))
+    if isinstance(f, Compose):
+        return Compose(monotonize(f.outer), monotonize(f.inner))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +341,7 @@ def _parse_cf(text: str) -> Counterfunction:
             if head == "mono(":
                 if len(args) != 1:
                     raise RateError(f"mono takes one argument: {text!r}")
-                return Monotonize(_parse_cf(args[0]))
+                return monotonize(_parse_cf(args[0]))
             if len(args) != 2:
                 raise RateError(f"{head[:-1]} takes two arguments: {text!r}")
             f, g = (_parse_cf(a) for a in args)
@@ -494,7 +460,7 @@ def _coerce(x) -> RateValue:
 
 def _guard(expr: str, bit_cap: int, thunk: Callable[[], int]) -> RateValue:
     try:
-        return RateValue.finite(int(thunk()))
+        return RateValue.finite(within_cap(int(thunk()), bit_cap))
     except CapExceeded:
         return RateValue.astronomical(expr, bit_cap)
 
@@ -605,7 +571,7 @@ def _zeta_int(k: int, n: int, sigma: Counterfunction, S: int, cap) -> int:
 def zeta_star(
     k: int,
     n: int,
-    sigma_star: Callable[[int, int], int],
+    sigma_star: Callable[[int, int, Optional[int]], int],
     S: int,
     bit_cap: int = DEFAULT_BIT_CAP,
 ) -> RateValue:
@@ -613,11 +579,11 @@ def zeta_star(
     if S < 1:
         raise RateError("S must be >= 1")
     expr = f"zeta_star(k={k},n={n})"
-    return _guard(expr, bit_cap, lambda: _zeta_star_int(k, n, sigma_star, S))
+    return _guard(expr, bit_cap, lambda: _zeta_star_int(k, n, sigma_star, S, bit_cap))
 
 
-def _zeta_star_int(k: int, n: int, sigma_star, S: int) -> int:
-    return sigma_star(n, 3 * S * (k + 1) - 1) + 1
+def _zeta_star_int(k: int, n: int, sigma_star, S: int, cap) -> int:
+    return sigma_star(n, 3 * S * (k + 1) - 1, cap) + 1
 
 
 def psi_from_phi(
@@ -665,7 +631,7 @@ def _Sigma_int(k, bundle, K, chi_T_fn, cap):
 
 def _Sigma_star_int(k, bundle, K, chi_T_fn, cap):
     c = _chi_int(3 * k + 2, bundle, K, chi_T_fn, cap)
-    return _zeta_star_int(k, c, bundle.sigma_star, 2 * K)
+    return _zeta_star_int(k, c, bundle.sigma_star, 2 * K, cap)
 
 
 def _tilde(inner_int, k, bundle, K, chi_T_fn, cap):
@@ -729,7 +695,7 @@ def omega3(
 
 def _omega3_int(k, f, Phi, K, cap) -> int:
     Phi = monotonize(Phi)
-    cv = Phi.constant_value()
+    cv = Phi.constant_value(cap)
     if cv is not None:
         # the outer application swallows the inner tower entirely
         return cv
@@ -743,7 +709,7 @@ def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
 
     # zeta (or zeta*) with S = 4K^2
     if star:
-        zeta_fn = lambda i, m: _zeta_star_int(i, m, bundle.sigma_star, 4 * K * K)
+        zeta_fn = lambda i, m: _zeta_star_int(i, m, bundle.sigma_star, 4 * K * K, cap)
     else:
         zeta_fn = lambda i, m: _zeta_int(i, m, bundle.sigma, 4 * K * K, cap)
 
@@ -754,7 +720,7 @@ def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
         fb = fbar(i)
         return 12 * K * (kt + 1) * (fb + 1) * bundle.B(fb, icap) - 1
 
-    ftilde = Wrapped(ftilde_fn, "ftilde", is_monotone=True)
+    ftilde = Wrapped(ftilde_fn, "ftilde")
 
     if Phi_override is not None:
         Phi = Phi_override
@@ -762,7 +728,7 @@ def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
         label = "Psi_star" if star else "Psi"
         psi = RATES[label]
         psi_int = lambda j, jcap: psi(j, bundle, K, chi_T_fn, jcap)
-        Phi = Wrapped(psi_int, label, is_monotone=True)
+        Phi = Wrapped(psi_int, label)
 
     w3 = _omega3_int(12 * (kt + 1) - 1, ftilde, Phi, K, cap)
     return zeta_fn(kt, max(w3, eta_val))

@@ -195,13 +195,19 @@ def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
             base = MetricProjectionFamily(space, BallSet(center, radius))
         else:
             raise ConfigError(f"unknown resolvent base {base_kind!r}")
+        inner_tol = _number(cfg, "family.inner_tol", _finite, 1e-12)
+        if inner_tol <= 0:
+            raise ConfigError("field 'family.inner_tol': must be > 0")
+        max_iterations = _number(cfg, "family.max_iterations", int, 10000)
+        if max_iterations < 1:
+            raise ConfigError("field 'family.max_iterations': must be >= 1")
         return ResolventFamily(
             space,
             base_map=lambda pt: base.apply(0, pt),
             base_fixed_point=base.fixed_point,
             gammas=bundle.gamma,
-            inner_tol=_number(cfg, "family.inner_tol", _finite, 1e-12),
-            max_iterations=_number(cfg, "family.max_iterations", int, 10000),
+            inner_tol=inner_tol,
+            max_iterations=max_iterations,
         )
     raise ConfigError(f"unknown family kind {kind!r}")
 

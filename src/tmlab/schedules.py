@@ -28,13 +28,13 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .rates import (
-    Affine,
+    CapExceeded,
     CeilScaledExp,
     Const,
     Counterfunction,
     Identity,
-    RateError,
     monotonize,
+    within_cap,
 )
 
 EXACT_PRODUCT_HORIZON = 10_000
@@ -51,7 +51,7 @@ class ScheduleBundle:
     beta: Callable[[int], float]
     gamma: Callable[[int], float]
     sigma: Counterfunction
-    sigma_star: Callable[[int, int], int]
+    sigma_star: Callable[[int, int, Optional[int]], int]
     chi_beta: Counterfunction
     chi_lambda: Counterfunction
     chi_gamma: Counterfunction
@@ -100,6 +100,16 @@ def chi_T(bundle: ScheduleBundle, K: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _harmonic_sigma_star(m: int, k: int, cap: Optional[int] = None) -> int:
+    """(m+1)(k+1): for beta_n = (n+1)/(n+2) the product over [m, N]
+    telescopes to (m+1)/(N+2)."""
+    # the product has at least bits(m+1) + bits(k+1) - 1 bits; a certain
+    # overflow is refused before multiplying, as Power does
+    if cap is not None and (m + 1).bit_length() + (k + 1).bit_length() - 1 > cap:
+        raise CapExceeded()
+    return within_cap((m + 1) * (k + 1), cap)
+
+
 def _harmonic_base(gamma_const: bool) -> ScheduleBundle:
     if gamma_const:
         gamma = lambda n: 1.0
@@ -118,7 +128,7 @@ def _harmonic_base(gamma_const: bool) -> ScheduleBundle:
         beta=lambda n: (n + 1) / (n + 2),
         gamma=gamma,
         sigma=CeilScaledExp(2),
-        sigma_star=lambda m, k: (m + 1) * (k + 1),
+        sigma_star=_harmonic_sigma_star,
         chi_beta=Identity(),
         chi_lambda=Const(0),
         chi_gamma=chi_gamma,

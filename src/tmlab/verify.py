@@ -297,7 +297,7 @@ def check_xu_lemma(
     n: int,
     q: int,
     sigma: Optional[Counterfunction] = None,
-    sigma_star: Optional[Callable[[int, int], int]] = None,
+    sigma_star: Optional[Callable[[int, int, Optional[int]], int]] = None,
     tol: float = 1e-9,
 ) -> CheckResult:
     """If the window hypotheses hold on [n, q], the conclusion

@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats and the exit-code contract."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -204,6 +205,16 @@ def test_rates_mu_default_phi_exits_0(runner, cfg_path):
     assert res.output.splitlines()[1] == '0,"ASTRO:mu(k=0,f=const:0)"'
 
 
+def test_rates_non_monotone_cf_is_bounded(runner, cfg_path):
+    t0 = time.monotonic()
+    res = runner.invoke(main, ["rates", cfg_path, "--which", "mu_star",
+                               "--k-max", "0", "--cf", "max(table:[5,1],id)",
+                               "--phi", "id"])
+    assert time.monotonic() - t0 < 2.0
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1] == '0,"ASTRO:mu_star(k=0,f=max(table:[5,1],id))"'
+
+
 PROJECTION_CFG = """
 space.kind = euclidean
 space.dim = 2
@@ -236,3 +247,31 @@ def test_malformed_numbers_exit_2_naming_the_field(runner, tmp_path, line, field
     assert res.exit_code == 2, res.output
     assert field in res.stderr
     assert isinstance(res.exception, SystemExit)  # no uncaught error
+
+
+RESOLVENT_CFG = """
+space.kind = euclidean
+space.dim = 2
+family.kind = resolvent
+family.base.kind = rotation
+family.base.angle = 1.0
+schedule.preset = harmonic
+run.u = 0,0
+run.x0 = 1,0
+"""
+
+
+@pytest.mark.parametrize("line,field", [
+    ("family.max_iterations = 0", "family.max_iterations"),
+    ("family.max_iterations = -3", "family.max_iterations"),
+    ("family.inner_tol = 0", "family.inner_tol"),
+    ("family.inner_tol = -1e-9", "family.inner_tol"),
+], ids=["max_iterations=0", "max_iterations<0", "inner_tol=0", "inner_tol<0"])
+def test_resolvent_solver_fields_exit_2_naming_the_field(runner, tmp_path, line,
+                                                        field):
+    p = tmp_path / "bad.cfg"
+    p.write_text(RESOLVENT_CFG + line + "\n")
+    res = runner.invoke(main, ["run", str(p), "--steps", "2", "--out", "-"])
+    assert res.exit_code == 2, res.output
+    assert field in res.stderr
+    assert isinstance(res.exception, SystemExit)

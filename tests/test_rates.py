@@ -1,7 +1,9 @@
 """Counterfunction algebra, big-natural helpers and rate formulas."""
 
 import math
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,41 @@ def test_monotonize_idempotent(values):
 def test_monotonize_identity_on_monotone_trees():
     f = R.Affine(3, 1)
     assert R.monotonize(f) is f
+
+
+def _trees(with_comp: bool):
+    leaves = st.one_of(
+        st.integers(0, 50).map(R.Const),
+        st.just(R.Identity()),
+        st.builds(R.Affine, st.integers(0, 3), st.integers(0, 5)),
+        st.integers(1, 3).map(R.Power),
+        st.lists(st.integers(0, 100), min_size=1, max_size=8).map(
+            lambda v: R.Table(tuple(v))
+        ),
+    )
+
+    def extend(children):
+        pair = st.tuples(children, children)
+        if not with_comp:
+            return pair.map(R.Max)
+        return st.one_of(pair.map(R.Max), pair.map(lambda fg: R.Compose(*fg)))
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@given(_trees(with_comp=True))
+def test_monotonize_trees_is_a_monotone_upper_bound(f):
+    g = R.monotonize(f)
+    vals = [g(n) for n in range(41)]
+    assert vals == sorted(vals)
+    assert all(v >= f(n) for n, v in enumerate(vals))
+
+
+@given(_trees(with_comp=False))
+def test_monotonize_is_the_running_max_without_comp(f):
+    g = R.monotonize(f)
+    running = accumulate((f(n) for n in range(41)), max)
+    assert [g(n) for n in range(41)] == list(running)
 
 
 def test_power_cap_precheck():
@@ -382,3 +419,22 @@ def test_render_of_a_6008_digit_mu():
     text = got.render()
     assert len(text) == 6008
     assert text == str(Decimal(got.value))
+
+
+@pytest.mark.parametrize("name", list(R.RATES))
+def test_finite_rates_fit_the_bit_cap(golden, name):
+    b, K, ct = golden
+    for cap in range(1, 17):
+        for k in range(4):
+            got = R.rate(name, k, b, K, ct, bit_cap=cap)
+            assert got.is_astronomical or got.value.bit_length() <= cap, (cap, k)
+
+
+def test_constant_folding_obeys_the_bit_cap(golden):
+    # 3**(10**9) has about 1.6e9 bits: the fold must refuse it, not build it
+    b, K, ct = golden
+    phi = R.parse_counterfunction("comp(pow:1000000000,const:3)")
+    t0 = time.monotonic()
+    got = R.mu_star(0, R.Const(0), b, K, ct, Phi_override=phi)
+    assert got.is_astronomical
+    assert time.monotonic() - t0 < 1.0

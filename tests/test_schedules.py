@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tmlab.rates import Const, Identity, Table
+from tmlab.rates import CapExceeded, Const, Identity, Table
 from tmlab.schedules import (
     ScheduleBundle,
     ScheduleError,
@@ -51,6 +51,17 @@ def test_audit_uses_exact_products_and_passes_without_tolerance():
     report = audit_schedule(preset("harmonic"), 500, tol=0.0)
     sigma_star_result = [r for r in report.results if r.condition_id == "C1_q*"]
     assert sigma_star_result[0].passed
+
+
+def test_sigma_star_obeys_the_bit_cap():
+    s = preset("harmonic").sigma_star
+    assert s(3, 4) == s(3, 4, 5) == 20
+    with pytest.raises(CapExceeded):
+        s(3, 4, 4)
+    # refused from the bit lengths, before a 1.2 Mbit product is formed
+    big = 1 << 600_000
+    with pytest.raises(CapExceeded):
+        s(big, big, 2 ** 20)
 
 
 def test_audit_detects_wrong_sigma():
