@@ -10,7 +10,6 @@ an independent cross-check in Euclidean models with anchor 0.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
@@ -24,7 +23,7 @@ class EngineError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class TrajectoryRecord:
     n: int
     x: Point
@@ -52,20 +51,21 @@ class Trajectory:
         return self.space.dist(self.records[i].x, self.records[j].x)
 
     def write_csv(self, stream: TextIO):
+        """The comment line, then the header and one row per record in the
+        bytes csv.writer gives them: CRLF row ends, no field needs quotes."""
         model = self.space.describe()
-        stream.write(f"# model={model} scenario={self.scenario_hash}\n")
-        writer = csv.writer(stream)
         ncoords = len(self.records[0].x.data) if self.records else 0
         header = ["n"] + [f"x{i}" for i in range(ncoords)] + [
             "d_step", "d_Tn", "d_p"
         ]
-        writer.writerow(header)
-        for rec in self.records:
-            writer.writerow(
-                [rec.n]
-                + [f"{float(c):.17g}" for c in rec.x.data]
-                + [f"{rec.d_step:.17g}", f"{rec.d_Tn:.17g}", f"{rec.d_p:.17g}"]
-            )
+        row = "%d" + ",%.17g" * (ncoords + 3) + "\r\n"
+        lines = [f"# model={model} scenario={self.scenario_hash}\n",
+                 ",".join(header) + "\r\n"]
+        lines += [
+            row % (rec.n, *rec.x.data, rec.d_step, rec.d_Tn, rec.d_p)
+            for rec in self.records
+        ]
+        stream.write("".join(lines))
 
 
 def run(
@@ -80,28 +80,26 @@ def run(
     """Trajectory of length steps + 1 with all derived distance columns.
 
     A solver failure aborts the run; the partial trajectory is kept on the
-    returned object together with the error record.
+    returned object together with the error record.  An anchor or start
+    point of another model or dimension raises GeometryError before step 0.
     """
     if steps < 1:
         raise EngineError("steps must be >= 1")
+    space._require(u, x0)
     traj = Trajectory(space, family, bundle, u, x0, scenario_hash=scenario_hash)
+    append = traj.records.append
+    comb, dist, apply = space.comb, space.dist, family.apply
+    beta, lam = bundle.beta, bundle.lam
     p = family.fixed_point
     x = x0
     try:
         for n in range(steps + 1):
-            beta, lam = bundle.beta(n), bundle.lam(n)
-            u_n = space.comb(u, x, beta)
-            x_next = space.comb(u_n, family.apply(n, u_n), lam)
-            traj.records.append(
-                TrajectoryRecord(
-                    n=n,
-                    x=x,
-                    u=u_n,
-                    d_step=space.dist(x, x_next),
-                    d_Tn=space.dist(x, family.apply(n, x)),
-                    d_p=space.dist(x, p),
-                )
-            )
+            beta_n, lam_n = beta(n), lam(n)
+            u_n = comb(u, x, beta_n)
+            x_next = comb(u_n, apply(n, u_n), lam_n)
+            append(TrajectoryRecord(
+                n, x, u_n, dist(x, x_next), dist(x, apply(n, x)), dist(x, p)
+            ))
             x = x_next
     except SolverFailure as exc:
         traj.error = str(exc)

@@ -13,28 +13,29 @@ import cmath
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 EQ_TOL = 1e-12
 DISK_MARGIN = 1e-12
+_TRIPOD_LENGTH = "tripod arm length must be finite and >= 0"
 
 
 class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """A model-tagged point: euclidean coordinates, a disk pair, or a
-    (leg, arm length) pair for the tripod."""
+    (leg, arm length) pair for the tripod.  Immutable and hashable; the
+    models build their results directly, the factories below validate."""
 
     kind: str  # "euclidean" | "disk" | "tripod"
     data: tuple
 
     @staticmethod
     def euclidean(*coords: float) -> "Point":
-        return Point("euclidean", tuple(float(c) for c in coords))
+        return Point("euclidean", tuple([float(c) for c in coords]))
 
     @staticmethod
     def disk(a: float, b: float) -> "Point":
@@ -45,7 +46,7 @@ class Point:
     @staticmethod
     def tripod(leg: int, length: float) -> "Point":
         if length < 0 or not math.isfinite(length):
-            raise GeometryError("tripod arm length must be finite and >= 0")
+            raise GeometryError(_TRIPOD_LENGTH)
         if leg not in (0, 1, 2):
             raise GeometryError("tripod leg must be 0, 1 or 2")
         if length == 0.0:
@@ -117,6 +118,8 @@ class SpaceModel:
         raise NotImplementedError
 
     # -- generic pieces -----------------------------------------------------
+    # dist and comb test point kinds and lam inline, on the hot path, and
+    # call _require / _check_lambda to raise when that test fails.
 
     def _require(self, *pts: Point):
         for p in pts:
@@ -168,36 +171,48 @@ class Euclidean(SpaceModel):
     def base_point(self) -> Point:
         return Point.euclidean(*([0.0] * self.dim))
 
+    def _require(self, *pts: Point):
+        super()._require(*pts)
+        for p in pts:
+            if len(p.data) != self.dim:
+                raise GeometryError(
+                    f"point with {len(p.data)} coordinates used in model "
+                    f"{self.describe()}"
+                )
+
     def dist(self, x: Point, y: Point) -> float:
-        self._require(x, y)
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(x.data, y.data)))
+        xd, yd = x.data, y.data
+        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
+            self._require(x, y)
+        return math.sqrt(sum([(a - b) ** 2 for a, b in zip(xd, yd)]))
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
-        self._require(x, y)
-        self._check_lambda(lam)
-        return Point(
-            "euclidean",
-            tuple((1.0 - lam) * a + lam * b for a, b in zip(x.data, y.data)),
-        )
+        xd, yd = x.data, y.data
+        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
+            self._require(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
+        mu = 1.0 - lam
+        return Point("euclidean", tuple([mu * a + lam * b for a, b in zip(xd, yd)]))
 
     def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
         # fast path: the coordinate dot product (y - x) . (v - u)
         self._require(x, y, u, v)
-        return sum(
+        return sum([
             (b - a) * (d - c)
             for a, b, c, d in zip(x.data, y.data, u.data, v.data)
-        )
+        ])
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return self.sample_near(rng, self.base_point(), radius)
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         vec = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
-        norm = math.sqrt(sum(c * c for c in vec)) or 1.0
+        norm = math.sqrt(sum([c * c for c in vec])) or 1.0
         r = radius * rng.random() ** (1.0 / self.dim)
         return Point(
             "euclidean",
-            tuple(c + r * v / norm for c, v in zip(center.data, vec)),
+            tuple([c + r * v / norm for c, v in zip(center.data, vec)]),
         )
 
 
@@ -214,17 +229,10 @@ class PoincareDisk(SpaceModel):
     def base_point(self) -> Point:
         return Point("disk", (0.0, 0.0))
 
-    @staticmethod
-    def _z(p: Point) -> complex:
-        return complex(p.data[0], p.data[1])
-
-    @staticmethod
-    def _pt(z: complex) -> Point:
-        return Point("disk", (z.real, z.imag))
-
     def dist(self, x: Point, y: Point) -> float:
-        self._require(x, y)
-        zx, zy = self._z(x), self._z(y)
+        if x.kind != "disk" or y.kind != "disk":
+            self._require(x, y)
+        zx, zy = complex(*x.data), complex(*y.data)
         num = abs(zx - zy)
         den = abs(1.0 - zy.conjugate() * zx)
         return 2.0 * math.atanh(num / den)
@@ -232,9 +240,11 @@ class PoincareDisk(SpaceModel):
     def comb(self, x: Point, y: Point, lam: float) -> Point:
         # Moebius-translate x to the origin, walk along the resulting
         # diameter by lam times the hyperbolic distance, translate back
-        self._require(x, y)
-        self._check_lambda(lam)
-        zx, zy = self._z(x), self._z(y)
+        if x.kind != "disk" or y.kind != "disk":
+            self._require(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
+        zx, zy = complex(*x.data), complex(*y.data)
         w = (zy - zx) / (1.0 - zx.conjugate() * zy)
         r = abs(w)
         if r == 0.0:
@@ -243,7 +253,7 @@ class PoincareDisk(SpaceModel):
         step = math.tanh(0.5 * lam * total)
         w2 = w / r * step
         z = (w2 + zx) / (1.0 + zx.conjugate() * w2)
-        return self._pt(z)
+        return Point("disk", (z.real, z.imag))
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return self.sample_near(rng, self.base_point(), radius)
@@ -252,12 +262,12 @@ class PoincareDisk(SpaceModel):
         ang = rng.uniform(0.0, 2.0 * math.pi)
         hyp = radius * rng.random()
         w = math.tanh(0.5 * hyp) * cmath.exp(1j * ang)
-        zc = self._z(center)
+        zc = complex(*center.data)
         z = (w + zc) / (1.0 + zc.conjugate() * w)
         # clamp just inside the margin; only reachable for extreme radii
         if abs(z) >= 1.0 - 2.0 * DISK_MARGIN:
             z *= (1.0 - 2.0 * DISK_MARGIN) / abs(z)
-        return self._pt(z)
+        return Point("disk", (z.real, z.imag))
 
 
 class Tripod(SpaceModel):
@@ -274,24 +284,35 @@ class Tripod(SpaceModel):
         return Point("tripod", (0, 0.0))
 
     def dist(self, x: Point, y: Point) -> float:
-        self._require(x, y)
+        if x.kind != "tripod" or y.kind != "tripod":
+            self._require(x, y)
         (lx, sx), (ly, sy) = x.data, y.data
         if lx == ly or sx == 0.0 or sy == 0.0:
             return abs(sx - sy)
         return sx + sy
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
-        self._require(x, y)
-        self._check_lambda(lam)
+        if x.kind != "tripod" or y.kind != "tripod":
+            self._require(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
         (lx, sx), (ly, sy) = x.data, y.data
         if lx == ly or sx == 0.0 or sy == 0.0:
             leg = ly if sx == 0.0 else lx
-            return Point.tripod(leg, (1.0 - lam) * sx + lam * sy)
-        # path through the center, total length sx + sy
-        delta = lam * (sx + sy)
-        if delta <= sx:
-            return Point.tripod(lx, sx - delta)
-        return Point.tripod(ly, delta - sx)
+            s = (1.0 - lam) * sx + lam * sy
+        else:
+            # path through the center, total length sx + sy
+            delta = lam * (sx + sy)
+            if delta <= sx:
+                leg, s = lx, sx - delta
+            else:
+                leg, s = ly, delta - sx
+        # the checks of Point.tripod on a computed length
+        if s == 0.0:
+            leg = 0  # all legs share the center
+        elif not 0.0 < s < math.inf:
+            raise GeometryError(_TRIPOD_LENGTH)
+        return Point("tripod", (leg, s))
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return Point.tripod(rng.randrange(3), radius * rng.random())

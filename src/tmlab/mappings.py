@@ -104,9 +104,10 @@ class RotationFamily(MappingFamily):
         self._sin = math.sin(self.angle)
         # tripod analogue: shift legs by the nearest third of a full turn
         self._shift = round(3.0 * self.angle / (2.0 * math.pi)) % 3
+        self._on_tripod = isinstance(space, Tripod)
 
     def apply(self, n, x):
-        if isinstance(self.space, Tripod):
+        if self._on_tripod:
             leg, s = x.data
             return Point.tripod((leg + self._shift) % 3, s)
         a, b = x.data

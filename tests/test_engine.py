@@ -1,5 +1,6 @@
 """Trajectory generation, the coordinate cross-check and CSV output."""
 
+import csv
 import io
 import math
 
@@ -7,11 +8,13 @@ import pytest
 
 from tmlab.engine import (
     EngineError,
+    Trajectory,
+    TrajectoryRecord,
     check_boundedness,
     check_hilbert_special_case,
     run,
 )
-from tmlab.geometry import Euclidean, Point
+from tmlab.geometry import Euclidean, GeometryError, Point, Tripod
 from tmlab.mappings import (
     HalfSquaredNorm,
     IdentityFamily,
@@ -91,6 +94,79 @@ def test_csv_format():
     assert float(first[1]) == traj.records[0].x.data[0]
     third = lines[4].split(",")
     assert float(third[2]) == traj.records[2].d_step
+
+
+@pytest.mark.parametrize("u, x0", [
+    # unchecked, a 3-coordinate x0 in Euclidean(2) gives rows one column short
+    (Point.euclidean(0, 0), Point.euclidean(3, 4, 12)),
+    (Point.euclidean(0, 0, 0), Point.euclidean(3, 4, 12)),
+    (Point.tripod(0, 0.0), Point.euclidean(1, 0)),
+    (Point.euclidean(0, 0), Point.disk(0.5, 0.0)),
+], ids=["3d-x0", "3d-u-and-x0", "tripod-u", "disk-x0"])
+def test_run_rejects_points_of_another_model_or_dimension(u, x0):
+    # fixed point u: with u and x0 both 3-d, every step would go through
+    space = Euclidean(2)
+    with pytest.raises(GeometryError):
+        run(space, IdentityFamily(space, u), preset("harmonic"), u, x0, 5)
+
+
+def reference_csv(traj):
+    """The csv.writer loop Trajectory.write_csv used before its one-template
+    rewrite, kept as the byte reference."""
+    stream = io.StringIO()
+    stream.write(f"# model={traj.space.describe()} scenario={traj.scenario_hash}\n")
+    writer = csv.writer(stream)
+    ncoords = len(traj.records[0].x.data) if traj.records else 0
+    header = ["n"] + [f"x{i}" for i in range(ncoords)] + [
+        "d_step", "d_Tn", "d_p"
+    ]
+    writer.writerow(header)
+    for rec in traj.records:
+        writer.writerow(
+            [rec.n]
+            + [f"{float(c):.17g}" for c in rec.x.data]
+            + [f"{rec.d_step:.17g}", f"{rec.d_Tn:.17g}", f"{rec.d_p:.17g}"]
+        )
+    return stream.getvalue()
+
+
+ODD_VALUES = (-0.0, 5e-324, 1e300, math.inf, 0.1, -1.0 / 3.0, 123456789.0)
+
+
+def _trajectory(space, points):
+    records = [
+        TrajectoryRecord(n, x, x, ODD_VALUES[n % 7], ODD_VALUES[(n + 3) % 7],
+                         ODD_VALUES[(n + 5) % 7])
+        for n, x in enumerate(points)
+    ]
+    return Trajectory(space, None, None, points[0] if points else None, None,
+                      records=records, scenario_hash="f00d")
+
+
+@pytest.mark.parametrize("space, points", [
+    (Tripod(), [Point.tripod(1, 2.5), Point.tripod(0, 0.0), Point.tripod(2, 1e300),
+                Point.tripod(1, 5e-324)]),
+    (Euclidean(1), [Point.euclidean(v) for v in ODD_VALUES]),
+    (Euclidean(3), [Point.euclidean(*ODD_VALUES[i:i + 3]) for i in range(5)]),
+    (Euclidean(2), []),
+], ids=["tripod-int-legs", "euclidean-1d", "euclidean-3d", "empty"])
+def test_csv_bytes_match_csv_writer(space, points):
+    traj = _trajectory(space, points)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue() == reference_csv(traj)
+    if not points:
+        assert buf.getvalue() == "# model=euclidean(2) scenario=f00d\nn,d_step,d_Tn,d_p\r\n"
+
+
+def test_csv_bytes_match_csv_writer_on_a_run():
+    space = Euclidean(2)
+    fam = RotationFamily(space, 1.0)
+    traj = run(space, fam, preset("harmonic"), Point.euclidean(0.3, -0.2),
+               Point.euclidean(-1.0, 1.5), 200)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue() == reference_csv(traj)
 
 
 def test_csv_deterministic():

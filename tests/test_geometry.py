@@ -47,16 +47,62 @@ def test_tripod_point_normalizes_center():
         Point.tripod(0, -0.5)
 
 
-def test_model_point_mismatch_rejected():
+# one model, two of its points and a point of another model, per model
+MODEL_POINTS = {
+    "euclidean": (Euclidean(2), Point.euclidean(0, 0), Point.euclidean(1, 2),
+                  Point.tripod(0, 0.0)),
+    "disk": (PoincareDisk(), Point.disk(0.1, 0.2), Point.disk(-0.3, 0.4),
+             Point.euclidean(0.1, 0.2)),
+    "tripod": (Tripod(), Point.tripod(0, 1.0), Point.tripod(2, 0.5),
+               Point.disk(0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("op", ["comb", "dist"])
+@pytest.mark.parametrize("kind", sorted(MODEL_POINTS))
+def test_model_point_mismatch_rejected(kind, op):
+    sp, x, _, foreign = MODEL_POINTS[kind]
+    call = sp.comb if op == "comb" else (lambda a, b, lam: sp.dist(a, b))
+    with pytest.raises(GeometryError):
+        call(x, foreign, 0.5)
+    with pytest.raises(GeometryError):
+        call(foreign, x, 0.5)
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("kind", sorted(MODEL_POINTS))
+def test_comb_lambda_validation(kind, lam):
+    sp, x, y, _ = MODEL_POINTS[kind]
+    with pytest.raises(GeometryError):
+        sp.comb(x, y, lam)
+
+
+@pytest.mark.parametrize("op", ["comb", "dist"])
+def test_euclidean_coordinate_count_mismatch_rejected(op):
+    # unchecked, zip truncates: dist((3, 4, 12), (0, 0)) would be 5.0
     e = Euclidean(2)
+    x, y = Point.euclidean(3, 4, 12), Point.euclidean(0, 0)
+    call = e.comb if op == "comb" else (lambda a, b, lam: e.dist(a, b))
     with pytest.raises(GeometryError):
-        e.dist(Point.euclidean(0, 0), Point.tripod(0, 0.0))
+        call(x, y, 0.5)
+    with pytest.raises(GeometryError):
+        call(y, x, 0.5)
 
 
-def test_comb_lambda_validation():
-    e = Euclidean(1)
-    with pytest.raises(GeometryError):
-        e.comb(Point.euclidean(0.0), Point.euclidean(1.0), 1.5)
+def test_point_is_immutable():
+    p = Point.euclidean(1.0, 2.0)
+    with pytest.raises(AttributeError):
+        p.kind = "disk"
+    with pytest.raises(AttributeError):
+        p.data = (0.0, 0.0)
+    assert p == Point.euclidean(1.0, 2.0)
+
+
+def test_point_is_hashable():
+    a, b = Point.euclidean(1, 2), Point.euclidean(1.0, 2.0)
+    assert hash(a) == hash(b)
+    assert len({a, b, Point.tripod(0, 1.0), Point.disk(0.5, 0.0)}) == 3
+    assert {a: "x"}[b] == "x"
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +190,22 @@ def test_tripod_comb_crosses_center():
     far = sp.comb(a, c, 0.9)
     assert far.data[0] == 1
     assert far.data[1] == pytest.approx(0.7)
+
+
+def test_tripod_comb_ending_at_center_is_leg_0():
+    sp = Tripod()
+    # through the center, stopping on it
+    assert sp.comb(Point.tripod(1, 1.0), Point.tripod(2, 1.0), 0.5).data == (0, 0.0)
+    # along leg 2 into the center
+    assert sp.comb(Point.tripod(2, 1.0), sp.base_point(), 1.0).data == (0, 0.0)
+    assert sp.comb(Point.tripod(2, 1.0), Point.tripod(2, 2.0), 0.0).data == (2, 1.0)
+
+
+def test_tripod_comb_rejects_non_finite_length():
+    # the path through the center is 2e308 long, past the largest float
+    sp = Tripod()
+    with pytest.raises(GeometryError):
+        sp.comb(Point.tripod(0, 1e308), Point.tripod(1, 1e308), 0.75)
 
 
 @given(st.integers(0, 2), st.floats(0.0, 3.0), st.integers(0, 2),
