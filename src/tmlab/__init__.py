@@ -15,11 +15,8 @@ from .geometry import (
     run_all_geometry_checks,
 )
 from .mappings import (
-    BallSet,
     ConstantFamily,
-    HalfSquaredNorm,
     IdentityFamily,
-    IndicatorOfBall,
     MappingFamily,
     MetricProjectionFamily,
     ProximalFamily,
@@ -42,7 +39,6 @@ from .scenario import ConfigError, Scenario, build_scenario, scenario_from_text
 
 __all__ = [
     "AxiomReport",
-    "BallSet",
     "CapExceeded",
     "ConfigError",
     "ConstantFamily",
@@ -50,9 +46,7 @@ __all__ = [
     "DEFAULT_BIT_CAP",
     "Euclidean",
     "GeometryError",
-    "HalfSquaredNorm",
     "IdentityFamily",
-    "IndicatorOfBall",
     "MappingFamily",
     "MetricProjectionFamily",
     "PoincareDisk",

@@ -75,15 +75,13 @@ def _output(path: Optional[str]):
 
 @main.command("run")
 @click.argument("config_path", type=click.Path())
-@click.option("--steps", type=int, default=None, help="Override run.steps.")
+@click.option("--steps", type=click.IntRange(min=1), default=None,
+              help="Override run.steps.")
 @click.option("--out", type=click.Path(), default=None, help="Trajectory CSV file.")
 def cmd_run(config_path, steps, out):
     """Generate a trajectory and write it as CSV."""
     sc = _load_scenario(config_path)
     n_steps = steps if steps is not None else sc.steps
-    if n_steps < 1:
-        click.echo("config error: steps must be >= 1", err=True)
-        sys.exit(EXIT_CONFIG)
     traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, n_steps,
                scenario_hash=sc.scenario_hash)
     with _output(out) as stream:
@@ -331,7 +329,7 @@ SUITES = {
 @click.option("--suite", "suite_name", required=True,
               type=click.Choice(list(SUITES) + ["all"]))
 @click.option("--seed", type=int, default=0)
-@click.option("--samples", type=int, default=10_000)
+@click.option("--samples", type=click.IntRange(min=1), default=10_000)
 @click.option("--tol", type=float, default=1e-9)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.option("--inject-broken-model", is_flag=True, hidden=True,
@@ -363,9 +361,10 @@ def cmd_verify(suite_name, seed, samples, tol, report_path, inject_broken_model)
 
 @main.command("metastable")
 @click.argument("config_path", type=click.Path())
-@click.option("--k", type=int, default=0)
+@click.option("--k", type=click.IntRange(min=0), default=0)
 @click.option("--cf", default="const:0", help="Counterfunction (mini-grammar).")
-@click.option("--cap", type=int, default=10_000, help="Search horizon.")
+@click.option("--cap", type=click.IntRange(min=1), default=10_000,
+              help="Search horizon.")
 @click.option("--phi", default=None,
               help="Optional single-map regularity rate override (mini-grammar).")
 @click.option("--report", "report_path", type=click.Path(), default=None)

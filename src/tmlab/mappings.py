@@ -1,23 +1,23 @@
 """Nonexpansive mapping families over the geometry models.
 
 Every family is an indexed collection (T_n) of 1-Lipschitz self-maps with a
-known common fixed point, plus empirical checkers for nonexpansiveness, for
-the step-size compatibility inequality
+known common fixed point.  The derived families (constant, resolvent) take
+their base map T as a family and use its member T_0 and its fixed point.
+Empirical checkers cover nonexpansiveness, the step-size compatibility
+inequality
     d(T_n x, T_m x) <= (|gamma_m - gamma_n| / gamma_n) d(T_n x, x)
-and for approximate-fixed-point membership.
+and approximate-fixed-point membership.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .geometry import (
     AxiomReport,
     Euclidean,
     GeometryError,
-    PoincareDisk,
     Point,
     SampleSpec,
     SpaceModel,
@@ -76,16 +76,16 @@ class IdentityFamily(MappingFamily):
 
 
 class ConstantFamily(MappingFamily):
-    """T_n = T for a single nonexpansive map T."""
+    """T_n = T for the single nonexpansive map T = base_0 of a base family."""
 
     name = "constant"
 
-    def __init__(self, space, single_map: Callable[[Point], Point], fixed_point: Point):
-        super().__init__(space, fixed_point)
-        self.single_map = single_map
+    def __init__(self, space, base: MappingFamily):
+        super().__init__(space, base.fixed_point)
+        self.base = base
 
     def apply(self, n, x):
-        return self.single_map(x)
+        return self.base.apply(0, x)
 
 
 class RotationFamily(MappingFamily):
@@ -115,100 +115,61 @@ class RotationFamily(MappingFamily):
                               a * self._sin + b * self._cos))
 
 
-@dataclass(frozen=True)
-class BallSet:
-    """Descriptor of a closed geodesic ball."""
-
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise GeometryError("ball radius must be positive")
-
-
 class MetricProjectionFamily(MappingFamily):
-    """Metric projection onto a closed geodesic ball, realized by moving
-    along the geodesic toward the center; nonexpansive in any CAT(0) model."""
+    """Metric projection onto the closed geodesic ball of the given center
+    and radius, realized by moving along the geodesic toward the center;
+    nonexpansive in any CAT(0) model."""
 
     name = "projection"
 
-    def __init__(self, space: SpaceModel, ball: BallSet):
-        super().__init__(space, ball.center)
-        self.ball = ball
+    def __init__(self, space: SpaceModel, center: Point, radius: float):
+        if radius <= 0:
+            raise GeometryError("ball radius must be positive")
+        super().__init__(space, center)
+        self.center = center
+        self.radius = radius
 
     def apply(self, n, x):
-        d = self.space.dist(x, self.ball.center)
-        if d <= self.ball.radius:
+        d = self.space.dist(x, self.center)
+        if d <= self.radius:
             return x
-        return self.space.comb(self.ball.center, x, self.ball.radius / d)
-
-
-@dataclass(frozen=True)
-class HalfSquaredNorm:
-    """The function z -> d^2(z, center) / 2."""
-
-    center: Point
-
-
-@dataclass(frozen=True)
-class IndicatorOfBall:
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise GeometryError("ball radius must be positive")
+        return self.space.comb(self.center, x, self.radius / d)
 
 
 class ProximalFamily(MappingFamily):
-    """Proximal maps T_n = prox_{gamma_n f} of a convex function f.
-
-    For f = d^2(., c)/2 the prox moves x toward c by the fraction
-    gamma/(1 + gamma) of the geodesic; for a ball indicator it is the
-    metric projection (step-size independent).
-    """
+    """Proximal maps T_n = prox_{gamma_n f} of f = d^2(., center)/2: the prox
+    moves x toward the center by the fraction gamma_n/(1 + gamma_n) of the
+    geodesic.  (The prox of a ball indicator is MetricProjectionFamily.)"""
 
     name = "proximal"
 
-    def __init__(self, space, descriptor, gammas: Callable[[int], float]):
-        if isinstance(descriptor, (HalfSquaredNorm, IndicatorOfBall)):
-            center = descriptor.center
-        else:
-            raise GeometryError(f"unsupported convex function {descriptor!r}")
+    def __init__(self, space, center: Point, gammas: Callable[[int], float]):
         super().__init__(space, center)
-        self.descriptor = descriptor
+        self.center = center
         self.gammas = gammas
-        self._projection = None
-        if isinstance(descriptor, IndicatorOfBall):
-            ball = BallSet(descriptor.center, descriptor.radius)
-            self._projection = MetricProjectionFamily(space, ball)
 
     def apply(self, n, x):
-        if self._projection is not None:
-            return self._projection.apply(n, x)
         g = self.gammas(n)
-        return self.space.comb(x, self.descriptor.center, g / (1.0 + g))
+        return self.space.comb(x, self.center, g / (1.0 + g))
 
 
 class ResolventFamily(MappingFamily):
-    """Resolvents J_n of a nonexpansive base map T: the fixed point z of
-    z -> (1 - c) x + c T(z) with c = gamma_n / (1 + gamma_n), solved by
-    Banach iteration (contraction factor c < 1)."""
+    """Resolvents J_n of the nonexpansive map T = base_0 of a base family:
+    the fixed point z of z -> (1 - c) x + c T(z) with c = gamma_n / (1 +
+    gamma_n), solved by Banach iteration (contraction factor c < 1)."""
 
     name = "resolvent"
 
     def __init__(
         self,
         space,
-        base_map: Callable[[Point], Point],
-        base_fixed_point: Point,
+        base: MappingFamily,
         gammas: Callable[[int], float],
         inner_tol: float = 1e-12,
         max_iterations: int = 10_000,
     ):
-        super().__init__(space, base_fixed_point)
-        self.base_map = base_map
+        super().__init__(space, base.fixed_point)
+        self.base = base
         self.gammas = gammas
         self.inner_tol = inner_tol
         self.max_iterations = max_iterations
@@ -216,14 +177,15 @@ class ResolventFamily(MappingFamily):
     def apply(self, n, x):
         g = self.gammas(n)
         c = g / (1.0 + g)
+        comb, dist, T = self.space.comb, self.space.dist, self.base.apply
+        tol = self.inner_tol
         z = x
-        for it in range(self.max_iterations):
-            z_next = self.space.comb(x, self.base_map(z), c)
-            if self.space.dist(z, z_next) <= self.inner_tol:
+        for _ in range(self.max_iterations):
+            z_next = comb(x, T(0, z), c)
+            if dist(z, z_next) <= tol:
                 return z_next
             z = z_next
-        residual = self.space.dist(z, self.space.comb(x, self.base_map(z), c))
-        raise SolverFailure(residual, self.max_iterations)
+        raise SolverFailure(dist(z, comb(x, T(0, z), c)), self.max_iterations)
 
 
 # ---------------------------------------------------------------------------

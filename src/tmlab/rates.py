@@ -135,6 +135,10 @@ class Counterfunction:
 class Const(Counterfunction):
     c: int
 
+    def __post_init__(self):
+        if self.c < 0:
+            raise RateError("constant must be a natural")
+
     def __call__(self, n, cap=None):
         return within_cap(self.c, cap)
 
@@ -241,6 +245,8 @@ class Table(Counterfunction):
     def __post_init__(self):
         if not self.values:
             raise RateError("table needs at least one value")
+        if min(self.values) < 0:
+            raise RateError("table values must be naturals")
 
     def __call__(self, n, cap=None):
         i = min(n, len(self.values) - 1)

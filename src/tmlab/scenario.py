@@ -32,11 +32,8 @@ from .geometry import (
     make_model,
 )
 from .mappings import (
-    BallSet,
     ConstantFamily,
-    HalfSquaredNorm,
     IdentityFamily,
-    IndicatorOfBall,
     MappingFamily,
     MetricProjectionFamily,
     ProximalFamily,
@@ -96,7 +93,9 @@ class Scenario:
     chi_T_fn: Callable[[int], int] = field(default=lambda k: 0)
 
 
-def _parse_point(space: SpaceModel, text: str, key: str) -> Point:
+def _point(cfg, space: SpaceModel, key: str) -> Point:
+    """Required point field ``key``; a malformed value names the key."""
+    text = _get(cfg, key, required=True)
     try:
         if isinstance(space, Tripod):
             leg_s, _, len_s = text.partition(":")
@@ -140,76 +139,54 @@ def _number(cfg, key, parse, default=None, required=False):
         raise ConfigError(f"field {key!r}: {exc}") from exc
 
 
+def _map(cfg, space, prefix, kind, default_angle) -> MappingFamily:
+    """The rotation or ball projection described by the ``prefix.*`` keys."""
+    if kind == "rotation":
+        angle = _number(cfg, f"{prefix}.angle", _finite, default_angle)
+        return RotationFamily(space, angle)
+    if kind == "projection":
+        center_key, radius_key = f"{prefix}.center", f"{prefix}.radius"
+        center = _point(cfg, space, center_key)
+        radius = _number(cfg, radius_key, _finite, required=True)
+        try:
+            return MetricProjectionFamily(space, center, radius)
+        except GeometryError as exc:
+            raise ConfigError(f"field {radius_key!r}: {exc}") from exc
+    raise ConfigError(f"field '{prefix}.kind': unknown kind {kind!r}")
+
+
 def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
     kind = _get(cfg, "family.kind", required=True).lower()
     if kind == "identity":
         fp = cfg.get("family.fixed_point")
-        point = _parse_point(space, fp, "family.fixed_point") if fp else None
+        point = _point(cfg, space, "family.fixed_point") if fp else None
         return IdentityFamily(space, point)
-    if kind == "rotation":
-        angle = _number(cfg, "family.angle", _finite, 1.5707963267948966)
-        return RotationFamily(space, angle)
     if kind == "constant":
         # one fixed nonexpansive map repeated at every index; angle 0 means
         # the identity map (usable in any model and dimension)
         angle = _number(cfg, "family.angle", _finite, 0.0)
-        if angle == 0.0:
-            return ConstantFamily(space, lambda pt: pt, space.base_point())
-        rot = RotationFamily(space, angle)
-        return ConstantFamily(
-            space, lambda pt: rot.apply(0, pt), rot.fixed_point
-        )
-    if kind == "projection":
-        center = _parse_point(
-            space, _get(cfg, "family.center", required=True), "family.center"
-        )
-        radius = _number(cfg, "family.radius", _finite, required=True)
-        return MetricProjectionFamily(space, BallSet(center, radius))
+        base = IdentityFamily(space) if angle == 0.0 else RotationFamily(space, angle)
+        return ConstantFamily(space, base)
     if kind == "proximal":
         fn = _get(cfg, "family.function", default="half-squared-norm").lower()
-        center = _parse_point(
-            space, _get(cfg, "family.center", required=True), "family.center"
-        )
-        if fn == "half-squared-norm":
-            descriptor = HalfSquaredNorm(center)
-        elif fn == "ball-indicator":
-            descriptor = IndicatorOfBall(
-                center, _number(cfg, "family.radius", _finite, required=True)
-            )
-        else:
-            raise ConfigError(f"unknown convex function {fn!r}")
-        return ProximalFamily(space, descriptor, bundle.gamma)
+        if fn == "ball-indicator":
+            raise ConfigError("field 'family.function': the prox of a ball "
+                              "indicator is the projection, family.kind = projection")
+        if fn != "half-squared-norm":
+            raise ConfigError(
+                f"field 'family.function': unknown convex function {fn!r}")
+        return ProximalFamily(space, _point(cfg, space, "family.center"), bundle.gamma)
     if kind == "resolvent":
         base_kind = _get(cfg, "family.base.kind", default="rotation").lower()
-        if base_kind == "rotation":
-            base = RotationFamily(
-                space, _number(cfg, "family.base.angle", _finite, 1.0)
-            )
-        elif base_kind == "projection":
-            center = _parse_point(
-                space,
-                _get(cfg, "family.base.center", required=True),
-                "family.base.center",
-            )
-            radius = _number(cfg, "family.base.radius", _finite, required=True)
-            base = MetricProjectionFamily(space, BallSet(center, radius))
-        else:
-            raise ConfigError(f"unknown resolvent base {base_kind!r}")
+        base = _map(cfg, space, "family.base", base_kind, 1.0)
         inner_tol = _number(cfg, "family.inner_tol", _finite, 1e-12)
         if inner_tol <= 0:
             raise ConfigError("field 'family.inner_tol': must be > 0")
         max_iterations = _number(cfg, "family.max_iterations", int, 10000)
         if max_iterations < 1:
             raise ConfigError("field 'family.max_iterations': must be >= 1")
-        return ResolventFamily(
-            space,
-            base_map=lambda pt: base.apply(0, pt),
-            base_fixed_point=base.fixed_point,
-            gammas=bundle.gamma,
-            inner_tol=inner_tol,
-            max_iterations=max_iterations,
-        )
-    raise ConfigError(f"unknown family kind {kind!r}")
+        return ResolventFamily(space, base, bundle.gamma, inner_tol, max_iterations)
+    return _map(cfg, space, "family", kind, math.pi / 2)
 
 
 def _build_bundle(cfg: dict) -> ScheduleBundle:
@@ -217,7 +194,7 @@ def _build_bundle(cfg: dict) -> ScheduleBundle:
     try:
         bundle = preset(name)
     except ScheduleError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"field 'schedule.preset': {exc}") from exc
     # overrides: moduli in the counterfunction mini-grammar, then constants;
     # the rebuilt bundle validates and monotonizes them like a preset's
     changes = {}
@@ -234,16 +211,19 @@ def _build_bundle(cfg: dict) -> ScheduleBundle:
     try:
         return replace(bundle, **changes)
     except ScheduleError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+        # the bundle's messages start with the offending attribute's name
+        raise ConfigError(f"schedule.{exc}") from exc
 
 
 def build_scenario(cfg: dict) -> Scenario:
     space_kind = _get(cfg, "space.kind", required=True)
     dim = _number(cfg, "space.dim", int, 2)
+    if dim < 1:
+        raise ConfigError("field 'space.dim': must be >= 1")
     try:
         space = make_model(space_kind, dim)
     except GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"field 'space.kind': {exc}") from exc
 
     bundle = _build_bundle(cfg)
     try:
@@ -252,8 +232,8 @@ def build_scenario(cfg: dict) -> Scenario:
         raise ConfigError(f"family: {exc}") from exc
     p = family.fixed_point
 
-    u = _parse_point(space, _get(cfg, "run.u", required=True), "run.u")
-    x0 = _parse_point(space, _get(cfg, "run.x0", required=True), "run.x0")
+    u = _point(cfg, space, "run.u")
+    x0 = _point(cfg, space, "run.x0")
     steps = _number(cfg, "run.steps", int, 100)
     if steps < 1:
         raise ConfigError("field 'run.steps': must be >= 1")
@@ -271,6 +251,8 @@ def build_scenario(cfg: dict) -> Scenario:
     K = _number(cfg, "run.K", int)
     if K is None:
         K = max(1, ceil_M)
+    elif K < 1:
+        raise ConfigError(f"field 'run.K': K={K} must be >= 1")
     elif K < ceil_M:
         raise ConfigError(f"field 'run.K': K={K} below ceil(M)={ceil_M}")
 

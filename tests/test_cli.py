@@ -86,9 +86,10 @@ def test_rates_unknown_name_exits_2(runner, cfg_path):
 
 
 def test_rates_bad_counterfunction_exits_2(runner, cfg_path):
-    res = runner.invoke(main, ["rates", cfg_path, "--which", "mu_star",
-                               "--cf", "huh:1"])
-    assert res.exit_code == 2
+    for cf in ("huh:1", "const:-5", "table:[3,-1]"):
+        res = runner.invoke(main, ["rates", cfg_path, "--which", "mu_star",
+                                   "--cf", cf])
+        assert res.exit_code == 2, cf
 
 
 def test_bad_config_exits_2(runner, tmp_path):
@@ -275,3 +276,47 @@ def test_resolvent_solver_fields_exit_2_naming_the_field(runner, tmp_path, line,
     assert res.exit_code == 2, res.output
     assert field in res.stderr
     assert isinstance(res.exception, SystemExit)
+
+
+ROTATION_CFG = """
+space.kind = euclidean
+space.dim = 2
+family.kind = rotation
+schedule.preset = harmonic
+run.u = 0,0
+run.x0 = 1,0
+run.K = 1
+"""
+
+
+@pytest.mark.parametrize("args,option", [
+    (["metastable", "{cfg}", "--k", "-1"], "--k"),
+    (["metastable", "{cfg}", "--cap", "0"], "--cap"),
+    (["verify", "--suite", "geometry", "--samples", "0"], "--samples"),
+    (["run", "{cfg}", "--steps", "0"], "--steps"),
+], ids=["k", "cap", "samples", "steps"])
+def test_out_of_range_flags_exit_2_naming_the_option(runner, tmp_path, args, option):
+    p = tmp_path / "rotation.cfg"
+    p.write_text(ROTATION_CFG)
+    res = runner.invoke(main, [a.format(cfg=p) for a in args])
+    assert res.exit_code == 2, res.output
+    assert f"'{option}'" in res.stderr
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_run_K_zero_exits_2(runner, tmp_path):
+    p = tmp_path / "k0.cfg"
+    p.write_text(IDENTITY_CFG.replace("run.x0 = 1", "run.x0 = 0") + "run.K = 0\n")
+    res = runner.invoke(main, ["rates", str(p), "--which", "Sigma", "--k-max", "0"])
+    assert res.exit_code == 2, res.output
+    assert "run.K" in res.stderr
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_negative_schedule_counterfunction_exits_2(runner, tmp_path):
+    p = tmp_path / "eta.cfg"
+    p.write_text(ROTATION_CFG + "schedule.eta = const:-3\n")
+    res = runner.invoke(main, ["rates", str(p), "--which", "mu_star",
+                               "--k-max", "0", "--phi", "const:0"])
+    assert res.exit_code == 2, res.output
+    assert "schedule.eta" in res.stderr

@@ -16,7 +16,6 @@ from tmlab.engine import (
 )
 from tmlab.geometry import Euclidean, GeometryError, Point, Tripod
 from tmlab.mappings import (
-    HalfSquaredNorm,
     IdentityFamily,
     ProximalFamily,
     ResolventFamily,
@@ -68,8 +67,7 @@ def test_solver_failure_recorded_not_raised():
     space = Euclidean(2)
     base = RotationFamily(space, 1.0)
     fam = ResolventFamily(
-        space, lambda p: base.apply(0, p), base.fixed_point,
-        lambda n: 1.0, inner_tol=1e-18, max_iterations=2,
+        space, base, lambda n: 1.0, inner_tol=1e-18, max_iterations=2,
     )
     traj = run(space, fam, preset("harmonic"),
                Point.euclidean(0, 0), Point.euclidean(1, 0), 50)
@@ -189,8 +187,7 @@ def test_hilbert_cross_check(family_kind):
     elif family_kind == "rotation":
         fam = RotationFamily(space, math.pi / 2)
     else:
-        fam = ProximalFamily(space, HalfSquaredNorm(space.base_point()),
-                             bundle.gamma)
+        fam = ProximalFamily(space, space.base_point(), bundle.gamma)
     rep = check_hilbert_special_case(
         space, fam, bundle, Point.euclidean(1.0, 0.25), steps=100, tol=1e-10
     )
@@ -211,8 +208,7 @@ def test_hilbert_cross_check_requires_euclidean():
 def test_boundedness_along_runs():
     space = Euclidean(2)
     bundle = preset("harmonic")
-    fam = ProximalFamily(space, HalfSquaredNorm(space.base_point()),
-                         bundle.gamma)
+    fam = ProximalFamily(space, space.base_point(), bundle.gamma)
     u, x0 = Point.euclidean(0.5, 0.0), Point.euclidean(1.0, 1.0)
     M = max(space.dist(u, fam.fixed_point), space.dist(x0, fam.fixed_point))
     traj = run(space, fam, bundle, u, x0, 2000)

@@ -6,11 +6,8 @@ import pytest
 
 from tmlab.geometry import Euclidean, PoincareDisk, Point, SampleSpec, Tripod
 from tmlab.mappings import (
-    BallSet,
     ConstantFamily,
-    HalfSquaredNorm,
     IdentityFamily,
-    IndicatorOfBall,
     MetricProjectionFamily,
     ProximalFamily,
     ResolventFamily,
@@ -65,7 +62,7 @@ def test_tripod_rotation_is_leg_shift():
 
 def test_projection_inside_ball_is_identity():
     space = euclid2()
-    fam = MetricProjectionFamily(space, BallSet(Point.euclidean(0, 0), 1.0))
+    fam = MetricProjectionFamily(space, Point.euclidean(0, 0), 1.0)
     x = Point.euclidean(0.3, 0.4)
     assert fam.apply(0, x) is x
     y = fam.apply(0, Point.euclidean(3.0, 4.0))
@@ -74,20 +71,10 @@ def test_projection_inside_ball_is_identity():
 
 def test_proximal_half_squared_norm_closed_form():
     space = euclid2()
-    fam = ProximalFamily(space, HalfSquaredNorm(Point.euclidean(0, 0)),
-                         lambda n: 1.0)
+    fam = ProximalFamily(space, Point.euclidean(0, 0), lambda n: 1.0)
     # prox of d^2(., 0)/2 at step 1 is x / 2
     got = fam.apply(5, Point.euclidean(2.0, -4.0))
     assert got.data == pytest.approx((1.0, -2.0))
-
-
-def test_proximal_ball_indicator_is_projection():
-    space = euclid2()
-    fam = ProximalFamily(
-        space, IndicatorOfBall(Point.euclidean(0, 0), 1.0), HARMONIC_GAMMA
-    )
-    got = fam.apply(0, Point.euclidean(0.0, 5.0))
-    assert got.data == pytest.approx((0.0, 1.0))
 
 
 def test_resolvent_matches_linear_solve():
@@ -96,9 +83,7 @@ def test_resolvent_matches_linear_solve():
     space = euclid2()
     theta = 1.0
     base = RotationFamily(space, theta)
-    fam = ResolventFamily(
-        space, lambda p: base.apply(0, p), base.fixed_point, lambda n: 1.0
-    )
+    fam = ResolventFamily(space, base, lambda n: 1.0)
     x = (1.2, -0.7)
     c = 0.5
     cos, sin = math.cos(theta), math.sin(theta)
@@ -115,12 +100,33 @@ def test_resolvent_matches_linear_solve():
     assert got.data == pytest.approx(z, abs=1e-10)
 
 
+@pytest.mark.parametrize("x,gamma", [
+    ((1.2, -0.9), 1.0),
+    ((1.2, -0.9), 0.25),
+    ((-3.0, 4.0), 3.0),
+    ((0.3, 0.1), 1.0),
+    ((0.0, -0.5), 2.0),
+])
+def test_resolvent_of_ball_projection_closed_form(x, gamma):
+    # J(x) = x / |x| * ((1 - c)|x| + c r) outside the ball of radius r at
+    # the origin, J(x) = x inside it, with c = gamma / (1 + gamma)
+    space = euclid2()
+    r = 0.5
+    ball = MetricProjectionFamily(space, Point.euclidean(0, 0), r)
+    fam = ResolventFamily(space, ball, lambda n: gamma)
+    norm = math.hypot(*x)
+    c = gamma / (1.0 + gamma)
+    scale = ((1 - c) * norm + c * r) / norm if norm > r else 1.0
+    got = fam.apply(0, Point.euclidean(*x))
+    assert got.data == pytest.approx((x[0] * scale, x[1] * scale), abs=1e-10)
+    assert fam.fixed_point.data == (0.0, 0.0)
+
+
 def test_resolvent_reports_solver_failure():
     space = euclid2()
     base = RotationFamily(space, 1.0)
     fam = ResolventFamily(
-        space, lambda p: base.apply(0, p), base.fixed_point,
-        lambda n: 1.0, inner_tol=1e-16, max_iterations=3,
+        space, base, lambda n: 1.0, inner_tol=1e-16, max_iterations=3,
     )
     with pytest.raises(SolverFailure) as exc:
         fam.apply(0, Point.euclidean(5.0, 5.0))
@@ -137,9 +143,8 @@ def families_for(space):
     yield IdentityFamily(space)
     if not isinstance(space, Euclidean) or space.dim == 2:
         yield RotationFamily(space, math.pi / 2)
-    yield MetricProjectionFamily(space, BallSet(space.base_point(), 0.5))
-    yield ProximalFamily(space, HalfSquaredNorm(space.base_point()),
-                         HARMONIC_GAMMA)
+    yield MetricProjectionFamily(space, space.base_point(), 0.5)
+    yield ProximalFamily(space, space.base_point(), HARMONIC_GAMMA)
 
 
 @pytest.mark.parametrize("space", [euclid2(), PoincareDisk(), Tripod()],
@@ -152,8 +157,7 @@ def test_families_are_nonexpansive(space):
 
 def test_proximal_satisfies_step_size_compatibility():
     for space in (euclid2(), PoincareDisk(), Tripod()):
-        fam = ProximalFamily(space, HalfSquaredNorm(space.base_point()),
-                             HARMONIC_GAMMA)
+        fam = ProximalFamily(space, space.base_point(), HARMONIC_GAMMA)
         rep = check_condition_c1(fam, HARMONIC_GAMMA, 8, SMALL, tol=1e-9)
         assert rep.passed, (space.kind, rep.max_violation)
 
@@ -161,8 +165,7 @@ def test_proximal_satisfies_step_size_compatibility():
 def test_condition_c1_fails_for_unrelated_family():
     # a rotation family is not driven by the step sizes at all, so the
     # compatibility inequality has no reason to hold
-    fam = ConstantFamily(euclid2(), lambda p: Point.euclidean(0.0, 0.0),
-                         Point.euclidean(0.0, 0.0))
+    fam = ConstantFamily(euclid2(), IdentityFamily(euclid2()))
 
     class TwoMaps(ConstantFamily):
         def apply(self, n, x):
@@ -170,7 +173,7 @@ def test_condition_c1_fails_for_unrelated_family():
                 return x
             return Point.euclidean(0.0, 0.0)
 
-    fam = TwoMaps(euclid2(), lambda p: p, Point.euclidean(0.0, 0.0))
+    fam = TwoMaps(euclid2(), IdentityFamily(euclid2()))
     rep = check_condition_c1(fam, lambda n: 1.0, 3, SMALL)
     assert not rep.passed
 
@@ -194,8 +197,7 @@ def test_chi_T_fn_is_zero_without_step_sizes():
 
 def test_chi_T_fn_uses_gamma_modulus():
     space = euclid2()
-    fam = ProximalFamily(space, HalfSquaredNorm(space.base_point()),
-                         HARMONIC_GAMMA)
+    fam = ProximalFamily(space, space.base_point(), HARMONIC_GAMMA)
     b = preset("harmonic")
     fn = fam.chi_T_fn(b, K=2)
     # max{N_Gamma, chi_gamma(2*K*Gamma*(k+1) - 1)} with chi_gamma = id

@@ -71,7 +71,8 @@ def test_parser_render_round_trip(text):
 
 
 def test_parser_rejects_garbage():
-    for bad in ("", "pow:0", "affine:-1,0", "max(id)", "table:[]", "nope:3"):
+    for bad in ("", "pow:0", "affine:-1,0", "max(id)", "table:[]", "nope:3",
+                "const:-3", "table:[-3]", "table:[4,-1,9]", "max(id,const:-1)"):
         with pytest.raises(R.RateError):
             R.parse_counterfunction(bad)
 

@@ -188,3 +188,39 @@ def test_point_errors_name_the_field_once():
     with pytest.raises(ConfigError) as info:
         scenario_from_text(BASE.replace("run.x0 = 1,0", "run.x0 = 1,0,0"))
     assert str(info.value) == "field 'run.x0': expected 2 coordinates"
+
+
+PROJECTION = BASE.replace("family.kind = rotation",
+                          "family.kind = projection\nfamily.center = 0,0")
+RESOLVENT = BASE.replace("family.kind = rotation", "family.kind = resolvent")
+PROXIMAL = BASE.replace("family.kind = rotation",
+                        "family.kind = proximal\nfamily.center = 0,0")
+
+
+@pytest.mark.parametrize("text,line,key", [
+    (BASE, "space.kind = sphere", "space.kind"),
+    (BASE, "space.dim = 0", "space.dim"),
+    (BASE, "family.kind = spiral", "family.kind"),
+    (PROJECTION, "family.radius = 0", "family.radius"),
+    (RESOLVENT + "family.base.kind = projection\nfamily.base.center = 0,0\n",
+     "family.base.radius = -1", "family.base.radius"),
+    (RESOLVENT, "family.base.kind = shear", "family.base.kind"),
+    (PROXIMAL, "family.function = huber", "family.function"),
+    (BASE, "schedule.preset = cosine", "schedule.preset"),
+    (BASE, "schedule.Lambda = 0", "schedule.Lambda"),
+], ids=["space.kind", "space.dim", "family.kind", "family.radius",
+        "family.base.radius", "family.base.kind", "family.function",
+        "schedule.preset", "schedule.Lambda"])
+def test_config_errors_name_the_key(text, line, key):
+    key_of = line.partition("=")[0].strip()
+    kept = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() != key_of]
+    with pytest.raises(ConfigError) as info:
+        scenario_from_text("\n".join(kept + [line]) + "\n")
+    assert key in str(info.value)
+
+
+def test_ball_indicator_points_to_projection():
+    with pytest.raises(ConfigError,
+                       match=r"'family\.function'.*family\.kind = projection"):
+        scenario_from_text(PROXIMAL + "family.function = ball-indicator\n")
+

@@ -9,7 +9,7 @@ from tmlab import rates as R
 from tmlab import verify as V
 from tmlab.engine import run
 from tmlab.geometry import Euclidean, Point
-from tmlab.mappings import HalfSquaredNorm, ProximalFamily, RotationFamily
+from tmlab.mappings import ProximalFamily, RotationFamily
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import preset
 
@@ -347,8 +347,7 @@ def test_variational_premise_violated():
 def test_chi_T_series_proximal():
     space = Euclidean(2)
     bundle = preset("harmonic")
-    fam = ProximalFamily(space, HalfSquaredNorm(space.base_point()),
-                         bundle.gamma)
+    fam = ProximalFamily(space, space.base_point(), bundle.gamma)
     traj = run(space, fam, bundle, Point.euclidean(0.5, 0),
                Point.euclidean(1, 0), 5000)
     fn = fam.chi_T_fn(bundle, K=1)
@@ -359,8 +358,7 @@ def test_chi_T_series_proximal():
 def test_chi_T_series_detects_broken_modulus():
     space = Euclidean(2)
     bundle = preset("harmonic")
-    fam = ProximalFamily(space, HalfSquaredNorm(space.base_point()),
-                         bundle.gamma)
+    fam = ProximalFamily(space, space.base_point(), bundle.gamma)
     traj = run(space, fam, bundle, Point.euclidean(2.0, 0),
                Point.euclidean(2, 1), 5000)
     res = V.check_chi_T_series(traj, fam, lambda k: 0, k_max=200, tol=1e-12)
