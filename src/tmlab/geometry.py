@@ -118,8 +118,9 @@ class SpaceModel:
         raise NotImplementedError
 
     # -- generic pieces -----------------------------------------------------
-    # dist and comb test point kinds and lam inline, on the hot path, and
-    # call _require / _check_lambda to raise when that test fails.
+    # dist, comb and Euclidean.quasilin test point kinds and lam inline, on
+    # the hot path, and call _require / _check_lambda to raise when that
+    # test fails.
 
     def _require(self, *pts: Point):
         for p in pts:
@@ -139,8 +140,8 @@ class SpaceModel:
         return self.dist(x, y) <= EQ_TOL
 
     def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
-        """<xy, uv> = (d2(x,v) + d2(y,u) - d2(x,u) - d2(y,v)) / 2."""
-        self._require(x, y, u, v)
+        """<xy, uv> = (d2(x,v) + d2(y,u) - d2(x,u) - d2(y,v)) / 2.  The four
+        distances check the point kinds."""
         return quasilin_from_distances(
             self.dist(x, v), self.dist(y, u), self.dist(x, u), self.dist(y, v)
         )
@@ -197,11 +198,13 @@ class Euclidean(SpaceModel):
 
     def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
         # fast path: the coordinate dot product (y - x) . (v - u)
-        self._require(x, y, u, v)
-        return sum([
-            (b - a) * (d - c)
-            for a, b, c, d in zip(x.data, y.data, u.data, v.data)
-        ])
+        xd, yd, ud, vd = x.data, y.data, u.data, v.data
+        n = self.dim
+        if (x.kind != "euclidean" or y.kind != "euclidean"
+                or u.kind != "euclidean" or v.kind != "euclidean"
+                or len(xd) != n or len(yd) != n or len(ud) != n or len(vd) != n):
+            self._require(x, y, u, v)
+        return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return self.sample_near(rng, self.base_point(), radius)
@@ -399,20 +402,21 @@ def check_cn(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     worst_plus = (0.0, None)
     worst_eq = (0.0, None)
     R = spec.radius
+    dist = space.dist
     for _ in range(spec.count):
         x, y, z = (space.sample(rng, R) for _ in range(3))
         lam = rng.random()
         desc = {"x": x.data, "y": y.data, "z": z.data, "lambda": lam}
         m = space.midpoint(x, y)
-        d2 = lambda a, b: space.dist(a, b) ** 2
-        res_minus = d2(z, m) - (0.5 * d2(z, x) + 0.5 * d2(z, y) - 0.25 * d2(x, y))
+        d2_zx, d2_zy, d2_xy = dist(z, x) ** 2, dist(z, y) ** 2, dist(x, y) ** 2
+        res_minus = dist(z, m) ** 2 - (0.5 * d2_zx + 0.5 * d2_zy - 0.25 * d2_xy)
         if res_minus > worst_minus[0]:
             worst_minus = (res_minus, desc)
         if abs(res_minus) > worst_eq[0]:
             worst_eq = (abs(res_minus), desc)
         c = space.comb(x, y, lam)
-        res_plus = d2(z, c) - (
-            (1 - lam) * d2(z, x) + lam * d2(z, y) - lam * (1 - lam) * d2(x, y)
+        res_plus = dist(z, c) ** 2 - (
+            (1 - lam) * d2_zx + lam * d2_zy - lam * (1 - lam) * d2_xy
         )
         if res_plus > worst_plus[0]:
             worst_plus = (res_plus, desc)
@@ -460,17 +464,16 @@ def check_quasilin_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9
             rows[name] = (v, inputs)
 
     R = spec.radius
-    ql = space.quasilin
+    ql, dist = space.quasilin, space.dist
     for _ in range(spec.count):
         x, y, u, v, w = (space.sample(rng, R) for _ in range(5))
         desc = {"x": x.data, "y": y.data, "u": u.data, "v": v.data, "w": w.data}
-        note("ql-square", abs(ql(x, y, x, y) - space.dist(x, y) ** 2), desc)
-        note("ql-symmetry", abs(ql(x, y, u, v) - ql(u, v, x, y)), desc)
-        note("ql-antisymmetry", abs(ql(x, y, u, v) + ql(y, x, u, v)), desc)
-        note("ql-additivity",
-             abs(ql(x, y, u, v) + ql(x, y, v, w) - ql(x, y, u, w)), desc)
-        note("cauchy-schwarz",
-             ql(x, y, u, v) - space.dist(x, y) * space.dist(u, v), desc)
+        q, dxy = ql(x, y, u, v), dist(x, y)
+        note("ql-square", abs(ql(x, y, x, y) - dxy ** 2), desc)
+        note("ql-symmetry", abs(q - ql(u, v, x, y)), desc)
+        note("ql-antisymmetry", abs(q + ql(y, x, u, v)), desc)
+        note("ql-additivity", abs(q + ql(x, y, v, w) - ql(x, y, u, w)), desc)
+        note("cauchy-schwarz", q - dxy * dist(u, v), desc)
 
     return [_collect(n, spec.count, tol, [rows[n]]) for n in names]
 

@@ -249,8 +249,15 @@ def _audit_sigma_star(bundle, horizon, tol) -> ConditionResult:
                 return Fraction(0)
             return prefixes[N + 1] / prefixes[m]
 
-        def leq(value, bound):
-            return value <= bound
+        # prod(m, N) <= 1/(k+1) with a = prefixes[N+1], b = prefixes[m] is
+        # a.num * b.den * (k+1) <= b.num * a.den: cross-multiplying keeps
+        # the direction only because every prefix is >= 0 (beta_n in
+        # [0, 1]).  A zero prefix b makes a zero too, and 0 <= 0 passes.
+        nums = [p.numerator for p in prefixes]
+        dens = [p.denominator for p in prefixes]
+
+        def holds(m, N, k):
+            return nums[N + 1] * dens[m] * (k + 1) <= nums[m] * dens[N + 1]
 
     else:
         logs = [0.0] * (horizon + 2)
@@ -261,16 +268,17 @@ def _audit_sigma_star(bundle, horizon, tol) -> ConditionResult:
         def prod(m, N):
             return math.exp(logs[N + 1] - logs[m])
 
-        def leq(value, bound):
-            return value <= float(bound) + tol
+        def holds(m, N, k):
+            return prod(m, N) <= 1 / (k + 1) + tol
 
+    sigma_star = bundle.sigma_star
     for m in range(horizon + 1):
         k = 0
         while True:
-            N = bundle.sigma_star(m, k)
+            N = sigma_star(m, k)
             if N > horizon:
                 break
-            if N >= m and not leq(prod(m, N), Fraction(1, k + 1)):
+            if N >= m and not holds(m, N, k):
                 return ConditionResult(
                     "C1_q*", horizon, False,
                     {"m": m, "k": k, "N": N, "product": float(prod(m, N))},

@@ -401,41 +401,51 @@ def check_recursive_inequalities(
     tol: float = 1e-9,
 ) -> CheckResult:
     """The three per-step inequalities relating d(x_{n+1}, x), d(u_n, x)
-    and the quasilinearization term, for an arbitrary reference point x."""
-    space = traj.space
+    and the quasilinearization term, for an arbitrary reference point x.
+
+    Each distance is computed once: d(x_{n+1}, x) is carried forward as
+    the next record's d(x_n, x), and d(x, u) is the same for every record."""
     u = traj.anchor
-    d = space.dist
-    d2 = lambda a, b: d(a, b) ** 2
-    worst = (-math.inf, None)
-    for rec in traj.records[:-1]:
+    dist, quasilin = traj.space.dist, traj.space.quasilin
+    apply, beta_of, B = family.apply, bundle.beta, bundle.B
+    records = traj.records
+    d2_xu = dist(x, u) ** 2
+    d2_cur = dist(records[0].x, x) ** 2 if records else 0.0
+    worst, worst_n, worst_part = -math.inf, None, None
+    for rec, nxt in zip(records, records[1:]):
         n = rec.n
-        beta = bundle.beta(n)
-        x_next = traj.records[n + 1].x
-        Tx = family.apply(n, x)
-        ql = space.quasilin(x, u, x, rec.x)
-        du = d(rec.u, x)
-        dT = d(Tx, x)
+        beta = beta_of(n)
+        ql = quasilin(x, u, x, rec.x)
+        du = dist(rec.u, x)
+        dT = dist(apply(n, x), x)
+        d_next = dist(nxt.x, x)
+        d2_next = d_next ** 2
         w_n = 2.0 * du * dT + dT * dT
-        res1 = d(x_next, x) - (du + dT)
-        res2 = d2(rec.u, x) - (
-            beta * d2(rec.x, x)
+        res1 = d_next - (du + dT)
+        res2 = du ** 2 - (
+            beta * d2_cur
             + 2.0 * beta * (1.0 - beta) * ql
-            + (1.0 - beta) ** 2 * d2(x, u)
+            + (1.0 - beta) ** 2 * d2_xu
         )
-        res3 = d2(x_next, x) - (
-            beta * (d2(rec.x, x) + int(bundle.B(n)) * w_n)
+        res3 = d2_next - (
+            beta * (d2_cur + int(B(n)) * w_n)
             + (1.0 - beta) * (2.0 * beta * ql)
-            + (1.0 - beta) * d2(x, u)
+            + (1.0 - beta) * d2_xu
         )
-        for part, res in (("i", res1), ("ii", res2), ("iii", res3)):
-            if res > worst[0]:
-                worst = (res, {"n": n, "part": part})
+        if res1 > worst:
+            worst, worst_n, worst_part = res1, n, "i"
+        if res2 > worst:
+            worst, worst_n, worst_part = res2, n, "ii"
+        if res3 > worst:
+            worst, worst_n, worst_part = res3, n, "iii"
+        d2_cur = d2_next
+    passed = worst <= tol
     return CheckResult(
         check_id="recursive-inequalities",
-        passed=worst[0] <= tol,
-        witness=None if worst[0] <= tol else worst[1],
+        passed=passed,
+        witness=None if passed else {"n": worst_n, "part": worst_part},
         horizons={"length": len(traj)},
-        details={"max_residual": worst[0]},
+        details={"max_residual": worst},
         scenario_hash=traj.scenario_hash,
     )
 

@@ -6,7 +6,9 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from tmlab import cli
 from tmlab.cli import main
+from tmlab.geometry import Euclidean
 
 IDENTITY_CFG = """
 space.kind = euclidean
@@ -130,9 +132,19 @@ def test_verify_geometry_report(runner, tmp_path):
     assert any(c["check_id"].startswith("geometry/disk/") for c in data["checks"])
 
 
-def test_verify_broken_model_exits_1(runner):
+class BrokenModel(Euclidean):
+    """A non-geodesic combination that violates the convexity axioms."""
+
+    def comb(self, x, y, lam):
+        return x if lam < 1.0 else y
+
+
+def test_verify_broken_model_exits_1(runner, monkeypatch):
+    models = cli._geometry_models
+    monkeypatch.setattr(cli, "_geometry_models",
+                        lambda: models() + [BrokenModel(2)])
     res = runner.invoke(main, ["verify", "--suite", "geometry",
-                               "--samples", "200", "--inject-broken-model"])
+                               "--samples", "200"])
     assert res.exit_code == 1
     data = json.loads(res.output)
     assert data["pass"] is False
@@ -294,7 +306,12 @@ run.K = 1
     (["metastable", "{cfg}", "--cap", "0"], "--cap"),
     (["verify", "--suite", "geometry", "--samples", "0"], "--samples"),
     (["run", "{cfg}", "--steps", "0"], "--steps"),
-], ids=["k", "cap", "samples", "steps"])
+    (["rates", "{cfg}", "--k-max", "-1"], "--k-max"),
+    (["verify", "--suite", "schedules", "--tol", "-1"], "--tol"),
+    (["verify", "--suite", "schedules", "--tol", "nan"], "--tol"),
+    (["verify", "--suite", "schedules", "--tol", "inf"], "--tol"),
+], ids=["k", "cap", "samples", "steps", "k-max", "tol-negative", "tol-nan",
+        "tol-inf"])
 def test_out_of_range_flags_exit_2_naming_the_option(runner, tmp_path, args, option):
     p = tmp_path / "rotation.cfg"
     p.write_text(ROTATION_CFG)

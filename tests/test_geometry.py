@@ -89,6 +89,28 @@ def test_euclidean_coordinate_count_mismatch_rejected(op):
         call(y, x, 0.5)
 
 
+@pytest.mark.parametrize("kind", sorted(MODEL_POINTS))
+def test_quasilin_rejects_a_foreign_point_in_any_position(kind):
+    sp, x, y, foreign = MODEL_POINTS[kind]
+    for i in range(4):
+        pts = [x, y, y, x]
+        pts[i] = foreign
+        with pytest.raises(GeometryError):
+            sp.quasilin(*pts)
+
+
+def test_euclidean_quasilin_rejects_another_dimension():
+    e = Euclidean(2)
+    p2, p3 = Point.euclidean(0, 0), Point.euclidean(3, 4, 12)
+    with pytest.raises(GeometryError):
+        e.quasilin(p3, p3, p3, p3)
+    for i in range(4):
+        pts = [p2, p2, p2, p2]
+        pts[i] = p3
+        with pytest.raises(GeometryError):
+            e.quasilin(*pts)
+
+
 def test_point_is_immutable():
     p = Point.euclidean(1.0, 2.0)
     with pytest.raises(AttributeError):
