@@ -30,7 +30,6 @@ from .rates import (
     DEFAULT_BIT_CAP,
     RateError,
     RateValue,
-    ScenarioBounds,
     parse_counterfunction,
 )
 from .schedules import ScheduleBundle, audit_schedule, chi_T, preset
@@ -58,7 +57,6 @@ __all__ = [
     "RotationFamily",
     "SampleSpec",
     "Scenario",
-    "ScenarioBounds",
     "ScheduleBundle",
     "SolverFailure",
     "SpaceModel",

@@ -472,27 +472,6 @@ def _guard(expr: str, bit_cap: int, thunk: Callable[[], int]) -> RateValue:
 
 
 # ---------------------------------------------------------------------------
-# Scenario bounds
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioBounds:
-    """Size constants of a run: K >= M = max{d(x0,p), d(u,p)}, plus the
-    bound S used by synthetic recurrence instances."""
-
-    K: int
-    M: float
-    S: int = 1
-
-    def __post_init__(self):
-        if self.K < math.ceil(self.M):
-            raise RateError("K must dominate M")
-        if self.S < 1:
-            raise RateError("S must be >= 1")
-
-
-# ---------------------------------------------------------------------------
 # Elementary rate formulas
 # ---------------------------------------------------------------------------
 

@@ -1,17 +1,8 @@
-"""Scenario configuration: a flat, human-writable file with dotted keys.
-
-Example::
-
-    space.kind = euclidean
-    space.dim = 1
-    family.kind = identity
-    schedule.preset = harmonic
-    run.u = 0
-    run.x0 = 1
-    run.steps = 1000
-
-Euclidean points are comma-separated coordinates, disk points a pair
-"a,b", tripod points "leg:length".
+"""Scenario configuration: a flat, human-writable file of ``key = value``
+lines with dotted keys.  FIELDS lists every key with its parser, default and
+least accepted value; the README's key table documents the same keys.
+Euclidean points are comma-separated coordinates, disk points a pair "a,b",
+tripod points "leg:length".
 """
 
 from __future__ import annotations
@@ -19,29 +10,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 from . import rates
-from .geometry import (
-    Euclidean,
-    GeometryError,
-    PoincareDisk,
-    Point,
-    SpaceModel,
-    Tripod,
-    make_model,
-)
-from .mappings import (
-    ConstantFamily,
-    IdentityFamily,
-    MappingFamily,
-    MetricProjectionFamily,
-    ProximalFamily,
-    ResolventFamily,
-    RotationFamily,
-)
+from .geometry import Euclidean, GeometryError, Point, SpaceModel, Tripod, make_model
+from .mappings import (ConstantFamily, IdentityFamily, MappingFamily, MetricProjectionFamily,
+                       ProximalFamily, ResolventFamily, RotationFamily)
 from .rates import parse_counterfunction
-from .schedules import ScheduleBundle, ScheduleError, preset
+from .schedules import ScheduleBundle, audit_schedule, preset
 
 
 class ConfigError(ValueError):
@@ -86,38 +62,24 @@ class Scenario:
     M: float
     K: int
     steps: int
-    seed: int
     tol: float
     bit_cap: int
     scenario_hash: str
     chi_T_fn: Callable[[int], int] = field(default=lambda k: 0)
 
 
-def _point(cfg, space: SpaceModel, key: str) -> Point:
-    """Required point field ``key``; a malformed value names the key."""
-    text = _get(cfg, key, required=True)
-    try:
-        if isinstance(space, Tripod):
-            leg_s, _, len_s = text.partition(":")
-            return Point.tripod(int(leg_s), _finite(len_s))
-        coords = [_finite(t) for t in text.split(",")]
-        if isinstance(space, Euclidean):
-            if len(coords) != space.dim:
-                raise ValueError(f"expected {space.dim} coordinates")
-            return Point.euclidean(*coords)
-        if len(coords) != 2:
-            raise ValueError("disk points need two coordinates")
-        return Point.disk(*coords)
-    except (ValueError, GeometryError) as exc:
-        raise ConfigError(f"field {key!r}: {exc}") from exc
-
-
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing required field {key!r}")
-    return default
+def _point(text: str, space: SpaceModel) -> Point:
+    if isinstance(space, Tripod):
+        leg_s, _, len_s = text.partition(":")
+        return Point.tripod(int(leg_s), _finite(len_s))
+    coords = [_finite(t) for t in text.split(",")]
+    if isinstance(space, Euclidean):
+        if len(coords) != space.dim:
+            raise ValueError(f"expected {space.dim} coordinates")
+        return Point.euclidean(*coords)
+    if len(coords) != 2:
+        raise ValueError("disk points need two coordinates")
+    return Point.disk(*coords)
 
 
 def _finite(text: str) -> float:
@@ -127,119 +89,164 @@ def _finite(text: str) -> float:
     return value
 
 
-def _number(cfg, key, parse, default=None, required=False):
-    """Field ``key`` read by ``parse`` (int or _finite), or ``default`` when
-    it is absent.  A malformed value raises ConfigError naming the key."""
-    text = _get(cfg, key, required=required)
-    if text is None:
-        return default
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"field {key!r}: {exc}") from exc
+REQUIRED = object()
 
 
-def _map(cfg, space, prefix, kind, default_angle) -> MappingFamily:
+class Field(NamedTuple):
+    """A config key: its parser (text -> value; _point also takes the
+    space), its default (text parsed like a value, REQUIRED, or None for
+    "absent") and the least value it accepts (``strict``: it must exceed it)."""
+
+    parse: Callable
+    default: object = None
+    least: Optional[float] = None
+    strict: bool = False
+
+
+# Every key a config may set.  A key the scenario does not read is an error.
+FIELDS = {
+    "space.kind": Field(str.lower, REQUIRED),
+    "space.dim": Field(int, "2", 1),
+    "family.kind": Field(str.lower, REQUIRED),
+    "family.fixed_point": Field(_point),
+    # constant families default to angle 0, the identity map
+    "family.angle": Field(_finite, repr(math.pi / 2)),
+    "family.center": Field(_point, REQUIRED),
+    "family.radius": Field(_finite, REQUIRED, 0, strict=True),
+    "family.base.kind": Field(str.lower, "rotation"),
+    "family.base.angle": Field(_finite, "1.0"),
+    "family.base.center": Field(_point, REQUIRED),
+    "family.base.radius": Field(_finite, REQUIRED, 0, strict=True),
+    "family.inner_tol": Field(_finite, "1e-12", 0, strict=True),
+    "family.max_iterations": Field(int, "10000", 1),
+    "schedule.preset": Field(preset, "harmonic"),
+    # overrides of the preset's moduli and constants
+    "schedule.chi_beta": Field(parse_counterfunction),
+    "schedule.chi_lambda": Field(parse_counterfunction),
+    "schedule.chi_gamma": Field(parse_counterfunction),
+    "schedule.eta": Field(parse_counterfunction),
+    "schedule.B": Field(parse_counterfunction),
+    "schedule.Lambda": Field(int, None, 1),
+    "schedule.N_Lambda": Field(int, None, 0),
+    "schedule.Gamma": Field(int, None, 1),
+    "schedule.N_Gamma": Field(int, None, 0),
+    "schedule.G": Field(int, None, 1),
+    "run.u": Field(_point, REQUIRED),
+    "run.x0": Field(_point, REQUIRED),
+    "run.steps": Field(int, "100", 1),
+    "run.K": Field(int, None, 1),
+    "run.tol": Field(_finite, "1e-9", 0),
+    "run.bit_cap": Field(int, str(rates.DEFAULT_BIT_CAP), 1),
+}
+
+# the horizon on which overridden schedule moduli are audited
+AUDIT_HORIZON = 2000
+
+
+class _Reader:
+    """Reads config values through FIELDS and records the keys it read.
+    Point values are read in ``space``, once it is set."""
+
+    def __init__(self, cfg: dict):
+        self.cfg, self.keys, self.space = cfg, set(), None
+
+    def __call__(self, key: str, default: Optional[str] = None):
+        f = FIELDS[key]
+        self.keys.add(key)
+        text = self.cfg.get(key, default or f.default)
+        if text is REQUIRED:
+            raise ConfigError(f"missing required field {key!r}")
+        if text is None:
+            return None
+        try:
+            value = f.parse(text, self.space) if f.parse is _point else f.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"field {key!r}: {exc}") from exc
+        if f.least is not None and (value < f.least or f.strict and value == f.least):
+            raise ConfigError(
+                f"field {key!r}: {text} must be {'>' if f.strict else '>='} {f.least}")
+        return value
+
+
+def _reject_unread(cfg: dict, read) -> None:
+    """ConfigError naming the first key of cfg not in ``read``."""
+    key = next((k for k in cfg if k not in read), None)
+    if key is None:
+        return
+    if key in FIELDS:
+        raise ConfigError(f"field {key!r} is not used by this scenario")
+    import difflib  # only on this error path
+
+    hint = difflib.get_close_matches(key, FIELDS, n=1)
+    raise ConfigError(f"unknown field {key!r}" + (f"; did you mean {hint[0]!r}?" if hint else ""))
+
+
+def _map(read: _Reader, prefix: str, kind: str) -> MappingFamily:
     """The rotation or ball projection described by the ``prefix.*`` keys."""
     if kind == "rotation":
-        angle = _number(cfg, f"{prefix}.angle", _finite, default_angle)
-        return RotationFamily(space, angle)
+        return RotationFamily(read.space, read(f"{prefix}.angle"))
     if kind == "projection":
-        center_key, radius_key = f"{prefix}.center", f"{prefix}.radius"
-        center = _point(cfg, space, center_key)
-        radius = _number(cfg, radius_key, _finite, required=True)
-        try:
-            return MetricProjectionFamily(space, center, radius)
-        except GeometryError as exc:
-            raise ConfigError(f"field {radius_key!r}: {exc}") from exc
+        return MetricProjectionFamily(
+            read.space, read(f"{prefix}.center"), read(f"{prefix}.radius"))
     raise ConfigError(f"field '{prefix}.kind': unknown kind {kind!r}")
 
 
-def _build_family(cfg: dict, space: SpaceModel, bundle: ScheduleBundle):
-    kind = _get(cfg, "family.kind", required=True).lower()
+def _build_family(read: _Reader, bundle: ScheduleBundle) -> MappingFamily:
+    space, kind = read.space, read("family.kind")
     if kind == "identity":
-        fp = cfg.get("family.fixed_point")
-        point = _point(cfg, space, "family.fixed_point") if fp else None
-        return IdentityFamily(space, point)
+        return IdentityFamily(space, read("family.fixed_point"))
     if kind == "constant":
         # one fixed nonexpansive map repeated at every index; angle 0 means
         # the identity map (usable in any model and dimension)
-        angle = _number(cfg, "family.angle", _finite, 0.0)
+        angle = read("family.angle", default="0")
         base = IdentityFamily(space) if angle == 0.0 else RotationFamily(space, angle)
         return ConstantFamily(space, base)
     if kind == "proximal":
-        fn = _get(cfg, "family.function", default="half-squared-norm").lower()
-        if fn == "ball-indicator":
-            raise ConfigError("field 'family.function': the prox of a ball "
-                              "indicator is the projection, family.kind = projection")
-        if fn != "half-squared-norm":
-            raise ConfigError(
-                f"field 'family.function': unknown convex function {fn!r}")
-        return ProximalFamily(space, _point(cfg, space, "family.center"), bundle.gamma)
+        return ProximalFamily(space, read("family.center"), bundle.gamma)
     if kind == "resolvent":
-        base_kind = _get(cfg, "family.base.kind", default="rotation").lower()
-        base = _map(cfg, space, "family.base", base_kind, 1.0)
-        inner_tol = _number(cfg, "family.inner_tol", _finite, 1e-12)
-        if inner_tol <= 0:
-            raise ConfigError("field 'family.inner_tol': must be > 0")
-        max_iterations = _number(cfg, "family.max_iterations", int, 10000)
-        if max_iterations < 1:
-            raise ConfigError("field 'family.max_iterations': must be >= 1")
-        return ResolventFamily(space, base, bundle.gamma, inner_tol, max_iterations)
-    return _map(cfg, space, "family", kind, math.pi / 2)
+        base = _map(read, "family.base", read("family.base.kind"))
+        return ResolventFamily(space, base, bundle.gamma, read("family.inner_tol"),
+                               read("family.max_iterations"))
+    return _map(read, "family", kind)
 
 
-def _build_bundle(cfg: dict) -> ScheduleBundle:
-    name = _get(cfg, "schedule.preset", default="harmonic")
-    try:
-        bundle = preset(name)
-    except ScheduleError as exc:
-        raise ConfigError(f"field 'schedule.preset': {exc}") from exc
-    # overrides: moduli in the counterfunction mini-grammar, then constants;
-    # the rebuilt bundle validates and monotonizes them like a preset's
-    changes = {}
-    for attr in ("chi_beta", "chi_lambda", "chi_gamma", "eta", "B"):
-        key = f"schedule.{attr}"
-        if key in cfg:
-            try:
-                changes[attr] = parse_counterfunction(cfg[key])
-            except rates.RateError as exc:
-                raise ConfigError(f"field {key!r}: {exc}") from exc
-    for attr in ("Gamma", "N_Gamma", "G", "Lambda", "N_Lambda"):
-        if f"schedule.{attr}" in cfg:
-            changes[attr] = _number(cfg, f"schedule.{attr}", int)
-    try:
-        return replace(bundle, **changes)
-    except ScheduleError as exc:
-        # the bundle's messages start with the offending attribute's name
-        raise ConfigError(f"schedule.{exc}") from exc
+def _build_bundle(read: _Reader) -> ScheduleBundle:
+    bundle = read("schedule.preset")
+    overrides = {key: value for key in FIELDS
+                 if key.startswith("schedule.") and key != "schedule.preset"
+                 and (value := read(key)) is not None}
+    if not overrides:
+        return bundle
+    # the rebuilt bundle monotonizes overridden moduli like a preset's; the
+    # audit checks their claims against the preset's sequences, since a rate
+    # computed from an unsound modulus would be printed as if it held
+    bundle = replace(bundle, **{k.partition(".")[2]: v for k, v in overrides.items()})
+    failed = [r for r in audit_schedule(bundle, AUDIT_HORIZON).results if not r.passed]
+    if failed:
+        raise ConfigError(
+            f"fields {', '.join(map(repr, overrides))}: the schedule fails "
+            f"{failed[0].condition_id} on [0, {AUDIT_HORIZON}] at {failed[0].first_violation}")
+    return bundle
 
 
 def build_scenario(cfg: dict) -> Scenario:
-    space_kind = _get(cfg, "space.kind", required=True)
-    dim = _number(cfg, "space.dim", int, 2)
-    if dim < 1:
-        raise ConfigError("field 'space.dim': must be >= 1")
+    _reject_unread(cfg, FIELDS)
+    read = _Reader(cfg)
     try:
-        space = make_model(space_kind, dim)
+        space = make_model(read("space.kind"))
     except GeometryError as exc:
         raise ConfigError(f"field 'space.kind': {exc}") from exc
+    if isinstance(space, Euclidean):
+        space = Euclidean(read("space.dim"))
+    read.space = space
 
-    bundle = _build_bundle(cfg)
+    bundle = _build_bundle(read)
     try:
-        family = _build_family(cfg, space, bundle)
+        family = _build_family(read, bundle)
     except GeometryError as exc:
         raise ConfigError(f"family: {exc}") from exc
     p = family.fixed_point
-
-    u = _point(cfg, space, "run.u")
-    x0 = _point(cfg, space, "run.x0")
-    steps = _number(cfg, "run.steps", int, 100)
-    if steps < 1:
-        raise ConfigError("field 'run.steps': must be >= 1")
-    seed = _number(cfg, "run.seed", int, 0)
-    tol = _number(cfg, "run.tol", _finite, 1e-9)
-    bit_cap = _number(cfg, "run.bit_cap", int, rates.DEFAULT_BIT_CAP)
+    u, x0 = read("run.u"), read("run.x0")
 
     try:
         M = max(space.dist(x0, p), space.dist(u, p))
@@ -248,34 +255,22 @@ def build_scenario(cfg: dict) -> Scenario:
         raise ConfigError(
             "fields 'run.x0', 'run.u': distance to the fixed point overflows"
         ) from exc
-    K = _number(cfg, "run.K", int)
+    K = read("run.K")
     if K is None:
         K = max(1, ceil_M)
-    elif K < 1:
-        raise ConfigError(f"field 'run.K': K={K} must be >= 1")
     elif K < ceil_M:
         raise ConfigError(f"field 'run.K': K={K} below ceil(M)={ceil_M}")
 
     digest = hashlib.sha256(
         "\n".join(f"{k}={v}" for k, v in sorted(cfg.items())).encode()
     ).hexdigest()[:12]
-
-    return Scenario(
-        space=space,
-        family=family,
-        bundle=bundle,
-        u=u,
-        x0=x0,
-        p=p,
-        M=M,
-        K=K,
-        steps=steps,
-        seed=seed,
-        tol=tol,
-        bit_cap=bit_cap,
-        scenario_hash=digest,
-        chi_T_fn=family.chi_T_fn(bundle, K),
+    scenario = Scenario(
+        space=space, family=family, bundle=bundle, u=u, x0=x0, p=p, M=M, K=K,
+        steps=read("run.steps"), tol=read("run.tol"), bit_cap=read("run.bit_cap"),
+        scenario_hash=digest, chi_T_fn=family.chi_T_fn(bundle, K),
     )
+    _reject_unread(cfg, read.keys)
+    return scenario
 
 
 def scenario_from_text(text: str) -> Scenario:

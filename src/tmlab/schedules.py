@@ -215,6 +215,16 @@ def audit_schedule(
     return AuditReport(bundle.name, horizon, results)
 
 
+def _capped(f: Counterfunction, n: int, cap: int, past: int) -> int:
+    """f(n), or ``past`` when f(n) has more than cap bits.  An overridden
+    modulus may grow past any memory; the audit only compares it with
+    bounds that fit in cap bits."""
+    try:
+        return f(n, cap)
+    except CapExceeded:
+        return past
+
+
 def _audit_sigma(bundle, horizon, tol) -> ConditionResult:
     # sum_{i <= sigma(n)} (1 - beta_i) >= n wherever sigma(n) fits
     partial = 0.0
@@ -294,7 +304,7 @@ def _audit_cauchy(bundle, horizon, tol, cid, seq, modulus) -> ConditionResult:
         tail[i] = tail[i + 1] + abs(seq(i) - seq(i + 1))
     k = 0
     while True:
-        start = modulus(k)
+        start = _capped(modulus, k, horizon.bit_length(), horizon + 1)
         if start > horizon or k > horizon:
             break
         window = tail[start] - tail[horizon + 1]
@@ -313,7 +323,7 @@ def _audit_eta(bundle, horizon, tol) -> ConditionResult:
         suffix[i] = max(gaps[i], suffix[i + 1])
     k = 0
     while True:
-        start = bundle.eta(k)
+        start = _capped(bundle.eta, k, horizon.bit_length(), horizon + 1)
         if start > horizon or k > horizon:
             break
         if suffix[start] > 1.0 / (k + 1) + tol:
@@ -326,7 +336,8 @@ def _audit_eta(bundle, horizon, tol) -> ConditionResult:
 
 
 def _audit_floor(cid, horizon, tol, seq, bound, start) -> ConditionResult:
-    floor = 1.0 / bound
+    # int division: a bound past the float range gives a floor of 0.0
+    floor = 1 / bound
     for n in range(start, horizon + 1):
         if seq(n) < floor - tol:
             return ConditionResult(
@@ -343,7 +354,7 @@ def _audit_chi_T_prereqs(bundle, horizon, tol) -> ConditionResult:
     if not inner.passed:
         return inner
     for n in range(horizon + 1):
-        if bundle.gamma(n) > bundle.G + tol:
+        if bundle.gamma(n) - tol > bundle.G:  # exact for any size of G
             return ConditionResult(
                 "C7_q", horizon, False,
                 {"n": n, "gamma": bundle.gamma(n), "G": bundle.G},
@@ -353,9 +364,11 @@ def _audit_chi_T_prereqs(bundle, horizon, tol) -> ConditionResult:
 
 def _audit_beta_floor(bundle, horizon, tol) -> ConditionResult:
     for n in range(horizon + 1):
-        if bundle.beta(n) < 1.0 / bundle.B(n) - tol:
+        # 1/B(n) is 0.0 in floats past 2^1100; B(n) = 0 admits no floor
+        b = _capped(bundle.B, n, 1100, 1 << 1100)
+        if b == 0 or bundle.beta(n) < 1 / b - tol:
             return ConditionResult(
                 "C9_q", horizon, False,
-                {"n": n, "beta": bundle.beta(n), "B": int(bundle.B(n))},
+                {"n": n, "beta": bundle.beta(n), "B": int(b)},
             )
     return ConditionResult("C9_q", horizon, True)

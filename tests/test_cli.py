@@ -5,10 +5,13 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tmlab import cli
 from tmlab.cli import main
 from tmlab.geometry import Euclidean
+from tmlab.scenario import FIELDS, _point, parse_config_text
 
 IDENTITY_CFG = """
 space.kind = euclidean
@@ -337,3 +340,103 @@ def test_negative_schedule_counterfunction_exits_2(runner, tmp_path):
                                "--k-max", "0", "--phi", "const:0"])
     assert res.exit_code == 2, res.output
     assert "schedule.eta" in res.stderr
+
+
+@pytest.mark.parametrize("lines,args,named", [
+    ("family.radus = 3\nrun.stpes = 5\n", ["run", "--out", "-"],
+     ["family.radus", "did you mean 'family.radius'"]),
+    ("schedule.chi_beta = const:0\nschedule.eta = const:0\n",
+     ["rates", "--which", "Sigma_star,Psi_star", "--k-max", "1"],
+     ["'schedule.chi_beta', 'schedule.eta'", "C2_q"]),
+    ("run.seed = 0\n", ["run", "--out", "-"], ["run.seed"]),
+], ids=["misspelled-keys", "unsound-override", "run.seed"])
+def test_unread_keys_and_unsound_overrides_exit_2(runner, tmp_path, lines, args, named):
+    p = tmp_path / "bad.cfg"
+    p.write_text(ROTATION_CFG + lines)
+    res = runner.invoke(main, [args[0], str(p), *args[1:]])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    for text in named:
+        assert text in res.stderr
+    assert isinstance(res.exception, SystemExit)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: configs drawn from the FIELDS keys, junk keys and junk values
+# ---------------------------------------------------------------------------
+
+_junk = st.text(alphabet="abcxyz019.,:-_ []()", max_size=8)
+_small_int = st.integers(-2, 12).map(str)
+_cf_leaf = st.one_of(
+    st.just("id"),
+    _small_int.map("const:{}".format),
+    st.tuples(_small_int, _small_int).map(lambda t: f"affine:{t[0]},{t[1]}"),
+    st.integers(-1, 4).map("pow:{}".format),
+    st.lists(_small_int, max_size=4).map(lambda v: f"table:[{','.join(v)}]"),
+)
+_counterfunction = st.recursive(_cf_leaf, lambda f: st.one_of(
+    st.tuples(f, f).map(lambda t: f"max({t[0]},{t[1]})"),
+    st.tuples(f, f).map(lambda t: f"comp({t[0]},{t[1]})"),
+    f.map("mono({})".format),
+), max_leaves=4)
+_POINTS = ("0", "0.5", "0,0", "0.5,0", "1,0", "0.3,0.1,0", "0:0", "1:0.5", "2:1.5",
+           "7:1", "nan,0", "1e308,1e308")
+_WORDS = {"space.kind": ("euclidean", "disk", "tripod", "sphere"),
+          "family.kind": ("identity", "constant", "rotation", "projection",
+                          "proximal", "resolvent", "spiral"),
+          "family.base.kind": ("rotation", "projection", "shear"),
+          "schedule.preset": ("harmonic", "constant-gamma-harmonic-beta", "cosine")}
+
+
+def _value(key):
+    """Values of the key's own type, most of them valid, or junk."""
+    parse = FIELDS[key].parse
+    if key in _WORDS:
+        valid = st.sampled_from(_WORDS[key])
+    elif key == "run.steps":  # each example runs only a few steps
+        valid = st.integers(-1, 20).map(str)
+    elif parse is int:
+        valid = _small_int
+    elif parse is _point:
+        valid = st.sampled_from(_POINTS)
+    elif key.startswith("schedule."):
+        valid = _counterfunction
+    else:
+        valid = st.one_of(st.floats(-3, 3).map(repr), st.sampled_from(("nan", "inf", "0")))
+    return st.one_of(valid, valid, valid, _junk)
+
+
+_BASES = [ROTATION_CFG, PROJECTION_CFG, RESOLVENT_CFG, IDENTITY_CFG,
+          "space.kind = tripod\nfamily.kind = proximal\nfamily.center = 1:0.5\n"
+          "run.u = 0:0\nrun.x0 = 2:1.5\n"]
+_JUNK_KEYS = ("run.seed", "family.function", "family.radus", "run", "")
+
+
+def _edits(base):
+    """Changed or added keys: mostly ones the base config reads, so most
+    examples get past the unused-key check and into the run."""
+    read = sorted(set(parse_config_text(base)) | {
+        k for k in FIELDS if k.startswith(("schedule.", "run."))})
+    key = st.one_of(st.sampled_from(read), st.sampled_from(read),
+                    st.sampled_from(sorted(FIELDS)))
+    edit = key.flatmap(lambda k: st.tuples(st.just(k), _value(k)))
+    return st.one_of(edit, edit, edit, st.tuples(st.sampled_from(_JUNK_KEYS), _junk))
+
+
+_configs = st.sampled_from(_BASES).flatmap(lambda base: st.lists(
+    _edits(base), max_size=3).map(lambda edits: "".join(
+        f"{k} = {v}\n" for k, v in {**parse_config_text(base), **dict(edits)}.items())))
+
+
+@settings(max_examples=60, deadline=3000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_configs)
+def test_fuzzed_configs_exit_with_a_code_and_no_traceback(runner, tmp_path, text):
+    p = tmp_path / "fuzz.cfg"
+    p.write_text(text)
+    for args in (["run", str(p), "--out", "-"], ["rates", str(p), "--k-max", "2"]):
+        res = runner.invoke(main, args)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            text, args, res.exc_info)
+        assert res.exit_code in (0, 1, 2, 3)
+        assert "Traceback" not in res.stderr

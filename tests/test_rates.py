@@ -361,14 +361,6 @@ def test_psi_from_phi_matches_psi_star(golden):
     assert inline.value == R.Psi_star(0, b, K, ct).value
 
 
-def test_scenario_bounds_validation():
-    R.ScenarioBounds(K=2, M=1.5)
-    with pytest.raises(R.RateError):
-        R.ScenarioBounds(K=1, M=1.5)
-    with pytest.raises(R.RateError):
-        R.ScenarioBounds(K=1, M=0.5, S=0)
-
-
 # ---------------------------------------------------------------------------
 # The table of rates, and values past the float and str() ranges
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Config parsing and scenario construction."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from tmlab.scenario import (
+    FIELDS,
     ConfigError,
     build_scenario,
     parse_config_text,
@@ -80,8 +84,12 @@ run.x0 = 2:1.5
 def test_K_override_validation():
     sc = scenario_from_text(BASE + "run.K = 3\n")
     assert sc.K == 3
-    with pytest.raises(ConfigError, match="run.K"):
-        scenario_from_text(BASE + "run.K = 0\n")
+    # K below 1, and K = 1 below ceil(M) = 2 with x0 at distance 1.5
+    for text, why in ((BASE + "run.K = 0\n", ">= 1"),
+                      (BASE.replace("run.x0 = 1,0", "run.x0 = 1.5,0") + "run.K = 1\n",
+                       "below ceil")):
+        with pytest.raises(ConfigError, match=f"run.K.*{why}"):
+            scenario_from_text(text)
 
 
 def test_K_defaults_to_ceil_M():
@@ -143,8 +151,12 @@ run.x0 = 1,0
 
 
 def test_schedule_overrides_are_validated_and_monotonized():
-    sc = scenario_from_text(BASE + "schedule.chi_beta = table:[5,1,9]\n")
+    sc = scenario_from_text(BASE + "schedule.chi_beta = max(id,table:[5,1,9])\n")
     assert [sc.bundle.chi_beta(i) for i in range(4)] == [5, 5, 9, 9]
+    # the bare table is no Cauchy modulus for harmonic beta: at k = 11 it
+    # starts the window at 9, whose tail sum exceeds 1/12
+    with pytest.raises(ConfigError, match=r"'schedule\.chi_beta'.*C2_q"):
+        scenario_from_text(BASE + "schedule.chi_beta = table:[5,1,9]\n")
     with pytest.raises(ConfigError, match="Lambda"):
         scenario_from_text(BASE + "schedule.Lambda = 0\n")
     with pytest.raises(ConfigError, match="schedule.G"):
@@ -195,6 +207,8 @@ PROJECTION = BASE.replace("family.kind = rotation",
 RESOLVENT = BASE.replace("family.kind = rotation", "family.kind = resolvent")
 PROXIMAL = BASE.replace("family.kind = rotation",
                         "family.kind = proximal\nfamily.center = 0,0")
+DISK = BASE.replace("space.kind = euclidean\nspace.dim = 2", "space.kind = disk").replace(
+    "run.x0 = 1,0", "run.x0 = 0.5,0")
 
 
 @pytest.mark.parametrize("text,line,key", [
@@ -208,9 +222,22 @@ PROXIMAL = BASE.replace("family.kind = rotation",
     (PROXIMAL, "family.function = huber", "family.function"),
     (BASE, "schedule.preset = cosine", "schedule.preset"),
     (BASE, "schedule.Lambda = 0", "schedule.Lambda"),
+    (BASE, "schedule.N_Gamma = -1", "schedule.N_Gamma"),
+    (BASE, "run.tol = -1", "run.tol"),
+    (BASE, "run.bit_cap = -3", "run.bit_cap"),
+    (PROJECTION + "family.radius = 1\n", "family.radus = 3",
+     "unknown field 'family.radus'; did you mean 'family.radius'?"),
+    (BASE.replace("family.kind = rotation", "family.kind = projection\nfamily.radius = 1"),
+     "family.centre = 0,0", "unknown field 'family.centre'; did you mean 'family.center'?"),
+    (BASE, "family.radius = 3", "field 'family.radius' is not used"),
+    (DISK, "space.dim = 2", "field 'space.dim' is not used"),
+    (BASE, "run.seed = 0", "unknown field 'run.seed'"),
+    (PROXIMAL, "family.function = half-squared-norm", "unknown field 'family.function'"),
 ], ids=["space.kind", "space.dim", "family.kind", "family.radius",
         "family.base.radius", "family.base.kind", "family.function",
-        "schedule.preset", "schedule.Lambda"])
+        "schedule.preset", "schedule.Lambda", "schedule.N_Gamma", "run.tol",
+        "run.bit_cap", "misspelled", "misspelled-required", "unread-by-family", "unread-by-space",
+        "run.seed", "family.function-default"])
 def test_config_errors_name_the_key(text, line, key):
     key_of = line.partition("=")[0].strip()
     kept = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() != key_of]
@@ -219,8 +246,8 @@ def test_config_errors_name_the_key(text, line, key):
     assert key in str(info.value)
 
 
-def test_ball_indicator_points_to_projection():
-    with pytest.raises(ConfigError,
-                       match=r"'family\.function'.*family\.kind = projection"):
-        scenario_from_text(PROXIMAL + "family.function = ball-indicator\n")
-
+def test_readme_documents_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| key |", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `([\w.]+)` \|", table, re.M)
+    assert sorted(documented) == sorted(FIELDS)

@@ -1,10 +1,11 @@
 """Schedule presets and the finite-prefix modulus auditor."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tmlab.rates import CapExceeded, Const, Identity, Table
+from tmlab.rates import CapExceeded, Const, Identity, Max, Power, Table
 from tmlab.schedules import (
     ScheduleBundle,
     ScheduleError,
@@ -89,10 +90,21 @@ def test_audit_detects_gamma_above_bound():
 
 def test_audit_detects_beta_floor_violation():
     b = preset("harmonic")
-    b.B = Const(1)  # claims beta_n >= 1, but beta_0 = 1/2
-    # reassigning after construction skips monotonization; fine for Const
-    report = audit_schedule(b, 50)
-    assert not {r.condition_id: r for r in report.results}["C9_q"].passed
+    # B = 1 claims beta_n >= 1, but beta_0 = 1/2; B = 0 admits no floor
+    for B in (1, 0):
+        b.B = Const(B)
+        # reassigning after construction skips monotonization; fine for Const
+        report = audit_schedule(b, 50)
+        assert not {r.condition_id: r for r in report.results}["C9_q"].passed
+
+
+def test_audit_takes_bounds_past_the_float_and_memory_range():
+    # weaker claims than the preset's, so each holds; a modulus past the
+    # horizon is refused under a bit cap before 2^(10^12) is formed
+    huge = 10 ** 400
+    b = replace(preset("harmonic"), Lambda=huge, Gamma=huge, G=huge,
+                eta=Power(10 ** 12), B=Max((Const(2), Power(10 ** 12))))
+    assert audit_schedule(b, 2000).passed
 
 
 def test_bundle_monotonizes_counterfunctions():
