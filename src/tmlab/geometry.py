@@ -27,8 +27,10 @@ class GeometryError(ValueError):
 
 class Point(NamedTuple):
     """A model-tagged point: euclidean coordinates, a disk pair, or a
-    (leg, arm length) pair for the tripod.  Immutable and hashable; the
-    models build their results directly, the factories below validate."""
+    (leg, arm length) pair for the tripod.  Immutable and hashable.  The
+    factories below validate parsed input; the models build their results
+    with tuple.__new__(Point, (kind, data)), which skips the Python-level
+    __new__ of the NamedTuple."""
 
     kind: str  # "euclidean" | "disk" | "tripod"
     data: tuple
@@ -97,7 +99,6 @@ class SpaceModel:
     """Common interface of the shipped models; immutable after construction."""
 
     kind: str
-    tolerance: float = 1e-12
 
     def dist(self, x: Point, y: Point) -> float:
         raise NotImplementedError
@@ -185,6 +186,11 @@ class Euclidean(SpaceModel):
         xd, yd = x.data, y.data
         if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
             self._require(x, y)
+        if len(xd) == 2:
+            # the comprehension written out: no frame, the same floats,
+            # since sum's 0 + t0 + t1 equals t0 + t1 for squares t >= +0.0
+            (a0, a1), (b0, b1) = xd, yd
+            return math.sqrt((a0 - b0) ** 2 + (a1 - b1) ** 2)
         return math.sqrt(sum([(a - b) ** 2 for a, b in zip(xd, yd)]))
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
@@ -194,7 +200,11 @@ class Euclidean(SpaceModel):
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
         mu = 1.0 - lam
-        return Point("euclidean", tuple([mu * a + lam * b for a, b in zip(xd, yd)]))
+        if len(xd) == 2:
+            (a0, a1), (b0, b1) = xd, yd
+            return tuple.__new__(Point, ("euclidean", (mu * a0 + lam * b0, mu * a1 + lam * b1)))
+        return tuple.__new__(
+            Point, ("euclidean", tuple([mu * a + lam * b for a, b in zip(xd, yd)])))
 
     def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
         # fast path: the coordinate dot product (y - x) . (v - u)
@@ -204,6 +214,11 @@ class Euclidean(SpaceModel):
                 or u.kind != "euclidean" or v.kind != "euclidean"
                 or len(xd) != n or len(yd) != n or len(ud) != n or len(vd) != n):
             self._require(x, y, u, v)
+        if n == 2:
+            # sum starts from int 0: the leading 0.0 + turns a -0.0 first
+            # product into 0.0, as sum([-0.0, -0.0]) == 0.0 does
+            (a0, a1), (b0, b1), (c0, c1), (d0, d1) = xd, yd, ud, vd
+            return 0.0 + (b0 - a0) * (d0 - c0) + (b1 - a1) * (d1 - c1)
         return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
 
     def sample(self, rng: random.Random, radius: float) -> Point:
@@ -256,7 +271,7 @@ class PoincareDisk(SpaceModel):
         step = math.tanh(0.5 * lam * total)
         w2 = w / r * step
         z = (w2 + zx) / (1.0 + zx.conjugate() * w2)
-        return Point("disk", (z.real, z.imag))
+        return tuple.__new__(Point, ("disk", (z.real, z.imag)))
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return self.sample_near(rng, self.base_point(), radius)
@@ -315,7 +330,7 @@ class Tripod(SpaceModel):
             leg = 0  # all legs share the center
         elif not 0.0 < s < math.inf:
             raise GeometryError(_TRIPOD_LENGTH)
-        return Point("tripod", (leg, s))
+        return tuple.__new__(Point, ("tripod", (leg, s)))
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return Point.tripod(rng.randrange(3), radius * rng.random())

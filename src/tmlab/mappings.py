@@ -107,12 +107,16 @@ class RotationFamily(MappingFamily):
         self._on_tripod = isinstance(space, Tripod)
 
     def apply(self, n, x):
+        # an isometry maps valid points to valid points: no factory checks;
+        # x.kind is kept, so a foreign point fails at the next model call
         if self._on_tripod:
             leg, s = x.data
-            return Point.tripod((leg + self._shift) % 3, s)
+            # all legs share the center, which is leg 0 (as in Point.tripod)
+            leg = (leg + self._shift) % 3 if s != 0.0 else 0
+            return tuple.__new__(Point, (x.kind, (leg, s)))
         a, b = x.data
-        return Point(x.kind, (a * self._cos - b * self._sin,
-                              a * self._sin + b * self._cos))
+        return tuple.__new__(Point, (x.kind, (a * self._cos - b * self._sin,
+                                              a * self._sin + b * self._cos)))
 
 
 class MetricProjectionFamily(MappingFamily):

@@ -6,6 +6,9 @@ import math
 
 import pytest
 
+from test_acceptance import SCENARIO_TEXTS
+from test_geometry import RefEuclidean, RefTripod
+from tmlab import scenario as scenario_module
 from tmlab.engine import (
     EngineError,
     Trajectory,
@@ -176,6 +179,76 @@ def test_csv_deterministic():
         traj.write_csv(buf)
         outs.append(buf.getvalue())
     assert outs[0] == outs[1]
+
+
+class RefRotation(RotationFamily):
+    """RotationFamily.apply before its points were built by tuple.__new__,
+    copied unchanged."""
+
+    def apply(self, n, x):
+        if self._on_tripod:
+            leg, s = x.data
+            return Point.tripod((leg + self._shift) % 3, s)
+        a, b = x.data
+        return Point(x.kind, (a * self._cos - b * self._sin,
+                              a * self._sin + b * self._cos))
+
+
+RESOLVENT_TEXTS = {
+    "euclidean-resolvent-rotation": """
+        space.kind = euclidean
+        space.dim = 2
+        family.kind = resolvent
+        family.base.kind = rotation
+        family.base.angle = 1.0
+        schedule.preset = harmonic
+        run.u = 0.41,-0.33
+        run.x0 = -1.1,0.9
+        run.steps = 100
+    """,
+    "tripod-resolvent-rotation": """
+        space.kind = tripod
+        family.kind = resolvent
+        family.base.kind = rotation
+        family.base.angle = 2.0943951023931953
+        schedule.preset = harmonic
+        run.u = 2:0.55
+        run.x0 = 1:1.6
+        run.steps = 100
+    """,
+}
+BYTE_IDENTITY_TEXTS = {
+    **{name: text + "run.steps = 2000\n" for name, text in SCENARIO_TEXTS.items()
+       if name.startswith(("euclidean-", "tripod-"))},
+    **RESOLVENT_TEXTS,
+}
+
+
+def _run_csv(text):
+    sc = scenario_from_text(text)
+    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps,
+               scenario_hash=sc.scenario_hash)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    return type(sc.space), buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_IDENTITY_TEXTS))
+def test_csv_bytes_match_the_reference_model_bodies(name, monkeypatch):
+    # the same scenario built twice: on the shipped models, and on subclasses
+    # carrying the general comprehensions and Point(...) constructions
+    text = BYTE_IDENTITY_TEXTS[name]
+    shipped_type, shipped = _run_csv(text)
+    monkeypatch.setattr(scenario_module, "make_model",
+                        lambda kind: RefTripod() if kind == "tripod" else RefEuclidean(2))
+    monkeypatch.setattr(scenario_module, "Euclidean", RefEuclidean)
+    monkeypatch.setattr(scenario_module, "RotationFamily", RefRotation)
+    ref_type, ref = _run_csv(text)
+    assert ref_type in (RefEuclidean, RefTripod) and shipped_type in (Euclidean, Tripod)
+    shipped, ref = shipped.splitlines(), ref.splitlines()
+    assert len(shipped) > 100
+    # lists, not one long string: pytest reports the first differing row
+    assert shipped == ref
 
 
 @pytest.mark.parametrize("family_kind", ["identity", "rotation", "proximal"])

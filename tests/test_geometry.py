@@ -2,12 +2,14 @@
 
 import math
 import random
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmlab.geometry import (
+    _TRIPOD_LENGTH,
     Euclidean,
     GeometryError,
     PoincareDisk,
@@ -151,6 +153,112 @@ def test_euclidean_quasilin_fast_path_matches_generic(a, b, c, d, e, f, g, h):
         sp.dist(x, v), sp.dist(y, u), sp.dist(x, u), sp.dist(y, v)
     )
     assert sp.quasilin(x, y, u, v) == pytest.approx(generic, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Reference bodies
+#
+# The bodies of dist, comb and quasilin before the 2-D Euclidean branch,
+# copied unchanged: the general comprehensions in every dimension, and
+# result points built by Point(...).  The 2-D branch must give the same
+# floats, to the bit, and raise where they raise.
+# ---------------------------------------------------------------------------
+
+
+class RefEuclidean(Euclidean):
+    def dist(self, x: Point, y: Point) -> float:
+        xd, yd = x.data, y.data
+        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
+            self._require(x, y)
+        return math.sqrt(sum([(a - b) ** 2 for a, b in zip(xd, yd)]))
+
+    def comb(self, x: Point, y: Point, lam: float) -> Point:
+        xd, yd = x.data, y.data
+        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
+            self._require(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
+        mu = 1.0 - lam
+        return Point("euclidean", tuple([mu * a + lam * b for a, b in zip(xd, yd)]))
+
+    def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
+        # fast path: the coordinate dot product (y - x) . (v - u)
+        xd, yd, ud, vd = x.data, y.data, u.data, v.data
+        n = self.dim
+        if (x.kind != "euclidean" or y.kind != "euclidean"
+                or u.kind != "euclidean" or v.kind != "euclidean"
+                or len(xd) != n or len(yd) != n or len(ud) != n or len(vd) != n):
+            self._require(x, y, u, v)
+        return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
+
+
+class RefTripod(Tripod):
+    def comb(self, x: Point, y: Point, lam: float) -> Point:
+        if x.kind != "tripod" or y.kind != "tripod":
+            self._require(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
+        (lx, sx), (ly, sy) = x.data, y.data
+        if lx == ly or sx == 0.0 or sy == 0.0:
+            leg = ly if sx == 0.0 else lx
+            s = (1.0 - lam) * sx + lam * sy
+        else:
+            # path through the center, total length sx + sy
+            delta = lam * (sx + sy)
+            if delta <= sx:
+                leg, s = lx, sx - delta
+            else:
+                leg, s = ly, delta - sx
+        # the checks of Point.tripod on a computed length
+        if s == 0.0:
+            leg = 0  # all legs share the center
+        elif not 0.0 < s < math.inf:
+            raise GeometryError(_TRIPOD_LENGTH)
+        return Point("tripod", (leg, s))
+
+
+def _bits(value):
+    # every nan is one outcome: which nan a sum of two nans returns is not
+    # fixed by the Python code (on 3.11, 0.0 + a + b with a = +nan and
+    # b = -nan gives -nan on its first calls and +nan once the interpreter
+    # specializes the addition), and every nan prints as "nan" in the CSV
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def _outcome(call):
+    """The outcome of a kernel call: each float as its bytes, so that -0.0
+    differs from 0.0; or the OverflowError it raised."""
+    try:
+        out = call()
+    except OverflowError:
+        return "OverflowError"
+    if isinstance(out, Point):
+        return out.kind, [_bits(c) for c in out.data]
+    return _bits(out)
+
+
+# every float, with extra weight on signed zeros, the smallest subnormal,
+# infinities, nan and magnitudes whose square overflows (|t| > 1.34e154)
+any_float = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e154, -1e200,
+     1.7976931348623157e308, math.inf, -math.inf, math.nan])
+pair = st.builds(lambda a, b: Point("euclidean", (a, b)), any_float, any_float)
+unit = st.floats(0.0, 1.0) | st.just(-0.0)
+
+
+@settings(max_examples=300)
+@given(pair, pair, pair, pair, unit)
+# (y - x) * (v - u) is 0.0 * -1.0 = -0.0 in both coordinates: sum gives 0.0
+@example(Point("euclidean", (0.0, 0.0)), Point("euclidean", (0.0, 0.0)),
+         Point("euclidean", (1.0, 1.0)), Point("euclidean", (0.0, 0.0)), 0.5)
+# the first square overflows
+@example(Point("euclidean", (1e200, 0.0)), Point("euclidean", (-1e200, 0.0)),
+         Point("euclidean", (0.0, 0.0)), Point("euclidean", (0.0, 0.0)), 1.0)
+def test_euclidean_2d_branch_is_bitwise_the_comprehension(x, y, u, v, lam):
+    fast, ref = Euclidean(2), RefEuclidean(2)
+    for op, args in (("dist", (x, y)), ("comb", (x, y, lam)), ("quasilin", (x, y, u, v))):
+        assert _outcome(lambda: getattr(fast, op)(*args)) == _outcome(
+            lambda: getattr(ref, op)(*args)), op
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from tmlab.geometry import Euclidean, PoincareDisk, Point, SampleSpec, Tripod
+from tmlab.geometry import Euclidean, GeometryError, PoincareDisk, Point, SampleSpec, Tripod
 from tmlab.mappings import (
     ConstantFamily,
     IdentityFamily,
@@ -41,8 +41,6 @@ def test_identity_fixed_point_defaults_to_base():
 
 
 def test_rotation_requires_dim_two():
-    from tmlab.geometry import GeometryError
-
     with pytest.raises(GeometryError):
         RotationFamily(Euclidean(3), 1.0)
 
@@ -57,7 +55,28 @@ def test_rotation_fixes_base_point():
 def test_tripod_rotation_is_leg_shift():
     fam = RotationFamily(Tripod(), 2.0 * math.pi / 3.0)
     assert fam.apply(0, Point.tripod(0, 1.5)).data == (1, 1.5)
-    assert fam.apply(0, Point.tripod(2, 1.5)).data == (0, 1.5)
+    # a third of a turn takes leg 2 to leg 0: a point of the tripod
+    assert fam.apply(0, Point.tripod(2, 1.5)) == Point.tripod(0, 1.5)
+
+
+@pytest.mark.parametrize("turns", [0, 1, 2])
+def test_tripod_rotation_keeps_the_center_on_leg_0(turns):
+    fam = RotationFamily(Tripod(), turns * 2.0 * math.pi / 3.0)
+    assert fam._shift == turns
+    center = Point.tripod(0, 0.0)
+    assert fam.apply(0, center) == center
+    # a point built without the factory, on the center of leg 2
+    assert fam.apply(0, Point("tripod", (2, 0.0))) == center
+
+
+def test_tripod_rotation_keeps_a_foreign_point_foreign():
+    sp = Tripod()
+    image = RotationFamily(sp, 2.0 * math.pi / 3.0).apply(0, Point.euclidean(1.0, 0.5))
+    assert image.kind == "euclidean"
+    with pytest.raises(GeometryError):
+        sp.dist(image, sp.base_point())
+    with pytest.raises(GeometryError):
+        sp.comb(sp.base_point(), image, 0.5)
 
 
 def test_projection_inside_ball_is_identity():
