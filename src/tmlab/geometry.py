@@ -25,6 +25,36 @@ class GeometryError(ValueError):
     pass
 
 
+class SolverFailure(RuntimeError):
+    """A fixed-point solve did not reach its tolerance.  ``residual`` is
+    d(z, comb(x, T(z), c)) at the last iterate z and ``iterations`` the
+    number of steps taken; ``first`` and ``best`` are the residual of the
+    first step and the least residual seen (the two equal ``residual``
+    when no step was taken)."""
+
+    def __init__(self, residual: float, iterations: int, first: float, best: float):
+        super().__init__(
+            f"resolvent solve stalled at residual {residual:.3e} "
+            f"after {iterations} iterations (first {first:.3e}, best {best:.3e})"
+        )
+        self.residual = residual
+        self.iterations = iterations
+        self.first = first
+        self.best = best
+
+
+def _stalled(first, best, last, iterations) -> SolverFailure:
+    """The SolverFailure of a stalled solve: ``first`` and ``best`` are the
+    first and the least residual of its steps (None when it took none), and
+    ``last`` is the residual at its last iterate.  best is kept by ``<``, so
+    a nan first residual stays best."""
+    if first is None:
+        first = best = last
+    elif last < best:
+        best = last
+    return SolverFailure(last, iterations, first, best)
+
+
 class Point(NamedTuple):
     """A model-tagged point: euclidean coordinates, a disk pair, or a
     (leg, arm length) pair for the tripod.  Immutable and hashable.  The
@@ -150,6 +180,27 @@ class SpaceModel:
     def describe(self) -> str:
         return self.kind
 
+    def fixed_point(self, x: Point, T, c: float, tol: float, max_iterations: int) -> Point:
+        """The Banach iteration z <- comb(x, T(z), c) from z = x: the first
+        iterate within tol of its predecessor, or SolverFailure after
+        max_iterations steps.  This is the reference; the shipped models
+        override it with kernels that make the same floating-point
+        operations, in the same order, as this loop's comb and dist."""
+        comb, dist = self.comb, self.dist
+        first = best = None
+        z = x
+        for _ in range(max_iterations):
+            z_next = comb(x, T(z), c)
+            d = dist(z, z_next)
+            if d <= tol:
+                return z_next
+            if first is None:
+                first = best = d
+            elif d < best:
+                best = d
+            z = z_next
+        raise _stalled(first, best, dist(z, comb(x, T(z), c)), max_iterations)
+
 
 def quasilin_from_distances(dxv, dyu, dxu, dyv) -> float:
     return 0.5 * (dxv * dxv + dyu * dyu - dxu * dxu - dyv * dyv)
@@ -183,10 +234,10 @@ class Euclidean(SpaceModel):
                 )
 
     def dist(self, x: Point, y: Point) -> float:
-        xd, yd = x.data, y.data
-        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
+        xd, yd, n = x.data, y.data, self.dim
+        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != n or len(yd) != n:
             self._require(x, y)
-        if len(xd) == 2:
+        if n == 2:
             # the comprehension written out: no frame, the same floats,
             # since sum's 0 + t0 + t1 equals t0 + t1 for squares t >= +0.0
             (a0, a1), (b0, b1) = xd, yd
@@ -194,13 +245,13 @@ class Euclidean(SpaceModel):
         return math.sqrt(sum([(a - b) ** 2 for a, b in zip(xd, yd)]))
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
-        xd, yd = x.data, y.data
-        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
+        xd, yd, n = x.data, y.data, self.dim
+        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != n or len(yd) != n:
             self._require(x, y)
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
         mu = 1.0 - lam
-        if len(xd) == 2:
+        if n == 2:
             (a0, a1), (b0, b1) = xd, yd
             return tuple.__new__(Point, ("euclidean", (mu * a0 + lam * b0, mu * a1 + lam * b1)))
         return tuple.__new__(
@@ -220,6 +271,34 @@ class Euclidean(SpaceModel):
             (a0, a1), (b0, b1), (c0, c1), (d0, d1) = xd, yd, ud, vd
             return 0.0 + (b0 - a0) * (d0 - c0) + (b1 - a1) * (d1 - c1)
         return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
+
+    def fixed_point(self, x, T, c, tol, max_iterations):
+        # 2-D kernel: the iterate as two floats, comb's and dist's 2-D
+        # branches inline; x, c and the dimension are checked once (a bad
+        # one raises from the reference loop's first comb, after T(x))
+        xd = x.data
+        if self.dim != 2 or x.kind != "euclidean" or len(xd) != 2 or not 0.0 <= c <= 1.0:
+            return super().fixed_point(x, T, c, tol, max_iterations)
+        (a0, a1), mu, sqrt = xd, 1.0 - c, math.sqrt
+        z, z0, z1 = x, a0, a1
+        first = best = None
+        for _ in range(max_iterations):
+            y = T(z)
+            yd = y.data
+            if y.kind != "euclidean" or len(yd) != 2:
+                self._require(x, y)
+            b0, b1 = yd
+            n0, n1 = mu * a0 + c * b0, mu * a1 + c * b1
+            d = sqrt((z0 - n0) ** 2 + (z1 - n1) ** 2)
+            z = tuple.__new__(Point, ("euclidean", (n0, n1)))
+            if d <= tol:
+                return z
+            if first is None:
+                first = best = d
+            elif d < best:
+                best = d
+            z0, z1 = n0, n1
+        raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return self.sample_near(rng, self.base_point(), radius)
@@ -272,6 +351,39 @@ class PoincareDisk(SpaceModel):
         w2 = w / r * step
         z = (w2 + zx) / (1.0 + zx.conjugate() * w2)
         return tuple.__new__(Point, ("disk", (z.real, z.imag)))
+
+    def fixed_point(self, x, T, c, tol, max_iterations):
+        # kernel: the iterate as a complex number, x's conjugate hoisted,
+        # comb and dist inline; x and c are checked once (a bad one raises
+        # from the reference loop's first comb, after T(x))
+        if x.kind != "disk" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
+            return super().fixed_point(x, T, c, tol, max_iterations)
+        zx = complex(*x.data)
+        czx, half_c, atanh, tanh = zx.conjugate(), 0.5 * c, math.atanh, math.tanh
+        z, cur = x, zx
+        first = best = None
+        for _ in range(max_iterations):
+            y = T(z)
+            if y.kind != "disk":
+                self._require(x, y)
+            zy = complex(*y.data)
+            w = (zy - zx) / (1.0 - czx * zy)
+            r = abs(w)
+            if r == 0.0:
+                nxt, z = zx, x
+            else:
+                w2 = w / r * tanh(half_c * (2.0 * atanh(r)))
+                nxt = (w2 + zx) / (1.0 + czx * w2)
+                z = tuple.__new__(Point, ("disk", (nxt.real, nxt.imag)))
+            d = 2.0 * atanh(abs(cur - nxt) / abs(1.0 - nxt.conjugate() * cur))
+            if d <= tol:
+                return z
+            if first is None:
+                first = best = d
+            elif d < best:
+                best = d
+            cur = nxt
+        raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return self.sample_near(rng, self.base_point(), radius)
@@ -331,6 +443,44 @@ class Tripod(SpaceModel):
         elif not 0.0 < s < math.inf:
             raise GeometryError(_TRIPOD_LENGTH)
         return tuple.__new__(Point, ("tripod", (leg, s)))
+
+    def fixed_point(self, x, T, c, tol, max_iterations):
+        # kernel: the iterate as (leg, s), comb and dist inline; x and c are
+        # checked once (a bad one raises from the reference loop's first
+        # comb, after T(x))
+        if x.kind != "tripod" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
+            return super().fixed_point(x, T, c, tol, max_iterations)
+        (lx, sx), mu, inf = x.data, 1.0 - c, math.inf
+        z, lz, sz = x, lx, sx
+        first = best = None
+        for _ in range(max_iterations):
+            y = T(z)
+            if y.kind != "tripod":
+                self._require(x, y)
+            ly, sy = y.data
+            if lx == ly or sx == 0.0 or sy == 0.0:
+                leg = ly if sx == 0.0 else lx
+                s = mu * sx + c * sy
+            else:
+                delta = c * (sx + sy)
+                if delta <= sx:
+                    leg, s = lx, sx - delta
+                else:
+                    leg, s = ly, delta - sx
+            if s == 0.0:
+                leg = 0
+            elif not 0.0 < s < inf:
+                raise GeometryError(_TRIPOD_LENGTH)
+            d = abs(sz - s) if lz == leg or sz == 0.0 or s == 0.0 else sz + s
+            z = tuple.__new__(Point, ("tripod", (leg, s)))
+            if d <= tol:
+                return z
+            if first is None:
+                first = best = d
+            elif d < best:
+                best = d
+            lz, sz = leg, s
+        raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return Point.tripod(rng.randrange(3), radius * rng.random())

@@ -12,6 +12,7 @@ and approximate-fixed-point membership.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Optional
 
 from .geometry import (
@@ -20,22 +21,11 @@ from .geometry import (
     GeometryError,
     Point,
     SampleSpec,
+    SolverFailure,  # re-exported: raised by SpaceModel.fixed_point
     SpaceModel,
     Tripod,
     _rng_for,
 )
-
-
-class SolverFailure(RuntimeError):
-    """Inner fixed-point solve did not reach its tolerance."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"resolvent solve stalled at residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
 
 
 class MappingFamily:
@@ -160,7 +150,8 @@ class ProximalFamily(MappingFamily):
 class ResolventFamily(MappingFamily):
     """Resolvents J_n of the nonexpansive map T = base_0 of a base family:
     the fixed point z of z -> (1 - c) x + c T(z) with c = gamma_n / (1 +
-    gamma_n), solved by Banach iteration (contraction factor c < 1)."""
+    gamma_n), solved by the model's Banach iteration SpaceModel.fixed_point
+    (contraction factor c < 1)."""
 
     name = "resolvent"
 
@@ -180,16 +171,8 @@ class ResolventFamily(MappingFamily):
 
     def apply(self, n, x):
         g = self.gammas(n)
-        c = g / (1.0 + g)
-        comb, dist, T = self.space.comb, self.space.dist, self.base.apply
-        tol = self.inner_tol
-        z = x
-        for _ in range(self.max_iterations):
-            z_next = comb(x, T(0, z), c)
-            if dist(z, z_next) <= tol:
-                return z_next
-            z = z_next
-        raise SolverFailure(dist(z, comb(x, T(0, z), c)), self.max_iterations)
+        return self.space.fixed_point(x, partial(self.base.apply, 0), g / (1.0 + g),
+                                      self.inner_tol, self.max_iterations)
 
 
 # ---------------------------------------------------------------------------

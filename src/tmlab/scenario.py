@@ -239,6 +239,9 @@ def build_scenario(cfg: dict) -> Scenario:
     if isinstance(space, Euclidean):
         space = Euclidean(read("space.dim"))
     read.space = space
+    # the points first: they check space.dim before any family point of
+    # that dimension is built
+    u, x0 = read("run.u"), read("run.x0")
 
     bundle = _build_bundle(read)
     try:
@@ -246,7 +249,6 @@ def build_scenario(cfg: dict) -> Scenario:
     except GeometryError as exc:
         raise ConfigError(f"family: {exc}") from exc
     p = family.fixed_point
-    u, x0 = read("run.u"), read("run.x0")
 
     try:
         M = max(space.dist(x0, p), space.dist(u, p))

@@ -122,6 +122,7 @@ run.x0 = 1,0
 """)
     res = runner.invoke(main, ["run", str(p), "--steps", "10", "--out", "-"])
     assert res.exit_code == 3
+    assert "after 2 iterations (first " in res.stderr and ", best " in res.stderr
 
 
 def test_verify_geometry_report(runner, tmp_path):
@@ -290,6 +291,21 @@ def test_resolvent_solver_fields_exit_2_naming_the_field(runner, tmp_path, line,
     res = runner.invoke(main, ["run", str(p), "--steps", "2", "--out", "-"])
     assert res.exit_code == 2, res.output
     assert field in res.stderr
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_huge_dim_exits_2_on_the_points_before_any_family_point(runner, tmp_path,
+                                                                 monkeypatch):
+    def no_base_point(self):
+        raise AssertionError("a base point was built")
+
+    monkeypatch.setattr(Euclidean, "base_point", no_base_point)
+    p = tmp_path / "huge.cfg"
+    p.write_text(IDENTITY_CFG.replace("space.dim = 1", f"space.dim = {10 ** 7}")
+                 .replace("run.u = 0", "run.u = 0,0").replace("run.x0 = 1", "run.x0 = 1,0"))
+    res = runner.invoke(main, ["run", str(p), "--out", "-"])
+    assert res.exit_code == 2, res.output
+    assert "field 'run.u': expected 10000000 coordinates" in res.stderr
     assert isinstance(res.exception, SystemExit)
 
 

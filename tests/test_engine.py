@@ -17,7 +17,7 @@ from tmlab.engine import (
     check_hilbert_special_case,
     run,
 )
-from tmlab.geometry import Euclidean, GeometryError, Point, Tripod
+from tmlab.geometry import Euclidean, GeometryError, PoincareDisk, Point, SpaceModel, Tripod
 from tmlab.mappings import (
     IdentityFamily,
     ProximalFamily,
@@ -76,6 +76,7 @@ def test_solver_failure_recorded_not_raised():
                Point.euclidean(0, 0), Point.euclidean(1, 0), 50)
     assert traj.error is not None
     assert "residual" in traj.error
+    assert "after 2 iterations (first " in traj.error and ", best " in traj.error
     assert len(traj) < 51
 
 
@@ -181,6 +182,12 @@ def test_csv_deterministic():
     assert outs[0] == outs[1]
 
 
+class RefDisk(PoincareDisk):
+    """The disk's own bodies, solving through the reference loop."""
+
+    fixed_point = SpaceModel.fixed_point
+
+
 class RefRotation(RotationFamily):
     """RotationFamily.apply before its points were built by tuple.__new__,
     copied unchanged."""
@@ -216,6 +223,31 @@ RESOLVENT_TEXTS = {
         run.x0 = 1:1.6
         run.steps = 100
     """,
+    "disk-resolvent-rotation": """
+        space.kind = disk
+        family.kind = resolvent
+        family.base.kind = rotation
+        family.base.angle = 2.0943951023931953
+        schedule.preset = harmonic
+        run.u = 0.21,-0.33
+        run.x0 = -0.5,0.4
+        run.steps = 100
+    """,
+    # u outside the ball, so the projection takes geodesic steps
+    **{f"{model}-resolvent-projection": f"""
+        {space}
+        family.kind = resolvent
+        family.base.kind = projection
+        family.base.center = {center}
+        family.base.radius = 0.3
+        schedule.preset = harmonic
+        run.u = {u}
+        run.x0 = {x0}
+        run.steps = 100
+    """ for model, space, center, u, x0 in (
+        ("euclidean", "space.kind = euclidean\nspace.dim = 2", "0.2,0.1", "0.41,-0.33", "-1.1,0.9"),
+        ("disk", "space.kind = disk", "0.1,0.05", "0.21,-0.33", "-0.5,0.4"),
+        ("tripod", "space.kind = tripod", "0:0.2", "2:0.55", "1:1.6"))},
 }
 BYTE_IDENTITY_TEXTS = {
     **{name: text + "run.steps = 2000\n" for name, text in SCENARIO_TEXTS.items()
@@ -236,15 +268,17 @@ def _run_csv(text):
 @pytest.mark.parametrize("name", sorted(BYTE_IDENTITY_TEXTS))
 def test_csv_bytes_match_the_reference_model_bodies(name, monkeypatch):
     # the same scenario built twice: on the shipped models, and on subclasses
-    # carrying the general comprehensions and Point(...) constructions
+    # carrying the general comprehensions and Point(...) constructions, whose
+    # resolvent solve is the reference loop SpaceModel.fixed_point
     text = BYTE_IDENTITY_TEXTS[name]
     shipped_type, shipped = _run_csv(text)
-    monkeypatch.setattr(scenario_module, "make_model",
-                        lambda kind: RefTripod() if kind == "tripod" else RefEuclidean(2))
+    refs = {"euclidean": lambda: RefEuclidean(2), "disk": RefDisk, "tripod": RefTripod}
+    monkeypatch.setattr(scenario_module, "make_model", lambda kind: refs[kind]())
     monkeypatch.setattr(scenario_module, "Euclidean", RefEuclidean)
     monkeypatch.setattr(scenario_module, "RotationFamily", RefRotation)
     ref_type, ref = _run_csv(text)
-    assert ref_type in (RefEuclidean, RefTripod) and shipped_type in (Euclidean, Tripod)
+    assert ref_type.fixed_point is SpaceModel.fixed_point
+    assert shipped_type in (Euclidean, PoincareDisk, Tripod)
     shipped, ref = shipped.splitlines(), ref.splitlines()
     assert len(shipped) > 100
     # lists, not one long string: pytest reports the first differing row

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,8 @@ from tmlab.geometry import (
     PoincareDisk,
     Point,
     SampleSpec,
+    SolverFailure,
+    SpaceModel,
     Tripod,
     check_cn,
     check_quasilin_axioms,
@@ -23,6 +26,7 @@ from tmlab.geometry import (
     make_model,
     run_all_geometry_checks,
 )
+from tmlab.mappings import MetricProjectionFamily, RotationFamily
 
 SMALL = SampleSpec(seed=11, count=400)
 
@@ -160,12 +164,15 @@ def test_euclidean_quasilin_fast_path_matches_generic(a, b, c, d, e, f, g, h):
 #
 # The bodies of dist, comb and quasilin before the 2-D Euclidean branch,
 # copied unchanged: the general comprehensions in every dimension, and
-# result points built by Point(...).  The 2-D branch must give the same
-# floats, to the bit, and raise where they raise.
+# result points built by Point(...); fixed_point is the reference loop over
+# them.  The 2-D branch must give the same floats, to the bit, and raise
+# where they raise.
 # ---------------------------------------------------------------------------
 
 
 class RefEuclidean(Euclidean):
+    fixed_point = SpaceModel.fixed_point
+
     def dist(self, x: Point, y: Point) -> float:
         xd, yd = x.data, y.data
         if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
@@ -193,6 +200,8 @@ class RefEuclidean(Euclidean):
 
 
 class RefTripod(Tripod):
+    fixed_point = SpaceModel.fixed_point
+
     def comb(self, x: Point, y: Point, lam: float) -> Point:
         if x.kind != "tripod" or y.kind != "tripod":
             self._require(x, y)
@@ -259,6 +268,82 @@ def test_euclidean_2d_branch_is_bitwise_the_comprehension(x, y, u, v, lam):
     for op, args in (("dist", (x, y)), ("comb", (x, y, lam)), ("quasilin", (x, y, u, v))):
         assert _outcome(lambda: getattr(fast, op)(*args)) == _outcome(
             lambda: getattr(ref, op)(*args)), op
+
+
+def test_euclidean_rejects_points_of_another_dimension():
+    sp = Euclidean(2)
+    a, b = Point.euclidean(1, 2, 3), Point.euclidean(0, 0, 0)
+    for call in (lambda: sp.dist(a, b), lambda: sp.comb(a, b, 0.5),
+                 lambda: sp.quasilin(a, b, a, b),
+                 lambda: sp.fixed_point(a, lambda z: z, 0.5, 1e-12, 10)):
+        with pytest.raises(GeometryError, match="3 coordinates used in model euclidean"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point kernels
+#
+# Each model's fixed_point against SpaceModel.fixed_point, the loop over the
+# model's own comb and dist: the same iterates passed to T, the same result
+# to the bit, or the same error with the same fields.
+# ---------------------------------------------------------------------------
+
+FP_MODELS = {"disk": PoincareDisk(), "euclidean2": Euclidean(2), "tripod": Tripod(),
+             "euclidean1": Euclidean(1), "euclidean3": Euclidean(3)}
+FOREIGN = [Point("disk", (0.1, 0.2)), Point("tripod", (1, 0.5)),
+           Point("euclidean", (1.0, 2.0, 3.0)), Point("euclidean", (0.5, -0.5))]
+
+
+def _base_map(space, kind, seed):
+    """T and the log of the points it is given."""
+    rng, log = random.Random(seed), []
+    if kind == "rotation" and not (isinstance(space, Euclidean) and space.dim != 2):
+        T = partial(RotationFamily(space, rng.uniform(0.0, 2.0 * math.pi)).apply, 0)
+    elif kind == "identity":
+        T = lambda z: z  # noqa: E731
+    elif kind == "scatter":  # not a contraction: residuals rise and fall
+        T = lambda z: space.sample(rng, 2.0)  # noqa: E731
+    else:
+        T = partial(MetricProjectionFamily(space, space.sample(rng, 1.0),
+                                           rng.choice([1e-3, 0.5, 2.0])).apply, 0)
+    if kind == "foreign":  # a foreign point from the k-th call on
+        k, other, inner = rng.randrange(1, 6), rng.choice(FOREIGN), T
+        T = lambda z: other if len(log) >= k else inner(z)  # noqa: E731
+
+    def logged(z):
+        log.append(_outcome(lambda: z))
+        return T(z)
+
+    return logged, log
+
+
+def _solve(solve, space, kind, seed, x, c, tol, max_iterations):
+    T, log = _base_map(space, kind, seed)
+    try:
+        out = _outcome(lambda: solve(x, T, c, tol, max_iterations))
+    except SolverFailure as exc:
+        out = (str(exc), [_bits(v) for v in (exc.residual, exc.first, exc.best)],
+               exc.iterations)
+    except (GeometryError, TypeError, ValueError) as exc:
+        out = (type(exc).__name__, str(exc))
+    return out, log
+
+
+@pytest.mark.parametrize("kind", ["rotation", "projection", "identity", "scatter", "foreign"])
+@pytest.mark.parametrize("model", sorted(FP_MODELS))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 19), st.floats(0.01, 8.0),
+       unit | st.sampled_from([0.5, 1.5, -0.1, math.nan, math.inf]),
+       st.sampled_from([0.0, 1e-300, 1e-12]) | st.floats(0.0, 1e-2),
+       st.integers(0, 200))
+def test_fixed_point_kernels_are_bitwise_the_reference(model, kind, seed, pick, radius, c,
+                                                        tol, max_iterations):
+    space = FP_MODELS[model]
+    # a foreign x one time in five
+    x = FOREIGN[pick] if pick < len(FOREIGN) else space.sample(random.Random(seed), radius)
+    args = (space, kind, seed, x, c, tol, max_iterations)
+    assert _solve(space.fixed_point, *args) == _solve(
+        partial(SpaceModel.fixed_point, space), *args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Mapping families: nonexpansiveness, step-size compatibility, solvers."""
 
 import math
+from functools import partial
 
 import pytest
 
-from tmlab.geometry import Euclidean, GeometryError, PoincareDisk, Point, SampleSpec, Tripod
+from tmlab.geometry import (Euclidean, GeometryError, PoincareDisk, Point, SampleSpec,
+                            SpaceModel, Tripod)
 from tmlab.mappings import (
     ConstantFamily,
     IdentityFamily,
@@ -149,8 +151,19 @@ def test_resolvent_reports_solver_failure():
     )
     with pytest.raises(SolverFailure) as exc:
         fam.apply(0, Point.euclidean(5.0, 5.0))
-    assert exc.value.iterations == 3
-    assert exc.value.residual > 0
+    e = exc.value
+    assert e.iterations == 3
+    assert e.residual > 0
+    # a contraction: the residuals shrink, so the last one is the best
+    assert e.first > e.best == e.residual
+    assert f"(first {e.first:.3e}, best {e.best:.3e})" in str(e)
+    # the kernel reports what the reference loop over comb and dist reports
+    with pytest.raises(SolverFailure) as ref:
+        SpaceModel.fixed_point(space, Point.euclidean(5.0, 5.0), partial(base.apply, 0),
+                               0.5, 1e-16, 3)
+    got, want = ((f.residual, f.iterations, f.first, f.best, str(f))
+                 for f in (e, ref.value))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

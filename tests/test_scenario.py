@@ -192,8 +192,12 @@ def test_points_must_be_finite():
 
 
 def test_family_geometry_errors_are_config_errors():
-    with pytest.raises(ConfigError, match="family"):
-        scenario_from_text(BASE.replace("space.dim = 2", "space.dim = 3"))
+    # 3-coordinate points: the points are read (and their dimension checked)
+    # before the family, so the rotation's own error is the one raised
+    text = (BASE.replace("space.dim = 2", "space.dim = 3")
+            .replace("run.u = 0,0", "run.u = 0,0,0").replace("run.x0 = 1,0", "run.x0 = 1,0,0"))
+    with pytest.raises(ConfigError, match="family: rotation requires"):
+        scenario_from_text(text)
 
 
 def test_point_errors_name_the_field_once():
