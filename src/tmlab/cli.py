@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import math
+import random
 import sys
 from contextlib import contextmanager
 from typing import Optional
@@ -22,7 +23,7 @@ from . import verify as V
 from .engine import check_boundedness, check_hilbert_special_case, run
 from .geometry import Euclidean, Point, SampleSpec, make_model, run_all_geometry_checks
 from .rates import RateError, parse_counterfunction
-from .scenario import ConfigError, Scenario, build_scenario, load_config
+from .scenario import ConfigError, Scenario, build_scenario, load_config, scenario_from_text
 from .schedules import audit_schedule, preset
 
 log = logging.getLogger("tmlab")
@@ -65,13 +66,19 @@ def _parse_counterfunctions(cf: str, phi: Optional[str]):
 
 
 @contextmanager
-def _output(path: Optional[str]):
-    """The file at path, or standard output for None and "-"."""
+def _output(path: Optional[str], option: str):
+    """The file at path, or standard output for None and "-"; a path that
+    cannot be opened is a flag error naming the option."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise click.BadParameter(f"cannot write {path!r}: {exc.strerror}.",
+                                 param_hint=f"'{option}'") from None
+    with fh:
+        yield fh
 
 
 @main.command("run")
@@ -83,9 +90,9 @@ def cmd_run(config_path, steps, out):
     """Generate a trajectory and write it as CSV."""
     sc = _load_scenario(config_path)
     n_steps = steps if steps is not None else sc.steps
-    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, n_steps,
-               scenario_hash=sc.scenario_hash)
-    with _output(out) as stream:
+    with _output(out, "--out") as stream:
+        traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, n_steps,
+                   scenario_hash=sc.scenario_hash)
         traj.write_csv(stream)
     if traj.error:
         click.echo(f"solver failure: {traj.error}", err=True)
@@ -104,11 +111,23 @@ def _rate_value(name, k, sc: Scenario, f, phi):
                             Phi_override=phi, bit_cap=sc.bit_cap)
 
 
+def _rate_names(ctx, param, value):
+    """The --which names in order; an empty list or an unknown name is a
+    flag error."""
+    names = [w.strip() for w in value.split(",") if w.strip()]
+    if not names:
+        raise click.BadParameter(f"{value!r} names no rate.")
+    for name in names:
+        if name not in RATE_NAMES:
+            raise click.BadParameter(f"unknown rate {name!r}.")
+    return names
+
+
 @main.command("rates")
 @click.argument("config_path", type=click.Path())
 @click.option("--k-max", type=click.IntRange(min=0), default=5,
               help="Tabulate k = 0..k_max.")
-@click.option("--which", default="Sigma_star",
+@click.option("--which", default="Sigma_star", callback=_rate_names,
               help="Comma-separated rate names: " + ",".join(RATE_NAMES))
 @click.option("--cf", default="const:0",
               help="Counterfunction for the metastability rates (mini-grammar).")
@@ -119,25 +138,20 @@ def _rate_value(name, k, sc: Scenario, f, phi):
 def cmd_rates(config_path, k_max, which, cf, phi, out):
     """Tabulate rate values as CSV (big naturals as decimal strings)."""
     sc = _load_scenario(config_path)
-    names = [w.strip() for w in which.split(",") if w.strip()]
-    for name in names:
-        if name not in RATE_NAMES:
-            click.echo(f"config error: unknown rate {name!r}", err=True)
-            sys.exit(EXIT_CONFIG)
     f, phi_cf = _parse_counterfunctions(cf, phi)
-    with _output(out) as stream:
+    with _output(out, "--out") as stream:
         writer = csv.writer(stream)
-        writer.writerow(["k"] + names)
+        writer.writerow(["k"] + which)
         for k in range(k_max + 1):
             row = [str(k)]
-            for name in names:
+            for name in which:
                 row.append(_rate_value(name, k, sc, f, phi_cf).render())
             writer.writerow(row)
     sys.exit(EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
+# Verification suites: each yields (check_id, passed, detail) in report order
 # ---------------------------------------------------------------------------
 
 
@@ -147,36 +161,21 @@ def _geometry_models():
 
 
 def _suite_geometry(seed, samples, tol):
-    checks = []
     for model in _geometry_models():
         spec = SampleSpec(seed=seed, count=samples)
         for rep in run_all_geometry_checks(model, spec, tol):
-            checks.append({
-                "check_id": f"geometry/{model.describe()}/{rep.axiom}",
-                "pass": rep.passed,
-                "detail": rep.to_json(),
-            })
-    return checks
+            yield f"geometry/{model.describe()}/{rep.axiom}", rep.passed, rep.to_json()
 
 
 def _suite_schedules(seed, samples, tol):
-    checks = []
     horizon = max(10, samples)
     for name in ("harmonic", "constant-gamma-harmonic-beta"):
-        report = audit_schedule(preset(name), horizon, tol)
-        for res in report.results:
-            checks.append({
-                "check_id": f"schedules/{name}/{res.condition_id}",
-                "pass": res.passed,
-                "detail": res.to_json(),
-            })
-    return checks
+        for res in audit_schedule(preset(name), horizon, tol).results:
+            yield f"schedules/{name}/{res.condition_id}", res.passed, res.to_json()
 
 
 def _builtin_scenarios():
     """Small scenarios used by the engine and lemma suites."""
-    from .scenario import scenario_from_text
-
     texts = {
         "identity-line": """
             space.kind = euclidean
@@ -209,7 +208,6 @@ def _builtin_scenarios():
 
 
 def _suite_engine(seed, samples, tol):
-    checks = []
     scenarios = _builtin_scenarios()
 
     sc = scenarios["identity-line"]
@@ -217,37 +215,23 @@ def _suite_engine(seed, samples, tol):
     worst = max(
         abs(rec.x.data[0] - 1.0 / (rec.n + 1)) for rec in traj.records
     )
-    checks.append({
-        "check_id": "engine/identity-closed-form",
-        "pass": worst <= 1e-12,
-        "detail": {"max_deviation": worst},
-    })
+    yield "engine/identity-closed-form", worst <= 1e-12, {"max_deviation": worst}
 
     for name in ("identity-line", "rotation-plane", "proximal-plane"):
         sc = scenarios[name]
         rep = check_hilbert_special_case(
             sc.space, sc.family, sc.bundle, sc.x0, steps=100, tol=1e-10
         )
-        checks.append({
-            "check_id": f"engine/hilbert-cross-check/{name}",
-            "pass": rep.passed,
-            "detail": rep.to_json(),
-        })
+        yield f"engine/hilbert-cross-check/{name}", rep.passed, rep.to_json()
 
     sc = scenarios["proximal-plane"]
     traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 2000,
                scenario_hash=sc.scenario_hash)
     rep = check_boundedness(traj, sc.M, tol)
-    checks.append({
-        "check_id": "engine/boundedness/proximal-plane",
-        "pass": rep.passed,
-        "detail": rep.to_json(),
-    })
-    return checks
+    yield "engine/boundedness/proximal-plane", rep.passed, rep.to_json()
 
 
 def _suite_lemmas(seed, samples, tol):
-    checks = []
     bundle = preset("harmonic")
 
     inst = V.telescoping_instance(1000)
@@ -255,38 +239,26 @@ def _suite_lemmas(seed, samples, tol):
         res = V.check_xu_lemma(
             inst, k=k, n=0, q=999, sigma_star=bundle.sigma_star, tol=tol
         )
-        checks.append({
-            "check_id": f"lemmas/xu-telescoping/k={k}",
-            "pass": res.passed and res.hypothesis_status == "met",
-            "detail": res.to_json(),
-        })
+        # the telescoping instance is built to meet the lemma's hypotheses
+        yield (f"lemmas/xu-telescoping/k={k}",
+               res.passed and res.hypothesis_status == "met", res.to_json())
     for i in range(20):
         k, q = 2, 900
         inst = V.random_instance(seed + i, 1000, k=k, q=q)
         res = V.check_xu_lemma(
             inst, k=k, n=0, q=q, sigma_star=bundle.sigma_star, tol=tol
         )
-        checks.append({
-            "check_id": f"lemmas/xu-random/{i}",
-            "pass": res.passed,
-            "detail": res.to_json(),
-        })
+        yield f"lemmas/xu-random/{i}", res.passed, res.to_json()
 
     scenarios = _builtin_scenarios()
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for name, sc in scenarios.items():
         traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 500,
                    scenario_hash=sc.scenario_hash)
         for i in range(3):
             x = sc.space.sample(rng, 2.0)
             res = V.check_recursive_inequalities(traj, sc.family, sc.bundle, x, tol)
-            checks.append({
-                "check_id": f"lemmas/recursive-inequalities/{name}/{i}",
-                "pass": res.passed,
-                "detail": res.to_json(),
-            })
+            yield f"lemmas/recursive-inequalities/{name}/{i}", res.passed, res.to_json()
 
     sc = scenarios["rotation-plane"]
     v1 = Point.euclidean(1e-4, 0.0)
@@ -294,23 +266,14 @@ def _suite_lemmas(seed, samples, tol):
     res = V.check_convex_afp(
         sc.space, sc.family, v1, v2, sc.p, K=2, k=3, n_max=5, t_grid=11
     )
-    checks.append({
-        "check_id": "lemmas/convex-afp/rotation",
-        "pass": res.passed,
-        "detail": res.to_json(),
-    })
+    yield "lemmas/convex-afp/rotation", res.passed, res.to_json()
 
     space = Euclidean(2)
     x = Point.euclidean(0.0, 0.0)
     y = Point.euclidean(1.0, 0.0)
     u = Point.euclidean(-1.0, 0.5)
     res = V.check_variational(space, x, y, u, x, K=2, k=4, t_grid=11, tol=tol)
-    checks.append({
-        "check_id": "lemmas/variational/projection-characterization",
-        "pass": res.passed,
-        "detail": res.to_json(),
-    })
-    return checks
+    yield "lemmas/variational/projection-characterization", res.passed, res.to_json()
 
 
 def _finite_non_negative(ctx, param, value):
@@ -340,18 +303,18 @@ SUITES = {
 def cmd_verify(suite_name, seed, samples, tol, report_path):
     """Run a verification suite and emit a JSON report."""
     names = list(SUITES) if suite_name == "all" else [suite_name]
-    checks = []
-    for name in names:
-        checks += SUITES[name](seed, samples, tol)
-    report = {
-        "suites": names,
-        "seed": seed,
-        "samples": samples,
-        "tol": tol,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
-    with _output(report_path) as fh:
+    with _output(report_path, "--report") as fh:
+        checks = [{"check_id": check_id, "pass": passed, "detail": detail}
+                  for name in names
+                  for check_id, passed, detail in SUITES[name](seed, samples, tol)]
+        report = {
+            "suites": names,
+            "seed": seed,
+            "samples": samples,
+            "tol": tol,
+            "checks": checks,
+            "pass": all(c["pass"] for c in checks),
+        }
         fh.write(json.dumps(report, indent=2, default=str) + "\n")
     for c in checks:
         log.info("%s: %s", c["check_id"], "pass" if c["pass"] else "FAIL")
@@ -371,18 +334,18 @@ def cmd_metastable(config_path, k, cf, cap, phi, report_path):
     """Search the metastability index and compare it with the computed rate."""
     sc = _load_scenario(config_path)
     f, phi_cf = _parse_counterfunctions(cf, phi)
-    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps,
-               scenario_hash=sc.scenario_hash)
-    if traj.error:
-        click.echo(f"solver failure: {traj.error}", err=True)
-        sys.exit(EXIT_SOLVER)
-    query = V.MetastabilityQuery(k=k, f=f, cap=cap)
-    bound = R.mu_star(
-        k, f, sc.bundle, sc.K, sc.chi_T_fn,
-        Phi_override=phi_cf, bit_cap=sc.bit_cap,
-    )
-    result = V.check_mu(traj, query, bound, tol=sc.tol)
-    with _output(report_path) as fh:
+    with _output(report_path, "--report") as fh:
+        traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps,
+                   scenario_hash=sc.scenario_hash)
+        if traj.error:
+            click.echo(f"solver failure: {traj.error}", err=True)
+            sys.exit(EXIT_SOLVER)
+        query = V.MetastabilityQuery(k=k, f=f, cap=cap)
+        bound = R.mu_star(
+            k, f, sc.bundle, sc.K, sc.chi_T_fn,
+            Phi_override=phi_cf, bit_cap=sc.bit_cap,
+        )
+        result = V.check_mu(traj, query, bound, tol=sc.tol)
         fh.write(json.dumps(result.to_json(), indent=2) + "\n")
     sys.exit(EXIT_OK if result.passed else EXIT_FAIL)
 

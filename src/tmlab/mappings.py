@@ -99,12 +99,16 @@ class RotationFamily(MappingFamily):
     def apply(self, n, x):
         # an isometry maps valid points to valid points: no factory checks;
         # x.kind is kept, so a foreign point fails at the next model call
+        try:
+            a, b = x.data
+        except ValueError:  # not two coordinates: the model names the point
+            self.space._require(x)
+            raise
         if self._on_tripod:
-            leg, s = x.data
-            # all legs share the center, which is leg 0 (as in Point.tripod)
-            leg = (leg + self._shift) % 3 if s != 0.0 else 0
-            return tuple.__new__(Point, (x.kind, (leg, s)))
-        a, b = x.data
+            # (a, b) is (leg, s); all legs share the center, which is leg 0
+            # (as in Point.tripod)
+            leg = (a + self._shift) % 3 if b != 0.0 else 0
+            return tuple.__new__(Point, (x.kind, (leg, b)))
         return tuple.__new__(Point, (x.kind, (a * self._cos - b * self._sin,
                                               a * self._sin + b * self._cos)))
 

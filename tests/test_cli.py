@@ -162,6 +162,45 @@ def test_verify_engine_and_schedules(runner):
         assert res.exit_code == 0, (suite, res.output)
 
 
+def _check_ids(runner, suite):
+    res = runner.invoke(main, ["verify", "--suite", suite, "--samples", "200"])
+    assert res.exit_code == 0, (suite, res.output)
+    return [c["check_id"] for c in json.loads(res.output)["checks"]]
+
+
+def test_verify_all_is_the_four_suites_in_order(runner):
+    res = runner.invoke(main, ["verify", "--suite", "all", "--samples", "200"])
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["pass"] is True
+    assert data["suites"] == list(cli.SUITES)
+    assert len(data["checks"]) == 96
+    for c in data["checks"]:
+        assert list(c) == ["check_id", "pass", "detail"]
+        assert c["pass"] is True
+    assert [c["check_id"] for c in data["checks"]] == [
+        check_id for suite in ("geometry", "schedules", "engine", "lemmas")
+        for check_id in _check_ids(runner, suite)]
+
+
+def test_xu_telescoping_fails_when_its_hypotheses_are_unmet(runner, monkeypatch):
+    from tmlab import verify
+
+    unmet = verify.CheckResult(check_id="xu-lemma", passed=True,
+                               hypothesis_status="unmet")
+    monkeypatch.setattr(verify, "check_xu_lemma", lambda *args, **kwargs: unmet)
+    res = runner.invoke(main, ["verify", "--suite", "lemmas"])
+    assert res.exit_code == 1, res.output
+    data = json.loads(res.output)
+    assert data["pass"] is False
+    verdicts = {c["check_id"]: c["pass"] for c in data["checks"]}
+    telescoping = [v for cid, v in verdicts.items() if "/xu-telescoping/" in cid]
+    drawn = [v for cid, v in verdicts.items() if "/xu-random/" in cid]
+    assert telescoping == [False] * 5
+    assert drawn == [True] * 20
+    assert all(v for cid, v in verdicts.items() if "/xu-" not in cid)
+
+
 def test_metastable_report(runner, cfg_path, tmp_path):
     report = tmp_path / "meta.json"
     res = runner.invoke(main, [
@@ -329,12 +368,20 @@ run.K = 1
     (["verify", "--suite", "schedules", "--tol", "-1"], "--tol"),
     (["verify", "--suite", "schedules", "--tol", "nan"], "--tol"),
     (["verify", "--suite", "schedules", "--tol", "inf"], "--tol"),
+    (["run", "{cfg}", "--out", "{missing}"], "--out"),
+    (["rates", "{cfg}", "--out", "{missing}"], "--out"),
+    (["verify", "--suite", "schedules", "--report", "{missing}"], "--report"),
+    (["metastable", "{cfg}", "--report", "{missing}"], "--report"),
+    (["rates", "{cfg}", "--which", ","], "--which"),
+    (["rates", "{cfg}", "--which", "Zeta"], "--which"),
 ], ids=["k", "cap", "samples", "steps", "k-max", "tol-negative", "tol-nan",
-        "tol-inf"])
+        "tol-inf", "run-out", "rates-out", "verify-report", "metastable-report",
+        "which-empty", "which-unknown"])
 def test_out_of_range_flags_exit_2_naming_the_option(runner, tmp_path, args, option):
     p = tmp_path / "rotation.cfg"
     p.write_text(ROTATION_CFG)
-    res = runner.invoke(main, [a.format(cfg=p) for a in args])
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    res = runner.invoke(main, [a.format(cfg=p, missing=missing) for a in args])
     assert res.exit_code == 2, res.output
     assert f"'{option}'" in res.stderr
     assert isinstance(res.exception, SystemExit)

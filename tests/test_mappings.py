@@ -1,6 +1,7 @@
 """Mapping families: nonexpansiveness, step-size compatibility, solvers."""
 
 import math
+import re
 from functools import partial
 
 import pytest
@@ -79,6 +80,20 @@ def test_tripod_rotation_keeps_a_foreign_point_foreign():
         sp.dist(image, sp.base_point())
     with pytest.raises(GeometryError):
         sp.comb(sp.base_point(), image, 0.5)
+
+
+@pytest.mark.parametrize("space,via_resolvent,named", [
+    (Euclidean(2), False, "point with 3 coordinates used in model euclidean(2)"),
+    (Tripod(), False, "point of model 'euclidean' used in model 'tripod'"),
+    (Euclidean(2), True, "point with 3 coordinates used in model euclidean(2)"),
+], ids=["euclidean", "tripod", "resolvent-of-rotation"])
+def test_rotation_of_a_three_coordinate_point_raises_geometry_error(space, via_resolvent,
+                                                                    named):
+    fam = RotationFamily(space, 1.0)
+    if via_resolvent:
+        fam = ResolventFamily(space, fam, HARMONIC_GAMMA)
+    with pytest.raises(GeometryError, match=re.escape(named)):
+        fam.apply(0, Point.euclidean(1.0, 2.0, 3.0))
 
 
 def test_projection_inside_ball_is_identity():
