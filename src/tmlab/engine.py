@@ -47,9 +47,6 @@ class Trajectory:
     def __len__(self):
         return len(self.records)
 
-    def dist_points(self, i: int, j: int) -> float:
-        return self.space.dist(self.records[i].x, self.records[j].x)
-
     def write_csv(self, stream: TextIO):
         """The comment line, then the header and one row per record in the
         bytes csv.writer gives them: CRLF row ends, no field needs quotes."""

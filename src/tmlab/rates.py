@@ -81,24 +81,24 @@ def _less_than_exp(m: int, k: int) -> bool:
 def _ceil_scaled_exp(coeff: int, n: int, cap: Optional[int]) -> int:
     """ceil(coeff * e**n) with upward-directed rounding.
 
-    coeff * e**n has about 1.443*n bits, so overflow is detected before the
-    exponential is ever formed.  An n above the cap is refused before the
-    float estimate, which could not represent it: e**n has more than n bits.
+    coeff * e**n has at least bits(coeff) + floor(n * log2(e)) bits, so a
+    certain overflow is refused before the exponential is formed, as Power
+    does; the exact bit length of the value decides the rest.  An n above
+    the cap is refused before the float estimate, which could not represent
+    it: e**n has more than n bits.
     """
     if n < 0:
         raise RateError("negative argument")
     n = int(n)
     if cap is not None and n > cap:
         raise CapExceeded()
+    # 1.4426 < log2(e), so this is a lower bound on the value's bit length
+    if cap is not None and coeff.bit_length() + int(n * 1.4426) > cap:
+        raise CapExceeded()
     est_bits = int(n * 1.4427) + coeff.bit_length() + 2
-    if cap is not None and est_bits > cap:
-        raise CapExceeded()
     with mpmath.workprec(est_bits + 64):
-        hi = mpmath.ceil(coeff * mpmath.exp(mpmath.mpf(n)))
-        val = int(hi)
-    if cap is not None and val.bit_length() > cap:
-        raise CapExceeded()
-    return val
+        val = int(mpmath.ceil(coeff * mpmath.exp(mpmath.mpf(n))))
+    return within_cap(val, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +276,6 @@ class CeilScaledExp(Counterfunction):
 
     def render(self):
         return f"ceil_exp({self.c}*e^n)"
-
-
-@dataclass(frozen=True, repr=False)
-class Wrapped(Counterfunction):
-    """An opaque callable lifted into the algebra (internal plumbing)."""
-
-    fn: Callable[[int, Optional[int]], int]
-    label: str
-
-    def __call__(self, n, cap=None):
-        return within_cap(self.fn(n, cap), cap)
-
-    def render(self):
-        return self.label
 
 
 def monotonize(f: Counterfunction) -> Counterfunction:
@@ -476,21 +462,6 @@ def _guard(expr: str, bit_cap: int, thunk: Callable[[], int]) -> RateValue:
 # ---------------------------------------------------------------------------
 
 
-def iterate(
-    f: Counterfunction, m: int, start: int, bit_cap: int = DEFAULT_BIT_CAP
-) -> RateValue:
-    """m-fold application f(f(...f(start)...)) with overflow detection."""
-    expr = f"iter({f.render()},{m},{start})"
-    return _guard(expr, bit_cap, lambda: _iterate_int(f, m, start, bit_cap))
-
-
-def _iterate_int(f: Counterfunction, m: int, start: int, cap: int) -> int:
-    v = mpz(start)
-    for _ in range(m):
-        v = f(v, cap)
-    return v
-
-
 def r_of_k(k: int, K: int) -> int:
     if K < 1:
         raise RateError("K must be >= 1")
@@ -509,30 +480,22 @@ def omega2(k: int, K: int) -> int:
     return 4 * K * K * (k + 1) ** 2
 
 
-def omega1_cf(K: int) -> Counterfunction:
-    # k -> 24K(k+1)^2; every intermediate node is at most the final value,
-    # so evaluating it under a cap gives the same verdict as the value itself
-    return Compose(Affine(24 * K, 0), Compose(Power(2), Affine(1, 1)))
+def _n_star_int(k: int, g: Callable[[int], int], K: int, cap: Optional[int]) -> int:
+    """The bound on n*: from h = 0, apply h -> max{omega1(h), g(omega1(h))}
+    r(omega2(k)) times, then take omega1(h); each omega1 value is capped."""
 
+    def w1(h):
+        # 24K(h+1)^2 has at least 2*bits(h+1) - 1 bits; refuse a certain
+        # overflow before squaring, as Power does
+        if cap is not None and 2 * (h + 1).bit_length() - 1 > cap:
+            raise CapExceeded()
+        return within_cap(omega1(h, K), cap)
 
-def hat(f: Counterfunction, K: int) -> Counterfunction:
-    """k -> max{omega1(k), f(omega1(k))}."""
-    w1 = omega1_cf(K)
-    return Max((w1, Compose(f, w1)))
-
-
-def bound_n_star(
-    k: int, f: Counterfunction, K: int, bit_cap: int = DEFAULT_BIT_CAP
-) -> RateValue:
-    """omega1 applied to the r(omega2(k))-fold iterate of hat(f) from 0."""
-    expr = f"bound_n_star(k={k},f={f.render()},K={K})"
-    return _guard(expr, bit_cap, lambda: _n_star_int(k, f, K, bit_cap))
-
-
-def _n_star_int(k: int, f: Counterfunction, K: int, cap: Optional[int]) -> int:
-    steps = r_of_k(omega2(k, K), K)
-    h = _iterate_int(hat(f, K), steps, 0, cap)
-    return omega1_cf(K)(h, cap)
+    h = mpz(0)
+    for _ in range(r_of_k(omega2(k, K), K)):
+        w = w1(h)
+        h = max(w, g(w))
+    return w1(h)
 
 
 def zeta(
@@ -569,26 +532,6 @@ def zeta_star(
 
 def _zeta_star_int(k: int, n: int, sigma_star, S: int, cap) -> int:
     return sigma_star(n, 3 * S * (k + 1) - 1, cap) + 1
-
-
-def psi_from_phi(
-    phi: Counterfunction,
-    k: int,
-    Gamma: int,
-    G: int,
-    N_Gamma: int,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> RateValue:
-    """Turn any rate phi of family-asymptotic regularity into a rate for a
-    single member of the family: max{phi((1 + 2*Gamma*G)(k+1) - 1), N_Gamma}."""
-    if Gamma < 1 or G < 1:
-        raise RateError("Gamma and G must be >= 1")
-    expr = f"psi(k={k})"
-    return _guard(expr, bit_cap, lambda: _psi_int(phi, k, Gamma, G, N_Gamma, bit_cap))
-
-
-def _psi_int(phi, k: int, Gamma: int, G: int, N_Gamma: int, cap) -> int:
-    return max(phi((1 + 2 * Gamma * G) * (k + 1) - 1, cap), N_Gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +572,10 @@ def _tilde(inner_int, k, bundle, K, chi_T_fn, cap):
 
 
 def _Psi_int(inner_int, k, bundle, K, chi_T_fn, cap):
-    """The T_m-asymptotic-regularity rate: _tilde(inner_int) promoted to a
-    single member of the family by psi_from_phi's formula."""
-    phi = lambda j, jcap: _tilde(inner_int, j, bundle, K, chi_T_fn, jcap)
-    return _psi_int(phi, k, bundle.Gamma, bundle.G, bundle.N_Gamma, cap)
+    """The T_m-asymptotic-regularity rate: the family rate _tilde(inner_int)
+    promoted to a single member, max{tilde((1 + 2*Gamma*G)(k+1) - 1), N_Gamma}."""
+    j = (1 + 2 * bundle.Gamma * bundle.G) * (k + 1) - 1
+    return max(_tilde(inner_int, j, bundle, K, chi_T_fn, cap), bundle.N_Gamma)
 
 
 # name -> integer function (k, bundle, K, chi_T_fn, cap); raises CapExceeded
@@ -667,27 +610,9 @@ chi, Sigma, Sigma_tilde, Sigma_star, Sigma_tilde_star, Psi, Psi_star = (
 # ---------------------------------------------------------------------------
 
 
-def omega3(
-    k: int,
-    f: Counterfunction,
-    Phi: Counterfunction,
-    K: int,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> RateValue:
-    expr = f"omega3(k={k},f={f.render()})"
-    return _guard(expr, bit_cap, lambda: _omega3_int(k, f, Phi, K, bit_cap))
-
-
-def _omega3_int(k, f, Phi, K, cap) -> int:
-    Phi = monotonize(Phi)
-    cv = Phi.constant_value(cap)
-    if cv is not None:
-        # the outer application swallows the inner tower entirely
-        return cv
-    return Phi(_n_star_int(k, Compose(monotonize(f), Phi), K, cap), cap)
-
-
 def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
+    """zeta(kt, max{w3, eta}) with w3 = Phi(n*), where n* is the tower of
+    ftilde o Phi; Phi is the table's Psi-type rate unless overridden."""
     f = monotonize(f)
     kt = 4 * (k + 1) ** 2 - 1
     eta_val = bundle.eta(24 * K * K * (kt + 1) - 1, cap)
@@ -698,24 +623,20 @@ def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
     else:
         zeta_fn = lambda i, m: _zeta_int(i, m, bundle.sigma, 4 * K * K, cap)
 
-    def fbar(i: int) -> int:
-        return f(zeta_fn(kt, max(i, eta_val)), cap)
-
-    def ftilde_fn(i: int, icap) -> int:
-        fb = fbar(i)
-        return 12 * K * (kt + 1) * (fb + 1) * bundle.B(fb, icap) - 1
-
-    ftilde = Wrapped(ftilde_fn, "ftilde")
+    def ftilde(i: int) -> int:
+        fb = f(zeta_fn(kt, max(i, eta_val)), cap)
+        return within_cap(12 * K * (kt + 1) * (fb + 1) * bundle.B(fb, cap) - 1, cap)
 
     if Phi_override is not None:
-        Phi = Phi_override
+        Phi = monotonize(Phi_override)
+        w3 = Phi.constant_value(cap)  # a constant Phi swallows the tower
+        phi = lambda j: Phi(j, cap)
     else:
-        label = "Psi_star" if star else "Psi"
-        psi = RATES[label]
-        psi_int = lambda j, jcap: psi(j, bundle, K, chi_T_fn, jcap)
-        Phi = Wrapped(psi_int, label)
-
-    w3 = _omega3_int(12 * (kt + 1) - 1, ftilde, Phi, K, cap)
+        psi = RATES["Psi_star" if star else "Psi"]
+        w3 = None
+        phi = lambda j: within_cap(psi(j, bundle, K, chi_T_fn, cap), cap)
+    if w3 is None:
+        w3 = phi(_n_star_int(12 * (kt + 1) - 1, lambda w: ftilde(phi(w)), K, cap))
     return zeta_fn(kt, max(w3, eta_val))
 
 

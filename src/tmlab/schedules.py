@@ -79,13 +79,6 @@ class ScheduleBundle:
         self.eta = monotonize(self.eta)
         self.B = monotonize(self.B)
 
-    def validate_point(self, n: int):
-        lam, beta, gamma = self.lam(n), self.beta(n), self.gamma(n)
-        if not (0.0 <= lam <= 1.0 and 0.0 <= beta <= 1.0):
-            raise ScheduleError(f"lambda_{n} or beta_{n} outside [0, 1]")
-        if gamma <= 0.0:
-            raise ScheduleError(f"gamma_{n} must be positive")
-
 
 def chi_T(bundle: ScheduleBundle, K: int, k: int) -> int:
     """Cauchy modulus for sum_n d(T_{n+1} u_n, T_n u_n) of a family driven

@@ -255,6 +255,67 @@ def test_rates_routes_every_name(runner, cfg_path):
             assert cell == want.render(), (name, k)
 
 
+GOLDEN_ROW_CFG = """
+space.kind = euclidean
+space.dim = 1
+family.kind = constant
+schedule.preset = constant-gamma-harmonic-beta
+run.u = 0
+run.x0 = 1
+"""
+
+# K = 2 and a proximal family, whose chi_T is nonzero
+PROXIMAL_K2_CFG = """
+space.kind = euclidean
+space.dim = 2
+family.kind = proximal
+family.center = 0,0
+schedule.preset = harmonic
+run.u = 0.5,0
+run.x0 = 1.5,0
+run.K = 2
+"""
+
+# sha256 of `tmlab rates --which <all nine> --k-max 3 <flags>`, recorded
+# before the metastability chain was rewritten as plain integer functions
+RATES_SHA256 = {
+    ("golden-row", "phi-const"):
+        "5d6a1b7f6bee208b1b12ee3421276aacefa9cd034f9fc474cdc11b7e1cf40c5c",
+    ("golden-row", "phi-default"):
+        "f0d2e09b34f831043242aecca2e9cf36bbf738abbb97cd761101786de85ad30d",
+    ("golden-row", "cf-affine-phi-id"):
+        "e59bd5215247c006447cf42634128a57acdfe497744900722932903e0eb528c3",
+    ("proximal-K2", "phi-const"):
+        "24df27ff673cfdd0f38f6b3ab2ab485fd4421569a31842deb7d79e3312aa84da",
+    ("proximal-K2", "phi-default"):
+        "99d51a265a938323012121067b1d139da68cb54801d73ad26367eff7476450cd",
+    ("proximal-K2", "cf-affine-phi-id"):
+        "ff8123c133b4ab41b42c31fda7267ae7b715b473930930f13eedece689a91b8e",
+}
+RATES_FLAGS = {
+    "phi-const": ["--phi", "const:0"],
+    "phi-default": [],
+    "cf-affine-phi-id": ["--cf", "affine:2,0", "--phi", "id"],
+}
+
+
+@pytest.mark.parametrize("config, flags", list(RATES_SHA256),
+                         ids=lambda v: v)
+def test_rates_bytes_are_pinned(runner, tmp_path, config, flags):
+    import hashlib
+
+    p = tmp_path / "scenario.cfg"
+    p.write_text({"golden-row": GOLDEN_ROW_CFG,
+                  "proximal-K2": PROXIMAL_K2_CFG}[config])
+    res = runner.invoke(main, [
+        "rates", str(p), "--which", ",".join(ALL_RATES), "--k-max", "3",
+        *RATES_FLAGS[flags],
+    ])
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.stdout_bytes).hexdigest()
+    assert digest == RATES_SHA256[config, flags]
+
+
 def test_rates_mu_default_phi_exits_0(runner, cfg_path):
     res = runner.invoke(main, ["rates", cfg_path, "--which", "mu", "--k-max", "0"])
     assert res.exit_code == 0

@@ -57,7 +57,6 @@ def test_trajectory_lengths_and_columns():
     assert rec.d_step == pytest.approx(1 / 4 - 1 / 5, abs=1e-12)
     assert rec.d_Tn == 0.0
     assert rec.d_p == pytest.approx(1 / 4, abs=1e-12)
-    assert traj.dist_points(0, 1) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_run_rejects_nonpositive_steps():

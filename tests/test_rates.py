@@ -1,5 +1,6 @@
 """Counterfunction algebra, big-natural helpers and rate formulas."""
 
+import decimal
 import math
 import time
 from fractions import Fraction
@@ -171,6 +172,20 @@ def test_ceil_scaled_exp_overflow_detected_early():
         f(10 ** 9, cap=1000)  # never tries to build the number
 
 
+def test_ceil_scaled_exp_fits_a_cap_of_its_own_bit_length():
+    # ceil(2e^n) from decimal at 300 digits, which settles every ceiling
+    # here since no 2e^n with n < 400 lies within 1e-100 of an integer
+    f = R.CeilScaledExp(2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        for n in range(1, 400):
+            want = int((2 * decimal.Decimal(n).exp()).to_integral_value(decimal.ROUND_CEILING))
+            bits = want.bit_length()
+            assert f(n, cap=bits) == want, n
+            with pytest.raises(R.CapExceeded):
+                f(n, cap=bits - 1)
+
+
 # ---------------------------------------------------------------------------
 # RateValue ordering
 # ---------------------------------------------------------------------------
@@ -217,36 +232,41 @@ def test_omega_formulas():
     assert R.omega2(0, 1) == 4
     for k in range(6):
         for K in (1, 2, 3):
-            assert R.omega1_cf(K)(k) == R.omega1(k, K)
+            assert R.omega1(k, K) == 24 * K * (k + 1) ** 2
+            assert R.omega2(k, K) == 4 * K * K * (k + 1) ** 2
 
 
-def test_hat_combines_omega1_and_f():
-    f = R.Affine(2, 0)
-    h = R.hat(f, 1)
-    for k in range(5):
-        w = R.omega1(k, 1)
-        assert h(k) == max(w, 2 * w)
+def _n_star_straight_line(k, g, K):
+    # independent recomputation: r(omega2(k)) = K^2 (4K^2 (k+1)^2 + 1) steps
+    # of v -> max{omega1(v), g(omega1(v))} from 0, then omega1
+    def w1(n):
+        return 24 * K * (n + 1) ** 2
 
-
-def test_iterate():
-    f = R.Affine(1, 1)
-    assert R.iterate(f, 10, 0).value == 10
-    res = R.iterate(R.Power(2), 100, 2, bit_cap=64)
-    assert res.is_astronomical
+    v = 0
+    for _ in range(K * K * (4 * K * K * (k + 1) ** 2 + 1)):
+        v = max(w1(v), g(w1(v)))
+    return w1(v)
 
 
 def test_bound_n_star_oracle():
-    # independent straight-line recomputation for k=0, f=0, K=1
-    def w1(n):
-        return 24 * (n + 1) ** 2
+    # g = 0 makes each step omega1 alone; g = 2n makes g(omega1) the larger
+    for g in (lambda n: 0, lambda n: 2 * n):
+        for k, K in ((0, 1), (1, 1)):
+            expected = _n_star_straight_line(k, g, K)
+            assert R._n_star_int(k, g, K, None) == expected
+            assert R._n_star_int(k, g, K, 2 ** 26) == expected
 
-    steps = 1 * (4 * 1 * 1 * (0 + 1) ** 2 + 1)  # r(omega2(0))
-    v = 0
-    for _ in range(steps):
-        v = w1(v)  # hat(const 0) = omega1
-    expected = w1(v)
-    got = R.bound_n_star(0, R.Const(0), 1, bit_cap=2 ** 26)
-    assert got.value == expected
+
+def test_n_star_refuses_one_bit_below_its_value():
+    g = lambda n: 2 * n
+    expected = _n_star_straight_line(0, g, 1)
+    bits = expected.bit_length()
+    assert R._n_star_int(0, g, 1, bits) == expected
+    for cap in (bits - 1, 64, 1):
+        with pytest.raises(R.CapExceeded):
+            R._n_star_int(0, g, 1, cap)
+    with pytest.raises(R.CapExceeded):  # 68 near-squarings from 24
+        R._n_star_int(0, g, 2, 2 ** 20)
 
 
 def test_zeta_star_telescoping_closed_form():
@@ -320,6 +340,13 @@ def test_mu_star_default_phi_astronomical(golden):
     assert got.is_astronomical
 
 
+def test_sigma_golden_at_a_cap_of_its_own_bit_length(golden):
+    # Sigma(0) = ceil(2e^27) + 1 = 1,064,096,481,205 has 40 bits
+    b, K, ct = golden
+    assert R.Sigma(0, b, K, ct, bit_cap=40).value == 1_064_096_481_205
+    assert R.Sigma(0, b, K, ct, bit_cap=39).is_astronomical
+
+
 def test_sigma_astronomical_under_tiny_cap(golden):
     b, K, ct = golden
     assert R.Sigma(0, b, K, ct, bit_cap=16).is_astronomical
@@ -338,27 +365,20 @@ def test_rates_monotone_in_k(golden):
         assert vals == sorted(vals), name
 
 
-def test_psi_from_phi_matches_psi_star(golden):
-    b, K, ct = golden
-    phi = R.Wrapped(
-        lambda j, cap: R._Sigma_star_int(
-            2 * b.Lambda * (j + 1) - 1, b, K, ct, cap
-        ),
-        "tilde-inline",
-    )
-    # Psi* is the single-member rate built from Sigma~*; reproduce it via
-    # the generic promotion with the bundle's Gamma, G, N_Gamma
-    inline = R.psi_from_phi(
-        R.Wrapped(
-            lambda j, cap: R._tilde(R._Sigma_star_int, j, b, K, ct, cap),
-            "st",
-        ),
-        0,
-        b.Gamma,
-        b.G,
-        b.N_Gamma,
-    )
-    assert inline.value == R.Psi_star(0, b, K, ct).value
+def test_psi_is_the_promoted_family_rate():
+    # Psi(k) = max{tilde((1 + 2*Gamma*G)(k+1) - 1), N_Gamma}, with tilde the
+    # family rate Sigma_tilde (Sigma_tilde_star for Psi_star)
+    ct, cap = (lambda k: 2 * k + 1), 2 ** 24
+    for name, K, G in (("constant-gamma-harmonic-beta", 1, 1), ("harmonic", 2, 2)):
+        b = preset(name)
+        assert b.G == G
+        for psi, tilde in ((R.Psi, R.Sigma_tilde), (R.Psi_star, R.Sigma_tilde_star)):
+            for k in range(5):
+                j = (1 + 2 * b.Gamma * b.G) * (k + 1) - 1
+                t = tilde(j, b, K, ct, cap)
+                assert not t.is_astronomical
+                want = max(t.value, b.N_Gamma)
+                assert psi(k, b, K, ct, cap).value == want, (name, psi, k)
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,6 @@ def test_preset_sequences():
     assert preset("constant-gamma-harmonic-beta").gamma(99) == 1.0
 
 
-def test_validate_point():
-    b = preset("harmonic")
-    b.validate_point(0)
-    b.lam = lambda n: 1.5
-    with pytest.raises(ScheduleError):
-        b.validate_point(0)
-
-
 @pytest.mark.parametrize("name", ["harmonic", "constant-gamma-harmonic-beta"])
 def test_audit_passes_at_moderate_horizon(name):
     report = audit_schedule(preset(name), 2000, tol=1e-9)
