@@ -257,6 +257,17 @@ def test_bound_n_star_oracle():
             assert R._n_star_int(k, g, K, 2 ** 26) == expected
 
 
+def test_hat_combines_omega1_and_f():
+    # each step of the n* tower is hat(f)(h) = max{omega1(h), f(omega1(h))}
+    f = R.Affine(2, 0)
+    for k in range(2):
+        h = 0
+        for _ in range(R.r_of_k(R.omega2(k, 1), 1)):
+            w = R.omega1(h, 1)
+            h = max(w, 2 * w)
+        assert R._n_star_int(k, f, 1, None) == R.omega1(h, 1)
+
+
 def test_n_star_refuses_one_bit_below_its_value():
     g = lambda n: 2 * n
     expected = _n_star_straight_line(0, g, 1)
