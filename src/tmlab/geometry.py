@@ -55,6 +55,17 @@ def _stalled(first, best, last, iterations) -> SolverFailure:
     return SolverFailure(last, iterations, first, best)
 
 
+class Turn(NamedTuple):
+    """A rotation about the base point in the kernels' native terms: its
+    cosine and sine (and unit = complex(cos, sin)) for the plane and the
+    disk, and its leg shift for the tripod.  RotationFamily builds one."""
+
+    cos: float
+    sin: float
+    unit: complex
+    shift: int
+
+
 class Point(NamedTuple):
     """A model-tagged point: euclidean coordinates, a disk pair, or a
     (leg, arm length) pair for the tripod.  Immutable and hashable.  The
@@ -180,12 +191,16 @@ class SpaceModel:
     def describe(self) -> str:
         return self.kind
 
-    def fixed_point(self, x: Point, T, c: float, tol: float, max_iterations: int) -> Point:
+    def fixed_point(self, x: Point, T, c: float, tol: float, max_iterations: int,
+                    turn: Optional[Turn] = None) -> Point:
         """The Banach iteration z <- comb(x, T(z), c) from z = x: the first
         iterate within tol of its predecessor, or SolverFailure after
         max_iterations steps.  This is the reference; the shipped models
         override it with kernels that make the same floating-point
-        operations, in the same order, as this loop's comb and dist."""
+        operations, in the same order, as this loop's comb and dist.  When
+        T is a rotation of this model, ``turn`` may carry its constants: the
+        kernels then turn their native iterate themselves and call T only
+        for the SolverFailure residual; this loop ignores it."""
         comb, dist = self.comb, self.dist
         first = best = None
         z = x
@@ -272,32 +287,37 @@ class Euclidean(SpaceModel):
             return 0.0 + (b0 - a0) * (d0 - c0) + (b1 - a1) * (d1 - c1)
         return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
 
-    def fixed_point(self, x, T, c, tol, max_iterations):
+    def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
         # 2-D kernel: the iterate as two floats, comb's and dist's 2-D
         # branches inline; x, c and the dimension are checked once (a bad
-        # one raises from the reference loop's first comb, after T(x))
+        # one raises from the reference loop's first comb, after T(x)).  A
+        # turn rotates the two floats by RotationFamily.apply's formula
         xd = x.data
         if self.dim != 2 or x.kind != "euclidean" or len(xd) != 2 or not 0.0 <= c <= 1.0:
             return super().fixed_point(x, T, c, tol, max_iterations)
         (a0, a1), mu, sqrt = xd, 1.0 - c, math.sqrt
-        z, z0, z1 = x, a0, a1
+        cos, sin = (turn.cos, turn.sin) if turn else (None, None)
+        z0, z1 = a0, a1
         first = best = None
         for _ in range(max_iterations):
-            y = T(z)
-            yd = y.data
-            if y.kind != "euclidean" or len(yd) != 2:
-                self._require(x, y)
-            b0, b1 = yd
+            if turn is None:
+                y = T(tuple.__new__(Point, ("euclidean", (z0, z1))))
+                yd = y.data
+                if y.kind != "euclidean" or len(yd) != 2:
+                    self._require(x, y)
+                b0, b1 = yd
+            else:
+                b0, b1 = z0 * cos - z1 * sin, z0 * sin + z1 * cos
             n0, n1 = mu * a0 + c * b0, mu * a1 + c * b1
             d = sqrt((z0 - n0) ** 2 + (z1 - n1) ** 2)
-            z = tuple.__new__(Point, ("euclidean", (n0, n1)))
             if d <= tol:
-                return z
+                return tuple.__new__(Point, ("euclidean", (n0, n1)))
             if first is None:
                 first = best = d
             elif d < best:
                 best = d
             z0, z1 = n0, n1
+        z = tuple.__new__(Point, ("euclidean", (z0, z1)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample(self, rng: random.Random, radius: float) -> Point:
@@ -352,37 +372,48 @@ class PoincareDisk(SpaceModel):
         z = (w2 + zx) / (1.0 + zx.conjugate() * w2)
         return tuple.__new__(Point, ("disk", (z.real, z.imag)))
 
-    def fixed_point(self, x, T, c, tol, max_iterations):
+    def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
         # kernel: the iterate as a complex number, x's conjugate hoisted,
         # comb and dist inline; x and c are checked once (a bad one raises
-        # from the reference loop's first comb, after T(x))
+        # from the reference loop's first comb, after T(x)).  A turn is a
+        # product with its unit, whose floats are RotationFamily.apply's
+        # (a*cos - b*sin, a*sin + b*cos).  point() gives x itself for x's own
+        # value, as comb returns x when it does not move
         if x.kind != "disk" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
             return super().fixed_point(x, T, c, tol, max_iterations)
         zx = complex(*x.data)
+
+        def point(w):
+            return x if w is zx else tuple.__new__(Point, ("disk", (w.real, w.imag)))
+
         czx, half_c, atanh, tanh = zx.conjugate(), 0.5 * c, math.atanh, math.tanh
-        z, cur = x, zx
+        unit = turn and turn.unit
+        cur = zx
         first = best = None
         for _ in range(max_iterations):
-            y = T(z)
-            if y.kind != "disk":
-                self._require(x, y)
-            zy = complex(*y.data)
+            if turn is None:
+                y = T(point(cur))
+                if y.kind != "disk":
+                    self._require(x, y)
+                zy = complex(*y.data)
+            else:
+                zy = cur * unit
             w = (zy - zx) / (1.0 - czx * zy)
             r = abs(w)
             if r == 0.0:
-                nxt, z = zx, x
+                nxt = zx
             else:
                 w2 = w / r * tanh(half_c * (2.0 * atanh(r)))
                 nxt = (w2 + zx) / (1.0 + czx * w2)
-                z = tuple.__new__(Point, ("disk", (nxt.real, nxt.imag)))
             d = 2.0 * atanh(abs(cur - nxt) / abs(1.0 - nxt.conjugate() * cur))
             if d <= tol:
-                return z
+                return point(nxt)
             if first is None:
                 first = best = d
             elif d < best:
                 best = d
             cur = nxt
+        z = point(cur)
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample(self, rng: random.Random, radius: float) -> Point:
@@ -444,20 +475,25 @@ class Tripod(SpaceModel):
             raise GeometryError(_TRIPOD_LENGTH)
         return tuple.__new__(Point, ("tripod", (leg, s)))
 
-    def fixed_point(self, x, T, c, tol, max_iterations):
+    def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
         # kernel: the iterate as (leg, s), comb and dist inline; x and c are
         # checked once (a bad one raises from the reference loop's first
-        # comb, after T(x))
+        # comb, after T(x)).  A turn shifts the leg as RotationFamily.apply
+        # does, keeping the center on leg 0
         if x.kind != "tripod" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
             return super().fixed_point(x, T, c, tol, max_iterations)
         (lx, sx), mu, inf = x.data, 1.0 - c, math.inf
-        z, lz, sz = x, lx, sx
+        shift = turn and turn.shift
+        lz, sz = lx, sx
         first = best = None
         for _ in range(max_iterations):
-            y = T(z)
-            if y.kind != "tripod":
-                self._require(x, y)
-            ly, sy = y.data
+            if turn is None:
+                y = T(tuple.__new__(Point, ("tripod", (lz, sz))))
+                if y.kind != "tripod":
+                    self._require(x, y)
+                ly, sy = y.data
+            else:
+                ly, sy = (lz + shift) % 3 if sz != 0.0 else 0, sz
             if lx == ly or sx == 0.0 or sy == 0.0:
                 leg = ly if sx == 0.0 else lx
                 s = mu * sx + c * sy
@@ -472,14 +508,14 @@ class Tripod(SpaceModel):
             elif not 0.0 < s < inf:
                 raise GeometryError(_TRIPOD_LENGTH)
             d = abs(sz - s) if lz == leg or sz == 0.0 or s == 0.0 else sz + s
-            z = tuple.__new__(Point, ("tripod", (leg, s)))
             if d <= tol:
-                return z
+                return tuple.__new__(Point, ("tripod", (leg, s)))
             if first is None:
                 first = best = d
             elif d < best:
                 best = d
             lz, sz = leg, s
+        z = tuple.__new__(Point, ("tripod", (lz, sz)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample(self, rng: random.Random, radius: float) -> Point:

@@ -24,6 +24,7 @@ from .geometry import (
     SolverFailure,  # re-exported: raised by SpaceModel.fixed_point
     SpaceModel,
     Tripod,
+    Turn,
     _rng_for,
 )
 
@@ -92,9 +93,14 @@ class RotationFamily(MappingFamily):
         self.angle = float(angle)
         self._cos = math.cos(self.angle)
         self._sin = math.sin(self.angle)
-        # tripod analogue: shift legs by the nearest third of a full turn
-        self._shift = round(3.0 * self.angle / (2.0 * math.pi)) % 3
+        # tripod analogue: shift legs by the nearest third of a full turn;
+        # where 3 * angle overflows, the same quotient is taken the other way
+        thirds = 3.0 * self.angle
+        thirds = (thirds / (2.0 * math.pi) if math.isfinite(thirds)
+                  else self.angle / (2.0 * math.pi / 3.0))
+        self._shift = round(thirds) % 3
         self._on_tripod = isinstance(space, Tripod)
+        self.turn = Turn(self._cos, self._sin, complex(self._cos, self._sin), self._shift)
 
     def apply(self, n, x):
         # an isometry maps valid points to valid points: no factory checks;
@@ -155,7 +161,8 @@ class ResolventFamily(MappingFamily):
     """Resolvents J_n of the nonexpansive map T = base_0 of a base family:
     the fixed point z of z -> (1 - c) x + c T(z) with c = gamma_n / (1 +
     gamma_n), solved by the model's Banach iteration SpaceModel.fixed_point
-    (contraction factor c < 1)."""
+    (contraction factor c < 1).  A rotation base of the same model hands its
+    Turn to the solve, which then rotates the iterate without calling T."""
 
     name = "resolvent"
 
@@ -172,11 +179,13 @@ class ResolventFamily(MappingFamily):
         self.gammas = gammas
         self.inner_tol = inner_tol
         self.max_iterations = max_iterations
+        self._turn = (base.turn if isinstance(base, RotationFamily)
+                      and base.space.kind == space.kind else None)
 
     def apply(self, n, x):
         g = self.gammas(n)
         return self.space.fixed_point(x, partial(self.base.apply, 0), g / (1.0 + g),
-                                      self.inner_tol, self.max_iterations)
+                                      self.inner_tol, self.max_iterations, self._turn)
 
 
 # ---------------------------------------------------------------------------

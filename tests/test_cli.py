@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats and the exit-code contract."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -123,6 +124,26 @@ run.x0 = 1,0
     res = runner.invoke(main, ["run", str(p), "--steps", "10", "--out", "-"])
     assert res.exit_code == 3
     assert "after 2 iterations (first " in res.stderr and ", best " in res.stderr
+
+
+@pytest.mark.parametrize("angle", ["1e308", "-1e308", repr(sys.float_info.max),
+                                   repr(-sys.float_info.max)])
+@pytest.mark.parametrize("family", ["family.kind = rotation\nfamily.angle",
+                                    "family.kind = resolvent\nfamily.base.kind = rotation\n"
+                                    "family.base.angle"], ids=["rotation", "resolvent"])
+@pytest.mark.parametrize("space,u,x0", [
+    ("space.kind = euclidean\nspace.dim = 2", "0.3,-0.1", "-0.5,0.2"),
+    ("space.kind = disk", "0.3,-0.1", "-0.5,0.2"),
+    ("space.kind = tripod", "1:0.3", "2:0.5"),
+], ids=["euclidean", "disk", "tripod"])
+def test_a_huge_finite_angle_runs(runner, tmp_path, space, u, x0, family, angle):
+    # 3 * angle overflows past about 6e307; the tripod's leg shift must not
+    p = tmp_path / "huge-angle.cfg"
+    p.write_text(f"{space}\n{family} = {angle}\nschedule.preset = harmonic\n"
+                 f"run.u = {u}\nrun.x0 = {x0}\n")
+    res = runner.invoke(main, ["run", str(p), "--steps", "20", "--out", "-"])
+    assert res.exit_code == 0, res.output
+    assert len(res.output.splitlines()) == 2 + 21
 
 
 def test_verify_geometry_report(runner, tmp_path):

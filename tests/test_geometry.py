@@ -26,7 +26,7 @@ from tmlab.geometry import (
     make_model,
     run_all_geometry_checks,
 )
-from tmlab.mappings import MetricProjectionFamily, RotationFamily
+from tmlab.mappings import MetricProjectionFamily, ResolventFamily, RotationFamily
 
 SMALL = SampleSpec(seed=11, count=400)
 
@@ -317,16 +317,22 @@ def _base_map(space, kind, seed):
     return logged, log
 
 
+def _settled(solve):
+    """The outcome of a solve: its result's bits; the message, residual
+    bits and iterations of its SolverFailure (a triple); or the type and
+    message of another error."""
+    try:
+        return _outcome(solve)
+    except SolverFailure as exc:
+        return (str(exc), [_bits(v) for v in (exc.residual, exc.first, exc.best)],
+                exc.iterations)
+    except (GeometryError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
 def _solve(solve, space, kind, seed, x, c, tol, max_iterations):
     T, log = _base_map(space, kind, seed)
-    try:
-        out = _outcome(lambda: solve(x, T, c, tol, max_iterations))
-    except SolverFailure as exc:
-        out = (str(exc), [_bits(v) for v in (exc.residual, exc.first, exc.best)],
-               exc.iterations)
-    except (GeometryError, TypeError, ValueError) as exc:
-        out = (type(exc).__name__, str(exc))
-    return out, log
+    return _settled(lambda: solve(x, T, c, tol, max_iterations)), log
 
 
 @pytest.mark.parametrize("kind", ["rotation", "projection", "identity", "scatter", "foreign"])
@@ -344,6 +350,97 @@ def test_fixed_point_kernels_are_bitwise_the_reference(model, kind, seed, pick, 
     args = (space, kind, seed, x, c, tol, max_iterations)
     assert _solve(space.fixed_point, *args) == _solve(
         partial(SpaceModel.fixed_point, space), *args)
+
+
+# The native rotation: a resolvent of a rotation hands the kernel its Turn,
+# and the kernel turns its own iterate instead of calling apply.
+
+class CountingRotation(RotationFamily):
+    """A rotation that counts the calls of its apply."""
+
+    calls = 0
+
+    def apply(self, n, x):
+        self.calls += 1
+        return super().apply(n, x)
+
+
+@pytest.mark.parametrize("model", ["disk", "euclidean2", "tripod"])
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-10.0, 10.0) | st.sampled_from([-0.0, math.pi, 2.0 * math.pi / 3.0, 1e308]),
+       st.integers(0, 2 ** 32), st.integers(0, 19), st.floats(0.01, 8.0),
+       st.sampled_from([0.0, 1e300, math.inf, math.nan, -0.25, -3.0]) | st.floats(0.0, 50.0),
+       st.sampled_from([0.0, 1e-300, 1e-12]), st.integers(1, 200))
+def test_resolvent_of_a_rotation_is_bitwise_the_reference_loop(model, angle, seed, pick,
+                                                                radius, gamma, tol,
+                                                                max_iterations):
+    # c = gamma / (1 + gamma) is 0 for gamma 0, 1 for 1e300, nan for inf
+    # and nan, and outside [0, 1] for the negative gammas
+    space = FP_MODELS[model]
+    x = FOREIGN[pick] if pick < len(FOREIGN) else space.sample(random.Random(seed), radius)
+    rot = CountingRotation(space, angle)
+    got = _settled(lambda: ResolventFamily(space, rot, lambda n: gamma, tol,
+                                           max_iterations).apply(0, x))
+    native_calls, c = rot.calls, gamma / (1.0 + gamma)
+    assert got == _settled(lambda: SpaceModel.fixed_point(
+        space, x, partial(rot.apply, 0), c, tol, max_iterations))
+    if x.kind == space.kind and len(x.data) == 2 and 0.0 <= c <= 1.0:
+        # the kernel's own rotation: apply only for a SolverFailure residual
+        assert native_calls == (len(got) == 3)
+
+
+# signed zeros, subnormals, the least normal and large magnitudes
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.25, -0.6,
+        1.5e154, -1e300, 1.7976931348623157e308]
+
+
+def _first_step(space, x, rot, c, tol):
+    # tol = inf returns the first iterate comb(x, R(x), c), and tol = -inf
+    # fails with d(x, comb(x, R(x), c)) as its first residual
+    T = partial(rot.apply, 0)
+    return (_settled(lambda: space.fixed_point(x, T, c, tol, 1, rot.turn)),
+            _settled(lambda: SpaceModel.fixed_point(space, x, T, c, tol, 1)))
+
+
+@pytest.mark.parametrize("model", ["disk", "euclidean2"])
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EDGE), st.sampled_from(EDGE),
+       st.floats(-7.0, 7.0) | st.sampled_from([-0.0, math.pi / 2, math.pi, 1e308]),
+       st.sampled_from([1.0, 0.5, 0.0]), st.sampled_from([math.inf, -math.inf]))
+def test_native_plane_and_disk_rotation_is_apply_bitwise(model, a, b, angle, c, tol):
+    space = FP_MODELS[model]
+    got, want = _first_step(space, Point(space.kind, (a, b)), RotationFamily(space, angle),
+                            c, tol)
+    assert got == want
+
+
+@pytest.mark.parametrize("s", [0.0, -0.0, 5e-324, 1e-310, 0.75, 1e300,
+                               1.7976931348623157e308])
+@pytest.mark.parametrize("leg", [0, 1, 2])
+@pytest.mark.parametrize("turns", [0, 1, 2])
+def test_native_tripod_rotation_is_apply_bitwise(turns, leg, s):
+    space, x = Tripod(), Point("tripod", (leg, s))
+    rot = RotationFamily(space, turns * 2.0 * math.pi / 3.0)
+    assert rot._shift == turns
+    for c in (1.0, 0.5, 0.0):
+        for tol in (math.inf, -math.inf):
+            got, want = _first_step(space, x, rot, c, tol)
+            assert got == want
+    if s == 0.0:
+        # the center is on leg 0, whatever the shift
+        assert space.fixed_point(x, partial(rot.apply, 0), 1.0, math.inf, 1,
+                                 rot.turn) == Point.tripod(0, 0.0)
+
+
+def test_a_rotation_of_another_model_goes_through_apply():
+    # a tripod's leg shift on plane points is not the plane rotation: the
+    # kernel calls it as it calls any other map
+    space, rot = Euclidean(2), CountingRotation(Tripod(), 2.0 * math.pi / 3.0)
+    x = Point.euclidean(0.4, -0.3)
+    got = _settled(lambda: ResolventFamily(space, rot, lambda n: 1.0).apply(0, x))
+    assert rot.calls > 0
+    assert got == _settled(lambda: SpaceModel.fixed_point(
+        space, x, partial(rot.apply, 0), 0.5, 1e-12, 10_000))
 
 
 # ---------------------------------------------------------------------------

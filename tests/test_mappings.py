@@ -2,9 +2,12 @@
 
 import math
 import re
+import sys
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmlab.geometry import (Euclidean, GeometryError, PoincareDisk, Point, SampleSpec,
                             SpaceModel, Tripod)
@@ -70,6 +73,20 @@ def test_tripod_rotation_keeps_the_center_on_leg_0(turns):
     assert fam.apply(0, center) == center
     # a point built without the factory, on the center of leg 2
     assert fam.apply(0, Point("tripod", (2, 0.0))) == center
+
+
+@settings(max_examples=500)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(sys.float_info.max / 3.0)
+@example(math.nextafter(sys.float_info.max / 3.0, math.inf))
+@example(-sys.float_info.max)
+def test_tripod_shift_is_the_nearest_third_of_a_turn_for_every_finite_angle(angle):
+    shift = RotationFamily(Tripod(), angle)._shift
+    thirds = 3.0 * angle
+    if math.isfinite(thirds):
+        assert shift == round(thirds / (2.0 * math.pi)) % 3
+    else:
+        assert shift in (0, 1, 2)
 
 
 def test_tripod_rotation_keeps_a_foreign_point_foreign():
