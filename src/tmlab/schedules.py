@@ -15,16 +15,19 @@ with every modulus the rate formulas consume:
   G          upper bound on gamma_n
   B          beta_n >= 1/B(n) for all n
 
-The auditor tests every claim on a finite prefix and reports the first
-violation per condition; it is the empirical oracle for presets.
+The auditor evaluates each sequence once on a finite prefix, tests every
+claim there (each sigma* product exactly, in rational arithmetic) and
+reports the first violation per condition; it is the empirical oracle for
+presets.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, count
+from math import gcd
 from typing import Callable, Optional
 
 from .rates import (
@@ -36,8 +39,6 @@ from .rates import (
     monotonize,
     within_cap,
 )
-
-EXACT_PRODUCT_HORIZON = 10_000
 
 
 class ScheduleError(ValueError):
@@ -62,8 +63,9 @@ class ScheduleBundle:
     Gamma: int
     N_Gamma: int
     G: int
-    # exact rational evaluator of beta, when the sequence is rational-valued
-    beta_exact: Optional[Callable[[int], Fraction]] = None
+    # exact rational evaluator of beta (required): the sigma* audit decides
+    # each product in rational arithmetic
+    beta_exact: Callable[[int], Fraction]
 
     def __post_init__(self):
         for name in ("Lambda", "Gamma", "G"):
@@ -187,25 +189,113 @@ class AuditReport:
 def audit_schedule(
     bundle: ScheduleBundle, horizon: int, tol: float = 1e-9
 ) -> AuditReport:
-    """Test every modulus claim of the bundle on the prefix [0, horizon]."""
+    """Test every modulus claim of the bundle on the prefix [0, horizon].
+
+    beta, lambda and gamma are evaluated once each, on [0, horizon + 1], and
+    beta_exact once on [0, horizon].  A condition fails at the first witness
+    its scan yields.  Every modulus, sigma and sigma* included, is evaluated
+    under a cap of bits(horizon): a value it refuses is past the horizon,
+    where no claim is tested."""
     if horizon < 1:
         raise ScheduleError("horizon must be >= 1")
-    results = [
-        _audit_sigma(bundle, horizon, tol),
-        _audit_sigma_star(bundle, horizon, tol),
-        _audit_cauchy(bundle, horizon, tol, "C2_q", bundle.beta, bundle.chi_beta),
-        _audit_cauchy(bundle, horizon, tol, "C3_q", bundle.lam, bundle.chi_lambda),
-        _audit_eta(bundle, horizon, tol),
-        _audit_floor(
-            "C5_q", horizon, tol, bundle.lam, bundle.Lambda, bundle.N_Lambda
+    H, cap = horizon, horizon.bit_length()
+    beta, lam, gamma = (
+        [seq(n) for n in range(H + 2)] for seq in (bundle.beta, bundle.lam, bundle.gamma)
+    )
+
+    def modulus_scan(modulus, values, key):
+        # values[modulus(k)] <= 1/(k+1) for each k whose start is in range
+        for k in range(H + 1):
+            start = _capped(modulus, k, cap, H + 1)
+            if start > H:
+                return
+            if values[start] > 1.0 / (k + 1) + tol:
+                yield {"k": k, "start": start, key: values[start]}
+
+    def floor_scan(values, bound, first):
+        # values[n] >= 1/bound for n >= first; int division: a bound past
+        # the float range gives a floor of 0.0
+        floor = 1 / bound
+        return ({"n": n, "value": values[n], "floor": floor}
+                for n in range(max(first, 0), H + 1) if values[n] < floor - tol)
+
+    def sigma_scan():
+        # sum_{i <= sigma(n)} (1 - beta_i) >= n wherever sigma(n) <= H
+        sums = list(accumulate((1.0 - b for b in beta[:H + 1]), initial=0.0))[1:]
+        for n in count():
+            s = _capped(bundle.sigma, n, cap, H + 1)
+            if s > H:
+                return
+            if sums[s] < n - tol:
+                yield {"n": n, "sigma": s, "partial_sum": sums[s]}
+
+    def sigma_star_scan():
+        # prod_{n=m}^{N} beta_n <= 1/(k+1) at N = sigma*(m, k), for m <= N <= H
+        # prefixes[i] = prod_{n<i} beta_n = nums[i] / dens[i] in lowest terms
+        nums, dens = [1], [1]
+        for q in map(bundle.beta_exact, range(H + 1)):
+            num, den = nums[-1] * q.numerator, dens[-1] * q.denominator
+            g = gcd(num, den)
+            nums.append(num // g)
+            dens.append(den // g)
+        for m in range(H + 1):
+            for k in count():
+                try:
+                    N = bundle.sigma_star(m, k, cap)
+                except CapExceeded:
+                    break
+                if N > H:
+                    break
+                # prefixes[N+1] / prefixes[m] <= 1/(k+1), cross-multiplied:
+                # the direction holds because every prefix is >= 0 (beta_n in
+                # [0, 1]); a zero prefix at m zeroes the one at N+1, and 0 <= 0
+                if N >= m and nums[N + 1] * dens[m] * (k + 1) > nums[m] * dens[N + 1]:
+                    product = nums[N + 1] * dens[m] / (dens[N + 1] * nums[m])
+                    yield {"m": m, "k": k, "N": N, "product": product}
+
+    def beta_floor_scan():
+        for n in range(H + 1):
+            # 1/B(n) is 0.0 in floats past 2^1100; B(n) = 0 admits no floor
+            b = _capped(bundle.B, n, 1100, 1 << 1100)
+            if b == 0 or beta[n] < 1 / b - tol:
+                yield {"n": n, "beta": beta[n], "B": int(b)}
+
+    scans = {
+        "C1_q": sigma_scan(),
+        "C1_q*": sigma_star_scan(),
+        "C2_q": modulus_scan(bundle.chi_beta, _tails(beta), "window_sum"),
+        "C3_q": modulus_scan(bundle.chi_lambda, _tails(lam), "window_sum"),
+        "C4_q": modulus_scan(bundle.eta, _suffix_max_gaps(beta), "max_gap"),
+        "C5_q": floor_scan(lam, bundle.Lambda, bundle.N_Lambda),
+        # the gamma Cauchy modulus, then gamma_n <= G (exact for any size of G)
+        "C7_q": chain(
+            modulus_scan(bundle.chi_gamma, _tails(gamma), "window_sum"),
+            ({"n": n, "gamma": gamma[n], "G": bundle.G}
+             for n in range(H + 1) if gamma[n] - tol > bundle.G),
         ),
-        _audit_chi_T_prereqs(bundle, horizon, tol),
-        _audit_floor(
-            "C8_q", horizon, tol, bundle.gamma, bundle.Gamma, bundle.N_Gamma
-        ),
-        _audit_beta_floor(bundle, horizon, tol),
-    ]
-    return AuditReport(bundle.name, horizon, results)
+        "C8_q": floor_scan(gamma, bundle.Gamma, bundle.N_Gamma),
+        "C9_q": beta_floor_scan(),
+    }
+    return AuditReport(bundle.name, H, [
+        ConditionResult(cid, H, witness is None, witness)
+        for cid, scan in scans.items() for witness in [next(scan, None)]
+    ])
+
+
+def _tails(values: list) -> list:
+    """tails[i] = sum of |values[n] - values[n+1]| over i <= n < len - 1,
+    summed from the top down; the last entry is 0.0."""
+    top = len(values) - 2
+    diffs = (abs(values[i] - values[i + 1]) for i in range(top, -1, -1))
+    return list(accumulate(diffs, initial=0.0))[::-1]
+
+
+def _suffix_max_gaps(beta: list) -> list:
+    """suffix[i] = max of 1 - beta_n over i <= n < len - 1; the last entry
+    is 0.0."""
+    top = len(beta) - 2
+    gaps = (1.0 - beta[i] for i in range(top, -1, -1))
+    return list(accumulate(gaps, lambda s, g: max(g, s), initial=0.0))[::-1]
 
 
 def _capped(f: Counterfunction, n: int, cap: int, past: int) -> int:
@@ -216,152 +306,3 @@ def _capped(f: Counterfunction, n: int, cap: int, past: int) -> int:
         return f(n, cap)
     except CapExceeded:
         return past
-
-
-def _audit_sigma(bundle, horizon, tol) -> ConditionResult:
-    # sum_{i <= sigma(n)} (1 - beta_i) >= n wherever sigma(n) fits
-    partial = 0.0
-    sums = [0.0] * (horizon + 1)
-    for i in range(horizon + 1):
-        partial += 1.0 - bundle.beta(i)
-        sums[i] = partial
-    n = 0
-    while True:
-        s = bundle.sigma(n)
-        if s > horizon:
-            break
-        if sums[s] < n - tol:
-            return ConditionResult(
-                "C1_q", horizon, False,
-                {"n": n, "sigma": s, "partial_sum": sums[s]},
-            )
-        n += 1
-    return ConditionResult("C1_q", horizon, True)
-
-
-def _audit_sigma_star(bundle, horizon, tol) -> ConditionResult:
-    # prod_{n=m}^{sigma*(m,k)} beta_n <= 1/(k+1) for index pairs in range
-    exact = bundle.beta_exact if horizon <= EXACT_PRODUCT_HORIZON else None
-    if exact is not None:
-        prefixes = [Fraction(1)] * (horizon + 2)
-        for i in range(horizon + 1):
-            prefixes[i + 1] = prefixes[i] * exact(i)
-
-        def prod(m, N):  # product over [m, N]
-            if prefixes[m] == 0:
-                return Fraction(0)
-            return prefixes[N + 1] / prefixes[m]
-
-        # prod(m, N) <= 1/(k+1) with a = prefixes[N+1], b = prefixes[m] is
-        # a.num * b.den * (k+1) <= b.num * a.den: cross-multiplying keeps
-        # the direction only because every prefix is >= 0 (beta_n in
-        # [0, 1]).  A zero prefix b makes a zero too, and 0 <= 0 passes.
-        nums = [p.numerator for p in prefixes]
-        dens = [p.denominator for p in prefixes]
-
-        def holds(m, N, k):
-            return nums[N + 1] * dens[m] * (k + 1) <= nums[m] * dens[N + 1]
-
-    else:
-        logs = [0.0] * (horizon + 2)
-        for i in range(horizon + 1):
-            b = bundle.beta(i)
-            logs[i + 1] = logs[i] + (math.log(b) if b > 0 else -math.inf)
-
-        def prod(m, N):
-            return math.exp(logs[N + 1] - logs[m])
-
-        def holds(m, N, k):
-            return prod(m, N) <= 1 / (k + 1) + tol
-
-    sigma_star = bundle.sigma_star
-    for m in range(horizon + 1):
-        k = 0
-        while True:
-            N = sigma_star(m, k)
-            if N > horizon:
-                break
-            if N >= m and not holds(m, N, k):
-                return ConditionResult(
-                    "C1_q*", horizon, False,
-                    {"m": m, "k": k, "N": N, "product": float(prod(m, N))},
-                )
-            k += 1
-    return ConditionResult("C1_q*", horizon, True)
-
-
-def _audit_cauchy(bundle, horizon, tol, cid, seq, modulus) -> ConditionResult:
-    # Cauchy modulus claim for sum |a_n - a_{n+1}|, windows inside [0, horizon]
-    tail = [0.0] * (horizon + 2)
-    for i in range(horizon, -1, -1):
-        tail[i] = tail[i + 1] + abs(seq(i) - seq(i + 1))
-    k = 0
-    while True:
-        start = _capped(modulus, k, horizon.bit_length(), horizon + 1)
-        if start > horizon or k > horizon:
-            break
-        window = tail[start] - tail[horizon + 1]
-        if window > 1.0 / (k + 1) + tol:
-            return ConditionResult(
-                cid, horizon, False, {"k": k, "start": start, "window_sum": window}
-            )
-        k += 1
-    return ConditionResult(cid, horizon, True)
-
-
-def _audit_eta(bundle, horizon, tol) -> ConditionResult:
-    gaps = [1.0 - bundle.beta(n) for n in range(horizon + 1)]
-    suffix = [0.0] * (horizon + 2)
-    for i in range(horizon, -1, -1):
-        suffix[i] = max(gaps[i], suffix[i + 1])
-    k = 0
-    while True:
-        start = _capped(bundle.eta, k, horizon.bit_length(), horizon + 1)
-        if start > horizon or k > horizon:
-            break
-        if suffix[start] > 1.0 / (k + 1) + tol:
-            return ConditionResult(
-                "C4_q", horizon, False,
-                {"k": k, "start": start, "max_gap": suffix[start]},
-            )
-        k += 1
-    return ConditionResult("C4_q", horizon, True)
-
-
-def _audit_floor(cid, horizon, tol, seq, bound, start) -> ConditionResult:
-    # int division: a bound past the float range gives a floor of 0.0
-    floor = 1 / bound
-    for n in range(start, horizon + 1):
-        if seq(n) < floor - tol:
-            return ConditionResult(
-                cid, horizon, False, {"n": n, "value": seq(n), "floor": floor}
-            )
-    return ConditionResult(cid, horizon, True)
-
-
-def _audit_chi_T_prereqs(bundle, horizon, tol) -> ConditionResult:
-    # C7_q (gamma Cauchy modulus) and the upper bound gamma_n <= G
-    inner = _audit_cauchy(
-        bundle, horizon, tol, "C7_q", bundle.gamma, bundle.chi_gamma
-    )
-    if not inner.passed:
-        return inner
-    for n in range(horizon + 1):
-        if bundle.gamma(n) - tol > bundle.G:  # exact for any size of G
-            return ConditionResult(
-                "C7_q", horizon, False,
-                {"n": n, "gamma": bundle.gamma(n), "G": bundle.G},
-            )
-    return ConditionResult("C7_q", horizon, True)
-
-
-def _audit_beta_floor(bundle, horizon, tol) -> ConditionResult:
-    for n in range(horizon + 1):
-        # 1/B(n) is 0.0 in floats past 2^1100; B(n) = 0 admits no floor
-        b = _capped(bundle.B, n, 1100, 1 << 1100)
-        if b == 0 or bundle.beta(n) < 1 / b - tol:
-            return ConditionResult(
-                "C9_q", horizon, False,
-                {"n": n, "beta": bundle.beta(n), "B": int(b)},
-            )
-    return ConditionResult("C9_q", horizon, True)

@@ -70,7 +70,6 @@ def _ar_check(check_id, values, rate, k, cap, tol, scenario_hash) -> CheckResult
     start_cap = min(cap, end)
     if rate.is_astronomical:
         start = start_cap
-        bound_ok = True  # vacuous: every finite index is below the sentinel
         flagged = "rate astronomical; bound comparison vacuous"
     else:
         start = min(int(rate.value), start_cap)
@@ -271,6 +270,12 @@ def telescoping_instance(length: int, s0: float = 1.0) -> SyntheticXuInstance:
     )
 
 
+def _window_bounds(k: int, q: int) -> tuple:
+    """The lemma's hypotheses on [n, q]: v_i <= 1/(3(k+1)(q+1)) and
+    r_i <= 1/(3(k+1))."""
+    return 1.0 / (3 * (k + 1) * (q + 1)), 1.0 / (3 * (k + 1))
+
+
 def random_instance(
     seed: int, length: int, k: int, q: int, slack: float = 1.0
 ) -> SyntheticXuInstance:
@@ -279,8 +284,7 @@ def random_instance(
     divergence/product rates apply."""
     rng = random.Random(seed)
     S = rng.randint(1, 4)
-    v_bound = 1.0 / (3 * (k + 1) * (q + 1))
-    r_bound = 1.0 / (3 * (k + 1))
+    v_bound, r_bound = _window_bounds(k, q)
     a = [1.0 / (n + 2) for n in range(length)]
     v = [rng.uniform(0.0, v_bound) for _ in range(length)]
     r = [rng.uniform(0.0, r_bound) for _ in range(length)]
@@ -310,19 +314,14 @@ def check_xu_lemma(
         raise VerifyError("provide exactly one of sigma, sigma_star")
     if q >= len(instance.s):
         raise VerifyError("instance shorter than q")
-    v_bound = 1.0 / (3 * (k + 1) * (q + 1))
-    r_bound = 1.0 / (3 * (k + 1))
+    v_bound, r_bound = _window_bounds(k, q)
     for i in range(n, q + 1):
-        if i < len(instance.v) and instance.v[i] > v_bound + tol:
+        v_unmet = i < len(instance.v) and instance.v[i] > v_bound + tol
+        if v_unmet or (i < len(instance.r) and instance.r[i] > r_bound + tol):
+            key = "v" if v_unmet else "r"
             return CheckResult(
                 check_id="xu-lemma", passed=True, hypothesis_status="unmet",
-                witness={"i": i, "v": instance.v[i]},
-                horizons={"n": n, "q": q},
-            )
-        if i < len(instance.r) and instance.r[i] > r_bound + tol:
-            return CheckResult(
-                check_id="xu-lemma", passed=True, hypothesis_status="unmet",
-                witness={"i": i, "r": instance.r[i]},
+                witness={"i": i, key: getattr(instance, key)[i]},
                 horizons={"n": n, "q": q},
             )
     if sigma is not None:

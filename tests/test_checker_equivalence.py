@@ -26,12 +26,10 @@ from tmlab.geometry import (
 )
 from tmlab.mappings import MappingFamily
 from tmlab.scenario import scenario_from_text
-from tmlab.schedules import (
-    EXACT_PRODUCT_HORIZON,
-    ConditionResult,
-    _audit_sigma_star,
-    preset,
-)
+from tmlab.schedules import ConditionResult, audit_schedule, preset
+
+# the reference took sigma* products in floats above this horizon
+EXACT_PRODUCT_HORIZON = 10_000
 
 # ---------------------------------------------------------------------------
 # References
@@ -177,6 +175,10 @@ def ref_audit_sigma_star(bundle, horizon, tol):
     return ConditionResult("C1_q*", horizon, True)
 
 
+def sigma_star_result(bundle, horizon, tol):
+    return {r.condition_id: r for r in audit_schedule(bundle, horizon, tol).results}["C1_q*"]
+
+
 def same(got, want):
     """Equal JSON text: floats compare by repr, so -0.0 differs from 0.0."""
     as_text = lambda r: json.dumps(
@@ -275,7 +277,7 @@ def test_geometry_failure_witness_matches_reference():
                                      EXACT_PRODUCT_HORIZON + 1])
 def test_sigma_star_audit_matches_reference(name, horizon):
     bundle = preset(name)
-    got = _audit_sigma_star(bundle, horizon, 1e-9)
+    got = sigma_star_result(bundle, horizon, 1e-9)
     assert got.passed
     same(got, ref_audit_sigma_star(bundle, horizon, 1e-9))
 
@@ -283,7 +285,7 @@ def test_sigma_star_audit_matches_reference(name, horizon):
 @pytest.mark.parametrize("horizon", [10, EXACT_PRODUCT_HORIZON + 1])
 def test_sigma_star_audit_failure_witness_matches_reference(horizon):
     bundle = replace(preset("harmonic"), sigma_star=lambda m, k, cap=None: m)
-    got = _audit_sigma_star(bundle, horizon, 1e-9)
+    got = sigma_star_result(bundle, horizon, 1e-9)
     assert not got.passed
     same(got, ref_audit_sigma_star(bundle, horizon, 1e-9))
 
@@ -295,6 +297,6 @@ def test_sigma_star_audit_zero_prefix_matches_reference():
         beta=lambda n: 0.0 if n == 0 else (n + 1) / (n + 2),
         beta_exact=lambda n: Fraction(0) if n == 0 else Fraction(n + 1, n + 2),
     )
-    got = _audit_sigma_star(bundle, 200, 1e-9)
+    got = sigma_star_result(bundle, 200, 1e-9)
     assert got.passed
     same(got, ref_audit_sigma_star(bundle, 200, 1e-9))
