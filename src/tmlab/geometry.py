@@ -10,13 +10,11 @@ each axiom.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-EQ_TOL = 1e-12
 DISK_MARGIN = 1e-12
 _TRIPOD_LENGTH = "tripod arm length must be finite and >= 0"
 
@@ -132,9 +130,6 @@ class AxiomReport:
             "pass": self.passed,
         }
 
-    def __str__(self) -> str:
-        return json.dumps(self.to_json())
-
 
 class SpaceModel:
     """Common interface of the shipped models; immutable after construction."""
@@ -177,9 +172,6 @@ class SpaceModel:
 
     def midpoint(self, x: Point, y: Point) -> Point:
         return self.comb(x, y, 0.5)
-
-    def equal(self, x: Point, y: Point) -> bool:
-        return self.dist(x, y) <= EQ_TOL
 
     def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
         """<xy, uv> = (d2(x,v) + d2(y,u) - d2(x,u) - d2(y,v)) / 2.  The four
@@ -230,11 +222,6 @@ class Euclidean(SpaceModel):
 
     def describe(self) -> str:
         return f"euclidean({self.dim})"
-
-    def point(self, *coords: float) -> Point:
-        if len(coords) != self.dim:
-            raise GeometryError("wrong coordinate count")
-        return Point.euclidean(*coords)
 
     def base_point(self) -> Point:
         return Point.euclidean(*([0.0] * self.dim))
@@ -340,9 +327,6 @@ class PoincareDisk(SpaceModel):
     def __init__(self):
         self.kind = "disk"
 
-    def point(self, a: float, b: float) -> Point:
-        return Point.disk(a, b)
-
     def base_point(self) -> Point:
         return Point("disk", (0.0, 0.0))
 
@@ -437,9 +421,6 @@ class Tripod(SpaceModel):
 
     def __init__(self):
         self.kind = "tripod"
-
-    def point(self, leg: int, length: float) -> Point:
-        return Point.tripod(leg, length)
 
     def base_point(self) -> Point:
         return Point("tripod", (0, 0.0))

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Callable, Optional
-
-import mpmath
 
 try:  # GMP-backed integers keep the near-squaring towers fast
     from gmpy2 import mpz
@@ -35,7 +33,7 @@ class RateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# ceil(ln(.)) on big naturals
+# ceil(ln(.)) and ceil(c * e**n) on big naturals
 # ---------------------------------------------------------------------------
 
 _LN2 = math.log(2.0)
@@ -45,9 +43,9 @@ def ceil_ln(m: int) -> int:
     """Exact ceil(ln m) for a big natural m >= 1.
 
     A float estimate on the top bits settles all but near-integer cases;
-    those are decided exactly by comparing m against e**k with interval
-    arithmetic at increasing precision (terminates because e**k is
-    irrational, hence never equal to the integer m).
+    those are decided exactly by comparing m against integer enclosures of
+    e**k at doubling precision (terminates because e**k is irrational, hence
+    never equal to the integer m).
     """
     if m < 1:
         raise RateError("ceil_ln requires m >= 1")
@@ -61,25 +59,63 @@ def ceil_ln(m: int) -> int:
     if abs(approx - round(approx)) > 1e-6:
         return math.ceil(approx)
     k = round(approx)
-    return k if _less_than_exp(m, k) else k + 1
+    for p, lo, hi in _exp_enclosures(k, 64):
+        if not lo <= m << p <= hi:
+            return k if m << p < lo else k + 1
 
 
-def _less_than_exp(m: int, k: int) -> bool:
-    """Decide m < e**k exactly (m integer, so equality is impossible)."""
-    prec = 128
+_E = (0, 2)  # (q, E) with E <= e * 2**q < E + 2, at the largest q asked for
+
+
+def _e_lower(w: int) -> int:
+    """E with E <= e * 2**w < E + 2: sum_{j<=N} 1/j! by binary splitting,
+    with N! > 2**(w+1), so the terms past N sum to less than 2**-(w+1)."""
+    global _E
+    q, E = _E
+    if w > q:
+        N = next(N for N in count(2) if math.lgamma(N + 1) > (w + 1) * _LN2)
+        T, Q = _split(0, N)
+        q, E = _E = (w, ((Q + T) << w) // Q)
+    return E >> (q - w)
+
+
+def _split(a: int, b: int) -> tuple:
+    """(T, Q) with Q = (a+1)...b and T/Q = sum_{a<j<=b} 1/((a+1)...j)."""
+    if b - a == 1:
+        return mpz(1), mpz(b)
+    T1, Q1 = _split(a, (a + b) // 2)
+    T2, Q2 = _split((a + b) // 2, b)
+    return T1 * Q2 + T2, Q1 * Q2
+
+
+def _exp_enclosures(n: int, p: int):
+    """Yield (p, lo, hi) with lo <= e**n * 2**p <= hi <= lo + 2 for p, 2p, 4p,
+    ... (n >= 1): e**n is x * 2**s by square-and-multiply from E = _e_lower(W),
+    each product cut to W bits.  E's relative error (< 2**-W) enters n times,
+    the cuts (each < 2**(1-W)) at most 2n - 2 times with the later squarings'
+    repeats, so e**n <= x * 2**s * (1 + 6n * 2**(1-W)) while 3n * 2**(1-W) <=
+    1/2; W exceeds p plus the bits of e**n by 2 bits(n) + 7, so hi - lo <= 2."""
     while True:
-        with mpmath.workprec(prec):
-            x = mpmath.exp(mpmath.mpf(k))
-            err = x * mpmath.mpf(2) ** (24 - prec)
-            if mpmath.mpf(m) < x - err:
-                return True
-            if mpmath.mpf(m) > x + err:
-                return False
-        prec *= 2
+        w = p + int(n * 1.4427) + 2 * n.bit_length() + 8
+        e = _e_lower(w)
+        x, s = e, -w
+        for bit in bin(n)[3:]:
+            x, s = _cut(x * x, 2 * s, w)
+            if bit == "1":
+                x, s = _cut(x * e, s - w, w)
+        d = -(s + p)  # > 2 bits(n) + 6, as x * 2**s <= e**n < 2**(1.4427n)
+        hi = x + (x * 6 * n >> (w - 1)) + 1
+        yield p, x >> d, -(-hi >> d)
+        p *= 2
+
+
+def _cut(x: int, s: int, w: int) -> tuple:
+    """x * 2**s rounded down to w bits of x, losing less than 2**(1-w)."""
+    return x >> (x.bit_length() - w), s + x.bit_length() - w
 
 
 def _ceil_scaled_exp(coeff: int, n: int, cap: Optional[int]) -> int:
-    """ceil(coeff * e**n) with upward-directed rounding.
+    """ceil(coeff * e**n), decided on enclosures of e**n.
 
     coeff * e**n has at least bits(coeff) + floor(n * log2(e)) bits, so a
     certain overflow is refused before the exponential is formed, as Power
@@ -95,10 +131,12 @@ def _ceil_scaled_exp(coeff: int, n: int, cap: Optional[int]) -> int:
     # 1.4426 < log2(e), so this is a lower bound on the value's bit length
     if cap is not None and coeff.bit_length() + int(n * 1.4426) > cap:
         raise CapExceeded()
-    est_bits = int(n * 1.4427) + coeff.bit_length() + 2
-    with mpmath.workprec(est_bits + 64):
-        val = int(mpmath.ceil(coeff * mpmath.exp(mpmath.mpf(n))))
-    return within_cap(val, cap)
+    if n == 0:  # e**0 = 1: no enclosure of it excludes an integer
+        return within_cap(coeff, cap)
+    for p, lo, hi in _exp_enclosures(n, coeff.bit_length() + 64):
+        c = -(-coeff * lo >> p)
+        if c == -(-coeff * hi >> p):
+            return within_cap(int(c), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +149,15 @@ def within_cap(value: int, cap: Optional[int]) -> int:
     if cap is not None and value.bit_length() > cap:
         raise CapExceeded()
     return value
+
+
+def capped(f: Counterfunction, n: int, cap: int, past: int) -> int:
+    """f(n), or ``past`` when f(n) has more than cap bits, for callers that
+    compare f(n) only with bounds within cap bits; a huge f(n) is never formed."""
+    try:
+        return f(n, cap)
+    except CapExceeded:
+        return past
 
 
 class Counterfunction:
@@ -376,7 +423,6 @@ class RateValue:
 
     value: Optional[int] = None
     expr: str = ""
-    bit_cap: Optional[int] = None
 
     @staticmethod
     def finite(n: int) -> "RateValue":
@@ -385,8 +431,8 @@ class RateValue:
         return RateValue(value=n)
 
     @staticmethod
-    def astronomical(expr: str, bit_cap: int) -> "RateValue":
-        return RateValue(value=None, expr=expr, bit_cap=bit_cap)
+    def astronomical(expr: str) -> "RateValue":
+        return RateValue(value=None, expr=expr)
 
     @property
     def is_astronomical(self) -> bool:
@@ -454,7 +500,7 @@ def _guard(expr: str, bit_cap: int, thunk: Callable[[], int]) -> RateValue:
     try:
         return RateValue.finite(within_cap(int(thunk()), bit_cap))
     except CapExceeded:
-        return RateValue.astronomical(expr, bit_cap)
+        return RateValue.astronomical(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _bit_cap(text: str) -> int:
+    # rate work grows about 8x for every 4x of the cap; 2**26 is the largest used
+    if int(text) > 2 ** 26:
+        raise ValueError(f"{text} must be <= 2**26")
+    return int(text)
+
+
 REQUIRED = object()
 
 
@@ -136,7 +143,7 @@ FIELDS = {
     "run.steps": Field(int, "100", 1),
     "run.K": Field(int, None, 1),
     "run.tol": Field(_finite, "1e-9", 0),
-    "run.bit_cap": Field(int, str(rates.DEFAULT_BIT_CAP), 1),
+    "run.bit_cap": Field(_bit_cap, str(rates.DEFAULT_BIT_CAP), 1),
 }
 
 # the horizon on which overridden schedule moduli are audited

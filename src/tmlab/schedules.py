@@ -23,7 +23,6 @@ presets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count
@@ -36,6 +35,7 @@ from .rates import (
     Const,
     Counterfunction,
     Identity,
+    capped,
     monotonize,
     within_cap,
 )
@@ -182,9 +182,6 @@ class AuditReport:
     def to_json(self):
         return [r.to_json() for r in self.results]
 
-    def __str__(self):
-        return json.dumps(self.to_json(), indent=2)
-
 
 def audit_schedule(
     bundle: ScheduleBundle, horizon: int, tol: float = 1e-9
@@ -206,7 +203,7 @@ def audit_schedule(
     def modulus_scan(modulus, values, key):
         # values[modulus(k)] <= 1/(k+1) for each k whose start is in range
         for k in range(H + 1):
-            start = _capped(modulus, k, cap, H + 1)
+            start = capped(modulus, k, cap, H + 1)
             if start > H:
                 return
             if values[start] > 1.0 / (k + 1) + tol:
@@ -223,7 +220,7 @@ def audit_schedule(
         # sum_{i <= sigma(n)} (1 - beta_i) >= n wherever sigma(n) <= H
         sums = list(accumulate((1.0 - b for b in beta[:H + 1]), initial=0.0))[1:]
         for n in count():
-            s = _capped(bundle.sigma, n, cap, H + 1)
+            s = capped(bundle.sigma, n, cap, H + 1)
             if s > H:
                 return
             if sums[s] < n - tol:
@@ -256,7 +253,7 @@ def audit_schedule(
     def beta_floor_scan():
         for n in range(H + 1):
             # 1/B(n) is 0.0 in floats past 2^1100; B(n) = 0 admits no floor
-            b = _capped(bundle.B, n, 1100, 1 << 1100)
+            b = capped(bundle.B, n, 1100, 1 << 1100)
             if b == 0 or beta[n] < 1 / b - tol:
                 yield {"n": n, "beta": beta[n], "B": int(b)}
 
@@ -296,13 +293,3 @@ def _suffix_max_gaps(beta: list) -> list:
     top = len(beta) - 2
     gaps = (1.0 - beta[i] for i in range(top, -1, -1))
     return list(accumulate(gaps, lambda s, g: max(g, s), initial=0.0))[::-1]
-
-
-def _capped(f: Counterfunction, n: int, cap: int, past: int) -> int:
-    """f(n), or ``past`` when f(n) has more than cap bits.  An overridden
-    modulus may grow past any memory; the audit only compares it with
-    bounds that fit in cap bits."""
-    try:
-        return f(n, cap)
-    except CapExceeded:
-        return past

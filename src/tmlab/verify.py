@@ -7,7 +7,6 @@ instance can be re-run in isolation.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from .geometry import Point, SpaceModel
 from .mappings import MappingFamily
-from .rates import Counterfunction, RateValue, zeta, zeta_star
+from .rates import Counterfunction, RateValue, capped, zeta, zeta_star
 from .schedules import ScheduleBundle
 from .engine import Trajectory
 
@@ -44,9 +43,6 @@ class CheckResult:
             "horizons": self.horizons,
             "details": self.details,
         }
-
-    def __str__(self):
-        return json.dumps(self.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +166,7 @@ def search_metastable(
     length = len(traj)
     truncated = False
     for n in range(min(query.cap, length) + 1):
-        end = query.f(n)
+        end = capped(query.f, n, length.bit_length(), length)
         if end < n:
             return MetastabilitySearch(found=n, truncated=False, scanned=n)
         if end >= length:
@@ -244,7 +240,6 @@ class SyntheticXuInstance:
     v: list
     r: list
     S: int
-    generator: str = ""
 
     def __post_init__(self):
         n = len(self.s) - 1
@@ -265,9 +260,7 @@ def telescoping_instance(length: int, s0: float = 1.0) -> SyntheticXuInstance:
     for n in range(length):
         s.append((1.0 - a[n]) * s[n])
     return SyntheticXuInstance(
-        s=s, a=a, v=[0.0] * length, r=[0.0] * length, S=max(1, math.ceil(s0)),
-        generator="telescoping",
-    )
+        s=s, a=a, v=[0.0] * length, r=[0.0] * length, S=max(1, math.ceil(s0)))
 
 
 def _window_bounds(k: int, q: int) -> tuple:
@@ -292,7 +285,7 @@ def random_instance(
     for n in range(length):
         rhs = (1.0 - a[n]) * (s[n] + v[n]) + a[n] * r[n]
         s.append(min(float(S), rhs * rng.uniform(0.0, 1.0) ** slack))
-    return SyntheticXuInstance(s=s, a=a, v=v, r=r, S=S, generator=f"random:{seed}")
+    return SyntheticXuInstance(s=s, a=a, v=v, r=r, S=S)
 
 
 def check_xu_lemma(

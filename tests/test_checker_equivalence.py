@@ -227,9 +227,9 @@ def test_recursive_inequalities_failure_witness_matches_reference():
     space = Euclidean(2)
     family = DoublingFamily(space)
     bundle = preset("harmonic")
-    traj = run(space, family, bundle, space.point(0.5, 0.0),
-               space.point(1.0, -0.5), 60)
-    x = space.point(0.3, 0.2)
+    traj = run(space, family, bundle, Point.euclidean(0.5, 0.0),
+               Point.euclidean(1.0, -0.5), 60)
+    x = Point.euclidean(0.3, 0.2)
     got = V.check_recursive_inequalities(traj, family, bundle, x)
     assert not got.passed and got.witness is not None
     same(got, ref_check_recursive_inequalities(traj, family, bundle, x))

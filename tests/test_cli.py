@@ -1,8 +1,11 @@
 """Command-line interface: commands, formats and the exit-code contract."""
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -504,6 +507,27 @@ def test_unread_keys_and_unsound_overrides_exit_2(runner, tmp_path, lines, args,
     for text in named:
         assert text in res.stderr
     assert isinstance(res.exception, SystemExit)
+
+
+def test_metastable_counterfunction_past_the_trajectory_is_truncated(runner, tmp_path):
+    # f(0) = 2**(2 * 10**10): the search evaluates f under the trajectory's
+    # bit length, so the window is reported as truncated without forming f(0)
+    p = tmp_path / "rotation.cfg"
+    p.write_text(ROTATION_CFG + "run.steps = 50\n")
+    start = time.perf_counter()
+    res = runner.invoke(main, ["metastable", str(p), "--k", "0", "--cap", "10",
+                               "--cf", "comp(pow:20000000000,affine:1,2)", "--phi", "const:0"])
+    assert time.perf_counter() - start < 2
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert json.loads(res.stdout)["witnesses"] == {"search": "none found", "truncated": True}
+
+
+def test_import_loads_no_mpmath():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, tmlab, tmlab.cli; sys.exit('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,7 @@ DISK = BASE.replace("space.kind = euclidean\nspace.dim = 2", "space.kind = disk"
     (BASE, "schedule.N_Gamma = -1", "schedule.N_Gamma"),
     (BASE, "run.tol = -1", "run.tol"),
     (BASE, "run.bit_cap = -3", "run.bit_cap"),
+    (BASE, f"run.bit_cap = {2 ** 26 + 1}", "field 'run.bit_cap': 67108865 must be <= 2**26"),
     (PROJECTION + "family.radius = 1\n", "family.radus = 3",
      "unknown field 'family.radus'; did you mean 'family.radius'?"),
     (BASE.replace("family.kind = rotation", "family.kind = projection\nfamily.radius = 1"),
@@ -240,8 +241,8 @@ DISK = BASE.replace("space.kind = euclidean\nspace.dim = 2", "space.kind = disk"
 ], ids=["space.kind", "space.dim", "family.kind", "family.radius",
         "family.base.radius", "family.base.kind", "family.function",
         "schedule.preset", "schedule.Lambda", "schedule.N_Gamma", "run.tol",
-        "run.bit_cap", "misspelled", "misspelled-required", "unread-by-family", "unread-by-space",
-        "run.seed", "family.function-default"])
+        "run.bit_cap", "run.bit_cap-above-2**26", "misspelled", "misspelled-required",
+        "unread-by-family", "unread-by-space", "run.seed", "family.function-default"])
 def test_config_errors_name_the_key(text, line, key):
     key_of = line.partition("=")[0].strip()
     kept = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() != key_of]

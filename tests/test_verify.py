@@ -48,7 +48,7 @@ def test_ar_first_hit_identity(identity_traj):
 
 def test_ar_astronomical_rate_vacuous(identity_traj):
     sc, traj = identity_traj
-    astro = R.RateValue.astronomical("huge", 20)
+    astro = R.RateValue.astronomical("huge")
     res = V.check_ar(traj, astro, k=3, cap=1000)
     assert res.passed
     assert "vacuous" in res.details["flag"]
@@ -153,7 +153,7 @@ def test_check_mu_pass_and_fail(identity_traj):
 def test_check_mu_astronomical_flag(identity_traj):
     sc, traj = identity_traj
     q = V.MetastabilityQuery(k=1, f=R.Const(0), cap=100)
-    res = V.check_mu(traj, q, R.RateValue.astronomical("big", 20))
+    res = V.check_mu(traj, q, R.RateValue.astronomical("big"))
     assert res.passed
     assert "not informative" in res.details["flag"]
 
