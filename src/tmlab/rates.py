@@ -528,7 +528,13 @@ def omega2(k: int, K: int) -> int:
 
 def _n_star_int(k: int, g: Callable[[int], int], K: int, cap: Optional[int]) -> int:
     """The bound on n*: from h = 0, apply h -> max{omega1(h), g(omega1(h))}
-    r(omega2(k)) times, then take omega1(h); each omega1 value is capped."""
+    r(omega2(k)) times, then take omega1(h); each omega1 value is capped.
+
+    Each round's new h is at least omega1(h), so bits(h+1) - 1 at least
+    doubles per round: with b = bits(h+1) and R rounds left, the result has
+    at least (b - 1) * 2**R + 1 bits.  A round starts only while that bound
+    fits the cap; R is clamped to bits(cap), which keeps the shift small and
+    still passes the cap once b >= 2."""
 
     def w1(h):
         # 24K(h+1)^2 has at least 2*bits(h+1) - 1 bits; refuse a certain
@@ -538,7 +544,11 @@ def _n_star_int(k: int, g: Callable[[int], int], K: int, cap: Optional[int]) -> 
         return within_cap(omega1(h, K), cap)
 
     h = mpz(0)
-    for _ in range(r_of_k(omega2(k, K), K)):
+    for left in range(r_of_k(omega2(k, K), K), 0, -1):
+        if cap is not None:
+            b = (h + 1).bit_length()
+            if ((b - 1) << min(left, cap.bit_length())) + 1 > cap:
+                raise CapExceeded()
         w = w1(h)
         h = max(w, g(w))
     return w1(h)

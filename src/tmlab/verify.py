@@ -162,7 +162,7 @@ def search_metastable(
 ) -> MetastabilitySearch:
     """Least n <= cap with all pairwise distances on {n, ..., f(n)} below
     1/(k+1); windows with f(n) < n hold vacuously."""
-    bound = 1.0 / (query.k + 1) + tol
+    bound = 1 / (query.k + 1) + tol
     length = len(traj)
     truncated = False
     for n in range(min(query.cap, length) + 1):

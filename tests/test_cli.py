@@ -523,6 +523,19 @@ def test_metastable_counterfunction_past_the_trajectory_is_truncated(runner, tmp
     assert json.loads(res.stdout)["witnesses"] == {"search": "none found", "truncated": True}
 
 
+def test_metastable_k_past_float_range_reports(runner, cfg_path):
+    # 1/(k+1) is taken as integer true division, which has no float range
+    # limit; the default-Phi mu is refused after the tower's first round
+    res = runner.invoke(main, ["metastable", cfg_path, "--k", str(2 ** 1030),
+                               "--cf", "id"])
+    assert res.exit_code == 0, res.output
+    assert res.exception is None
+    assert "Traceback" not in res.output
+    data = json.loads(res.stdout)
+    assert data["details"]["k"] == 2 ** 1030
+    assert data["details"]["mu"].startswith("ASTRO:")
+
+
 def test_import_loads_no_mpmath():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, tmlab, tmlab.cli; sys.exit('mpmath' in sys.modules)"

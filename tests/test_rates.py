@@ -284,15 +284,23 @@ def test_omega_formulas():
             assert R.omega2(k, K) == 4 * K * K * (k + 1) ** 2
 
 
-def _n_star_straight_line(k, g, K):
+def _n_star_straight_line(k, g, K, cap=None):
     # independent recomputation: r(omega2(k)) = K^2 (4K^2 (k+1)^2 + 1) steps
-    # of v -> max{omega1(v), g(omega1(v))} from 0, then omega1
+    # of v -> max{omega1(v), g(omega1(v))} from 0, then omega1; every omega1
+    # and g value is computed exactly, and CapExceeded raised only once one
+    # of them has more than cap bits
+    def exact(v):
+        if cap is not None and v.bit_length() > cap:
+            raise R.CapExceeded()
+        return v
+
     def w1(n):
-        return 24 * K * (n + 1) ** 2
+        return exact(24 * K * (n + 1) ** 2)
 
     v = 0
     for _ in range(K * K * (4 * K * K * (k + 1) ** 2 + 1)):
-        v = max(w1(v), g(w1(v)))
+        w = w1(v)
+        v = max(w, exact(g(w)))
     return w1(v)
 
 
@@ -326,6 +334,42 @@ def test_n_star_refuses_one_bit_below_its_value():
             R._n_star_int(0, g, 1, cap)
     with pytest.raises(R.CapExceeded):  # 68 near-squarings from 24
         R._n_star_int(0, g, 2, 2 ** 20)
+
+
+def _n_star_outcome(n_star, k, g, K, cap):
+    try:
+        return n_star(k, g, K, cap)
+    except R.CapExceeded:
+        return "CapExceeded"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(with_comp=True), st.integers(0, 3), st.integers(1, 3),
+       st.integers(1, 4096))
+def test_n_star_refusal_matches_exact_evaluation(f, k, K, cap):
+    # the remaining-squarings refusal must give the exact tower's outcome:
+    # the same value, or CapExceeded on both sides; the value's own bit
+    # length and one bit less are the caps where a bound too large shows
+    caps = [cap]
+    try:
+        exact = _n_star_straight_line(k, f, K, 2 ** 14)
+    except R.CapExceeded:
+        pass
+    else:
+        caps += [exact.bit_length(), exact.bit_length() - 1]
+    for c in caps:
+        assert (_n_star_outcome(R._n_star_int, k, f, K, c)
+                == _n_star_outcome(_n_star_straight_line, k, f, K, c))
+
+
+def test_n_star_refuses_after_one_g_at_the_bench_shape():
+    # the default-Phi mu_star at k = 0, K = 1: 9,217 rounds at cap 2^20; after
+    # the first round, (bits(h+1) - 1) * 2**(rounds left) passes the cap
+    calls = []
+    g = lambda w: calls.append(w) or w
+    with pytest.raises(R.CapExceeded):
+        R._n_star_int(47, g, 1, 2 ** 20)
+    assert calls == [24]
 
 
 def test_zeta_star_telescoping_closed_form():
