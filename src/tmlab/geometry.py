@@ -187,12 +187,12 @@ class SpaceModel:
                     turn: Optional[Turn] = None) -> Point:
         """The Banach iteration z <- comb(x, T(z), c) from z = x: the first
         iterate within tol of its predecessor, or SolverFailure after
-        max_iterations steps.  This is the reference; the shipped models
-        override it with kernels that make the same floating-point
-        operations, in the same order, as this loop's comb and dist.  When
-        T is a rotation of this model, ``turn`` may carry its constants: the
-        kernels then turn their native iterate themselves and call T only
-        for the SolverFailure residual; this loop ignores it."""
+        max_iterations steps.  This loop solves for every map but one: when
+        T is a rotation of this model, ``turn`` may carry its constants,
+        and the shipped models then run a kernel that turns its native
+        iterate itself, with the same floating-point operations, in the
+        same order, as this loop's T, comb and dist; it calls T only for
+        the SolverFailure residual.  This loop ignores ``turn``."""
         comb, dist = self.comb, self.dist
         first = best = None
         z = x
@@ -267,34 +267,23 @@ class Euclidean(SpaceModel):
                 or u.kind != "euclidean" or v.kind != "euclidean"
                 or len(xd) != n or len(yd) != n or len(ud) != n or len(vd) != n):
             self._require(x, y, u, v)
-        if n == 2:
-            # sum starts from int 0: the leading 0.0 + turns a -0.0 first
-            # product into 0.0, as sum([-0.0, -0.0]) == 0.0 does
-            (a0, a1), (b0, b1), (c0, c1), (d0, d1) = xd, yd, ud, vd
-            return 0.0 + (b0 - a0) * (d0 - c0) + (b1 - a1) * (d1 - c1)
         return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
 
     def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
-        # 2-D kernel: the iterate as two floats, comb's and dist's 2-D
-        # branches inline; x, c and the dimension are checked once (a bad
-        # one raises from the reference loop's first comb, after T(x)).  A
-        # turn rotates the two floats by RotationFamily.apply's formula
+        # 2-D rotation kernel: the iterate as two floats, turned by
+        # RotationFamily.apply's formula, comb's and dist's 2-D branches
+        # inline; x, c and the dimension are checked once (a bad one raises
+        # from the reference loop's first comb, after T(x))
         xd = x.data
-        if self.dim != 2 or x.kind != "euclidean" or len(xd) != 2 or not 0.0 <= c <= 1.0:
+        if (turn is None or self.dim != 2 or x.kind != "euclidean" or len(xd) != 2
+                or not 0.0 <= c <= 1.0):
             return super().fixed_point(x, T, c, tol, max_iterations)
         (a0, a1), mu, sqrt = xd, 1.0 - c, math.sqrt
-        cos, sin = (turn.cos, turn.sin) if turn else (None, None)
+        cos, sin = turn.cos, turn.sin
         z0, z1 = a0, a1
         first = best = None
         for _ in range(max_iterations):
-            if turn is None:
-                y = T(tuple.__new__(Point, ("euclidean", (z0, z1))))
-                yd = y.data
-                if y.kind != "euclidean" or len(yd) != 2:
-                    self._require(x, y)
-                b0, b1 = yd
-            else:
-                b0, b1 = z0 * cos - z1 * sin, z0 * sin + z1 * cos
+            b0, b1 = z0 * cos - z1 * sin, z0 * sin + z1 * cos
             n0, n1 = mu * a0 + c * b0, mu * a1 + c * b1
             d = sqrt((z0 - n0) ** 2 + (z1 - n1) ** 2)
             if d <= tol:
@@ -357,13 +346,14 @@ class PoincareDisk(SpaceModel):
         return tuple.__new__(Point, ("disk", (z.real, z.imag)))
 
     def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
-        # kernel: the iterate as a complex number, x's conjugate hoisted,
-        # comb and dist inline; x and c are checked once (a bad one raises
-        # from the reference loop's first comb, after T(x)).  A turn is a
-        # product with its unit, whose floats are RotationFamily.apply's
-        # (a*cos - b*sin, a*sin + b*cos).  point() gives x itself for x's own
-        # value, as comb returns x when it does not move
-        if x.kind != "disk" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
+        # rotation kernel: the iterate as a complex number, turned by a
+        # product with the turn's unit, whose floats are
+        # RotationFamily.apply's (a*cos - b*sin, a*sin + b*cos); x's
+        # conjugate hoisted, comb and dist inline.  x and c are checked once
+        # (a bad one raises from the reference loop's first comb, after
+        # T(x)).  point() gives x itself for x's own value, as comb returns
+        # x when it does not move
+        if turn is None or x.kind != "disk" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
             return super().fixed_point(x, T, c, tol, max_iterations)
         zx = complex(*x.data)
 
@@ -371,17 +361,11 @@ class PoincareDisk(SpaceModel):
             return x if w is zx else tuple.__new__(Point, ("disk", (w.real, w.imag)))
 
         czx, half_c, atanh, tanh = zx.conjugate(), 0.5 * c, math.atanh, math.tanh
-        unit = turn and turn.unit
+        unit = turn.unit
         cur = zx
         first = best = None
         for _ in range(max_iterations):
-            if turn is None:
-                y = T(point(cur))
-                if y.kind != "disk":
-                    self._require(x, y)
-                zy = complex(*y.data)
-            else:
-                zy = cur * unit
+            zy = cur * unit
             w = (zy - zx) / (1.0 - czx * zy)
             r = abs(w)
             if r == 0.0:
@@ -457,24 +441,18 @@ class Tripod(SpaceModel):
         return tuple.__new__(Point, ("tripod", (leg, s)))
 
     def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
-        # kernel: the iterate as (leg, s), comb and dist inline; x and c are
-        # checked once (a bad one raises from the reference loop's first
-        # comb, after T(x)).  A turn shifts the leg as RotationFamily.apply
-        # does, keeping the center on leg 0
-        if x.kind != "tripod" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
+        # rotation kernel: the iterate as (leg, s), its leg shifted as
+        # RotationFamily.apply does (the center stays on leg 0), comb and
+        # dist inline; x and c are checked once (a bad one raises from the
+        # reference loop's first comb, after T(x))
+        if turn is None or x.kind != "tripod" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
             return super().fixed_point(x, T, c, tol, max_iterations)
         (lx, sx), mu, inf = x.data, 1.0 - c, math.inf
-        shift = turn and turn.shift
+        shift = turn.shift
         lz, sz = lx, sx
         first = best = None
         for _ in range(max_iterations):
-            if turn is None:
-                y = T(tuple.__new__(Point, ("tripod", (lz, sz))))
-                if y.kind != "tripod":
-                    self._require(x, y)
-                ly, sy = y.data
-            else:
-                ly, sy = (lz + shift) % 3 if sz != 0.0 else 0, sz
+            ly, sy = (lz + shift) % 3 if sz != 0.0 else 0, sz
             if lx == ly or sx == 0.0 or sy == 0.0:
                 leg = ly if sx == 0.0 else lx
                 s = mu * sx + c * sy

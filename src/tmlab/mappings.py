@@ -42,18 +42,18 @@ class MappingFamily:
     def apply(self, n: int, x: Point) -> Point:
         raise NotImplementedError
 
-    def chi_T_fn(self, bundle, K: int) -> Callable[[int], int]:
+    def chi_T_fn(self, bundle, K: int, cap: Optional[int] = None) -> Callable[[int], int]:
         """Cauchy modulus for the series sum_n d(T_{n+1} u_n, T_n u_n).
 
         Families whose members all coincide have a zero series; families
         driven by a step-size sequence inherit the modulus built from the
-        schedule's gamma data.
+        schedule's gamma data, which raises CapExceeded past cap bits.
         """
         from .schedules import chi_T
 
         if self.gammas is None:
             return lambda k: 0
-        return lambda k: chi_T(bundle, K, k)
+        return lambda k: chi_T(bundle, K, k, cap)
 
 
 class IdentityFamily(MappingFamily):
@@ -162,7 +162,8 @@ class ResolventFamily(MappingFamily):
     the fixed point z of z -> (1 - c) x + c T(z) with c = gamma_n / (1 +
     gamma_n), solved by the model's Banach iteration SpaceModel.fixed_point
     (contraction factor c < 1).  A rotation base of the same model hands its
-    Turn to the solve, which then rotates the iterate without calling T."""
+    Turn to the solve, whose kernel then rotates the iterate without calling
+    T; every other base is called by the reference loop."""
 
     name = "resolvent"
 

@@ -273,10 +273,11 @@ def build_scenario(cfg: dict) -> Scenario:
     digest = hashlib.sha256(
         "\n".join(f"{k}={v}" for k, v in sorted(cfg.items())).encode()
     ).hexdigest()[:12]
+    bit_cap = read("run.bit_cap")
     scenario = Scenario(
         space=space, family=family, bundle=bundle, u=u, x0=x0, p=p, M=M, K=K,
-        steps=read("run.steps"), tol=read("run.tol"), bit_cap=read("run.bit_cap"),
-        scenario_hash=digest, chi_T_fn=family.chi_T_fn(bundle, K),
+        steps=read("run.steps"), tol=read("run.tol"), bit_cap=bit_cap,
+        scenario_hash=digest, chi_T_fn=family.chi_T_fn(bundle, K, bit_cap),
     )
     _reject_unread(cfg, read.keys)
     return scenario

@@ -82,12 +82,14 @@ class ScheduleBundle:
         self.B = monotonize(self.B)
 
 
-def chi_T(bundle: ScheduleBundle, K: int, k: int) -> int:
+def chi_T(bundle: ScheduleBundle, K: int, k: int, cap: Optional[int] = None) -> int:
     """Cauchy modulus for sum_n d(T_{n+1} u_n, T_n u_n) of a family driven
-    by the bundle's gamma sequence: max{N_Gamma, chi_gamma(2K*Gamma*(k+1)-1)}."""
+    by the bundle's gamma sequence: max{N_Gamma, chi_gamma(2K*Gamma*(k+1)-1)},
+    or CapExceeded when it has more than cap bits."""
     if K < 1:
         raise ScheduleError("K must be >= 1")
-    return max(bundle.N_Gamma, bundle.chi_gamma(2 * K * bundle.Gamma * (k + 1) - 1))
+    arg = 2 * K * bundle.Gamma * (k + 1) - 1
+    return within_cap(max(bundle.N_Gamma, bundle.chi_gamma(arg, cap)), cap)
 
 
 # ---------------------------------------------------------------------------

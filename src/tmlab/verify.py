@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from .geometry import Point, SpaceModel
 from .mappings import MappingFamily
-from .rates import Counterfunction, RateValue, capped, zeta, zeta_star
+from .rates import CapExceeded, Counterfunction, RateValue, capped, zeta, zeta_star
 from .schedules import ScheduleBundle
 from .engine import Trajectory
 
@@ -352,7 +352,8 @@ def check_chi_T_series(
     tol: float = 1e-8,
 ) -> CheckResult:
     """chi_T is a Cauchy modulus for the series sum_n d(T_{n+1} u_n, T_n u_n):
-    the tail from chi_T(k) on stays below 1/(k+1)."""
+    the tail from chi_T(k) on stays below 1/(k+1).  A k whose chi_T(k)
+    starts past the trajectory, or passes chi_T_fn's bit cap, is skipped."""
     space = traj.space
     terms = [
         space.dist(family.apply(n + 1, rec.u), family.apply(n, rec.u))
@@ -363,7 +364,10 @@ def check_chi_T_series(
         tails[i] = tails[i + 1] + terms[i]
     worst = (-math.inf, None)
     for k in range(k_max + 1):
-        start = chi_T_fn(k)
+        try:
+            start = chi_T_fn(k)
+        except CapExceeded:
+            continue
         if start >= len(terms):
             continue
         res = tails[start] - 1.0 / (k + 1)

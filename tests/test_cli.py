@@ -356,6 +356,35 @@ def test_rates_non_monotone_cf_is_bounded(runner, cfg_path):
     assert res.output.splitlines()[1] == '0,"ASTRO:mu_star(k=0,f=max(table:[5,1],id))"'
 
 
+# chi_gamma = pow:20000000 is a sound modulus (k**(2*10**7) >= k); every
+# chi_T value the rates read on this config passes the default bit cap
+HUGE_CHI_GAMMA_CFG = """
+space.kind = euclidean
+family.kind = proximal
+family.center = 0,0
+schedule.preset = harmonic
+schedule.chi_gamma = pow:20000000
+run.u = 0,0
+run.x0 = 1,0
+"""
+
+
+def test_rates_cap_the_chi_T_modulus(runner, tmp_path):
+    # chi_T is evaluated under run.bit_cap: the rates that read it are
+    # Astronomical at once, not after forming a 3**(2*10**7)
+    p = tmp_path / "scenario.cfg"
+    p.write_text(HUGE_CHI_GAMMA_CFG)
+    t0 = time.monotonic()
+    res = runner.invoke(main, ["rates", str(p), "--which", "chi,Sigma_star", "--k-max", "1"])
+    assert time.monotonic() - t0 < 5.0
+    assert res.exit_code == 0
+    assert res.output.splitlines() == [
+        "k,chi,Sigma_star",
+        "0,ASTRO:chi(k=0),ASTRO:Sigma_star(k=0)",
+        "1,ASTRO:chi(k=1),ASTRO:Sigma_star(k=1)",
+    ]
+
+
 PROJECTION_CFG = """
 space.kind = euclidean
 space.dim = 2

@@ -300,3 +300,20 @@ def test_chi_T_formula():
             assert chi_T(b, K, k) == expected
     with pytest.raises(ScheduleError):
         chi_T(b, 0, 0)
+
+
+@pytest.mark.parametrize("chi_gamma, N_Gamma", [
+    (Identity(), 0), (Power(3), 0), (Power(40), 5), (Const(0), 2 ** 20), (Table((1, 7)), 300)])
+def test_chi_T_under_a_cap_is_the_value_or_refused(chi_gamma, N_Gamma):
+    # chi_T(k, cap) is chi_T(k), or CapExceeded exactly when that value has
+    # more than cap bits
+    b = replace(preset("harmonic"), chi_gamma=chi_gamma, N_Gamma=N_Gamma)
+    for K in (1, 3):
+        for k in range(6):
+            value = chi_T(b, K, k)
+            for cap in (1, 5, 9, 21, 64, 300):
+                if value.bit_length() > cap:
+                    with pytest.raises(CapExceeded):
+                        chi_T(b, K, k, cap)
+                else:
+                    assert chi_T(b, K, k, cap) == value

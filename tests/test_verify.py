@@ -68,6 +68,36 @@ def test_family_ar_identity_trivial(identity_traj):
     assert res.details["first_hit"] == 0
 
 
+PROXIMAL_PLANE = """
+space.kind = euclidean
+family.kind = proximal
+family.center = 0,0
+schedule.preset = harmonic
+run.u = 0,0
+run.x0 = 1,0
+run.steps = 200
+"""
+
+
+def test_Tm_ar_proximal():
+    sc = scenario_from_text(PROXIMAL_PLANE)
+    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps,
+               scenario_hash=sc.scenario_hash)
+    for m in (0, 5):
+        for k in (0, 3):
+            rate = R.Psi_star(k, sc.bundle, sc.K, sc.chi_T_fn)
+            res = V.check_Tm_ar(traj, sc.family, m, rate, k=k, cap=sc.steps)
+            assert res.passed, (m, k, res.details)
+    # T_5 moves x0 = (1, 0) by 7/13 of its distance to the center: more than
+    # 1/4, so a rate of 0 fails at k = 3 with n = 0 as the witness
+    x0 = traj.records[0].x
+    assert sc.space.dist(x0, sc.family.apply(5, x0)) > 1 / 4
+    res = V.check_Tm_ar(traj, sc.family, 5, R.RateValue.finite(0), k=3, cap=sc.steps)
+    assert not res.passed
+    assert res.check_id == "Tm-ar[m=5]"
+    assert res.witness["n"] == 0
+
+
 def test_ar_insufficient_data(identity_traj):
     sc, traj = identity_traj
     big = R.RateValue.finite(10 ** 9)
@@ -363,3 +393,20 @@ def test_chi_T_series_detects_broken_modulus():
                Point.euclidean(2, 1), 5000)
     res = V.check_chi_T_series(traj, fam, lambda k: 0, k_max=200, tol=1e-12)
     assert not res.passed  # the whole series exceeds 1/(k+1) for large k
+
+
+def test_chi_T_series_skips_a_modulus_past_its_cap():
+    # chi_T(k) = 2k + 1 under a 3-bit cap: k = 0..3 are checked, and k >= 4
+    # is skipped as a start past the trajectory would be
+    space = Euclidean(2)
+    bundle = preset("harmonic")
+    fam = ProximalFamily(space, space.base_point(), bundle.gamma)
+    traj = run(space, fam, bundle, Point.euclidean(0.5, 0), Point.euclidean(1, 0), 500)
+    fn = fam.chi_T_fn(bundle, K=1, cap=3)
+    assert fn(3) == 7
+    with pytest.raises(R.CapExceeded):
+        fn(4)
+    capped = V.check_chi_T_series(traj, fam, fn, k_max=10, tol=1e-8)
+    first_four = V.check_chi_T_series(traj, fam, fam.chi_T_fn(bundle, K=1), k_max=3,
+                                      tol=1e-8)
+    assert capped.passed and capped.details == first_four.details
