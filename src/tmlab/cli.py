@@ -22,7 +22,6 @@ from . import rates as R
 from . import verify as V
 from .engine import check_boundedness, check_hilbert_special_case, run
 from .geometry import Euclidean, Point, SampleSpec, make_model, run_all_geometry_checks
-from .rates import RateError, parse_counterfunction
 from .scenario import ConfigError, Scenario, build_scenario, load_config, scenario_from_text
 from .schedules import audit_schedule, preset
 
@@ -56,13 +55,15 @@ def _load_scenario(config_path: str) -> Scenario:
         sys.exit(EXIT_CONFIG)
 
 
-def _parse_counterfunctions(cf: str, phi: Optional[str]):
-    """The --cf counterfunction and the optional --phi override."""
+def _counterfunction(ctx, param, value):
+    """The parsed --cf or --phi text; one the grammar refuses is a flag error,
+    and an empty --phi is no override."""
+    if param.name == "phi" and not value:
+        return None
     try:
-        return parse_counterfunction(cf), parse_counterfunction(phi) if phi else None
-    except RateError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        return R.parse_counterfunction(value)
+    except R.RateError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 @contextmanager
@@ -129,23 +130,22 @@ def _rate_names(ctx, param, value):
               help="Tabulate k = 0..k_max.")
 @click.option("--which", default="Sigma_star", callback=_rate_names,
               help="Comma-separated rate names: " + ",".join(RATE_NAMES))
-@click.option("--cf", default="const:0",
+@click.option("--cf", default="const:0", callback=_counterfunction,
               help="Counterfunction for the metastability rates (mini-grammar).")
-@click.option("--phi", default=None,
+@click.option("--phi", default=None, callback=_counterfunction,
               help="Optional override for the single-map regularity rate "
                    "used inside mu / mu_star (mini-grammar).")
 @click.option("--out", type=click.Path(), default=None)
 def cmd_rates(config_path, k_max, which, cf, phi, out):
     """Tabulate rate values as CSV (big naturals as decimal strings)."""
     sc = _load_scenario(config_path)
-    f, phi_cf = _parse_counterfunctions(cf, phi)
     with _output(out, "--out") as stream:
         writer = csv.writer(stream)
         writer.writerow(["k"] + which)
         for k in range(k_max + 1):
             row = [str(k)]
             for name in which:
-                row.append(_rate_value(name, k, sc, f, phi_cf).render())
+                row.append(_rate_value(name, k, sc, cf, phi).render())
             writer.writerow(row)
     sys.exit(EXIT_OK)
 
@@ -324,26 +324,26 @@ def cmd_verify(suite_name, seed, samples, tol, report_path):
 @main.command("metastable")
 @click.argument("config_path", type=click.Path())
 @click.option("--k", type=click.IntRange(min=0), default=0)
-@click.option("--cf", default="const:0", help="Counterfunction (mini-grammar).")
+@click.option("--cf", default="const:0", callback=_counterfunction,
+              help="Counterfunction (mini-grammar).")
 @click.option("--cap", type=click.IntRange(min=1), default=10_000,
               help="Search horizon.")
-@click.option("--phi", default=None,
+@click.option("--phi", default=None, callback=_counterfunction,
               help="Optional single-map regularity rate override (mini-grammar).")
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def cmd_metastable(config_path, k, cf, cap, phi, report_path):
     """Search the metastability index and compare it with the computed rate."""
     sc = _load_scenario(config_path)
-    f, phi_cf = _parse_counterfunctions(cf, phi)
     with _output(report_path, "--report") as fh:
         traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps,
                    scenario_hash=sc.scenario_hash)
         if traj.error:
             click.echo(f"solver failure: {traj.error}", err=True)
             sys.exit(EXIT_SOLVER)
-        query = V.MetastabilityQuery(k=k, f=f, cap=cap)
+        query = V.MetastabilityQuery(k=k, f=cf, cap=cap)
         bound = R.mu_star(
-            k, f, sc.bundle, sc.K, sc.chi_T_fn,
-            Phi_override=phi_cf, bit_cap=sc.bit_cap,
+            k, cf, sc.bundle, sc.K, sc.chi_T_fn,
+            Phi_override=phi, bit_cap=sc.bit_cap,
         )
         result = V.check_mu(traj, query, bound, tol=sc.tol)
         fh.write(json.dumps(result.to_json(), indent=2) + "\n")

@@ -10,10 +10,11 @@ representable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, count
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 try:  # GMP-backed integers keep the near-squaring towers fast
     from gmpy2 import mpz
@@ -26,6 +27,12 @@ DEFAULT_BIT_CAP = 2 ** 20
 
 class CapExceeded(Exception):
     """An intermediate value exceeded the configured bit cap."""
+
+
+class _Unresolved(CapExceeded):
+    """A refusal of a comp whose inner value passed the cap: the comp's own
+    value may be small.  Every other refusal of a counterfunction shows that
+    its value has more than cap bits."""
 
 
 class RateError(ValueError):
@@ -270,7 +277,19 @@ class Compose(Counterfunction):
     inner: Counterfunction
 
     def __call__(self, n, cap=None):
-        return self.outer(self.inner(n, cap), cap)
+        try:
+            m = self.inner(n, cap)
+        except CapExceeded as exc:
+            c = self.outer.constant_value(cap)
+            if c is not None:  # the outer's one value, whatever m is
+                return within_cap(c, cap)
+            # a refusal other than _Unresolved puts m at 2**cap or more, where
+            # a table whose last index is below 2**cap takes its last value
+            last = len(self.outer.values) - 1 if isinstance(self.outer, Table) else None
+            if last is None or last.bit_length() > cap or isinstance(exc, _Unresolved):
+                raise _Unresolved() from exc
+            m = last
+        return self.outer(m, cap)
 
     def constant_value(self, cap=None):
         cv = self.outer.constant_value(cap)
@@ -347,69 +366,69 @@ def monotonize(f: Counterfunction) -> Counterfunction:
 # ---------------------------------------------------------------------------
 
 
+# max, comp and mono nest at most this deep: every walk of a tree recurses per level
+_MAX_DEPTH = 100
+# blanks, punctuation, or a word without the blanks around it; a word takes
+# the "(" it touches, so "max (" holds no head
+_TOKEN = re.compile(r"\s+|[()\[\],]|[^()\[\],\s](?:[^()\[\],]*[^()\[\],\s])?\(?")
+_HEADS = {"max(": (2, lambda f, g: Max((f, g))), "comp(": (2, Compose), "mono(": (1, monotonize)}
+
+
 def parse_counterfunction(text: str) -> Counterfunction:
     """Parse the mini-grammar: const:C | id | affine:a,b | pow:e |
-    max(f,g) | comp(f,g) | table:[v0,v1,...] | mono(f)."""
+    max(f,g) | comp(f,g) | table:[v0,v1,...] | mono(f).  Blanks may surround
+    any token but stand before no "("; max, comp and mono nest at most
+    _MAX_DEPTH deep."""
+    tokens = (t for t in _TOKEN.findall(text) if not t.isspace())
     try:
-        return _parse_cf(text)
-    except RateError:
-        raise
-    except ValueError as exc:
+        f = _parse_cf(tokens, 0)
+        _expect(tokens, "")
+        return f
+    except ValueError as exc:  # RateError included
         raise RateError(f"cannot parse counterfunction {text!r}: {exc}") from exc
 
 
-def _parse_cf(text: str) -> Counterfunction:
-    s = text.strip()
-    if s == "id":
+def _expect(tokens: Iterator[str], token: str) -> None:
+    """Take the next token, which must be token ("" past the end)."""
+    got = next(tokens, "")
+    if got != token:
+        raise ValueError(f"expected {token!r}, not {got!r}" if token else f"unexpected {got!r}")
+
+
+def _parse_cf(tokens: Iterator[str], depth: int) -> Counterfunction:
+    """The counterfunction the next tokens spell; its first word fixes the rest."""
+    word = next(tokens, "")
+    if word in _HEADS:
+        if depth == _MAX_DEPTH:
+            raise ValueError(f"max, comp and mono nest deeper than {_MAX_DEPTH}")
+        arity, make = _HEADS[word]
+        args = _items(tokens, ")", partial(_parse_cf, tokens, depth + 1))
+        if len(args) != arity:
+            raise ValueError(f"{word[:-1]} takes {arity} argument(s), not {len(args)}")
+        return make(*args)
+    if word == "table:":
+        _expect(tokens, "[")
+        return Table(tuple(_items(tokens, "]", lambda: int(next(tokens, "")))))
+    if word.startswith("affine:"):
+        _expect(tokens, ",")
+        return Affine(int(word[7:]), int(next(tokens, "")))
+    if word == "id":
         return Identity()
-    if s.startswith("const:"):
-        return Const(int(s[6:]))
-    if s.startswith("affine:"):
-        a, b = (int(t) for t in s[7:].split(","))
-        return Affine(a, b)
-    if s.startswith("pow:"):
-        return Power(int(s[4:]))
-    if s.startswith("table:"):
-        body = s[6:].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise RateError(f"bad table literal: {text!r}")
-        return Table(tuple(int(t) for t in body[1:-1].split(",")))
-    for head in ("max(", "comp(", "mono("):
-        if s.startswith(head) and s.endswith(")"):
-            args = _split_args(s[len(head):-1])
-            if head == "mono(":
-                if len(args) != 1:
-                    raise RateError(f"mono takes one argument: {text!r}")
-                return monotonize(_parse_cf(args[0]))
-            if len(args) != 2:
-                raise RateError(f"{head[:-1]} takes two arguments: {text!r}")
-            f, g = (_parse_cf(a) for a in args)
-            return Max((f, g)) if head == "max(" else Compose(f, g)
-    raise RateError(f"cannot parse counterfunction {text!r}")
+    if word.startswith("const:"):
+        return Const(int(word[6:]))
+    if word.startswith("pow:"):
+        return Power(int(word[4:]))
+    raise ValueError(f"unexpected {word!r}")
 
 
-def _split_args(body: str) -> list[str]:
-    pieces, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            pieces.append(body[start:i])
-            start = i + 1
-    pieces.append(body[start:])
-    # affine literals carry an internal top-level comma; re-join the pair
-    args, i = [], 0
-    while i < len(pieces):
-        a = pieces[i].strip()
-        if a.startswith("affine:") and "," not in a and i + 1 < len(pieces):
-            args.append(a + "," + pieces[i + 1].strip())
-            i += 2
-        else:
-            args.append(a)
-            i += 1
-    return args
+def _items(tokens: Iterator[str], close: str, read: Callable[[], object]) -> list:
+    """The items read() reads, separated by "," up to close."""
+    items = [read()]
+    while (sep := next(tokens, "")) == ",":
+        items.append(read())
+    if sep != close:
+        raise ValueError(f"expected {close!r}, not {sep!r}")
+    return items
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,16 @@ def test_rates_mu_default_phi_exits_0(runner, cfg_path):
     assert res.output.splitlines()[1] == '0,"ASTRO:mu(k=0,f=const:0)"'
 
 
+@pytest.mark.parametrize("command", [["rates", "--which", "mu,mu_star", "--k-max", "1"],
+                                     ["metastable", "--k", "1"]], ids=["rates", "metastable"])
+def test_an_empty_phi_is_no_override(runner, cfg_path, command):
+    name, *flags = command
+    plain = runner.invoke(main, [name, cfg_path, *flags])
+    empty = runner.invoke(main, [name, cfg_path, *flags, "--phi", ""])
+    assert plain.exit_code == 0, plain.output
+    assert (empty.exit_code, empty.output) == (0, plain.output)
+
+
 def test_rates_non_monotone_cf_is_bounded(runner, cfg_path):
     t0 = time.monotonic()
     res = runner.invoke(main, ["rates", cfg_path, "--which", "mu_star",
@@ -355,6 +365,16 @@ def test_rates_non_monotone_cf_is_bounded(runner, cfg_path):
     assert res.exit_code == 0
     assert res.output.splitlines()[1] == '0,"ASTRO:mu_star(k=0,f=max(table:[5,1],id))"'
 
+
+PROXIMAL_CFG = """
+space.kind = euclidean
+space.dim = 2
+family.kind = proximal
+family.center = 0,0
+schedule.preset = harmonic
+run.u = 0.5,0
+run.x0 = 1,0
+"""
 
 # chi_gamma = pow:20000000 is a sound modulus (k**(2*10**7) >= k); every
 # chi_T value the rates read on this config passes the default bit cap
@@ -383,6 +403,51 @@ def test_rates_cap_the_chi_T_modulus(runner, tmp_path):
         "0,ASTRO:chi(k=0),ASTRO:Sigma_star(k=0)",
         "1,ASTRO:chi(k=1),ASTRO:Sigma_star(k=1)",
     ]
+
+
+@pytest.mark.parametrize("outer", ["const:0", "table:[3,7]"])
+def test_a_constant_or_table_outer_takes_no_value_of_a_huge_inner(runner, tmp_path, outer):
+    # pow:20000000 passes the bit cap at every argument chi_beta gets here;
+    # the outer function's value there is known without it
+    p = tmp_path / "scenario.cfg"
+    p.write_text(PROXIMAL_CFG + f"schedule.chi_beta = max(id,comp({outer},pow:20000000))\n")
+    res = runner.invoke(main, ["rates", str(p), "--which", "chi", "--k-max", "1"])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines() == ["k,chi", "0,7", "1,15"]
+
+
+def _chain(head, depth):
+    """head nested depth deep around id; the other arguments are id."""
+    return (head + "(") * depth + "id" + (")" if head == "mono" else ",id)") * depth
+
+
+@pytest.mark.parametrize("head", ["max", "comp", "mono"])
+@pytest.mark.parametrize("command,place,named", [
+    ("run", "chi_beta", "'schedule.chi_beta'"),
+    ("rates", "chi_beta", "'schedule.chi_beta'"),
+    ("rates", "--cf", "'--cf'"),
+    ("rates", "--phi", "'--phi'"),
+    ("metastable", "--cf", "'--cf'"),
+    ("metastable", "--phi", "'--phi'"),
+])
+def test_counterfunctions_nest_at_most_100_deep(runner, tmp_path, head, command, place,
+                                                named):
+    p = tmp_path / "scenario.cfg"
+    flags = {"run": ["--out", "-"], "metastable": [],
+             "rates": ["--which", ",".join(ALL_RATES), "--k-max", "0"]}[command]
+    for depth, code in ((100, 0), (101, 2)):
+        text = _chain(head, depth)
+        if place == "chi_beta":
+            p.write_text(PROXIMAL_CFG + f"schedule.chi_beta = {text}\n")
+            res = runner.invoke(main, [command, str(p), *flags])
+        else:
+            p.write_text(PROXIMAL_CFG)
+            res = runner.invoke(main, [command, str(p), *flags, place, text])
+        assert res.exit_code == code, (depth, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.stderr
+    # the refusal at depth 101 names where the text came from
+    assert named in res.stderr and "nest deeper than 100" in res.stderr
 
 
 PROJECTION_CFG = """
@@ -488,9 +553,14 @@ run.K = 1
     (["metastable", "{cfg}", "--report", "{missing}"], "--report"),
     (["rates", "{cfg}", "--which", ","], "--which"),
     (["rates", "{cfg}", "--which", "Zeta"], "--which"),
+    (["rates", "{cfg}", "--which", "mu", "--cf", "nope:3"], "--cf"),
+    (["rates", "{cfg}", "--which", "mu", "--phi", "max (id,id)"], "--phi"),
+    (["metastable", "{cfg}", "--cf", "table:[3,-1]"], "--cf"),
+    (["metastable", "{cfg}", "--phi", "mono(id"], "--phi"),
 ], ids=["k", "cap", "samples", "steps", "k-max", "tol-negative", "tol-nan",
         "tol-inf", "run-out", "rates-out", "verify-report", "metastable-report",
-        "which-empty", "which-unknown"])
+        "which-empty", "which-unknown", "rates-cf", "rates-phi", "metastable-cf",
+        "metastable-phi"])
 def test_out_of_range_flags_exit_2_naming_the_option(runner, tmp_path, args, option):
     p = tmp_path / "rotation.cfg"
     p.write_text(ROTATION_CFG)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmlab import rates as R
@@ -62,6 +62,9 @@ CF_TEXTS = [
     "comp(affine:3,1,pow:2)",
     "table:[4,1,9]",
     "mono(table:[4,1,9])",
+    "max( id , affine:1, 2 )",
+    "table: [ 4 , 1 ]",
+    " comp(\tmono(table:[3, 1]) ,pow: 2)\n",
 ]
 
 
@@ -150,6 +153,40 @@ def test_monotonize_is_the_running_max_without_comp(f):
     g = R.monotonize(f)
     running = accumulate((f(n) for n in range(41)), max)
     assert [g(n) for n in range(41)] == list(running)
+
+
+def _tables(values):
+    return st.lists(values, min_size=1, max_size=40).map(lambda v: R.Table(tuple(v)))
+
+
+_OUTERS = st.one_of(st.integers(0, 2 ** 12).map(R.Const), _tables(st.integers(0, 2 ** 12)))
+# pow:e, or comp(max(const,table),g) around such an inner: a comp whose outer
+# is neither a constant nor a table cannot tell its value past the cap.  Its
+# small values index into an outer table before its end
+_INNERS = st.recursive(st.integers(1, 40).map(R.Power), lambda g: st.builds(
+    lambda c, t, g: R.Compose(R.Max((c, t)), g),
+    st.integers(0, 3).map(R.Const), _tables(st.integers(0, 3)), g), max_leaves=3)
+
+
+@given(outer=_OUTERS, inner=_INNERS, n=st.integers(0, 300),
+       cap=st.integers(6, 40))
+# the inner's value is max(0, table:[0,1](100**2)) = 1, so the value is 8,
+# not the table's last value 2, though 100**2 passes 11 bits
+@example(outer=R.Table((4, 8, 2)), n=100, cap=11,
+         inner=R.Compose(R.Max((R.Const(0), R.Table((0, 1)))), R.Power(2)))
+def test_compose_of_a_constant_or_table_is_exact_under_a_cap(outer, inner, n, cap):
+    # n**e has at most 40 * 9 bits, so the exact value is computable; under
+    # the cap it is that value whenever it fits, even where n**e does not
+    # (a table of at most 40 values has its last index within 6 bits), or,
+    # after a comp inside the inner refused, a refusal: never another value
+    f = R.Compose(outer, inner)
+    exact = f(n)
+    try:
+        value = f(n, cap)
+    except R.CapExceeded:
+        assert exact.bit_length() > cap or isinstance(inner, R.Compose)
+    else:
+        assert value == exact and exact.bit_length() <= cap
 
 
 def test_power_cap_precheck():
