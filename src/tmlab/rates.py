@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, count
 from typing import Callable, Iterator, Optional
 
@@ -27,12 +27,6 @@ DEFAULT_BIT_CAP = 2 ** 20
 
 class CapExceeded(Exception):
     """An intermediate value exceeded the configured bit cap."""
-
-
-class _Unresolved(CapExceeded):
-    """A refusal of a comp whose inner value passed the cap: the comp's own
-    value may be small.  Every other refusal of a counterfunction shows that
-    its value has more than cap bits."""
 
 
 class RateError(ValueError):
@@ -168,15 +162,17 @@ def capped(f: Counterfunction, n: int, cap: int, past: int) -> int:
 
 
 class Counterfunction:
-    """A total function on big naturals, represented as an expression tree."""
+    """A total function on big naturals, represented as an expression tree.
+
+    f(n, cap) is f(n) when f(n) has at most cap bits, and raises CapExceeded
+    otherwise."""
+
+    # the N with f constant on [N, oo), or None where f(n) >= n for every n;
+    # a node whose index depends on its fields caches it
+    settles: Optional[int] = None
 
     def __call__(self, n: int, cap: Optional[int] = None) -> int:
         raise NotImplementedError
-
-    def constant_value(self, cap: Optional[int] = None) -> Optional[int]:
-        """The single value this function takes, if it is constant.  Folding
-        evaluates nodes under cap, so it raises CapExceeded past it."""
-        return None
 
     def render(self) -> str:
         raise NotImplementedError
@@ -188,6 +184,7 @@ class Counterfunction:
 @dataclass(frozen=True, repr=False)
 class Const(Counterfunction):
     c: int
+    settles = 0
 
     def __post_init__(self):
         if self.c < 0:
@@ -195,9 +192,6 @@ class Const(Counterfunction):
 
     def __call__(self, n, cap=None):
         return within_cap(self.c, cap)
-
-    def constant_value(self, cap=None):
-        return self.c
 
     def render(self):
         return f"const:{self.c}"
@@ -224,8 +218,9 @@ class Affine(Counterfunction):
     def __call__(self, n, cap=None):
         return within_cap(self.a * n + self.b, cap)
 
-    def constant_value(self, cap=None):
-        return self.b if self.a == 0 else None
+    @cached_property
+    def settles(self):
+        return 0 if self.a == 0 else None
 
     def render(self):
         return f"affine:{self.a},{self.b}"
@@ -261,11 +256,10 @@ class Max(Counterfunction):
     def __call__(self, n, cap=None):
         return max(c(n, cap) for c in self.children)
 
-    def constant_value(self, cap=None):
-        vals = [c.constant_value(cap) for c in self.children]
-        if all(v is not None for v in vals):
-            return max(vals)
-        return None
+    @cached_property
+    def settles(self):
+        indices = [c.settles for c in self.children]
+        return None if None in indices else max(indices)
 
     def render(self):
         return "max(" + ",".join(c.render() for c in self.children) + ")"
@@ -277,28 +271,18 @@ class Compose(Counterfunction):
     inner: Counterfunction
 
     def __call__(self, n, cap=None):
-        try:
-            m = self.inner(n, cap)
-        except CapExceeded as exc:
-            c = self.outer.constant_value(cap)
-            if c is not None:  # the outer's one value, whatever m is
-                return within_cap(c, cap)
-            # a refusal other than _Unresolved puts m at 2**cap or more, where
-            # a table whose last index is below 2**cap takes its last value
-            last = len(self.outer.values) - 1 if isinstance(self.outer, Table) else None
-            if last is None or last.bit_length() > cap or isinstance(exc, _Unresolved):
-                raise _Unresolved() from exc
-            m = last
-        return self.outer(m, cap)
+        N = self.outer.settles
+        if N is None:  # outer(m) >= m: a refused inner value refuses the comp's too
+            return self.outer(self.inner(n, cap), cap)
+        # an inner value past bits(N) bits is past N, where the outer takes its value at N
+        return self.outer(capped(self.inner, n, N.bit_length(), N), cap)
 
-    def constant_value(self, cap=None):
-        cv = self.outer.constant_value(cap)
-        if cv is not None:
-            return cv
-        ci = self.inner.constant_value(cap)
-        if ci is not None:
-            return self.outer(ci, cap)
-        return None
+    @cached_property
+    def settles(self):
+        if self.outer.settles == 0:
+            return 0
+        inner = self.inner.settles
+        return self.outer.settles if inner is None else inner
 
     def render(self):
         return f"comp({self.outer.render()},{self.inner.render()})"
@@ -318,10 +302,12 @@ class Table(Counterfunction):
         i = min(n, len(self.values) - 1)
         return within_cap(self.values[i], cap)
 
-    def constant_value(self, cap=None):
-        if len(set(self.values)) == 1:
-            return self.values[0]
-        return None
+    @cached_property
+    def settles(self):
+        i = len(self.values) - 1
+        while i and self.values[i - 1] == self.values[-1]:
+            i -= 1
+        return i
 
     def render(self):
         return "table:[" + ",".join(str(v) for v in self.values) + "]"
@@ -368,6 +354,8 @@ def monotonize(f: Counterfunction) -> Counterfunction:
 
 # max, comp and mono nest at most this deep: every walk of a tree recurses per level
 _MAX_DEPTH = 100
+# an error quotes a refused text or token in full up to this many characters
+_QUOTED = 80
 # blanks, punctuation, or a word without the blanks around it; a word takes
 # the "(" it touches, so "max (" holds no head
 _TOKEN = re.compile(r"\s+|[()\[\],]|[^()\[\],\s](?:[^()\[\],]*[^()\[\],\s])?\(?")
@@ -385,14 +373,22 @@ def parse_counterfunction(text: str) -> Counterfunction:
         _expect(tokens, "")
         return f
     except ValueError as exc:  # RateError included
-        raise RateError(f"cannot parse counterfunction {text!r}: {exc}") from exc
+        raise RateError(f"cannot parse counterfunction {_quote(text)}: {exc}") from exc
+
+
+def _quote(text: str) -> str:
+    """text quoted, or past _QUOTED characters its quoted head, "…" and its length."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}… ({len(text)} characters)"
 
 
 def _expect(tokens: Iterator[str], token: str) -> None:
     """Take the next token, which must be token ("" past the end)."""
     got = next(tokens, "")
     if got != token:
-        raise ValueError(f"expected {token!r}, not {got!r}" if token else f"unexpected {got!r}")
+        got = _quote(got)
+        raise ValueError(f"expected {token!r}, not {got}" if token else f"unexpected {got}")
 
 
 def _parse_cf(tokens: Iterator[str], depth: int) -> Counterfunction:
@@ -418,7 +414,7 @@ def _parse_cf(tokens: Iterator[str], depth: int) -> Counterfunction:
         return Const(int(word[6:]))
     if word.startswith("pow:"):
         return Power(int(word[4:]))
-    raise ValueError(f"unexpected {word!r}")
+    raise ValueError(f"unexpected {_quote(word)}")
 
 
 def _items(tokens: Iterator[str], close: str, read: Callable[[], object]) -> list:
@@ -427,7 +423,7 @@ def _items(tokens: Iterator[str], close: str, read: Callable[[], object]) -> lis
     while (sep := next(tokens, "")) == ",":
         items.append(read())
     if sep != close:
-        raise ValueError(f"expected {close!r}, not {sep!r}")
+        raise ValueError(f"expected {close!r}, not {_quote(sep)}")
     return items
 
 
@@ -704,8 +700,8 @@ def _mu_int(k, f, bundle, K, chi_T_fn, Phi_override, cap, star: bool) -> int:
 
     if Phi_override is not None:
         Phi = monotonize(Phi_override)
-        w3 = Phi.constant_value(cap)  # a constant Phi swallows the tower
         phi = lambda j: Phi(j, cap)
+        w3 = phi(0) if Phi.settles == 0 else None  # a constant Phi swallows the tower
     else:
         psi = RATES["Psi_star" if star else "Psi"]
         w3 = None

@@ -405,10 +405,11 @@ def test_rates_cap_the_chi_T_modulus(runner, tmp_path):
     ]
 
 
-@pytest.mark.parametrize("outer", ["const:0", "table:[3,7]"])
+@pytest.mark.parametrize("outer", ["const:0", "table:[3,7]", "max(const:0,table:[3,7])"])
 def test_a_constant_or_table_outer_takes_no_value_of_a_huge_inner(runner, tmp_path, outer):
     # pow:20000000 passes the bit cap at every argument chi_beta gets here;
-    # the outer function's value there is known without it
+    # each outer function is constant from index 1 on, so its value there is
+    # known without it
     p = tmp_path / "scenario.cfg"
     p.write_text(PROXIMAL_CFG + f"schedule.chi_beta = max(id,comp({outer},pow:20000000))\n")
     res = runner.invoke(main, ["rates", str(p), "--which", "chi", "--k-max", "1"])
@@ -435,7 +436,7 @@ def test_counterfunctions_nest_at_most_100_deep(runner, tmp_path, head, command,
     p = tmp_path / "scenario.cfg"
     flags = {"run": ["--out", "-"], "metastable": [],
              "rates": ["--which", ",".join(ALL_RATES), "--k-max", "0"]}[command]
-    for depth, code in ((100, 0), (101, 2)):
+    for depth, code in ((100, 0), (101, 2), (300, 2)):
         text = _chain(head, depth)
         if place == "chi_beta":
             p.write_text(PROXIMAL_CFG + f"schedule.chi_beta = {text}\n")
@@ -446,8 +447,11 @@ def test_counterfunctions_nest_at_most_100_deep(runner, tmp_path, head, command,
         assert res.exit_code == code, (depth, res.output)
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.stderr
-    # the refusal at depth 101 names where the text came from
+    # a refusal names where the text came from, and quotes a long text by
+    # its head and its length: at depth 300 the error stays short
     assert named in res.stderr and "nest deeper than 100" in res.stderr
+    assert f"{text[:80]!r}… ({len(text)} characters)" in res.stderr
+    assert len(res.stderr) < 400
 
 
 PROJECTION_CFG = """
@@ -596,7 +600,10 @@ def test_negative_schedule_counterfunction_exits_2(runner, tmp_path):
      ["rates", "--which", "Sigma_star,Psi_star", "--k-max", "1"],
      ["'schedule.chi_beta', 'schedule.eta'", "C2_q"]),
     ("run.seed = 0\n", ["run", "--out", "-"], ["run.seed"]),
-], ids=["misspelled-keys", "unsound-override", "run.seed"])
+    # equal to 1 for every k >= 1, though pow:20000000 passes the audit's cap
+    ("schedule.chi_beta = comp(max(const:0,table:[0,1]),pow:20000000)\n",
+     ["rates", "--which", "chi", "--k-max", "1"], ["'schedule.chi_beta'", "C2_q", "'k': 3"]),
+], ids=["misspelled-keys", "unsound-override", "run.seed", "unsound-override-past-the-cap"])
 def test_unread_keys_and_unsound_overrides_exit_2(runner, tmp_path, lines, args, named):
     p = tmp_path / "bad.cfg"
     p.write_text(ROTATION_CFG + lines)
@@ -620,6 +627,19 @@ def test_metastable_counterfunction_past_the_trajectory_is_truncated(runner, tmp
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit)
     assert json.loads(res.stdout)["witnesses"] == {"search": "none found", "truncated": True}
+
+
+def test_metastable_counterfunction_constant_past_the_cap_is_searched(runner, tmp_path):
+    # f(0) = 5 and f(n) = 30 for n >= 1, though pow:20000000 passes the
+    # trajectory's bit length: every window ends inside the 101 points
+    p = tmp_path / "scenario.cfg"
+    p.write_text(PROXIMAL_CFG)
+    res = runner.invoke(main, ["metastable", str(p), "--k", "20", "--cf",
+                               "comp(max(const:5,table:[0,30]),pow:20000000)", "--phi", "const:0"])
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.stdout)
+    assert data["witnesses"] is None
+    assert data["details"]["searched_n"] == 14
 
 
 def test_metastable_k_past_float_range_reports(runner, cfg_path):

@@ -75,10 +75,14 @@ def test_parser_render_round_trip(text):
 
 
 def test_parser_rejects_garbage():
+    long = "y" * 3000
     for bad in ("", "pow:0", "affine:-1,0", "max(id)", "table:[]", "nope:3",
-                "const:-3", "table:[-3]", "table:[4,-1,9]", "max(id,const:-1)"):
-        with pytest.raises(R.RateError):
+                "const:-3", "table:[-3]", "table:[4,-1,9]", "max(id,const:-1)",
+                f"max(id,{long})", f"max(max(id,id){long},id)", f"table:[1,{long}]"):
+        with pytest.raises(R.RateError) as refused:
             R.parse_counterfunction(bad)
+        # a long text or token is quoted by its head and its length
+        assert len(str(refused.value)) < 400
 
 
 def test_node_semantics():
@@ -159,34 +163,70 @@ def _tables(values):
     return st.lists(values, min_size=1, max_size=40).map(lambda v: R.Table(tuple(v)))
 
 
-_OUTERS = st.one_of(st.integers(0, 2 ** 12).map(R.Const), _tables(st.integers(0, 2 ** 12)))
-# pow:e, or comp(max(const,table),g) around such an inner: a comp whose outer
-# is neither a constant nor a table cannot tell its value past the cap.  Its
-# small values index into an outer table before its end
-_INNERS = st.recursive(st.integers(1, 40).map(R.Power), lambda g: st.builds(
+_OUTERS = st.one_of(st.integers(0, 2 ** 12).map(R.Const), _tables(st.integers(0, 2 ** 12)),
+                    _trees(with_comp=True))
+# pow:e, or comp(max(const,table),g) around such an inner, whose value is
+# small though pow:e's passes the cap; or any tree of the grammar
+_INNERS = st.one_of(st.recursive(st.integers(1, 40).map(R.Power), lambda g: st.builds(
     lambda c, t, g: R.Compose(R.Max((c, t)), g),
-    st.integers(0, 3).map(R.Const), _tables(st.integers(0, 3)), g), max_leaves=3)
+    st.integers(0, 3).map(R.Const), _tables(st.integers(0, 3)), g), max_leaves=3),
+    _trees(with_comp=True))
 
 
-@given(outer=_OUTERS, inner=_INNERS, n=st.integers(0, 300),
-       cap=st.integers(6, 40))
+def _exact(f, n):
+    """f(n) by the definition of each node: a comp applies its outer function
+    to its inner one's full value."""
+    if isinstance(f, R.Compose):
+        return _exact(f.outer, _exact(f.inner, n))
+    if isinstance(f, R.Max):
+        return max(_exact(c, n) for c in f.children)
+    return f(n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(outer=_OUTERS, inner=_INNERS, n=st.integers(0, 300), cap=st.integers(1, 40))
 # the inner's value is max(0, table:[0,1](100**2)) = 1, so the value is 8,
 # not the table's last value 2, though 100**2 passes 11 bits
 @example(outer=R.Table((4, 8, 2)), n=100, cap=11,
          inner=R.Compose(R.Max((R.Const(0), R.Table((0, 1)))), R.Power(2)))
+# the inner's value 2 passes 1 bit, where the table takes its last value 1
+@example(outer=R.Table((0, 0, 1)), inner=R.Identity(), n=2, cap=1)
 def test_compose_of_a_constant_or_table_is_exact_under_a_cap(outer, inner, n, cap):
-    # n**e has at most 40 * 9 bits, so the exact value is computable; under
-    # the cap it is that value whenever it fits, even where n**e does not
-    # (a table of at most 40 values has its last index within 6 bits), or,
-    # after a comp inside the inner refused, a refusal: never another value
+    # the exact value is computable here; under the cap it is that value
+    # whenever it fits, even where the inner's does not, and a refusal
+    # otherwise.  f is constant from f.settles on, or never below the
+    # identity where it has no such index
     f = R.Compose(outer, inner)
-    exact = f(n)
+    exact = _exact(f, n)
     try:
         value = f(n, cap)
     except R.CapExceeded:
-        assert exact.bit_length() > cap or isinstance(inner, R.Compose)
+        assert exact.bit_length() > cap
     else:
         assert value == exact and exact.bit_length() <= cap
+    if f.settles is None:
+        assert exact >= n
+    else:
+        assert _exact(f, max(n, f.settles)) == _exact(f, f.settles)
+
+
+@pytest.mark.parametrize("text", [
+    "comp(table:[0,2,1]," * 99 + "pow:20000000" + ")" * 99,
+    "comp(max(const:0,table:[3,7])," * 99 + "pow:20000000" + ")" * 99,
+    "comp(table:[9]," * 99 + "pow:20000000" + ")" * 99,
+    "max(id,comp(table:[5,6]," * 49 + "pow:20000000" + "))" * 49,
+], ids=["table", "max-const-table", "one-value-table", "max-id"])
+def test_deep_comp_chains_over_a_huge_inner_take_linear_time(text):
+    # each comp evaluates its inner once, so a chain costs one walk per
+    # argument and never forms a 2*10**7-th power.  Every outer table is
+    # constant from index 2 on, as n**2 and n**(2*10**7) are for n >= 2, so
+    # the chain around pow:2 takes the same values
+    f = R.parse_counterfunction(text)
+    start = time.perf_counter()
+    values = [f(n, R.DEFAULT_BIT_CAP) for n in range(50)]
+    assert time.perf_counter() - start < 1.0
+    g = R.parse_counterfunction(text.replace("pow:20000000", "pow:2"))
+    assert values == [_exact(g, n) for n in range(50)]
 
 
 def test_power_cap_precheck():
