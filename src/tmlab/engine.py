@@ -11,8 +11,10 @@ an independent cross-check in Euclidean models with anchor 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, Optional, TextIO
 
 from .geometry import AxiomReport, Euclidean, Point, SpaceModel
 from .mappings import MappingFamily, SolverFailure
@@ -33,25 +35,66 @@ class TrajectoryRecord:
     d_p: float  # d(x_n, p)
 
 
-@dataclass
 class Trajectory:
-    space: SpaceModel
-    family: MappingFamily
-    bundle: ScheduleBundle
-    anchor: Point
-    x0: Point
-    records: list = field(default_factory=list)
-    error: Optional[str] = None
-    scenario_hash: str = ""
+    """A run stored as float columns, one row per step n.
+
+    ``x``, ``u`` and ``Tu`` hold the coordinates of x_n, u_n and T_n u_n
+    row-major, ``width`` values a row (a tripod row is its leg, then its
+    arm length); ``d_step``, ``d_Tn`` and ``d_p`` hold d(x_n, x_{n+1}),
+    d(x_n, T_n x_n) and d(x_n, p).  Points are rebuilt from the columns
+    on demand, equal to the engine's type for type."""
+
+    def __init__(self, space: SpaceModel, family: MappingFamily,
+                 bundle: ScheduleBundle, anchor: Point, x0: Point,
+                 scenario_hash: str = ""):
+        self.space, self.family, self.bundle = space, family, bundle
+        self.anchor, self.x0, self.scenario_hash = anchor, x0, scenario_hash
+        self.error: Optional[str] = None
+        self.width = len(x0.data)
+        self.x, self.u, self.Tu = array("d"), array("d"), array("d")
+        self.d_step, self.d_Tn, self.d_p = array("d"), array("d"), array("d")
+        self._xs = []  # x_0, x_1, ... as far as they were read
 
     def __len__(self):
-        return len(self.records)
+        return len(self.d_p)
+
+    def points(self, column: array, start: int = 0,
+               stop: Optional[int] = None) -> Iterator[Point]:
+        """The Points of rows start to stop - 1 (all rows by default) of the
+        coordinate column x, u or Tu."""
+        w = self.width
+        stop = len(self) if stop is None else stop
+        kind, it, new = self.x0.kind, iter(column[start * w:stop * w]), tuple.__new__
+        if kind == "tripod":
+            return (new(Point, (kind, (int(leg), s))) for leg, s in zip(it, it))
+        return (new(Point, (kind, data)) for data in zip(*[it] * w))
+
+    def x_prefix(self, stop: int) -> list:
+        """A list that starts x_0, ..., x_{stop - 1}: each x_n is rebuilt
+        once, when a read first reaches it, so a search that reads the
+        first rows of a long run builds only those."""
+        xs = self._xs
+        if stop > len(xs):
+            xs += self.points(self.x, len(xs), stop)
+        return xs
+
+    @property
+    def x_points(self) -> list:
+        return self.x_prefix(len(self))
+
+    @cached_property
+    def u_points(self) -> list:
+        return list(self.points(self.u))
+
+    @property
+    def records(self) -> Rows:
+        return Rows(self)
 
     def write_csv(self, stream: TextIO):
-        """The comment line, then the header and one row per record in the
+        """The comment line, then the header and one row per step in the
         bytes csv.writer gives them: CRLF row ends, no field needs quotes."""
         model = self.space.describe()
-        ncoords = len(self.records[0].x.data) if self.records else 0
+        ncoords = self.width if len(self) else 0
         header = ["n"] + [f"x{i}" for i in range(ncoords)] + [
             "d_step", "d_Tn", "d_p"
         ]
@@ -59,10 +102,35 @@ class Trajectory:
         lines = [f"# model={model} scenario={self.scenario_hash}\n",
                  ",".join(header) + "\r\n"]
         lines += [
-            row % (rec.n, *rec.x.data, rec.d_step, rec.d_Tn, rec.d_p)
-            for rec in self.records
+            row % r for r in zip(range(len(self)), *[iter(self.x)] * ncoords,
+                                 self.d_step, self.d_Tn, self.d_p)
         ]
         stream.write("".join(lines))
+
+
+class Rows:
+    """A read-only view of a trajectory's rows as TrajectoryRecords, each
+    built when it is read, for readers of the row form such as the
+    benchmark scripts."""
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self):
+        return len(self._traj)
+
+    def __getitem__(self, i: int) -> TrajectoryRecord:
+        t = self._traj
+        n = range(len(t))[i]
+        return TrajectoryRecord(n, next(t.points(t.x, n, n + 1)), next(t.points(t.u, n, n + 1)),
+                                t.d_step[n], t.d_Tn[n], t.d_p[n])
+
+    def __iter__(self) -> Iterator[TrajectoryRecord]:
+        t = self._traj
+        return map(TrajectoryRecord, range(len(t)), t.points(t.x), t.points(t.u),
+                   t.d_step, t.d_Tn, t.d_p)
 
 
 def run(
@@ -76,15 +144,17 @@ def run(
 ) -> Trajectory:
     """Trajectory of length steps + 1 with all derived distance columns.
 
-    A solver failure aborts the run; the partial trajectory is kept on the
-    returned object together with the error record.  An anchor or start
-    point of another model or dimension raises GeometryError before step 0.
+    A solver failure aborts the run; the partial trajectory, whole rows
+    only, is kept on the returned object together with the error record.
+    An anchor or start point of another model or dimension raises
+    GeometryError before step 0.
     """
     if steps < 1:
         raise EngineError("steps must be >= 1")
     space._require(u, x0)
     traj = Trajectory(space, family, bundle, u, x0, scenario_hash=scenario_hash)
-    append = traj.records.append
+    add_x, add_u, add_Tu = traj.x.extend, traj.u.extend, traj.Tu.extend
+    add_step, add_Tn, add_p = traj.d_step.append, traj.d_Tn.append, traj.d_p.append
     comb, dist, apply = space.comb, space.dist, family.apply
     beta, lam = bundle.beta, bundle.lam
     p = family.fixed_point
@@ -93,10 +163,16 @@ def run(
         for n in range(steps + 1):
             beta_n, lam_n = beta(n), lam(n)
             u_n = comb(u, x, beta_n)
-            x_next = comb(u_n, apply(n, u_n), lam_n)
-            append(TrajectoryRecord(
-                n, x, u_n, dist(x, x_next), dist(x, apply(n, x)), dist(x, p)
-            ))
+            Tu_n = apply(n, u_n)
+            x_next = comb(u_n, Tu_n, lam_n)
+            d_step, d_Tn, d_p = dist(x, x_next), dist(x, apply(n, x)), dist(x, p)
+            # the row is appended only once every call of the step returned
+            add_x(x.data)
+            add_u(u_n.data)
+            add_Tu(Tu_n.data)
+            add_step(d_step)
+            add_Tn(d_Tn)
+            add_p(d_p)
             x = x_next
     except SolverFailure as exc:
         traj.error = str(exc)
@@ -123,10 +199,11 @@ def check_hilbert_special_case(
     if traj.error:
         raise EngineError(traj.error)
 
+    xs = traj.x_points
     y = tuple(x0.data)
     worst = (-math.inf, None)
     for n in range(steps + 1):
-        dev = space.dist(traj.records[n].x, Point("euclidean", y))
+        dev = space.dist(xs[n], Point("euclidean", y))
         slack = dev - tol * (1 + n)  # allowance grows with accumulated rounding
         if slack > worst[0]:
             worst = (slack, {"n": n, "deviation": dev})
@@ -150,11 +227,11 @@ def check_boundedness(traj: Trajectory, K_like: float, tol: float = 1e-9):
     with an exact common fixed point."""
     space, p = traj.space, traj.family.fixed_point
     worst = 0.0
-    for rec in traj.records:
-        worst = max(worst, rec.d_p - K_like, space.dist(rec.u, p) - K_like)
+    for d_p, u_n in zip(traj.d_p, traj.u_points):
+        worst = max(worst, d_p - K_like, space.dist(u_n, p) - K_like)
     return AxiomReport(
         axiom="boundedness",
-        samples=len(traj.records),
+        samples=len(traj),
         max_violation=worst,
         worst_case_inputs=None,
         tol=tol,

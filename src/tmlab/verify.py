@@ -53,10 +53,10 @@ class CheckResult:
 def _suffix_first_hit(values: Sequence[float], bound: float) -> int:
     """Least n such that every value from n on stays below the bound."""
     hit = len(values)
-    for i in range(len(values) - 1, -1, -1):
-        if values[i] > bound:
+    for value in reversed(values):
+        if value > bound:
             break
-        hit = i
+        hit -= 1
     return hit
 
 
@@ -102,8 +102,7 @@ def check_ar(
 ) -> CheckResult:
     """Successive-step distances d(x_n, x_{n+1}) below 1/(k+1) from the
     rate on, and the empirical first-hit index never exceeds the rate."""
-    values = [rec.d_step for rec in traj.records]
-    return _ar_check("ar", values, rate, k, cap, tol, traj.scenario_hash)
+    return _ar_check("ar", traj.d_step, rate, k, cap, tol, traj.scenario_hash)
 
 
 def check_family_ar(
@@ -114,8 +113,7 @@ def check_family_ar(
     cap: int,
     tol: float = 1e-9,
 ) -> CheckResult:
-    values = [rec.d_Tn for rec in traj.records]
-    return _ar_check("family-ar", values, rate, k, cap, tol, traj.scenario_hash)
+    return _ar_check("family-ar", traj.d_Tn, rate, k, cap, tol, traj.scenario_hash)
 
 
 def check_Tm_ar(
@@ -128,9 +126,7 @@ def check_Tm_ar(
     tol: float = 1e-9,
 ) -> CheckResult:
     space = traj.space
-    values = [
-        space.dist(rec.x, family.apply(m, rec.x)) for rec in traj.records
-    ]
+    values = [space.dist(x, family.apply(m, x)) for x in traj.x_points]
     return _ar_check(f"Tm-ar[m={m}]", values, rate, k, cap, tol, traj.scenario_hash)
 
 
@@ -164,6 +160,7 @@ def search_metastable(
     1/(k+1); windows with f(n) < n hold vacuously."""
     bound = 1 / (query.k + 1) + tol
     length = len(traj)
+    dist = traj.space.dist
     truncated = False
     for n in range(min(query.cap, length) + 1):
         end = capped(query.f, n, length.bit_length(), length)
@@ -172,14 +169,12 @@ def search_metastable(
         if end >= length:
             truncated = True
             break
-        if _window_ok(traj, n, end, bound):
+        if _window_ok(traj.x_prefix(end + 1)[n:end + 1], dist, bound):
             return MetastabilitySearch(found=n, truncated=False, scanned=n)
     return MetastabilitySearch(found=None, truncated=truncated, scanned=n)
 
 
-def _window_ok(traj, n, end, bound) -> bool:
-    pts = [traj.records[i].x for i in range(n, end + 1)]
-    dist = traj.space.dist
+def _window_ok(pts, dist, bound) -> bool:
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if dist(pts[i], pts[j]) > bound:
@@ -353,11 +348,12 @@ def check_chi_T_series(
 ) -> CheckResult:
     """chi_T is a Cauchy modulus for the series sum_n d(T_{n+1} u_n, T_n u_n):
     the tail from chi_T(k) on stays below 1/(k+1).  A k whose chi_T(k)
-    starts past the trajectory, or passes chi_T_fn's bit cap, is skipped."""
-    space = traj.space
+    starts past the trajectory, or passes chi_T_fn's bit cap, is skipped.
+    T_n u_n is the one the run computed, so family must be the run's."""
+    dist, apply = traj.space.dist, family.apply
     terms = [
-        space.dist(family.apply(n + 1, rec.u), family.apply(n, rec.u))
-        for n, rec in enumerate(traj.records)
+        dist(apply(n + 1, u_n), Tu_n)
+        for n, (u_n, Tu_n) in enumerate(zip(traj.u_points, traj.points(traj.Tu)))
     ]
     tails = [0.0] * (len(terms) + 1)
     for i in range(len(terms) - 1, -1, -1):
@@ -400,21 +396,20 @@ def check_recursive_inequalities(
     and the quasilinearization term, for an arbitrary reference point x.
 
     Each distance is computed once: d(x_{n+1}, x) is carried forward as
-    the next record's d(x_n, x), and d(x, u) is the same for every record."""
+    the next step's d(x_n, x), and d(x, u) is the same for every step."""
     u = traj.anchor
     dist, quasilin = traj.space.dist, traj.space.quasilin
     apply, beta_of, B = family.apply, bundle.beta, bundle.B
-    records = traj.records
+    xs = traj.x_points
     d2_xu = dist(x, u) ** 2
-    d2_cur = dist(records[0].x, x) ** 2 if records else 0.0
+    d2_cur = dist(xs[0], x) ** 2 if xs else 0.0
     worst, worst_n, worst_part = -math.inf, None, None
-    for rec, nxt in zip(records, records[1:]):
-        n = rec.n
+    for n, (x_n, u_n, x_next) in enumerate(zip(xs, traj.u_points, xs[1:])):
         beta = beta_of(n)
-        ql = quasilin(x, u, x, rec.x)
-        du = dist(rec.u, x)
+        ql = quasilin(x, u, x, x_n)
+        du = dist(u_n, x)
         dT = dist(apply(n, x), x)
-        d_next = dist(nxt.x, x)
+        d_next = dist(x_next, x)
         d2_next = d_next ** 2
         w_n = 2.0 * du * dT + dT * dT
         res1 = d_next - (du + dT)

@@ -13,7 +13,7 @@ import pytest
 from test_acceptance import SCENARIO_TEXTS
 from test_cli import BrokenModel
 from tmlab import verify as V
-from tmlab.engine import run
+from tmlab.engine import Trajectory, run
 from tmlab.geometry import (
     Euclidean,
     Point,
@@ -42,10 +42,11 @@ def ref_check_recursive_inequalities(traj, family, bundle, x, tol=1e-9):
     d = space.dist
     d2 = lambda a, b: d(a, b) ** 2
     worst = (-math.inf, None)
-    for rec in traj.records[:-1]:
+    records = list(traj.records)
+    for rec in records[:-1]:
         n = rec.n
         beta = bundle.beta(n)
-        x_next = traj.records[n + 1].x
+        x_next = records[n + 1].x
         Tx = family.apply(n, x)
         ql = space.quasilin(x, u, x, rec.x)
         du = d(rec.u, x)
@@ -237,10 +238,16 @@ def test_recursive_inequalities_failure_witness_matches_reference():
 
 def test_recursive_inequalities_on_short_trajectories():
     sc = scenario_from_text(SCENARIO_TEXTS["disk-rotation"])
-    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 1)
+    full = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 1)
     x = sc.space.sample(random.Random(3), 2.0)
-    for records in (traj.records, traj.records[:1], []):
-        traj.records = records
+    for length in (2, 1, 0):
+        # the run's first rows, copied column by column
+        traj = Trajectory(full.space, full.family, full.bundle, full.anchor, full.x0)
+        for name in ("x", "u", "Tu"):
+            getattr(traj, name).extend(getattr(full, name)[:length * full.width])
+        for name in ("d_step", "d_Tn", "d_p"):
+            getattr(traj, name).extend(getattr(full, name)[:length])
+        assert len(traj) == length
         same(V.check_recursive_inequalities(traj, sc.family, sc.bundle, x),
              ref_check_recursive_inequalities(traj, sc.family, sc.bundle, x))
 

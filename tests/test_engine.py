@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import pytest
 
@@ -20,9 +21,11 @@ from tmlab.engine import (
 from tmlab.geometry import Euclidean, GeometryError, PoincareDisk, Point, SpaceModel, Tripod
 from tmlab.mappings import (
     IdentityFamily,
+    MappingFamily,
     ProximalFamily,
     ResolventFamily,
     RotationFamily,
+    SolverFailure,
 )
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import preset
@@ -77,6 +80,46 @@ def test_solver_failure_recorded_not_raised():
     assert "residual" in traj.error
     assert "after 2 iterations (first " in traj.error and ", best " in traj.error
     assert len(traj) < 51
+    assert_whole_rows(traj)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue() == reference_csv(traj)
+
+    # a failure in apply(5, x_5), for d_Tn, after T_5 u_5 has returned:
+    # step 5 leaves no value in any column
+    fam = FailingSecondApply(space, RotationFamily(space, 1.0), step=5)
+    traj = run(space, fam, preset("harmonic"),
+               Point.euclidean(0, 0), Point.euclidean(1, 0), 50)
+    assert traj.error == str(SolverFailure(1.0, 9, 2.0, 1.0))
+    assert fam.calls == [(n, i) for n in range(6) for i in (0, 1)]
+    assert len(traj) == 5
+    assert_whole_rows(traj)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue() == reference_csv(traj)
+
+
+class FailingSecondApply(MappingFamily):
+    """A base family whose second apply of one step, engine.run's apply(n, x)
+    for d_Tn, raises SolverFailure; records each call as (n, i)."""
+
+    def __init__(self, space, base, step):
+        super().__init__(space, base.fixed_point)
+        self.base, self.step, self.calls = base, step, []
+
+    def apply(self, n, x):
+        i = sum(1 for m, _ in self.calls if m == n)
+        self.calls.append((n, i))
+        if n == self.step and i == 1:
+            raise SolverFailure(1.0, 9, 2.0, 1.0)
+        return self.base.apply(n, x)
+
+
+def assert_whole_rows(traj):
+    for column in (traj.x, traj.u, traj.Tu):
+        assert len(column) == len(traj) * traj.width
+    for column in (traj.d_step, traj.d_Tn, traj.d_p):
+        assert len(column) == len(traj)
 
 
 def test_csv_format():
@@ -134,24 +177,39 @@ def reference_csv(traj):
 ODD_VALUES = (-0.0, 5e-324, 1e300, math.inf, 0.1, -1.0 / 3.0, 123456789.0)
 
 
-def _trajectory(space, points):
-    records = [
+def _odd_records(points):
+    return [
         TrajectoryRecord(n, x, x, ODD_VALUES[n % 7], ODD_VALUES[(n + 3) % 7],
                          ODD_VALUES[(n + 5) % 7])
         for n, x in enumerate(points)
     ]
-    return Trajectory(space, None, None, points[0] if points else None, None,
-                      records=records, scenario_hash="f00d")
 
 
-@pytest.mark.parametrize("space, points", [
-    (Tripod(), [Point.tripod(1, 2.5), Point.tripod(0, 0.0), Point.tripod(2, 1e300),
-                Point.tripod(1, 5e-324)]),
-    (Euclidean(1), [Point.euclidean(v) for v in ODD_VALUES]),
-    (Euclidean(3), [Point.euclidean(*ODD_VALUES[i:i + 3]) for i in range(5)]),
-    (Euclidean(2), []),
-], ids=["tripod-int-legs", "euclidean-1d", "euclidean-3d", "empty"])
-def test_csv_bytes_match_csv_writer(space, points):
+def _trajectory(space, points):
+    """The rows of _odd_records(points) written into a trajectory's columns."""
+    x0 = points[0] if points else space.base_point()
+    traj = Trajectory(space, None, None, x0, x0, scenario_hash="f00d")
+    for rec in _odd_records(points):
+        for column in (traj.x, traj.u, traj.Tu):
+            column.extend(rec.x.data)
+        traj.d_step.append(rec.d_step)
+        traj.d_Tn.append(rec.d_Tn)
+        traj.d_p.append(rec.d_p)
+    return traj
+
+
+ODD_POINTS = {
+    "tripod-int-legs": (Tripod(), [Point.tripod(1, 2.5), Point.tripod(0, 0.0),
+                                   Point.tripod(2, 1e300), Point.tripod(1, 5e-324)]),
+    "euclidean-1d": (Euclidean(1), [Point.euclidean(v) for v in ODD_VALUES]),
+    "euclidean-3d": (Euclidean(3), [Point.euclidean(*ODD_VALUES[i:i + 3]) for i in range(5)]),
+    "empty": (Euclidean(2), []),
+}
+
+
+@pytest.mark.parametrize("name", list(ODD_POINTS))
+def test_csv_bytes_match_csv_writer(name):
+    space, points = ODD_POINTS[name]
     traj = _trajectory(space, points)
     buf = io.StringIO()
     traj.write_csv(buf)
@@ -320,3 +378,92 @@ def test_boundedness_along_runs():
     traj = run(space, fam, bundle, u, x0, 2000)
     rep = check_boundedness(traj, M, tol=1e-9)
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# Columns
+# ---------------------------------------------------------------------------
+
+
+def reference_run(space, family, bundle, u, x0, steps):
+    """engine.run's step loop as it was when a trajectory kept one
+    TrajectoryRecord a step: the rows the columns must give back."""
+    records = []
+    comb, dist, apply = space.comb, space.dist, family.apply
+    beta, lam = bundle.beta, bundle.lam
+    p = family.fixed_point
+    x = x0
+    try:
+        for n in range(steps + 1):
+            beta_n, lam_n = beta(n), lam(n)
+            u_n = comb(u, x, beta_n)
+            x_next = comb(u_n, apply(n, u_n), lam_n)
+            records.append(TrajectoryRecord(
+                n, x, u_n, dist(x, x_next), dist(x, apply(n, x)), dist(x, p)
+            ))
+            x = x_next
+    except SolverFailure:
+        pass
+    return records
+
+
+def typed(value):
+    """value with the type and repr of every leaf: == on the result tells
+    1 from 1.0 and -0.0 from 0.0."""
+    if isinstance(value, TrajectoryRecord):
+        value = (value.n, value.x, value.u, value.d_step, value.d_Tn, value.d_p)
+    if isinstance(value, (tuple, list)):
+        return type(value), [typed(v) for v in value]
+    return type(value), repr(value)
+
+
+ROUND_TRIP_TEXTS = {
+    **{name: text + "run.steps = 200\n" for name, text in SCENARIO_TEXTS.items()},
+    **RESOLVENT_TEXTS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_TEXTS))
+def test_columns_give_back_the_reference_rows_and_points(name):
+    sc = scenario_from_text(ROUND_TRIP_TEXTS[name])
+    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps)
+    ref = reference_run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps)
+    assert traj.error is None and len(traj) == len(ref) == sc.steps + 1
+    assert typed(list(traj.records)) == typed(ref)
+    assert typed([traj.records[i] for i in (0, 7, -1, -len(ref))]) == typed(
+        [ref[i] for i in (0, 7, -1, -len(ref))])
+    # a prefix read first, as a metastability search does, then every row
+    assert typed(traj.x_prefix(3)[:3]) == typed([rec.x for rec in ref[:3]])
+    assert typed(traj.x_points) == typed([rec.x for rec in ref])
+    assert typed(traj.u_points) == typed([rec.u for rec in ref])
+    assert typed(list(traj.points(traj.Tu))) == typed(
+        [sc.family.apply(rec.n, rec.u) for rec in ref])
+    assert typed(list(traj.d_step)) == typed([rec.d_step for rec in ref])
+    with pytest.raises(IndexError):
+        traj.records[len(ref)]
+
+
+@pytest.mark.parametrize("name", list(ODD_POINTS))
+def test_columns_give_back_odd_values(name):
+    # int tripod legs, -0.0, subnormals and inf, in points and distances
+    space, points = ODD_POINTS[name]
+    traj = _trajectory(space, points)
+    assert typed(list(traj.records)) == typed(_odd_records(points))
+    assert typed(traj.x_points) == typed(points)
+
+
+@pytest.mark.parametrize("name", ["euclidean-rotation", "disk-rotation", "tripod-rotation"])
+def test_a_run_retains_at_most_150_bytes_a_step(name):
+    # six float columns hold 9 doubles a step on these models; one
+    # TrajectoryRecord a step, with its two Points, retained about 527 bytes
+    sc = scenario_from_text(SCENARIO_TEXTS[name])
+    steps = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, steps)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert traj.error is None and len(traj) == steps + 1
+    assert retained / steps <= 150, retained / steps
