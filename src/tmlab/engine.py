@@ -201,38 +201,27 @@ def check_hilbert_special_case(
 
     xs = traj.x_points
     y = tuple(x0.data)
-    worst = (-math.inf, None)
+    report = AxiomReport(f"hilbert-special-case[{family.name}]", steps + 1,
+                         max_violation=-math.inf, tol=0.0)
     for n in range(steps + 1):
         dev = space.dist(xs[n], Point("euclidean", y))
-        slack = dev - tol * (1 + n)  # allowance grows with accumulated rounding
-        if slack > worst[0]:
-            worst = (slack, {"n": n, "deviation": dev})
+        # the allowance grows with accumulated rounding
+        report.note(dev - tol * (1 + n), {"n": n, "deviation": dev})
         beta, lam = bundle.beta(n), bundle.lam(n)
         scaled = tuple(beta * c for c in y)
         image = family.apply(n, Point("euclidean", scaled)).data
         y = tuple(
             (1.0 - lam) * s + lam * t for s, t in zip(scaled, image)
         )
-    return AxiomReport(
-        axiom=f"hilbert-special-case[{family.name}]",
-        samples=steps + 1,
-        max_violation=worst[0],
-        worst_case_inputs=worst[1],
-        tol=0.0,
-    )
+    return report
 
 
 def check_boundedness(traj: Trajectory, K_like: float, tol: float = 1e-9):
     """d(x_n, p) and d(u_n, p) stay below max{d(x0,p), d(u,p)} along runs
     with an exact common fixed point."""
     space, p = traj.space, traj.family.fixed_point
-    worst = 0.0
+    report = AxiomReport("boundedness", len(traj), tol=tol)
     for d_p, u_n in zip(traj.d_p, traj.u_points):
-        worst = max(worst, d_p - K_like, space.dist(u_n, p) - K_like)
-    return AxiomReport(
-        axiom="boundedness",
-        samples=len(traj),
-        max_violation=worst,
-        worst_case_inputs=None,
-        tol=tol,
-    )
+        report.note(d_p - K_like, None)
+        report.note(space.dist(u_n, p) - K_like, None)
+    return report

@@ -110,16 +110,27 @@ class SampleSpec:
 
 @dataclass
 class AxiomReport:
+    """The worst violation a sampled check has seen, and its inputs.  The
+    checkers build their reports first and note each violation as they go."""
+
     axiom: str
     samples: int
-    max_violation: float
+    max_violation: float = 0.0
     worst_case_inputs: Optional[dict] = None
+    tol: float = 1e-9
+
+    def note(self, value: float, inputs: Optional[dict]) -> None:
+        """Keep ``value`` and ``inputs`` when ``value`` is the largest yet
+        (the first among equals).  The first NaN is kept over any number,
+        so a NaN violation fails the check."""
+        worst = self.max_violation
+        if value > worst or (value != value and worst == worst):
+            self.max_violation = value
+            self.worst_case_inputs = inputs
 
     @property
     def passed(self) -> bool:
         return self.max_violation <= self.tol
-
-    tol: float = 1e-9
 
     def to_json(self) -> dict:
         return {
@@ -504,31 +515,12 @@ def make_model(kind: str, dim: int = 2) -> SpaceModel:
 # ---------------------------------------------------------------------------
 
 
-def _rng_for(spec: SampleSpec) -> random.Random:
-    return random.Random(spec.seed)
-
-
-def _collect(name, samples, tol, records) -> AxiomReport:
-    worst = max(records, key=lambda r: r[0]) if records else (0.0, None)
-    return AxiomReport(
-        axiom=name,
-        samples=samples,
-        max_violation=worst[0],
-        worst_case_inputs=worst[1],
-        tol=tol,
-    )
-
-
 def check_w_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     """Sample tuples (x, y, z, w, lam, theta) and measure the worst violation
     of each convexity axiom of the combination operation."""
-    rng = _rng_for(spec)
-    rows = {name: (0.0, None) for name in ("W1", "W2", "W3", "W4")}
-
-    def note(name, v, inputs):
-        if v > rows[name][0]:
-            rows[name] = (v, inputs)
-
+    rng = random.Random(spec.seed)
+    reports = [AxiomReport(name, spec.count, tol=tol) for name in ("W1", "W2", "W3", "W4")]
+    w1, w2, w3, w4 = reports
     R = spec.radius
     for _ in range(spec.count):
         x, y, z, w = (space.sample(rng, R) for _ in range(4))
@@ -538,17 +530,14 @@ def check_w_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
             "lambda": lam, "theta": theta,
         }
         cxy = space.comb(x, y, lam)
-        note("W1", space.dist(z, cxy)
-             - ((1 - lam) * space.dist(z, x) + lam * space.dist(z, y)), desc)
-        note("W2", abs(space.dist(cxy, space.comb(x, y, theta))
-                       - abs(lam - theta) * space.dist(x, y)), desc)
-        note("W3", space.dist(cxy, space.comb(y, x, 1.0 - lam)), desc)
-        note("W4", space.dist(space.comb(x, z, lam), space.comb(y, w, lam))
-             - ((1 - lam) * space.dist(x, y) + lam * space.dist(z, w)), desc)
-
-    return [
-        _collect(name, spec.count, tol, [rows[name]]) for name in rows
-    ]
+        w1.note(space.dist(z, cxy)
+                - ((1 - lam) * space.dist(z, x) + lam * space.dist(z, y)), desc)
+        w2.note(abs(space.dist(cxy, space.comb(x, y, theta))
+                    - abs(lam - theta) * space.dist(x, y)), desc)
+        w3.note(space.dist(cxy, space.comb(y, x, 1.0 - lam)), desc)
+        w4.note(space.dist(space.comb(x, z, lam), space.comb(y, w, lam))
+                - ((1 - lam) * space.dist(x, y) + lam * space.dist(z, w)), desc)
+    return reports
 
 
 def check_cn(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
@@ -557,10 +546,9 @@ def check_cn(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     models an extra "CN- equality" entry records the absolute residual of
     the midpoint inequality, which is an identity there (in the curved
     models the inequality is strict, so no equality claim is made)."""
-    rng = _rng_for(spec)
-    worst_minus = (0.0, None)
-    worst_plus = (0.0, None)
-    worst_eq = (0.0, None)
+    rng = random.Random(spec.seed)
+    minus, plus, eq = (AxiomReport(name, spec.count, tol=tol)
+                       for name in ("CN-", "CN+", "CN- equality"))
     R = spec.radius
     dist = space.dist
     for _ in range(spec.count):
@@ -570,30 +558,20 @@ def check_cn(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
         m = space.midpoint(x, y)
         d2_zx, d2_zy, d2_xy = dist(z, x) ** 2, dist(z, y) ** 2, dist(x, y) ** 2
         res_minus = dist(z, m) ** 2 - (0.5 * d2_zx + 0.5 * d2_zy - 0.25 * d2_xy)
-        if res_minus > worst_minus[0]:
-            worst_minus = (res_minus, desc)
-        if abs(res_minus) > worst_eq[0]:
-            worst_eq = (abs(res_minus), desc)
+        minus.note(res_minus, desc)
+        eq.note(abs(res_minus), desc)
         c = space.comb(x, y, lam)
-        res_plus = dist(z, c) ** 2 - (
+        plus.note(dist(z, c) ** 2 - (
             (1 - lam) * d2_zx + lam * d2_zy - lam * (1 - lam) * d2_xy
-        )
-        if res_plus > worst_plus[0]:
-            worst_plus = (res_plus, desc)
-    reports = [
-        _collect("CN-", spec.count, tol, [worst_minus]),
-        _collect("CN+", spec.count, tol, [worst_plus]),
-    ]
-    if space.kind == "euclidean":
-        reports.append(_collect("CN- equality", spec.count, tol, [worst_eq]))
-    return reports
+        ), desc)
+    return [minus, plus, eq] if space.kind == "euclidean" else [minus, plus]
 
 
 def check_uniform_convexity(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     """Sample (r, a, x, y) with x, y in the ball of radius r around a and
     check d(a, midpoint) <= (1 - eps^2/8) r for eps = d(x, y)/r."""
-    rng = _rng_for(spec)
-    worst = (0.0, None)
+    rng = random.Random(spec.seed)
+    report = AxiomReport("uniform convexity eps^2/8", spec.count, tol=tol)
     R = spec.radius
     for _ in range(spec.count):
         a = space.sample(rng, R)
@@ -605,37 +583,31 @@ def check_uniform_convexity(space: SpaceModel, spec: SampleSpec, tol: float = 1e
         if eps > 2.0:
             continue  # cannot happen inside the ball; numerical safety
         m = space.midpoint(x, y)
-        v = space.dist(a, m) - (1.0 - eps * eps / 8.0) * r
-        if v > worst[0]:
-            worst = (v, {"a": a.data, "x": x.data, "y": y.data, "r": r, "eps": eps})
-    return [_collect("uniform convexity eps^2/8", spec.count, tol, [worst])]
+        report.note(space.dist(a, m) - (1.0 - eps * eps / 8.0) * r,
+                    {"a": a.data, "x": x.data, "y": y.data, "r": r, "eps": eps})
+    return [report]
 
 
 def check_quasilin_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     """Check the four characterizing identities of quasilinearization and
     the Cauchy-Schwarz inequality."""
-    rng = _rng_for(spec)
-    names = ("ql-square", "ql-symmetry", "ql-antisymmetry",
-             "ql-additivity", "cauchy-schwarz")
-    rows = {n: (0.0, None) for n in names}
-
-    def note(name, v, inputs):
-        if v > rows[name][0]:
-            rows[name] = (v, inputs)
-
+    rng = random.Random(spec.seed)
+    reports = [AxiomReport(name, spec.count, tol=tol)
+               for name in ("ql-square", "ql-symmetry", "ql-antisymmetry",
+                            "ql-additivity", "cauchy-schwarz")]
+    square, symmetry, antisymmetry, additivity, cauchy_schwarz = reports
     R = spec.radius
     ql, dist = space.quasilin, space.dist
     for _ in range(spec.count):
         x, y, u, v, w = (space.sample(rng, R) for _ in range(5))
         desc = {"x": x.data, "y": y.data, "u": u.data, "v": v.data, "w": w.data}
         q, dxy = ql(x, y, u, v), dist(x, y)
-        note("ql-square", abs(ql(x, y, x, y) - dxy ** 2), desc)
-        note("ql-symmetry", abs(q - ql(u, v, x, y)), desc)
-        note("ql-antisymmetry", abs(q + ql(y, x, u, v)), desc)
-        note("ql-additivity", abs(q + ql(x, y, v, w) - ql(x, y, u, w)), desc)
-        note("cauchy-schwarz", q - dxy * dist(u, v), desc)
-
-    return [_collect(n, spec.count, tol, [rows[n]]) for n in names]
+        square.note(abs(ql(x, y, x, y) - dxy ** 2), desc)
+        symmetry.note(abs(q - ql(u, v, x, y)), desc)
+        antisymmetry.note(abs(q + ql(y, x, u, v)), desc)
+        additivity.note(abs(q + ql(x, y, v, w) - ql(x, y, u, w)), desc)
+        cauchy_schwarz.note(q - dxy * dist(u, v), desc)
+    return reports
 
 
 def run_all_geometry_checks(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):

@@ -12,6 +12,7 @@ and approximate-fixed-point membership.
 from __future__ import annotations
 
 import math
+import random
 from functools import partial
 from typing import Callable, Optional
 
@@ -25,8 +26,8 @@ from .geometry import (
     SpaceModel,
     Tripod,
     Turn,
-    _rng_for,
 )
+from .schedules import chi_T
 
 
 class MappingFamily:
@@ -49,8 +50,6 @@ class MappingFamily:
         driven by a step-size sequence inherit the modulus built from the
         schedule's gamma data, which raises CapExceeded past cap bits.
         """
-        from .schedules import chi_T
-
         if self.gammas is None:
             return lambda k: 0
         return lambda k: chi_T(bundle, K, k, cap)
@@ -201,24 +200,17 @@ def check_nonexpansive(
     tol: float = 1e-9,
 ) -> AxiomReport:
     """d(T_n x, T_n y) <= d(x, y) for sampled pairs and all n <= n_max."""
-    rng = _rng_for(spec)
+    rng = random.Random(spec.seed)
     space = family.space
-    worst = (0.0, None)
+    report = AxiomReport(f"nonexpansive[{family.name}]", spec.count, tol=tol)
     for _ in range(spec.count):
         x = space.sample(rng, spec.radius)
         y = space.sample(rng, spec.radius)
         dxy = space.dist(x, y)
         for n in range(n_max + 1):
-            slack = space.dist(family.apply(n, x), family.apply(n, y)) - dxy
-            if slack > worst[0]:
-                worst = (slack, {"x": x.data, "y": y.data, "n": n})
-    return AxiomReport(
-        axiom=f"nonexpansive[{family.name}]",
-        samples=spec.count,
-        max_violation=worst[0],
-        worst_case_inputs=worst[1],
-        tol=tol,
-    )
+            report.note(space.dist(family.apply(n, x), family.apply(n, y)) - dxy,
+                        {"x": x.data, "y": y.data, "n": n})
+    return report
 
 
 def check_condition_c1(
@@ -232,9 +224,9 @@ def check_condition_c1(
     for n in range(n_max + 1):
         if gammas(n) <= 0:
             raise GeometryError(f"gamma_{n} must be positive")
-    rng = _rng_for(spec)
+    rng = random.Random(spec.seed)
     space = family.space
-    worst = (0.0, None)
+    report = AxiomReport(f"condition-c1[{family.name}]", spec.count, tol=tol)
     for _ in range(spec.count):
         x = space.sample(rng, spec.radius)
         images = [family.apply(n, x) for n in range(n_max + 1)]
@@ -244,15 +236,8 @@ def check_condition_c1(
             for m in range(n_max + 1):
                 lhs = space.dist(images[n], images[m])
                 rhs = abs(gammas(m) - gn) / gn * dref
-                if lhs - rhs > worst[0]:
-                    worst = (lhs - rhs, {"x": x.data, "n": n, "m": m})
-    return AxiomReport(
-        axiom=f"condition-c1[{family.name}]",
-        samples=spec.count,
-        max_violation=worst[0],
-        worst_case_inputs=worst[1],
-        tol=tol,
-    )
+                report.note(lhs - rhs, {"x": x.data, "n": n, "m": m})
+    return report
 
 
 def check_afp_membership(

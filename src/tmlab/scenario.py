@@ -188,10 +188,19 @@ def _reject_unread(cfg: dict, read) -> None:
     raise ConfigError(f"unknown field {key!r}" + (f"; did you mean {hint[0]!r}?" if hint else ""))
 
 
+def _rotation(read: _Reader, key: str, angle: float) -> RotationFamily:
+    """The rotation by ``angle`` that ``key`` chose; a Euclidean space must
+    be two-dimensional."""
+    try:
+        return RotationFamily(read.space, angle)
+    except GeometryError as exc:
+        raise ConfigError(f"fields 'space.dim', {key!r}: {exc}") from exc
+
+
 def _map(read: _Reader, prefix: str, kind: str) -> MappingFamily:
     """The rotation or ball projection described by the ``prefix.*`` keys."""
     if kind == "rotation":
-        return RotationFamily(read.space, read(f"{prefix}.angle"))
+        return _rotation(read, f"{prefix}.kind", read(f"{prefix}.angle"))
     if kind == "projection":
         return MetricProjectionFamily(
             read.space, read(f"{prefix}.center"), read(f"{prefix}.radius"))
@@ -206,7 +215,7 @@ def _build_family(read: _Reader, bundle: ScheduleBundle) -> MappingFamily:
         # one fixed nonexpansive map repeated at every index; angle 0 means
         # the identity map (usable in any model and dimension)
         angle = read("family.angle", default="0")
-        base = IdentityFamily(space) if angle == 0.0 else RotationFamily(space, angle)
+        base = IdentityFamily(space) if angle == 0.0 else _rotation(read, "family.angle", angle)
         return ConstantFamily(space, base)
     if kind == "proximal":
         return ProximalFamily(space, read("family.center"), bundle.gamma)
@@ -251,10 +260,7 @@ def build_scenario(cfg: dict) -> Scenario:
     u, x0 = read("run.u"), read("run.x0")
 
     bundle = _build_bundle(read)
-    try:
-        family = _build_family(read, bundle)
-    except GeometryError as exc:
-        raise ConfigError(f"family: {exc}") from exc
+    family = _build_family(read, bundle)
     p = family.fixed_point
 
     try:

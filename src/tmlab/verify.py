@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence
 
 from .geometry import Point, SpaceModel
 from .mappings import MappingFamily
-from .rates import CapExceeded, Counterfunction, RateValue, capped, zeta, zeta_star
+from .rates import (CapExceeded, Counterfunction, RateValue, capped, omega1, omega2, zeta,
+                    zeta_star)
 from .schedules import ScheduleBundle
 from .engine import Trajectory
 
@@ -454,8 +455,6 @@ def check_convex_afp(
 ) -> CheckResult:
     """If v1, v2 are strict 1/omega1(k)-approximate fixed points in the
     K-ball, every convex combination is a 1/(k+1)-approximate fixed point."""
-    from .rates import omega1
-
     w1 = omega1(k, K)
     for v in (v1, v2):
         if space.dist(v, p) > K + 1e-9 or any(
@@ -500,8 +499,6 @@ def check_variational(
 ) -> CheckResult:
     """If x nearly minimizes the distance to u along the segment [x, y],
     then the quasilinearization term <xu, xy> is small."""
-    from .rates import omega2
-
     w2 = omega2(k, K)
     if space.dist(x, p) > K + 1e-9 or space.dist(y, p) > K + 1e-9:
         return CheckResult(

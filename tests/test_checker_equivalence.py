@@ -1,6 +1,8 @@
-"""The checkers that compute each distance once, against the bodies they
-replaced.  The references below are those bodies, copied unchanged; every
-report, witness included, must be equal to the float bit."""
+"""The checkers that compute each distance once, or note their worst case
+in the AxiomReport they return, against the bodies they replaced.  The
+references below are those bodies, copied unchanged with the helpers
+_rng_for and _collect they called; every report, witness included, must be
+equal to the float bit."""
 
 import json
 import math
@@ -13,18 +15,21 @@ import pytest
 from test_acceptance import SCENARIO_TEXTS
 from test_cli import BrokenModel
 from tmlab import verify as V
-from tmlab.engine import Trajectory, run
+from tmlab.engine import (EngineError, Trajectory, check_boundedness,
+                          check_hilbert_special_case, run)
 from tmlab.geometry import (
+    AxiomReport,
     Euclidean,
+    GeometryError,
     Point,
     SampleSpec,
-    _collect,
-    _rng_for,
     check_cn,
     check_quasilin_axioms,
+    check_uniform_convexity,
+    check_w_axioms,
     make_model,
 )
-from tmlab.mappings import MappingFamily
+from tmlab.mappings import MappingFamily, check_condition_c1, check_nonexpansive
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import ConditionResult, audit_schedule, preset
 
@@ -34,6 +39,22 @@ EXACT_PRODUCT_HORIZON = 10_000
 # ---------------------------------------------------------------------------
 # References
 # ---------------------------------------------------------------------------
+
+
+def _rng_for(spec: SampleSpec) -> random.Random:
+    return random.Random(spec.seed)
+
+
+def _collect(name, samples, tol, records) -> AxiomReport:
+    worst = max(records, key=lambda r: r[0]) if records else (0.0, None)
+    return AxiomReport(
+        axiom=name,
+        samples=samples,
+        max_violation=worst[0],
+        worst_case_inputs=worst[1],
+        tol=tol,
+    )
+
 
 
 def ref_check_recursive_inequalities(traj, family, bundle, x, tol=1e-9):
@@ -132,6 +153,149 @@ def ref_check_quasilin_axioms(space, spec, tol=1e-9):
              ql(x, y, u, v) - space.dist(x, y) * space.dist(u, v), desc)
 
     return [_collect(n, spec.count, tol, [rows[n]]) for n in names]
+
+
+def ref_check_w_axioms(space, spec, tol=1e-9):
+    rng = _rng_for(spec)
+    rows = {name: (0.0, None) for name in ("W1", "W2", "W3", "W4")}
+
+    def note(name, v, inputs):
+        if v > rows[name][0]:
+            rows[name] = (v, inputs)
+
+    R = spec.radius
+    for _ in range(spec.count):
+        x, y, z, w = (space.sample(rng, R) for _ in range(4))
+        lam, theta = rng.random(), rng.random()
+        desc = {
+            "x": x.data, "y": y.data, "z": z.data, "w": w.data,
+            "lambda": lam, "theta": theta,
+        }
+        cxy = space.comb(x, y, lam)
+        note("W1", space.dist(z, cxy)
+             - ((1 - lam) * space.dist(z, x) + lam * space.dist(z, y)), desc)
+        note("W2", abs(space.dist(cxy, space.comb(x, y, theta))
+                       - abs(lam - theta) * space.dist(x, y)), desc)
+        note("W3", space.dist(cxy, space.comb(y, x, 1.0 - lam)), desc)
+        note("W4", space.dist(space.comb(x, z, lam), space.comb(y, w, lam))
+             - ((1 - lam) * space.dist(x, y) + lam * space.dist(z, w)), desc)
+
+    return [
+        _collect(name, spec.count, tol, [rows[name]]) for name in rows
+    ]
+
+
+def ref_check_uniform_convexity(space, spec, tol=1e-9):
+    rng = _rng_for(spec)
+    worst = (0.0, None)
+    R = spec.radius
+    for _ in range(spec.count):
+        a = space.sample(rng, R)
+        r = rng.uniform(0.05 * R, R)
+        x = space.sample_near(rng, a, r)
+        y = space.sample_near(rng, a, r)
+        dxy = space.dist(x, y)
+        eps = dxy / r
+        if eps > 2.0:
+            continue  # cannot happen inside the ball; numerical safety
+        m = space.midpoint(x, y)
+        v = space.dist(a, m) - (1.0 - eps * eps / 8.0) * r
+        if v > worst[0]:
+            worst = (v, {"a": a.data, "x": x.data, "y": y.data, "r": r, "eps": eps})
+    return [_collect("uniform convexity eps^2/8", spec.count, tol, [worst])]
+
+
+def ref_check_nonexpansive(family, n_max, spec, tol=1e-9):
+    rng = _rng_for(spec)
+    space = family.space
+    worst = (0.0, None)
+    for _ in range(spec.count):
+        x = space.sample(rng, spec.radius)
+        y = space.sample(rng, spec.radius)
+        dxy = space.dist(x, y)
+        for n in range(n_max + 1):
+            slack = space.dist(family.apply(n, x), family.apply(n, y)) - dxy
+            if slack > worst[0]:
+                worst = (slack, {"x": x.data, "y": y.data, "n": n})
+    return AxiomReport(
+        axiom=f"nonexpansive[{family.name}]",
+        samples=spec.count,
+        max_violation=worst[0],
+        worst_case_inputs=worst[1],
+        tol=tol,
+    )
+
+
+def ref_check_condition_c1(family, gammas, n_max, spec, tol=1e-9):
+    for n in range(n_max + 1):
+        if gammas(n) <= 0:
+            raise GeometryError(f"gamma_{n} must be positive")
+    rng = _rng_for(spec)
+    space = family.space
+    worst = (0.0, None)
+    for _ in range(spec.count):
+        x = space.sample(rng, spec.radius)
+        images = [family.apply(n, x) for n in range(n_max + 1)]
+        for n in range(n_max + 1):
+            gn = gammas(n)
+            dref = space.dist(images[n], x)
+            for m in range(n_max + 1):
+                lhs = space.dist(images[n], images[m])
+                rhs = abs(gammas(m) - gn) / gn * dref
+                if lhs - rhs > worst[0]:
+                    worst = (lhs - rhs, {"x": x.data, "n": n, "m": m})
+    return AxiomReport(
+        axiom=f"condition-c1[{family.name}]",
+        samples=spec.count,
+        max_violation=worst[0],
+        worst_case_inputs=worst[1],
+        tol=tol,
+    )
+
+
+def ref_check_hilbert_special_case(space, family, bundle, x0, steps, tol=1e-10):
+    if not isinstance(space, Euclidean):
+        raise EngineError("the coordinate cross-check needs a Euclidean model")
+    origin = space.base_point()
+    traj = run(space, family, bundle, origin, x0, steps)
+    if traj.error:
+        raise EngineError(traj.error)
+
+    xs = traj.x_points
+    y = tuple(x0.data)
+    worst = (-math.inf, None)
+    for n in range(steps + 1):
+        dev = space.dist(xs[n], Point("euclidean", y))
+        slack = dev - tol * (1 + n)  # allowance grows with accumulated rounding
+        if slack > worst[0]:
+            worst = (slack, {"n": n, "deviation": dev})
+        beta, lam = bundle.beta(n), bundle.lam(n)
+        scaled = tuple(beta * c for c in y)
+        image = family.apply(n, Point("euclidean", scaled)).data
+        y = tuple(
+            (1.0 - lam) * s + lam * t for s, t in zip(scaled, image)
+        )
+    return AxiomReport(
+        axiom=f"hilbert-special-case[{family.name}]",
+        samples=steps + 1,
+        max_violation=worst[0],
+        worst_case_inputs=worst[1],
+        tol=0.0,
+    )
+
+
+def ref_check_boundedness(traj, K_like, tol=1e-9):
+    space, p = traj.space, traj.family.fixed_point
+    worst = 0.0
+    for d_p, u_n in zip(traj.d_p, traj.u_points):
+        worst = max(worst, d_p - K_like, space.dist(u_n, p) - K_like)
+    return AxiomReport(
+        axiom="boundedness",
+        samples=len(traj),
+        max_violation=worst,
+        worst_case_inputs=None,
+        tol=tol,
+    )
 
 
 def ref_audit_sigma_star(bundle, horizon, tol):
@@ -257,21 +421,98 @@ def test_recursive_inequalities_on_short_trajectories():
 # ---------------------------------------------------------------------------
 
 
+GEOMETRY_CHECKERS = [
+    (check_w_axioms, ref_check_w_axioms),
+    (check_cn, ref_check_cn),
+    (check_uniform_convexity, ref_check_uniform_convexity),
+    (check_quasilin_axioms, ref_check_quasilin_axioms),
+]
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "disk", "tripod"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_geometry_checkers_match_reference(kind, seed):
     model = make_model(kind, 3)
     spec = SampleSpec(seed=seed, count=400)
-    same(check_cn(model, spec), ref_check_cn(model, spec))
-    same(check_quasilin_axioms(model, spec), ref_check_quasilin_axioms(model, spec))
+    for check, ref in GEOMETRY_CHECKERS:
+        same(check(model, spec), ref(model, spec))
 
 
 def test_geometry_failure_witness_matches_reference():
     model, spec = BrokenModel(2), SampleSpec(seed=5, count=200)
-    got = check_cn(model, spec)
-    assert any(not r.passed for r in got)
-    same(got, ref_check_cn(model, spec))
-    same(check_quasilin_axioms(model, spec), ref_check_quasilin_axioms(model, spec))
+    for check, ref in GEOMETRY_CHECKERS:
+        got = check(model, spec)
+        if check is not check_quasilin_axioms:  # reads distances only
+            assert any(not r.passed and r.worst_case_inputs for r in got), check.__name__
+        same(got, ref(model, spec))
+
+
+# ---------------------------------------------------------------------------
+# Mapping and engine checkers
+# ---------------------------------------------------------------------------
+
+
+class ScalingFamily(MappingFamily):
+    """x -> (n + 1) x on a Euclidean model: its members differ, so (C1)
+    fails for any step sizes."""
+
+    def __init__(self, space):
+        super().__init__(space, space.base_point())
+
+    def apply(self, n, x):
+        return Point("euclidean", tuple([(n + 1) * c for c in x.data]))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TEXTS))
+def test_mapping_checkers_match_reference(name):
+    sc = scenario_from_text(SCENARIO_TEXTS[name])
+    spec = SampleSpec(seed=7, count=60)
+    same(check_nonexpansive(sc.family, 4, spec), ref_check_nonexpansive(sc.family, 4, spec))
+    same(check_condition_c1(sc.family, sc.bundle.gamma, 4, spec),
+         ref_check_condition_c1(sc.family, sc.bundle.gamma, 4, spec))
+
+
+def test_mapping_failure_witness_matches_reference():
+    space, spec = Euclidean(2), SampleSpec(seed=5, count=100)
+    doubling, scaling = DoublingFamily(space), ScalingFamily(space)
+    gammas = preset("harmonic").gamma
+    got = check_nonexpansive(doubling, 3, spec)
+    assert not got.passed and got.worst_case_inputs is not None
+    same(got, ref_check_nonexpansive(doubling, 3, spec))
+    got = check_condition_c1(scaling, gammas, 3, spec)
+    assert not got.passed and got.worst_case_inputs is not None
+    same(got, ref_check_condition_c1(scaling, gammas, 3, spec))
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(SCENARIO_TEXTS) if n.startswith("euclidean")])
+def test_hilbert_special_case_matches_reference(name):
+    sc = scenario_from_text(SCENARIO_TEXTS[name])
+    same(check_hilbert_special_case(sc.space, sc.family, sc.bundle, sc.x0, 100),
+         ref_check_hilbert_special_case(sc.space, sc.family, sc.bundle, sc.x0, 100))
+
+
+def test_hilbert_special_case_failure_witness_matches_reference():
+    space, bundle = BrokenModel(2), preset("harmonic")
+    family, x0 = DoublingFamily(space), Point.euclidean(1.0, 0.25)
+    got = check_hilbert_special_case(space, family, bundle, x0, 60)
+    assert not got.passed and got.worst_case_inputs is not None
+    same(got, ref_check_hilbert_special_case(space, family, bundle, x0, 60))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TEXTS))
+def test_boundedness_matches_reference(matrix_trajectories, name):
+    sc, traj = matrix_trajectories[name]
+    for K_like in (sc.M, 0.5 * sc.M):
+        same(check_boundedness(traj, K_like), ref_check_boundedness(traj, K_like))
+
+
+def test_boundedness_failure_matches_reference():
+    space = Euclidean(2)
+    traj = run(space, DoublingFamily(space), preset("harmonic"), Point.euclidean(0.5, 0.0),
+               Point.euclidean(1.0, -0.5), 60)
+    got = check_boundedness(traj, 1.0)
+    assert not got.passed
+    same(got, ref_check_boundedness(traj, 1.0))
 
 
 # ---------------------------------------------------------------------------

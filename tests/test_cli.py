@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_geometry import NaNComb
 from tmlab import cli
 from tmlab.cli import main
 from tmlab.geometry import Euclidean
@@ -177,6 +178,18 @@ def test_verify_broken_model_exits_1(runner, monkeypatch):
     data = json.loads(res.output)
     assert data["pass"] is False
     assert any(not c["pass"] for c in data["checks"])
+
+
+def test_verify_nan_model_exits_1(runner, monkeypatch):
+    models = cli._geometry_models
+    monkeypatch.setattr(cli, "_geometry_models", lambda: models() + [NaNComb(2)])
+    res = runner.invoke(main, ["verify", "--suite", "geometry", "--samples", "50"])
+    assert res.exit_code == 1, res.output
+    data = json.loads(res.output)
+    failed = {c["check_id"] for c in data["checks"] if not c["pass"]}
+    assert {f"geometry/euclidean(2)/{name}" for name in
+            ("W1", "W2", "W3", "W4", "CN-", "CN+", "uniform convexity eps^2/8")} <= failed
+    assert '"max_violation": NaN' in res.output
 
 
 def test_verify_engine_and_schedules(runner):
@@ -513,6 +526,22 @@ def test_resolvent_solver_fields_exit_2_naming_the_field(runner, tmp_path, line,
     res = runner.invoke(main, ["run", str(p), "--steps", "2", "--out", "-"])
     assert res.exit_code == 2, res.output
     assert field in res.stderr
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("lines,key", [
+    (["family.kind = rotation"], "family.kind"),
+    (["family.kind = constant", "family.angle = 0.5"], "family.angle"),
+    (["family.kind = resolvent", "family.base.kind = rotation"], "family.base.kind"),
+], ids=["rotation", "constant-angle", "resolvent-rotation-base"])
+def test_rotation_off_the_plane_exits_2_naming_dim_and_the_key(runner, tmp_path, lines, key):
+    p = tmp_path / "rotation.cfg"
+    p.write_text("\n".join(["space.kind = euclidean", "space.dim = 3", *lines,
+                            "run.u = 0,0,0", "run.x0 = 1,0,0"]) + "\n")
+    res = runner.invoke(main, ["run", str(p), "--steps", "2", "--out", "-"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == (f"config error: fields 'space.dim', {key!r}: "
+                          "rotation requires a two-dimensional model\n")
     assert isinstance(res.exception, SystemExit)
 
 

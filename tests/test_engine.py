@@ -380,6 +380,19 @@ def test_boundedness_along_runs():
     assert rep.passed
 
 
+def test_boundedness_fails_on_a_nan_anchor_distance():
+    # the second of a step's two terms: a max() over them would drop it
+    space = Euclidean(2)
+    bundle = preset("harmonic")
+    fam = ProximalFamily(space, space.base_point(), bundle.gamma)
+    u, x0 = Point.euclidean(0.5, 0.0), Point.euclidean(1.0, 1.0)
+    traj = run(space, fam, bundle, u, x0, 20)
+    traj.u[6] = math.nan  # u_3's first coordinate
+    rep = check_boundedness(traj, math.sqrt(2.0), tol=1e-9)
+    assert math.isnan(rep.max_violation)
+    assert not rep.passed
+
+
 # ---------------------------------------------------------------------------
 # Columns
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tmlab.geometry import (
     _TRIPOD_LENGTH,
+    AxiomReport,
     Euclidean,
     GeometryError,
     PoincareDisk,
@@ -577,3 +578,44 @@ def test_report_json_shape():
     assert set(js) == {"axiom", "samples", "max_violation",
                        "worst_case_inputs", "pass"}
     assert js["pass"] is True
+
+
+def test_note_keeps_the_first_largest_violation():
+    rep = AxiomReport("a", 5)
+    assert rep.max_violation == 0.0 and rep.worst_case_inputs is None
+    rep.note(-1.0, {"i": 0})
+    rep.note(0.0, {"i": 1})
+    assert rep.worst_case_inputs is None  # not above the starting 0.0
+    rep.note(2.0, {"i": 2})
+    rep.note(2.0, {"i": 3})
+    rep.note(1.0, {"i": 4})
+    assert (rep.max_violation, rep.worst_case_inputs) == (2.0, {"i": 2})
+    assert not rep.passed
+
+
+def test_note_keeps_the_first_nan():
+    rep = AxiomReport("a", 4)
+    rep.note(1.0, {"i": 0})
+    rep.note(math.nan, {"i": 1})
+    rep.note(math.nan, {"i": 2})
+    rep.note(math.inf, {"i": 3})
+    assert math.isnan(rep.max_violation) and rep.worst_case_inputs == {"i": 1}
+    assert not rep.passed and rep.to_json()["pass"] is False
+
+
+class NaNComb(Euclidean):
+    """A combination whose coordinates are NaN."""
+
+    def comb(self, x, y, lam):
+        return Point("euclidean", (math.nan,) * self.dim)
+
+
+def test_a_nan_violation_fails_the_check():
+    reps = {r.axiom: r for r in run_all_geometry_checks(NaNComb(2), SMALL, 1e-9)}
+    for name in ("W1", "W2", "W3", "W4", "CN-", "CN+", "CN- equality",
+                 "uniform convexity eps^2/8"):
+        assert math.isnan(reps[name].max_violation), name
+        assert not reps[name].passed, name
+        assert reps[name].worst_case_inputs is not None, name
+    # quasilinearization reads distances only, so it still passes
+    assert reps["ql-square"].passed

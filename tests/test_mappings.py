@@ -267,3 +267,20 @@ def test_chi_T_fn_uses_gamma_modulus():
     # max{N_Gamma, chi_gamma(2*K*Gamma*(k+1) - 1)} with chi_gamma = id
     assert fn(0) == 2 * 2 * 1 * 1 - 1
     assert fn(3) == 2 * 2 * 1 * 4 - 1
+
+
+class NaNFamily(IdentityFamily):
+    """Maps every point to a point with NaN coordinates."""
+
+    def apply(self, n, x):
+        return Point("euclidean", (math.nan,) * len(x.data))
+
+
+def test_a_nan_image_fails_nonexpansive_and_c1():
+    fam = NaNFamily(euclid2())
+    for rep in (check_nonexpansive(fam, 3, SMALL),
+                check_condition_c1(fam, HARMONIC_GAMMA, 3, SMALL)):
+        assert math.isnan(rep.max_violation), rep.axiom
+        assert not rep.passed, rep.axiom
+        # the first noted tuple: the first sample at n = 0 (and m = 0)
+        assert rep.worst_case_inputs["n"] == 0

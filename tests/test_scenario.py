@@ -196,7 +196,7 @@ def test_family_geometry_errors_are_config_errors():
     # before the family, so the rotation's own error is the one raised
     text = (BASE.replace("space.dim = 2", "space.dim = 3")
             .replace("run.u = 0,0", "run.u = 0,0,0").replace("run.x0 = 1,0", "run.x0 = 1,0,0"))
-    with pytest.raises(ConfigError, match="family: rotation requires"):
+    with pytest.raises(ConfigError, match="fields 'space.dim', 'family.kind': rotation requires"):
         scenario_from_text(text)
 
 
