@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Optional, TextIO
 
 from .geometry import AxiomReport, Euclidean, Point, SpaceModel
@@ -41,8 +41,9 @@ class Trajectory:
     ``x``, ``u`` and ``Tu`` hold the coordinates of x_n, u_n and T_n u_n
     row-major, ``width`` values a row (a tripod row is its leg, then its
     arm length); ``d_step``, ``d_Tn`` and ``d_p`` hold d(x_n, x_{n+1}),
-    d(x_n, T_n x_n) and d(x_n, p).  Points are rebuilt from the columns
-    on demand, equal to the engine's type for type."""
+    d(x_n, T_n x_n) and d(x_n, p).  A reader that needs Points streams
+    them with ``points``; the trajectory holds nothing besides its columns
+    and metadata, whatever has read it."""
 
     def __init__(self, space: SpaceModel, family: MappingFamily,
                  bundle: ScheduleBundle, anchor: Point, x0: Point,
@@ -53,7 +54,6 @@ class Trajectory:
         self.width = len(x0.data)
         self.x, self.u, self.Tu = array("d"), array("d"), array("d")
         self.d_step, self.d_Tn, self.d_p = array("d"), array("d"), array("d")
-        self._xs = []  # x_0, x_1, ... as far as they were read
 
     def __len__(self):
         return len(self.d_p)
@@ -61,30 +61,16 @@ class Trajectory:
     def points(self, column: array, start: int = 0,
                stop: Optional[int] = None) -> Iterator[Point]:
         """The Points of rows start to stop - 1 (all rows by default) of the
-        coordinate column x, u or Tu."""
-        w = self.width
+        coordinate column x, u or Tu, each rebuilt as the iterator reaches
+        it and equal to the engine's type for type."""
+        w, kind = self.width, self.x0.kind
         stop = len(self) if stop is None else stop
-        kind, it, new = self.x0.kind, iter(column[start * w:stop * w]), tuple.__new__
+        rows = column[start * w:stop * w]
         if kind == "tripod":
-            return (new(Point, (kind, (int(leg), s))) for leg, s in zip(it, it))
-        return (new(Point, (kind, data)) for data in zip(*[it] * w))
-
-    def x_prefix(self, stop: int) -> list:
-        """A list that starts x_0, ..., x_{stop - 1}: each x_n is rebuilt
-        once, when a read first reaches it, so a search that reads the
-        first rows of a long run builds only those."""
-        xs = self._xs
-        if stop > len(xs):
-            xs += self.points(self.x, len(xs), stop)
-        return xs
-
-    @property
-    def x_points(self) -> list:
-        return self.x_prefix(len(self))
-
-    @cached_property
-    def u_points(self) -> list:
-        return list(self.points(self.u))
+            data = zip(map(int, rows[::2]), rows[1::2])
+        else:
+            data = zip(*[iter(rows)] * w)
+        return map(tuple.__new__, repeat(Point), zip(repeat(kind), data))
 
     @property
     def records(self) -> Rows:
@@ -199,12 +185,11 @@ def check_hilbert_special_case(
     if traj.error:
         raise EngineError(traj.error)
 
-    xs = traj.x_points
     y = tuple(x0.data)
     report = AxiomReport(f"hilbert-special-case[{family.name}]", steps + 1,
                          max_violation=-math.inf, tol=0.0)
-    for n in range(steps + 1):
-        dev = space.dist(xs[n], Point("euclidean", y))
+    for n, x_n in enumerate(traj.points(traj.x)):
+        dev = space.dist(x_n, Point("euclidean", y))
         # the allowance grows with accumulated rounding
         report.note(dev - tol * (1 + n), {"n": n, "deviation": dev})
         beta, lam = bundle.beta(n), bundle.lam(n)
@@ -221,7 +206,7 @@ def check_boundedness(traj: Trajectory, K_like: float, tol: float = 1e-9):
     with an exact common fixed point."""
     space, p = traj.space, traj.family.fixed_point
     report = AxiomReport("boundedness", len(traj), tol=tol)
-    for d_p, u_n in zip(traj.d_p, traj.u_points):
+    for d_p, u_n in zip(traj.d_p, traj.points(traj.u)):
         report.note(d_p - K_like, None)
         report.note(space.dist(u_n, p) - K_like, None)
     return report

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable, Optional, Sequence
 
-from .geometry import Point, SpaceModel
+from .geometry import AxiomReport, Point, SpaceModel
 from .mappings import MappingFamily
 from .rates import (CapExceeded, Counterfunction, RateValue, capped, omega1, omega2, zeta,
                     zeta_star)
@@ -52,10 +53,11 @@ class CheckResult:
 
 
 def _suffix_first_hit(values: Sequence[float], bound: float) -> int:
-    """Least n such that every value from n on stays below the bound."""
+    """Least n such that every value from n on stays below the bound; a
+    NaN counts as a value above it."""
     hit = len(values)
     for value in reversed(values):
-        if value > bound:
+        if not value <= bound:
             break
         hit -= 1
     return hit
@@ -75,10 +77,12 @@ def _ar_check(check_id, values, rate, k, cap, tol, scenario_hash) -> CheckResult
         raise VerifyError(
             f"{check_id}: trajectory of length {end} too short for start {start}"
         )
-    bad = next((i for i in range(start, end) if values[i] > bound), None)
+    bad = next((i for i in range(start, end) if not values[i] <= bound), None)
     first_hit = _suffix_first_hit(values, bound)
     bound_ok = rate >= first_hit  # RateValue order; Astronomical dominates
     passed = bad is None and bound_ok
+    if not passed:  # the first NaN is the witness over any number
+        bad = next((i for i, value in enumerate(values) if value != value), bad)
     return CheckResult(
         check_id=check_id,
         passed=passed,
@@ -127,7 +131,7 @@ def check_Tm_ar(
     tol: float = 1e-9,
 ) -> CheckResult:
     space = traj.space
-    values = [space.dist(x, family.apply(m, x)) for x in traj.x_points]
+    values = [space.dist(x, family.apply(m, x)) for x in traj.points(traj.x)]
     return _ar_check(f"Tm-ar[m={m}]", values, rate, k, cap, tol, traj.scenario_hash)
 
 
@@ -162,6 +166,7 @@ def search_metastable(
     bound = 1 / (query.k + 1) + tol
     length = len(traj)
     dist = traj.space.dist
+    xs = []  # x_0, x_1, ... as far as a window has reached
     truncated = False
     for n in range(min(query.cap, length) + 1):
         end = capped(query.f, n, length.bit_length(), length)
@@ -170,15 +175,18 @@ def search_metastable(
         if end >= length:
             truncated = True
             break
-        if _window_ok(traj.x_prefix(end + 1)[n:end + 1], dist, bound):
+        if end >= len(xs):
+            xs += traj.points(traj.x, len(xs), end + 1)
+        if _window_ok(xs[n:end + 1], dist, bound):
             return MetastabilitySearch(found=n, truncated=False, scanned=n)
     return MetastabilitySearch(found=None, truncated=truncated, scanned=n)
 
 
 def _window_ok(pts, dist, bound) -> bool:
+    """Every pairwise distance in pts is at most the bound; NaN is not."""
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if dist(pts[i], pts[j]) > bound:
+            if not dist(pts[i], pts[j]) <= bound:
                 return False
     return True
 
@@ -350,16 +358,17 @@ def check_chi_T_series(
     """chi_T is a Cauchy modulus for the series sum_n d(T_{n+1} u_n, T_n u_n):
     the tail from chi_T(k) on stays below 1/(k+1).  A k whose chi_T(k)
     starts past the trajectory, or passes chi_T_fn's bit cap, is skipped.
-    T_n u_n is the one the run computed, so family must be the run's."""
+    T_n u_n is the one the run computed, so family must be the run's.  The
+    worst residual is kept by AxiomReport.note, so a NaN one fails."""
     dist, apply = traj.space.dist, family.apply
     terms = [
         dist(apply(n + 1, u_n), Tu_n)
-        for n, (u_n, Tu_n) in enumerate(zip(traj.u_points, traj.points(traj.Tu)))
+        for n, (u_n, Tu_n) in enumerate(zip(traj.points(traj.u), traj.points(traj.Tu)))
     ]
     tails = [0.0] * (len(terms) + 1)
     for i in range(len(terms) - 1, -1, -1):
         tails[i] = tails[i + 1] + terms[i]
-    worst = (-math.inf, None)
+    worst = AxiomReport("chi-T-series", k_max + 1, max_violation=-math.inf, tol=tol)
     for k in range(k_max + 1):
         try:
             start = chi_T_fn(k)
@@ -367,16 +376,14 @@ def check_chi_T_series(
             continue
         if start >= len(terms):
             continue
-        res = tails[start] - 1.0 / (k + 1)
-        if res > worst[0]:
-            worst = (res, {"k": k, "start": start, "tail_sum": tails[start]})
-    passed = worst[0] <= tol
+        worst.note(tails[start] - 1.0 / (k + 1),
+                   {"k": k, "start": start, "tail_sum": tails[start]})
     return CheckResult(
         check_id="chi-T-series",
-        passed=passed,
-        witness=None if passed else worst[1],
+        passed=worst.passed,
+        witness=None if worst.passed else worst.worst_case_inputs,
         horizons={"length": len(terms), "k_max": k_max},
-        details={"max_residual": worst[0]},
+        details={"max_residual": worst.max_violation},
         scenario_hash=traj.scenario_hash,
     )
 
@@ -397,15 +404,16 @@ def check_recursive_inequalities(
     and the quasilinearization term, for an arbitrary reference point x.
 
     Each distance is computed once: d(x_{n+1}, x) is carried forward as
-    the next step's d(x_n, x), and d(x, u) is the same for every step."""
+    the next step's d(x_n, x), and d(x, u) is the same for every step.
+    The worst residual is kept by AxiomReport.note, so a NaN one fails."""
     u = traj.anchor
     dist, quasilin = traj.space.dist, traj.space.quasilin
     apply, beta_of, B = family.apply, bundle.beta, bundle.B
-    xs = traj.x_points
     d2_xu = dist(x, u) ** 2
-    d2_cur = dist(xs[0], x) ** 2 if xs else 0.0
-    worst, worst_n, worst_part = -math.inf, None, None
-    for n, (x_n, u_n, x_next) in enumerate(zip(xs, traj.u_points, xs[1:])):
+    d2_cur = dist(next(traj.points(traj.x, 0, 1)), x) ** 2 if len(traj) else 0.0
+    worst = AxiomReport("recursive-inequalities", len(traj), max_violation=-math.inf, tol=tol)
+    steps = zip(pairwise(traj.points(traj.x)), traj.points(traj.u))
+    for n, ((x_n, x_next), u_n) in enumerate(steps):
         beta = beta_of(n)
         ql = quasilin(x, u, x, x_n)
         du = dist(u_n, x)
@@ -424,20 +432,16 @@ def check_recursive_inequalities(
             + (1.0 - beta) * (2.0 * beta * ql)
             + (1.0 - beta) * d2_xu
         )
-        if res1 > worst:
-            worst, worst_n, worst_part = res1, n, "i"
-        if res2 > worst:
-            worst, worst_n, worst_part = res2, n, "ii"
-        if res3 > worst:
-            worst, worst_n, worst_part = res3, n, "iii"
+        worst.note(res1, {"n": n, "part": "i"})
+        worst.note(res2, {"n": n, "part": "ii"})
+        worst.note(res3, {"n": n, "part": "iii"})
         d2_cur = d2_next
-    passed = worst <= tol
     return CheckResult(
         check_id="recursive-inequalities",
-        passed=passed,
-        witness=None if passed else {"n": worst_n, "part": worst_part},
+        passed=worst.passed,
+        witness=None if worst.passed else worst.worst_case_inputs,
         horizons={"length": len(traj)},
-        details={"max_residual": worst},
+        details={"max_residual": worst.max_violation},
         scenario_hash=traj.scenario_hash,
     )
 

@@ -261,7 +261,7 @@ def ref_check_hilbert_special_case(space, family, bundle, x0, steps, tol=1e-10):
     if traj.error:
         raise EngineError(traj.error)
 
-    xs = traj.x_points
+    xs = list(traj.points(traj.x))
     y = tuple(x0.data)
     worst = (-math.inf, None)
     for n in range(steps + 1):
@@ -287,7 +287,7 @@ def ref_check_hilbert_special_case(space, family, bundle, x0, steps, tol=1e-10):
 def ref_check_boundedness(traj, K_like, tol=1e-9):
     space, p = traj.space, traj.family.fixed_point
     worst = 0.0
-    for d_p, u_n in zip(traj.d_p, traj.u_points):
+    for d_p, u_n in zip(traj.d_p, traj.points(traj.u)):
         worst = max(worst, d_p - K_like, space.dist(u_n, p) - K_like)
     return AxiomReport(
         axiom="boundedness",

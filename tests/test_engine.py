@@ -10,6 +10,7 @@ import pytest
 from test_acceptance import SCENARIO_TEXTS
 from test_geometry import RefEuclidean, RefTripod
 from tmlab import scenario as scenario_module
+from tmlab import verify as V
 from tmlab.engine import (
     EngineError,
     Trajectory,
@@ -27,6 +28,7 @@ from tmlab.mappings import (
     RotationFamily,
     SolverFailure,
 )
+from tmlab.rates import Affine, RateValue
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import preset
 
@@ -445,10 +447,10 @@ def test_columns_give_back_the_reference_rows_and_points(name):
     assert typed(list(traj.records)) == typed(ref)
     assert typed([traj.records[i] for i in (0, 7, -1, -len(ref))]) == typed(
         [ref[i] for i in (0, 7, -1, -len(ref))])
-    # a prefix read first, as a metastability search does, then every row
-    assert typed(traj.x_prefix(3)[:3]) == typed([rec.x for rec in ref[:3]])
-    assert typed(traj.x_points) == typed([rec.x for rec in ref])
-    assert typed(traj.u_points) == typed([rec.u for rec in ref])
+    # a prefix read, as a metastability search makes, then every row
+    assert typed(list(traj.points(traj.x, 0, 3))) == typed([rec.x for rec in ref[:3]])
+    assert typed(list(traj.points(traj.x))) == typed([rec.x for rec in ref])
+    assert typed(list(traj.points(traj.u))) == typed([rec.u for rec in ref])
     assert typed(list(traj.points(traj.Tu))) == typed(
         [sc.family.apply(rec.n, rec.u) for rec in ref])
     assert typed(list(traj.d_step)) == typed([rec.d_step for rec in ref])
@@ -462,19 +464,28 @@ def test_columns_give_back_odd_values(name):
     space, points = ODD_POINTS[name]
     traj = _trajectory(space, points)
     assert typed(list(traj.records)) == typed(_odd_records(points))
-    assert typed(traj.x_points) == typed(points)
+    assert typed(list(traj.points(traj.x))) == typed(points)
 
 
 @pytest.mark.parametrize("name", ["euclidean-rotation", "disk-rotation", "tripod-rotation"])
 def test_a_run_retains_at_most_150_bytes_a_step(name):
     # six float columns hold 9 doubles a step on these models; one
-    # TrajectoryRecord a step, with its two Points, retained about 527 bytes
+    # TrajectoryRecord a step, with its two Points, retained about 527
+    # bytes.  The checks that read the run must leave nothing on it: a
+    # list of the x_n or u_n Points would add about 175 bytes a step
     sc = scenario_from_text(SCENARIO_TEXTS[name])
     steps = 20_000
+    rate = RateValue.astronomical("unread")
+    query = V.MetastabilityQuery(k=3, f=Affine(1, 100), cap=steps)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, steps)
+        V.check_Tm_ar(traj, sc.family, 1, rate, k=0, cap=steps)
+        V.check_chi_T_series(traj, sc.family, sc.chi_T_fn, k_max=5)
+        V.check_recursive_inequalities(traj, sc.family, sc.bundle, sc.u)
+        check_boundedness(traj, sc.M)
+        assert V.search_metastable(traj, query).found is not None
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

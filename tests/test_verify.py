@@ -9,7 +9,7 @@ from tmlab import rates as R
 from tmlab import verify as V
 from tmlab.engine import run
 from tmlab.geometry import Euclidean, Point
-from tmlab.mappings import ProximalFamily, RotationFamily
+from tmlab.mappings import MappingFamily, ProximalFamily, RotationFamily
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import preset
 
@@ -410,3 +410,76 @@ def test_chi_T_series_skips_a_modulus_past_its_cap():
     first_four = V.check_chi_T_series(traj, fam, fam.chi_T_fn(bundle, K=1), k_max=3,
                                       tol=1e-8)
     assert capped.passed and capped.details == first_four.details
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals fail every check
+# ---------------------------------------------------------------------------
+
+
+class NaNFromThree(MappingFamily):
+    """The identity for n < 3 and (nan, nan) from n = 3 on: d_step and d_Tn
+    are NaN from row 3, and x_n from row 4."""
+
+    name = "nan-from-3"
+
+    def __init__(self, space):
+        super().__init__(space, space.base_point())
+
+    def apply(self, n, x):
+        return Point.euclidean(math.nan, math.nan) if n >= 3 else x
+
+
+@pytest.fixture(scope="module")
+def nan_run():
+    space = Euclidean(2)
+    fam, bundle = NaNFromThree(space), preset("harmonic")
+    traj = run(space, fam, bundle, Point.euclidean(0.5, 0.0), Point.euclidean(1.0, 0.0), 20)
+    assert traj.error is None and math.isnan(traj.d_step[3]) and traj.d_step[2] < 1
+    return fam, bundle, traj
+
+
+def _nan_witness(res, n):
+    assert not res.passed
+    assert res.witness["n"] == n and math.isnan(res.witness["value"])
+    assert res.details["first_hit"] == 21  # NaN to the last row
+
+
+def test_ar_fails_on_nan_steps(nan_run):
+    _, _, traj = nan_run
+    _nan_witness(V.check_ar(traj, R.RateValue.finite(5), k=0, cap=20), 3)
+
+
+def test_family_ar_fails_on_nan_steps(nan_run):
+    fam, _, traj = nan_run
+    _nan_witness(V.check_family_ar(traj, fam, R.RateValue.finite(5), k=0, cap=20), 3)
+
+
+def test_Tm_ar_fails_on_nan_points(nan_run):
+    # T_0 is the identity, so the first NaN is d(x_4, x_4)
+    fam, _, traj = nan_run
+    _nan_witness(V.check_Tm_ar(traj, fam, 0, R.RateValue.finite(5), k=0, cap=20), 4)
+
+
+def test_chi_T_series_fails_on_nan_terms(nan_run):
+    fam, bundle, traj = nan_run
+    res = V.check_chi_T_series(traj, fam, fam.chi_T_fn(bundle, K=1), k_max=5)
+    assert not res.passed and math.isnan(res.details["max_residual"])
+    assert res.witness["k"] == 0 and math.isnan(res.witness["tail_sum"])
+
+
+def test_recursive_inequalities_fail_on_nan_residuals(nan_run):
+    fam, bundle, traj = nan_run
+    res = V.check_recursive_inequalities(traj, fam, bundle, Point.euclidean(0.0, 0.0))
+    assert not res.passed and math.isnan(res.details["max_residual"])
+    assert res.witness == {"n": 3, "part": "i"}
+
+
+def test_metastable_windows_fail_on_nan_distances(nan_run):
+    # every window [n, n + 5] reaches x_4, so none holds and the search
+    # runs out of trajectory
+    _, _, traj = nan_run
+    q = V.MetastabilityQuery(k=0, f=R.Affine(1, 5), cap=20)
+    search = V.search_metastable(traj, q)
+    assert search.found is None and search.truncated
+    assert not V.check_mu(traj, q, R.RateValue.finite(20)).passed
