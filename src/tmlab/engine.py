@@ -42,8 +42,9 @@ class Trajectory:
     row-major, ``width`` values a row (a tripod row is its leg, then its
     arm length); ``d_step``, ``d_Tn`` and ``d_p`` hold d(x_n, x_{n+1}),
     d(x_n, T_n x_n) and d(x_n, p).  A reader that needs Points streams
-    them with ``points``; the trajectory holds nothing besides its columns
-    and metadata, whatever has read it."""
+    them with ``points``; a reader of distances to a fixed point hands a
+    column to the model's ``dists`` or ``quasilins``.  The trajectory holds
+    nothing besides its columns and metadata, whatever has read it."""
 
     def __init__(self, space: SpaceModel, family: MappingFamily,
                  bundle: ScheduleBundle, anchor: Point, x0: Point,
@@ -204,9 +205,8 @@ def check_hilbert_special_case(
 def check_boundedness(traj: Trajectory, K_like: float, tol: float = 1e-9):
     """d(x_n, p) and d(u_n, p) stay below max{d(x0,p), d(u,p)} along runs
     with an exact common fixed point."""
-    space, p = traj.space, traj.family.fixed_point
     report = AxiomReport("boundedness", len(traj), tol=tol)
-    for d_p, u_n in zip(traj.d_p, traj.points(traj.u)):
+    for d_p, d_u in zip(traj.d_p, traj.space.dists(traj.u, traj.family.fixed_point)):
         report.note(d_p - K_like, None)
-        report.note(space.dist(u_n, p) - K_like, None)
+        report.note(d_u - K_like, None)
     return report

@@ -191,6 +191,31 @@ class SpaceModel:
             self.dist(x, v), self.dist(y, u), self.dist(x, u), self.dist(y, v)
         )
 
+    # -- column kernels -----------------------------------------------------
+    # dists and quasilins read a flat coordinate column, the layout
+    # Trajectory stores (a point's data a row; a tripod row is its leg, then
+    # its arm length), and build no Point.  Each gives, to the bit, what
+    # dist(z, p) and quasilin(x, u, x, z) give on the row's Point z; p, x
+    # and u are checked once.
+
+    def dists(self, column, p: Point) -> list:
+        """d(z, p) for every row z of the column."""
+        raise NotImplementedError
+
+    def quasilins(self, column, x: Point, u: Point) -> list:
+        """<xu, xz> for every row z of the column: quasilin_from_distances(
+        d(x, z), d(u, x), d(x, x), d(u, z)) written out, with d(x, z) and
+        d(u, z) read from dists (each model's dist is symmetric to the
+        bit).  d(u, x) and d(x, x) are computed once, and only when there is
+        a row, as quasilin computes them.  d(x, x) is 0.0 for every point a
+        model accepts, but not for a tripod arm of infinite length."""
+        dxz, duz = self.dists(column, x), self.dists(column, u)
+        if not dxz:
+            return []
+        dux, dxx = self.dist(u, x), self.dist(x, x)
+        c, e = dux * dux, dxx * dxx
+        return [0.5 * (a * a + c - e - b * b) for a, b in zip(dxz, duz)]
+
     def describe(self) -> str:
         return self.kind
 
@@ -280,6 +305,29 @@ class Euclidean(SpaceModel):
             self._require(x, y, u, v)
         return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
 
+    def dists(self, column, p: Point) -> list:
+        self._require(p)
+        pd, sqrt = p.data, math.sqrt
+        if self.dim == 2:
+            p0, p1 = pd
+            return [sqrt((a0 - p0) ** 2 + (a1 - p1) ** 2)
+                    for a0, a1 in zip(column[::2], column[1::2])]
+        return [sqrt(sum([(a - b) ** 2 for a, b in zip(row, pd)]))
+                for row in zip(*[iter(column)] * self.dim)]
+
+    def quasilins(self, column, x: Point, u: Point) -> list:
+        # quasilin's dot product (u - x) . (z - x), with u - x hoisted
+        self._require(x, u)
+        xd = x.data
+        e = [b - a for a, b in zip(xd, u.data)]
+        if self.dim == 2:
+            # sum's 0 + t0 + t1 written out
+            (x0, x1), (e0, e1) = xd, e
+            return [0.0 + e0 * (z0 - x0) + e1 * (z1 - x1)
+                    for z0, z1 in zip(column[::2], column[1::2])]
+        return [sum([f * (d - c) for f, c, d in zip(e, xd, row)])
+                for row in zip(*[iter(column)] * self.dim)]
+
     def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
         # 2-D rotation kernel: the iterate as two floats, turned by
         # RotationFamily.apply's formula, comb's and dist's 2-D branches
@@ -337,6 +385,14 @@ class PoincareDisk(SpaceModel):
         num = abs(zx - zy)
         den = abs(1.0 - zy.conjugate() * zx)
         return 2.0 * math.atanh(num / den)
+
+    def dists(self, column, p: Point) -> list:
+        # dist's formula with p's conjugate hoisted
+        self._require(p)
+        zp = complex(*p.data)
+        czp, atanh = zp.conjugate(), math.atanh
+        return [2.0 * atanh(abs(z - zp) / abs(1.0 - czp * z))
+                for z in map(complex, column[::2], column[1::2])]
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
         # Moebius-translate x to the origin, walk along the resulting
@@ -427,6 +483,15 @@ class Tripod(SpaceModel):
         if lx == ly or sx == 0.0 or sy == 0.0:
             return abs(sx - sy)
         return sx + sy
+
+    def dists(self, column, p: Point) -> list:
+        # dist's leg test, with p's half of it hoisted; a leg read from the
+        # column is a float, equal to its int
+        self._require(p)
+        lp, sp = p.data
+        center = sp == 0.0
+        return [abs(s - sp) if center or leg == lp or s == 0.0 else s + sp
+                for leg, s in zip(column[::2], column[1::2])]
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
         if x.kind != "tripod" or y.kind != "tripod":

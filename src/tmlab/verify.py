@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import pairwise
 from typing import Callable, Optional, Sequence
 
 from .geometry import AxiomReport, Point, SpaceModel
@@ -359,7 +358,8 @@ def check_chi_T_series(
     the tail from chi_T(k) on stays below 1/(k+1).  A k whose chi_T(k)
     starts past the trajectory, or passes chi_T_fn's bit cap, is skipped.
     T_n u_n is the one the run computed, so family must be the run's.  The
-    worst residual is kept by AxiomReport.note, so a NaN one fails."""
+    worst residual is kept by AxiomReport.note, so a NaN one fails, and
+    its witness names the row n of the tail's first NaN term."""
     dist, apply = traj.space.dist, family.apply
     terms = [
         dist(apply(n + 1, u_n), Tu_n)
@@ -378,10 +378,15 @@ def check_chi_T_series(
             continue
         worst.note(tails[start] - 1.0 / (k + 1),
                    {"k": k, "start": start, "tail_sum": tails[start]})
+    witness = None if worst.passed else worst.worst_case_inputs
+    if witness is not None and witness["tail_sum"] != witness["tail_sum"]:
+        # a NaN tail: name the first NaN term it sums
+        start = witness["start"]
+        witness["n"] = next(n for n in range(start, len(terms)) if terms[n] != terms[n])
     return CheckResult(
         check_id="chi-T-series",
         passed=worst.passed,
-        witness=None if worst.passed else worst.worst_case_inputs,
+        witness=witness,
         horizons={"length": len(terms), "k_max": k_max},
         details={"max_residual": worst.max_violation},
         scenario_hash=traj.scenario_hash,
@@ -403,23 +408,21 @@ def check_recursive_inequalities(
     """The three per-step inequalities relating d(x_{n+1}, x), d(u_n, x)
     and the quasilinearization term, for an arbitrary reference point x.
 
-    Each distance is computed once: d(x_{n+1}, x) is carried forward as
-    the next step's d(x_n, x), and d(x, u) is the same for every step.
-    The worst residual is kept by AxiomReport.note, so a NaN one fails."""
-    u = traj.anchor
-    dist, quasilin = traj.space.dist, traj.space.quasilin
-    apply, beta_of, B = family.apply, bundle.beta, bundle.B
+    d(x_n, x), d(u_n, x) and <xu, x x_n> are read from the columns by the
+    model's dists and quasilins kernels; d(x_{n+1}, x) is the next row's
+    d(x_n, x), and d(x, u) is the same for every step.  The worst residual
+    is kept by AxiomReport.note, so a NaN one fails."""
+    u, space, w = traj.anchor, traj.space, traj.width
+    dist, apply, beta_of, B = space.dist, family.apply, bundle.beta, bundle.B
     d2_xu = dist(x, u) ** 2
-    d2_cur = dist(next(traj.points(traj.x, 0, 1)), x) ** 2 if len(traj) else 0.0
+    dx = space.dists(traj.x, x)
+    # the last row's u_n and x_n start no step
+    steps = zip(dx, dx[1:], space.dists(traj.u[:-w], x), space.quasilins(traj.x[:-w], x, u))
     worst = AxiomReport("recursive-inequalities", len(traj), max_violation=-math.inf, tol=tol)
-    steps = zip(pairwise(traj.points(traj.x)), traj.points(traj.u))
-    for n, ((x_n, x_next), u_n) in enumerate(steps):
+    for n, (d_cur, d_next, du, ql) in enumerate(steps):
         beta = beta_of(n)
-        ql = quasilin(x, u, x, x_n)
-        du = dist(u_n, x)
         dT = dist(apply(n, x), x)
-        d_next = dist(x_next, x)
-        d2_next = d_next ** 2
+        d2_cur, d2_next = d_cur ** 2, d_next ** 2
         w_n = 2.0 * du * dT + dT * dT
         res1 = d_next - (du + dT)
         res2 = du ** 2 - (
@@ -435,7 +438,6 @@ def check_recursive_inequalities(
         worst.note(res1, {"n": n, "part": "i"})
         worst.note(res2, {"n": n, "part": "ii"})
         worst.note(res3, {"n": n, "part": "iii"})
-        d2_cur = d2_next
     return CheckResult(
         check_id="recursive-inequalities",
         passed=worst.passed,

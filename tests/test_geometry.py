@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from array import array
 from functools import partial
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from tmlab.geometry import (
     _TRIPOD_LENGTH,
+    DISK_MARGIN,
     AxiomReport,
     Euclidean,
     GeometryError,
@@ -442,6 +444,97 @@ def test_a_rotation_of_another_model_goes_through_apply():
     assert rot.calls > 0
     assert got == _settled(lambda: SpaceModel.fixed_point(
         space, x, partial(rot.apply, 0), 0.5, 1e-12, 10_000))
+
+
+# ---------------------------------------------------------------------------
+# The column kernels
+#
+# dists(column, p) and quasilins(column, x, u) on a flat coordinate column
+# against dist(z, p) and quasilin(x, u, x, z) on each row's Point z: the
+# same floats to the bit (every nan one outcome), or the same error.
+# ---------------------------------------------------------------------------
+
+COLUMN_MODELS = {"euclidean1": Euclidean(1), "euclidean2": Euclidean(2),
+                 "euclidean3": Euclidean(3), "disk": PoincareDisk(), "tripod": Tripod()}
+
+
+def _euclidean_points(dim):
+    return st.builds(lambda *c: Point("euclidean", c), *[any_float | coords] * dim)
+
+
+def _disk_point(gap, angle):
+    # 1 - |z|^2 about gap; a point past the margin is pulled back onto it
+    r = math.sqrt(1.0 - gap)
+    a, b = r * math.cos(angle), r * math.sin(angle)
+    if a * a + b * b >= 1.0 - DISK_MARGIN:
+        a, b = a * (1.0 - DISK_MARGIN), b * (1.0 - DISK_MARGIN)
+    return Point("disk", (a, b))
+
+
+def _tripod_point(leg, s):
+    return Point("tripod", (0 if s == 0.0 else leg, s))
+
+
+COLUMN_POINTS = {
+    **{f"euclidean{d}": _euclidean_points(d) for d in (1, 2, 3)},
+    # near the margin, where dist may raise from atanh, and anywhere inside
+    "disk": st.builds(_disk_point,
+                      st.sampled_from([DISK_MARGIN, 2e-12, 1e-9, 1e-6]) | st.floats(1e-12, 1.0),
+                      st.floats(-4.0, 4.0))
+    | st.sampled_from([Point("disk", (math.nan, 0.25)), Point("disk", (0.0, -0.0)),
+                       Point("disk", (math.nan, math.nan))]),
+    # the center on leg 0, as the engine stores it, with +0.0 and -0.0
+    "tripod": st.builds(_tripod_point, st.integers(0, 2),
+                        st.floats(0.0, 10.0) | st.sampled_from(
+                            [0.0, -0.0, 5e-324, 1e300, math.inf, math.nan])),
+}
+
+
+def _values(call):
+    """Each float of a kernel's list as its bits, or "raised".  An error is
+    one outcome whatever its type: the disk's abs() of a complex with a nan
+    part raises OverflowError instead of giving nan when errno is still
+    ERANGE from an earlier atanh(1.0), which raised ValueError, so the type
+    depends on the order of the calls (CPython 3.10 to 3.13 keep that stale
+    errno)."""
+    try:
+        return [_bits(v) for v in call()]
+    except (ArithmeticError, ValueError):
+        return "raised"
+
+
+@pytest.mark.parametrize("model", sorted(COLUMN_MODELS))
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_column_kernels_are_bitwise_dist_and_quasilin(model, data):
+    space, point = COLUMN_MODELS[model], COLUMN_POINTS[model]
+    rows = data.draw(st.lists(point, max_size=8))
+    # p, x and u are sometimes a row, so that a row equals them
+    fixed = point | st.sampled_from(rows) if rows else point
+    p, x, u = data.draw(fixed), data.draw(fixed), data.draw(fixed)
+    column = array("d")
+    for z in rows:
+        column.extend(z.data)
+    assert _values(lambda: space.dists(column, p)) == _values(
+        lambda: [space.dist(z, p) for z in rows])
+    assert _values(lambda: space.quasilins(column, x, u)) == _values(
+        lambda: [space.quasilin(x, u, x, z) for z in rows])
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_POINTS))
+def test_column_kernels_reject_a_foreign_point(kind):
+    sp, x, y, foreign = MODEL_POINTS[kind]
+    column = array("d", x.data + y.data)
+    for call in (lambda: sp.dists(column, foreign), lambda: sp.quasilins(column, foreign, y),
+                 lambda: sp.quasilins(column, x, foreign)):
+        with pytest.raises(GeometryError):
+            call()
+    if kind == "euclidean":
+        p3 = Point.euclidean(1, 2, 3)
+        for call in (lambda: sp.dists(column, p3), lambda: sp.quasilins(column, p3, x),
+                     lambda: sp.quasilins(column, x, p3)):
+            with pytest.raises(GeometryError, match="3 coordinates used in model euclidean"):
+                call()
 
 
 # ---------------------------------------------------------------------------

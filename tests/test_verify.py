@@ -466,6 +466,11 @@ def test_chi_T_series_fails_on_nan_terms(nan_run):
     res = V.check_chi_T_series(traj, fam, fam.chi_T_fn(bundle, K=1), k_max=5)
     assert not res.passed and math.isnan(res.details["max_residual"])
     assert res.witness["k"] == 0 and math.isnan(res.witness["tail_sum"])
+    # the first NaN term: d(T_3 u_2, T_2 u_2)
+    assert res.witness["start"] == 0 and res.witness["n"] == 2
+    # a tail from row 5 names its own first NaN term, not the series'
+    res = V.check_chi_T_series(traj, fam, lambda k: 5, k_max=0)
+    assert res.witness["start"] == 5 and res.witness["n"] == 5
 
 
 def test_recursive_inequalities_fail_on_nan_residuals(nan_run):
