@@ -187,18 +187,20 @@ def check_hilbert_special_case(
         raise EngineError(traj.error)
 
     y = tuple(x0.data)
-    report = AxiomReport(f"hilbert-special-case[{family.name}]", steps + 1,
-                         max_violation=-math.inf, tol=0.0)
+    devs = []
     for n, x_n in enumerate(traj.points(traj.x)):
-        dev = space.dist(x_n, Point("euclidean", y))
-        # the allowance grows with accumulated rounding
-        report.note(dev - tol * (1 + n), {"n": n, "deviation": dev})
+        devs.append(space.dist(x_n, Point("euclidean", y)))
         beta, lam = bundle.beta(n), bundle.lam(n)
         scaled = tuple(beta * c for c in y)
         image = family.apply(n, Point("euclidean", scaled)).data
         y = tuple(
             (1.0 - lam) * s + lam * t for s, t in zip(scaled, image)
         )
+    report = AxiomReport(f"hilbert-special-case[{family.name}]", steps + 1,
+                         max_violation=-math.inf, tol=0.0)
+    # the allowance grows with accumulated rounding
+    report.note_rows([[dev - tol * (1 + n) for n, dev in enumerate(devs)]],
+                     lambda n, _: {"n": n, "deviation": devs[n]})
     return report
 
 
@@ -206,7 +208,6 @@ def check_boundedness(traj: Trajectory, K_like: float, tol: float = 1e-9):
     """d(x_n, p) and d(u_n, p) stay below max{d(x0,p), d(u,p)} along runs
     with an exact common fixed point."""
     report = AxiomReport("boundedness", len(traj), tol=tol)
-    for d_p, d_u in zip(traj.d_p, traj.space.dists(traj.u, traj.family.fixed_point)):
-        report.note(d_p - K_like, None)
-        report.note(d_u - K_like, None)
+    d_u = traj.space.dists(traj.u, traj.family.fixed_point)
+    report.note_rows([[d - K_like for d in traj.d_p], [d - K_like for d in d_u]], None)
     return report

@@ -13,6 +13,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 DISK_MARGIN = 1e-12
@@ -128,6 +129,31 @@ class AxiomReport:
             self.max_violation = value
             self.worst_case_inputs = inputs
 
+    def note_rows(self, columns, inputs) -> None:
+        """Keep what ``note`` keeps when called on the equal-length columns
+        in row order (row 0 of every column, then row 1, ...), the value in
+        row n of column c with inputs ``inputs(n, c)`` (None when ``inputs``
+        is None).  Only a column's first NaN, or else its first largest
+        value, can be kept: each is found at C speed (a NaN makes the sum
+        NaN; max and index give the first largest), the candidates are
+        noted in (row, column) order, and ``inputs`` is called only for a
+        candidate that is kept."""
+        candidates = []
+        for c, column in enumerate(columns):
+            if not column:
+                continue
+            total, n = sum(column), None
+            if total != total:  # a NaN, or +inf and -inf
+                n = next((i for i, v in enumerate(column) if v != v), None)
+            if n is None:
+                n = column.index(max(column))
+            candidates.append((n, c))
+        for n, c in sorted(candidates):
+            value, worst = columns[c][n], self.max_violation
+            if value > worst or (value != value and worst == worst):
+                self.max_violation = value
+                self.worst_case_inputs = None if inputs is None else inputs(n, c)
+
     @property
     def passed(self) -> bool:
         return self.max_violation <= self.tol
@@ -164,6 +190,12 @@ class SpaceModel:
 
     def base_point(self) -> Point:
         raise NotImplementedError
+
+    @cached_property
+    def _origin(self) -> Point:
+        """The base point sample draws around, built on the first draw (a
+        model of huge dimension may never draw)."""
+        return self.base_point()
 
     # -- generic pieces -----------------------------------------------------
     # dist, comb and Euclidean.quasilin test point kinds and lam inline, on
@@ -355,17 +387,18 @@ class Euclidean(SpaceModel):
         z = tuple.__new__(Point, ("euclidean", (z0, z1)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
+    # the samplers draw around _origin and build their Point with
+    # tuple.__new__, which skips the NamedTuple's Python-level __new__
+
     def sample(self, rng: random.Random, radius: float) -> Point:
-        return self.sample_near(rng, self.base_point(), radius)
+        return self.sample_near(rng, self._origin, radius)
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         vec = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
         norm = math.sqrt(sum([c * c for c in vec])) or 1.0
         r = radius * rng.random() ** (1.0 / self.dim)
-        return Point(
-            "euclidean",
-            tuple([c + r * v / norm for c, v in zip(center.data, vec)]),
-        )
+        return tuple.__new__(Point, (
+            "euclidean", tuple([c + r * v / norm for c, v in zip(center.data, vec)])))
 
 
 class PoincareDisk(SpaceModel):
@@ -452,7 +485,7 @@ class PoincareDisk(SpaceModel):
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample(self, rng: random.Random, radius: float) -> Point:
-        return self.sample_near(rng, self.base_point(), radius)
+        return self.sample_near(rng, self._origin, radius)
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -463,7 +496,7 @@ class PoincareDisk(SpaceModel):
         # clamp just inside the margin; only reachable for extreme radii
         if abs(z) >= 1.0 - 2.0 * DISK_MARGIN:
             z *= (1.0 - 2.0 * DISK_MARGIN) / abs(z)
-        return Point("disk", (z.real, z.imag))
+        return tuple.__new__(Point, ("disk", (z.real, z.imag)))
 
 
 class Tripod(SpaceModel):
@@ -553,15 +586,30 @@ class Tripod(SpaceModel):
         z = tuple.__new__(Point, ("tripod", (lz, sz)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
+    # the samplers make Point.tripod's checks on the drawn length and build
+    # their Point with tuple.__new__
+
     def sample(self, rng: random.Random, radius: float) -> Point:
-        return Point.tripod(rng.randrange(3), radius * rng.random())
+        return _tripod_point(rng.randrange(3), radius * rng.random())
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         leg, s = center.data
-        delta = rng.uniform(-radius, radius)
-        if s + delta >= 0.0:
-            return Point.tripod(leg, s + delta)
-        return Point.tripod(rng.randrange(3), -(s + delta))
+        s += rng.uniform(-radius, radius)
+        if s >= 0.0:
+            return _tripod_point(leg, s)
+        return _tripod_point(rng.randrange(3), -s)
+
+
+def _tripod_point(leg: int, s: float) -> Point:
+    """Point.tripod(leg, s) for a float s, without the Python-level
+    __new__: the same checks, in the same order."""
+    if not 0.0 <= s < math.inf:
+        raise GeometryError(_TRIPOD_LENGTH)
+    if leg not in (0, 1, 2):
+        raise GeometryError("tripod leg must be 0, 1 or 2")
+    if s == 0.0:
+        leg = 0  # all legs share the center
+    return tuple.__new__(Point, ("tripod", (leg, s)))
 
 
 def make_model(kind: str, dim: int = 2) -> SpaceModel:

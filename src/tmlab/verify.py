@@ -409,35 +409,36 @@ def check_recursive_inequalities(
     and the quasilinearization term, for an arbitrary reference point x.
 
     d(x_n, x), d(u_n, x) and <xu, x x_n> are read from the columns by the
-    model's dists and quasilins kernels; d(x_{n+1}, x) is the next row's
-    d(x_n, x), and d(x, u) is the same for every step.  The worst residual
-    is kept by AxiomReport.note, so a NaN one fails."""
+    model's dists and quasilins kernels; d(x_n, x)^2 is computed once a row
+    and serves steps n - 1 and n, and d(x, u) is the same for every step.
+    beta_n and d(T_n x, x) are computed once a row, and B(n) at most once,
+    under the audit's 1100-bit cap (see _B_column).  The three residual columns are
+    noted by AxiomReport.note_rows, so the worst is the one note would keep
+    row by row, and a NaN one fails."""
     u, space, w = traj.anchor, traj.space, traj.width
     dist, apply, beta_of, B = space.dist, family.apply, bundle.beta, bundle.B
     d2_xu = dist(x, u) ** 2
     dx = space.dists(traj.x, x)
+    d2 = [d ** 2 for d in dx]
     # the last row's u_n and x_n start no step
-    steps = zip(dx, dx[1:], space.dists(traj.u[:-w], x), space.quasilins(traj.x[:-w], x, u))
+    du = space.dists(traj.u[:-w], x)
+    ql = space.quasilins(traj.x[:-w], x, u)
+    steps = range(len(du))
+    dT = [dist(apply(n, x), x) for n in steps]
+    beta = [beta_of(n) for n in steps]
+    big_B = _B_column(B, len(steps))
+    res1 = [d - (a + t) for d, a, t in zip(dx[1:], du, dT)]
+    res2 = [a ** 2 - (b * d + 2.0 * b * (1.0 - b) * q + (1.0 - b) ** 2 * d2_xu)
+            for a, b, d, q in zip(du, beta, d2, ql)]
+    inf = math.inf
+    res3 = [
+        dn - (b * (d + (c * v if c != inf else _past_float_term(v, b)))
+              + (1.0 - b) * (2.0 * b * q) + (1.0 - b) * d2_xu)
+        for dn, d, a, t, b, c, q in zip(d2[1:], d2, du, dT, beta, big_B, ql)
+        for v in [2.0 * a * t + t * t]  # w_n
+    ]
     worst = AxiomReport("recursive-inequalities", len(traj), max_violation=-math.inf, tol=tol)
-    for n, (d_cur, d_next, du, ql) in enumerate(steps):
-        beta = beta_of(n)
-        dT = dist(apply(n, x), x)
-        d2_cur, d2_next = d_cur ** 2, d_next ** 2
-        w_n = 2.0 * du * dT + dT * dT
-        res1 = d_next - (du + dT)
-        res2 = du ** 2 - (
-            beta * d2_cur
-            + 2.0 * beta * (1.0 - beta) * ql
-            + (1.0 - beta) ** 2 * d2_xu
-        )
-        res3 = d2_next - (
-            beta * (d2_cur + int(B(n)) * w_n)
-            + (1.0 - beta) * (2.0 * beta * ql)
-            + (1.0 - beta) * d2_xu
-        )
-        worst.note(res1, {"n": n, "part": "i"})
-        worst.note(res2, {"n": n, "part": "ii"})
-        worst.note(res3, {"n": n, "part": "iii"})
+    worst.note_rows((res1, res2, res3), lambda n, c: {"n": n, "part": ("i", "ii", "iii")[c]})
     return CheckResult(
         check_id="recursive-inequalities",
         passed=worst.passed,
@@ -446,6 +447,31 @@ def check_recursive_inequalities(
         details={"max_residual": worst.max_violation},
         scenario_hash=traj.scenario_hash,
     )
+
+
+def _B_column(B: Counterfunction, rows: int) -> list:
+    """B(n) for n < rows as floats, each the one int(B(n)) * w gives, or
+    inf when B(n) is past the float range.  B(n) is evaluated under the
+    audit's cap (C9_q), so a huge one is never formed, and only up to the
+    index B.settles from which it is constant."""
+    settles = getattr(B, "settles", None)
+    head = rows if settles is None else min(settles + 1, rows)
+    column = []
+    for n in range(head):
+        try:
+            column.append(float(int(capped(B, n, 1100, 1 << 1100))))
+        except OverflowError:
+            column.append(math.inf)
+    return column + column[-1:] * (rows - head)
+
+
+def _past_float_term(w_n: float, beta: float) -> float:
+    """The term B(n) w_n for a B(n) past the float range, such that
+    beta_n (d + term) compares as the exact beta_n B(n) w_n does: +inf
+    where beta_n w_n > 0, 0.0 where it is 0; a NaN w_n stays NaN."""
+    if w_n != w_n:
+        return w_n
+    return math.inf if beta > 0.0 and w_n > 0.0 else 0.0
 
 
 def check_convex_afp(

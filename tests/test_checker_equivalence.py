@@ -4,6 +4,7 @@ references below are those bodies, copied unchanged with the helpers
 _rng_for and _collect they called; every report, witness included, must be
 equal to the float bit."""
 
+import cmath
 import json
 import math
 import random
@@ -18,6 +19,8 @@ from tmlab import verify as V
 from tmlab.engine import (EngineError, Trajectory, check_boundedness,
                           check_hilbert_special_case, run)
 from tmlab.geometry import (
+    _TRIPOD_LENGTH,
+    DISK_MARGIN,
     AxiomReport,
     Euclidean,
     GeometryError,
@@ -29,7 +32,8 @@ from tmlab.geometry import (
     check_w_axioms,
     make_model,
 )
-from tmlab.mappings import MappingFamily, check_condition_c1, check_nonexpansive
+from tmlab.mappings import (IdentityFamily, MappingFamily, check_condition_c1,
+                            check_nonexpansive)
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import ConditionResult, audit_schedule, preset
 
@@ -400,6 +404,62 @@ def test_recursive_inequalities_failure_witness_matches_reference():
     same(got, ref_check_recursive_inequalities(traj, family, bundle, x))
 
 
+class InfiniteAtZero(MappingFamily):
+    """T_0 maps every point to (inf,), T_n for n >= 1 is the identity, on
+    Euclidean(1)."""
+
+    def __init__(self, space):
+        super().__init__(space, space.base_point())
+
+    def apply(self, n, x):
+        return Point("euclidean", (math.inf,)) if n == 0 else x
+
+
+def hand_trajectory(family, bundle, xs, us):
+    """A trajectory of Euclidean(1) whose x_n and u_n are the given floats,
+    anchored at 0; the columns the inequalities do not read are zero."""
+    space = family.space
+    traj = Trajectory(space, family, bundle, space.base_point(), Point.euclidean(xs[0]))
+    traj.x.extend(xs)
+    traj.u.extend(us)
+    for name in ("Tu", "d_step", "d_Tn", "d_p"):
+        getattr(traj, name).extend([0.0] * len(xs))
+    return traj
+
+
+def test_recursive_inequalities_tie_across_parts_matches_reference():
+    # beta = 1/2, x = u = 0 and T_n the identity: the residuals are
+    # |x_{n+1}| - |u_n|, u_n^2 - x_n^2/2 and x_{n+1}^2 - x_n^2/2, and their
+    # largest, 1.0, is part iii at row 0 and part i at row 1
+    space = Euclidean(1)
+    bundle = replace(preset("harmonic"), beta=lambda n: 0.5)
+    family = IdentityFamily(space)
+    traj = hand_trajectory(family, bundle, [0.0, 1.0, 1.0, 0.0], [0.5, 0.0, 0.0, 0.0])
+    x = space.base_point()
+    got = V.check_recursive_inequalities(traj, family, bundle, x)
+    assert got.details["max_residual"] == 1.0 and got.witness == {"n": 0, "part": "iii"}
+    same(got, ref_check_recursive_inequalities(traj, family, bundle, x))
+
+
+def test_recursive_inequalities_nan_before_the_largest_value():
+    # d(T_0 x, x) = inf and d(u_0, x) = 0 make w_0 = 2 * 0 * inf + inf NaN,
+    # so part iii is NaN at row 0; part i's largest, 1.0, is at row 1.  The
+    # reference skips NaN: it names that largest value, and the check names
+    # the NaN, which comes first
+    space = Euclidean(1)
+    bundle = replace(preset("harmonic"), beta=lambda n: 0.5)
+    family = InfiniteAtZero(space)
+    traj = hand_trajectory(family, bundle, [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.5, 0.0])
+    x = space.base_point()
+    got = V.check_recursive_inequalities(traj, family, bundle, x)
+    want = ref_check_recursive_inequalities(traj, family, bundle, x)
+    assert want.witness == {"n": 1, "part": "i"} and want.details["max_residual"] == 1.0
+    assert got.witness == {"n": 0, "part": "iii"} and math.isnan(got.details["max_residual"])
+    assert not got.passed
+    got.witness, got.details = want.witness, want.details
+    same(got, want)
+
+
 def test_recursive_inequalities_on_short_trajectories():
     sc = scenario_from_text(SCENARIO_TEXTS["disk-rotation"])
     full = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 1)
@@ -445,6 +505,85 @@ def test_geometry_failure_witness_matches_reference():
         if check is not check_quasilin_axioms:  # reads distances only
             assert any(not r.passed and r.worst_case_inputs for r in got), check.__name__
         same(got, ref(model, spec))
+
+
+# ---------------------------------------------------------------------------
+# Samplers
+# ---------------------------------------------------------------------------
+
+
+def ref_sample(space, rng, radius):
+    if space.kind == "tripod":
+        return Point.tripod(rng.randrange(3), radius * rng.random())
+    return ref_sample_near(space, rng, space.base_point(), radius)
+
+
+def ref_sample_near(space, rng, center, radius):
+    if space.kind == "euclidean":
+        vec = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
+        norm = math.sqrt(sum([c * c for c in vec])) or 1.0
+        r = radius * rng.random() ** (1.0 / space.dim)
+        return Point(
+            "euclidean",
+            tuple([c + r * v / norm for c, v in zip(center.data, vec)]),
+        )
+    if space.kind == "disk":
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        hyp = radius * rng.random()
+        w = math.tanh(0.5 * hyp) * cmath.exp(1j * ang)
+        zc = complex(*center.data)
+        z = (w + zc) / (1.0 + zc.conjugate() * w)
+        # clamp just inside the margin; only reachable for extreme radii
+        if abs(z) >= 1.0 - 2.0 * DISK_MARGIN:
+            z *= (1.0 - 2.0 * DISK_MARGIN) / abs(z)
+        return Point("disk", (z.real, z.imag))
+    leg, s = center.data
+    delta = rng.uniform(-radius, radius)
+    if s + delta >= 0.0:
+        return Point.tripod(leg, s + delta)
+    return Point.tripod(rng.randrange(3), -(s + delta))
+
+
+def draw(sampler, rng):
+    """The Point a sampler draws, or the GeometryError it raises, with the
+    generator's state after the draw."""
+    try:
+        out = sampler(rng)
+    except GeometryError as exc:
+        out = exc
+    return repr(out), rng.getstate()
+
+
+# radius 0.0 draws zero lengths: coordinates 0.0 + (+-0.0), and the
+# tripod's zero arm length
+SAMPLE_RADII = [0.0, 1e-300, 1e-12, 0.3, 2.0, 7.5, 40.0, 1e12, 1e300]
+
+
+@pytest.mark.parametrize("space", [Euclidean(1), Euclidean(2), Euclidean(3), Euclidean(4),
+                                   make_model("disk"), make_model("tripod")],
+                         ids=["euclidean1", "euclidean2", "euclidean3", "euclidean4",
+                              "disk", "tripod"])
+def test_samplers_match_reference(space):
+    """A seeded stream of draws, each from a point the stream drew, gives
+    the Points of the reference samplers, repr for repr (so type for type
+    and -0.0 apart from 0.0), and leaves the generator in the same state
+    after every draw.  The disk's radii from 40 on reach its clamp; the
+    tripod's radius inf raises GeometryError from both samplers."""
+    radii = SAMPLE_RADII + [math.inf] if space.kind == "tripod" else SAMPLE_RADII
+    rng, ref_rng = random.Random(12), random.Random(12)
+    center = ref_center = space.base_point()
+    for _ in range(25):
+        for radius in radii:
+            got = draw(lambda r: space.sample(r, radius), rng)
+            assert got == draw(lambda r: ref_sample(space, r, radius), ref_rng)
+            near = draw(lambda r: space.sample_near(r, center, radius), rng)
+            assert near == draw(lambda r: ref_sample_near(space, r, ref_center, radius), ref_rng)
+            if radius == math.inf:
+                assert got[0] == near[0] == repr(GeometryError(_TRIPOD_LENGTH))
+            nxt = space.sample(rng, 2.0)
+            assert repr(nxt) == repr(ref_center := ref_sample(space, ref_rng, 2.0))
+            center = nxt
+    assert rng.getstate() == ref_rng.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -696,6 +696,54 @@ def test_note_keeps_the_first_nan():
     assert not rep.passed and rep.to_json()["pass"] is False
 
 
+note_values = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]) | st.floats()
+
+
+@st.composite
+def note_columns(draw):
+    rows = draw(st.integers(0, 7))
+    return [draw(st.lists(note_values, min_size=rows, max_size=rows))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def float_bits(value):
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(note_columns(), st.sampled_from([0.0, -0.0, -math.inf, 1.0, math.nan]),
+       st.booleans(), st.booleans())
+@example([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0]], -math.inf, False, True)  # equal maxima
+@example([[2.0, 0.0], [0.0, 2.0], [1.0, 2.0]], 0.0, False, True)
+@example([[-0.0, 0.0], [0.0, -0.0]], -math.inf, False, True)  # 0.0 tied with -0.0
+@example([[1.0, math.nan, 3.0], [math.nan, 2.0, 0.0]], 0.0, False, True)
+@example([[math.inf, 5.0], [1.0, math.nan]], -math.inf, True, True)
+@example([[math.inf, -math.inf], [1.0, 2.0]], 0.0, False, True)  # a NaN sum, no NaN
+@example([[-math.inf] * 3, [-math.inf] * 3], -math.inf, False, True)
+@example([[], [], []], 0.0, False, True)
+def test_note_rows_equals_note_in_row_order(columns, start, as_arrays, with_inputs):
+    """note_rows keeps the bits and inputs that note keeps when called on
+    row 0 of every column, then row 1, and so on; it asks for the inputs
+    of the values it keeps only."""
+    want = AxiomReport("a", 1, max_violation=start)
+    for n in range(len(columns[0])):
+        for c, column in enumerate(columns):
+            want.note(column[n], (n, c) if with_inputs else None)
+    asked = []
+
+    def inputs(n, c):
+        asked.append((n, c))
+        return (n, c)
+
+    got = AxiomReport("a", 1, max_violation=start)
+    got.note_rows([array("d", c) for c in columns] if as_arrays else columns,
+                  inputs if with_inputs else None)
+    assert float_bits(got.max_violation) == float_bits(want.max_violation)
+    assert got.worst_case_inputs == want.worst_case_inputs
+    assert len(asked) <= len(columns)
+    assert not asked or asked[-1] == want.worst_case_inputs
+
+
 class NaNComb(Euclidean):
     """A combination whose coordinates are NaN."""
 

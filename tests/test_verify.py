@@ -2,6 +2,8 @@
 trajectory inequalities."""
 
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -312,6 +314,37 @@ def test_recursive_inequalities_at_fixed_point(identity_traj):
     sc, traj = identity_traj
     res = V.check_recursive_inequalities(traj, sc.family, sc.bundle, sc.p)
     assert res.passed
+
+
+PROXIMAL_PLANE = """
+space.kind = euclidean
+space.dim = 2
+family.kind = proximal
+family.center = 0,0
+schedule.preset = harmonic
+run.u = 0.5,0
+run.x0 = 1,0
+run.steps = 200
+"""
+
+
+@pytest.mark.parametrize("B", ["max(const:2,pow:200)", "max(const:2,pow:20000000)"])
+def test_recursive_inequalities_take_B_past_the_float_range(B):
+    # B(n) = n^200 passes the float range at n = 35, where int(B(n)) * w_n
+    # overflows; pow:20000000 passes it at n = 2 with 20 million bits, and
+    # is evaluated under the cap.  Where beta_n w_n > 0 the term of
+    # (iii) is +inf, so its residual is -inf, and where w_n = 0 (x = p) it
+    # is 0.0: the report is that of B capped at 2^1000, whose residuals are
+    # hugely negative, or equal, there
+    sc = scenario_from_text(PROXIMAL_PLANE + f"schedule.B = {B}\n")
+    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 200)
+    below = replace(sc.bundle, B=R.Table(tuple(
+        min(R.capped(sc.bundle.B, n, 1100, 1 << 1100), 1 << 1000) for n in range(201))))
+    rng = random.Random(5)
+    for x in [sc.p, sc.u] + [sc.space.sample(rng, 2.0) for _ in range(3)]:
+        res = V.check_recursive_inequalities(traj, sc.family, sc.bundle, x)
+        assert res.passed
+        assert res.to_json() == V.check_recursive_inequalities(traj, sc.family, below, x).to_json()
 
 
 # ---------------------------------------------------------------------------
