@@ -68,9 +68,10 @@ class Turn(NamedTuple):
 class Point(NamedTuple):
     """A model-tagged point: euclidean coordinates, a disk pair, or a
     (leg, arm length) pair for the tripod.  Immutable and hashable.  The
-    factories below validate parsed input; the models build their results
-    with tuple.__new__(Point, (kind, data)), which skips the Python-level
-    __new__ of the NamedTuple."""
+    factories below validate parsed input (and Point.tripod the tripod's
+    samples); the models and Point.tripod build their results with
+    tuple.__new__(Point, (kind, data)), which skips the Python-level __new__
+    of the NamedTuple."""
 
     kind: str  # "euclidean" | "disk" | "tripod"
     data: tuple
@@ -93,7 +94,7 @@ class Point(NamedTuple):
             raise GeometryError("tripod leg must be 0, 1 or 2")
         if length == 0.0:
             leg = 0  # all legs share the center
-        return Point("tripod", (leg, float(length)))
+        return tuple.__new__(Point, ("tripod", (leg, float(length))))
 
 
 @dataclass(frozen=True)
@@ -387,8 +388,7 @@ class Euclidean(SpaceModel):
         z = tuple.__new__(Point, ("euclidean", (z0, z1)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
-    # the samplers draw around _origin and build their Point with
-    # tuple.__new__, which skips the NamedTuple's Python-level __new__
+    # the samplers draw around _origin, built once
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         return self.sample_near(rng, self._origin, radius)
@@ -586,30 +586,15 @@ class Tripod(SpaceModel):
         z = tuple.__new__(Point, ("tripod", (lz, sz)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
-    # the samplers make Point.tripod's checks on the drawn length and build
-    # their Point with tuple.__new__
-
     def sample(self, rng: random.Random, radius: float) -> Point:
-        return _tripod_point(rng.randrange(3), radius * rng.random())
+        return Point.tripod(rng.randrange(3), radius * rng.random())
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         leg, s = center.data
         s += rng.uniform(-radius, radius)
         if s >= 0.0:
-            return _tripod_point(leg, s)
-        return _tripod_point(rng.randrange(3), -s)
-
-
-def _tripod_point(leg: int, s: float) -> Point:
-    """Point.tripod(leg, s) for a float s, without the Python-level
-    __new__: the same checks, in the same order."""
-    if not 0.0 <= s < math.inf:
-        raise GeometryError(_TRIPOD_LENGTH)
-    if leg not in (0, 1, 2):
-        raise GeometryError("tripod leg must be 0, 1 or 2")
-    if s == 0.0:
-        leg = 0  # all legs share the center
-    return tuple.__new__(Point, ("tripod", (leg, s)))
+            return Point.tripod(leg, s)
+        return Point.tripod(rng.randrange(3), -s)
 
 
 def make_model(kind: str, dim: int = 2) -> SpaceModel:

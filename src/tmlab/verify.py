@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -412,9 +413,9 @@ def check_recursive_inequalities(
     model's dists and quasilins kernels; d(x_n, x)^2 is computed once a row
     and serves steps n - 1 and n, and d(x, u) is the same for every step.
     beta_n and d(T_n x, x) are computed once a row, and B(n) at most once,
-    under the audit's 1100-bit cap (see _B_column).  The three residual columns are
-    noted by AxiomReport.note_rows, so the worst is the one note would keep
-    row by row, and a NaN one fails."""
+    under a bit cap (see _B_column).  The three residual columns are noted by
+    AxiomReport.note_rows, so the worst is the one note would keep row by
+    row, and a NaN one fails."""
     u, space, w = traj.anchor, traj.space, traj.width
     dist, apply, beta_of, B = space.dist, family.apply, bundle.beta, bundle.B
     d2_xu = dist(x, u) ** 2
@@ -430,9 +431,9 @@ def check_recursive_inequalities(
     res1 = [d - (a + t) for d, a, t in zip(dx[1:], du, dT)]
     res2 = [a ** 2 - (b * d + 2.0 * b * (1.0 - b) * q + (1.0 - b) ** 2 * d2_xu)
             for a, b, d, q in zip(du, beta, d2, ql)]
-    inf = math.inf
+    top = sys.float_info.max  # B(n) is an int past it (see _B_column)
     res3 = [
-        dn - (b * (d + (c * v if c != inf else _past_float_term(v, b)))
+        dn - (b * (d + (c * v if c <= top else _past_float_term(v, c, b)))
               + (1.0 - b) * (2.0 * b * q) + (1.0 - b) * d2_xu)
         for dn, d, a, t, b, c, q in zip(d2[1:], d2, du, dT, beta, big_B, ql)
         for v in [2.0 * a * t + t * t]  # w_n
@@ -449,29 +450,42 @@ def check_recursive_inequalities(
     )
 
 
+# B(n) w_n overflows for every B(n) >= 2^2100 and float w_n > 0, whose least
+# value is 2^-1074: B(n) capped at 2^2100 gives the product B(n) gives
+_B_CAP = 2100
+
+
 def _B_column(B: Counterfunction, rows: int) -> list:
-    """B(n) for n < rows as floats, each the one int(B(n)) * w gives, or
-    inf when B(n) is past the float range.  B(n) is evaluated under the
-    audit's cap (C9_q), so a huge one is never formed, and only up to the
-    index B.settles from which it is constant."""
-    settles = getattr(B, "settles", None)
-    head = rows if settles is None else min(settles + 1, rows)
+    """B(n) for n < rows, evaluated under _B_CAP so that a huge one is never
+    formed, and only up to the index B.settles from which it is constant: a
+    float where B(n) is in the float range, the one int(B(n)) * w converts
+    it to, and else the capped int, for _past_float_term."""
+    head = rows if B.settles is None else min(B.settles + 1, rows)
     column = []
     for n in range(head):
+        b = capped(B, n, _B_CAP, 1 << _B_CAP)
         try:
-            column.append(float(int(capped(B, n, 1100, 1 << 1100))))
+            column.append(float(b))
         except OverflowError:
-            column.append(math.inf)
+            column.append(b)
     return column + column[-1:] * (rows - head)
 
 
-def _past_float_term(w_n: float, beta: float) -> float:
-    """The term B(n) w_n for a B(n) past the float range, such that
-    beta_n (d + term) compares as the exact beta_n B(n) w_n does: +inf
-    where beta_n w_n > 0, 0.0 where it is 0; a NaN w_n stays NaN."""
+def _past_float_term(w_n: float, B_n: int, beta: float) -> float:
+    """B(n) w_n for a B(n) past the float range, as the product of w_n and
+    B(n)'s top 53 bits scaled by 2^s: it overflows to inf only where the
+    exact product does, and elsewhere differs from it by a few ulps (or by
+    the subnormal step).  A NaN w_n stays NaN; where beta_n is 0 the term is
+    0.0, as beta_n B(n) w_n is, so that beta_n (d + term) is 0, not NaN."""
     if w_n != w_n:
         return w_n
-    return math.inf if beta > 0.0 and w_n > 0.0 else 0.0
+    if beta == 0.0:
+        return 0.0
+    s = B_n.bit_length() - 53
+    try:
+        return math.ldexp(w_n * float(B_n >> s), s)
+    except OverflowError:
+        return math.copysign(math.inf, w_n)
 
 
 def check_convex_afp(

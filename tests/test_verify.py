@@ -4,8 +4,11 @@ trajectory inequalities."""
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tmlab import rates as R
 from tmlab import verify as V
@@ -332,10 +335,10 @@ run.steps = 200
 def test_recursive_inequalities_take_B_past_the_float_range(B):
     # B(n) = n^200 passes the float range at n = 35, where int(B(n)) * w_n
     # overflows; pow:20000000 passes it at n = 2 with 20 million bits, and
-    # is evaluated under the cap.  Where beta_n w_n > 0 the term of
-    # (iii) is +inf, so its residual is -inf, and where w_n = 0 (x = p) it
-    # is 0.0: the report is that of B capped at 2^1000, whose residuals are
-    # hugely negative, or equal, there
+    # is evaluated under the cap.  There the term B(n) w_n of (iii) is huge
+    # or +inf, so its residual is hugely negative, and where w_n = 0 (x = p)
+    # it is 0.0: the report is that of B capped at 2^1000, whose residuals
+    # are hugely negative, or equal, there
     sc = scenario_from_text(PROXIMAL_PLANE + f"schedule.B = {B}\n")
     traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 200)
     below = replace(sc.bundle, B=R.Table(tuple(
@@ -345,6 +348,34 @@ def test_recursive_inequalities_take_B_past_the_float_range(B):
         res = V.check_recursive_inequalities(traj, sc.family, sc.bundle, x)
         assert res.passed
         assert res.to_json() == V.check_recursive_inequalities(traj, sc.family, below, x).to_json()
+
+
+@pytest.mark.parametrize("B_n,w_n,beta,want", [
+    (1 << 1050, 2.0 ** -1070, 0.5, 2.0 ** -20),  # a subnormal w_n: a small product
+    (1 << 1024, 5e-324, 0.5, 2.0 ** -50),
+    (1 << 1100, 2.0 ** -1074, 0.5, 2.0 ** 26),
+    (1 << V._B_CAP, 5e-324, 0.5, math.inf),  # B(n) past the cap
+    (1 << 1100, 1.0, 0.5, math.inf),
+    (1 << 1100, 0.0, 0.5, 0.0),
+    (1 << 1100, 1.0, 0.0, 0.0),
+])
+def test_past_float_term_examples(B_n, w_n, beta, want):
+    assert V._past_float_term(w_n, B_n, beta) == want
+    assert math.isnan(V._past_float_term(math.nan, B_n, beta))
+
+
+@given(st.integers(1 << 1024, 1 << V._B_CAP), st.floats(min_value=0.0, allow_infinity=False))
+@example(1 << 1050, 2.0 ** -1070)
+@example((1 << 1024) + 1, 5e-324)
+def test_past_float_term_is_the_exact_product(B_n, w_n):
+    # the exact product rounded to a float, to a few ulps or the subnormal
+    # step, and inf exactly where it overflows (up to an ulp at the edge)
+    got = V._past_float_term(w_n, B_n, 0.5)
+    exact = Fraction(B_n) * Fraction(w_n)
+    if got == math.inf:
+        assert exact >= Fraction(2) ** 1024 * (1 - Fraction(1, 1 << 50))
+    else:
+        assert abs(Fraction(got) - exact) <= max(exact / (1 << 51), Fraction(math.ulp(0.0)))
 
 
 # ---------------------------------------------------------------------------
