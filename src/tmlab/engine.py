@@ -57,7 +57,7 @@ class Trajectory:
         self.d_step, self.d_Tn, self.d_p = array("d"), array("d"), array("d")
 
     def __len__(self):
-        return len(self.d_p)
+        return len(self.d_step)
 
     def points(self, column: array, start: int = 0,
                stop: Optional[int] = None) -> Iterator[Point]:
@@ -74,8 +74,11 @@ class Trajectory:
         return map(tuple.__new__, repeat(Point), zip(repeat(kind), data))
 
     @property
-    def records(self) -> Rows:
-        return Rows(self)
+    def records(self) -> list:
+        """The rows as TrajectoryRecords, built on each read, for readers of
+        the row form such as the benchmark scripts."""
+        return list(map(TrajectoryRecord, range(len(self)), self.points(self.x),
+                        self.points(self.u), self.d_step, self.d_Tn, self.d_p))
 
     def write_csv(self, stream: TextIO):
         """The comment line, then the header and one row per step in the
@@ -95,31 +98,6 @@ class Trajectory:
         stream.write("".join(lines))
 
 
-class Rows:
-    """A read-only view of a trajectory's rows as TrajectoryRecords, each
-    built when it is read, for readers of the row form such as the
-    benchmark scripts."""
-
-    __slots__ = ("_traj",)
-
-    def __init__(self, traj: Trajectory):
-        self._traj = traj
-
-    def __len__(self):
-        return len(self._traj)
-
-    def __getitem__(self, i: int) -> TrajectoryRecord:
-        t = self._traj
-        n = range(len(t))[i]
-        return TrajectoryRecord(n, next(t.points(t.x, n, n + 1)), next(t.points(t.u, n, n + 1)),
-                                t.d_step[n], t.d_Tn[n], t.d_p[n])
-
-    def __iter__(self) -> Iterator[TrajectoryRecord]:
-        t = self._traj
-        return map(TrajectoryRecord, range(len(t)), t.points(t.x), t.points(t.u),
-                   t.d_step, t.d_Tn, t.d_p)
-
-
 def run(
     space: SpaceModel,
     family: MappingFamily,
@@ -131,20 +109,22 @@ def run(
 ) -> Trajectory:
     """Trajectory of length steps + 1 with all derived distance columns.
 
-    A solver failure aborts the run; the partial trajectory, whole rows
+    The step loop computes what needs the step's Points; d(x_n, p) is
+    read from the x column by the model's ``dists`` once the loop ends.
+    A solver failure aborts the loop; the partial trajectory, whole rows
     only, is kept on the returned object together with the error record.
-    An anchor or start point of another model or dimension raises
-    GeometryError before step 0.
+    An anchor, start point or fixed point of another model or dimension
+    raises GeometryError before step 0.
     """
     if steps < 1:
         raise EngineError("steps must be >= 1")
-    space._require(u, x0)
+    p = family.fixed_point
+    space._require(u, x0, p)
     traj = Trajectory(space, family, bundle, u, x0, scenario_hash=scenario_hash)
     add_x, add_u, add_Tu = traj.x.extend, traj.u.extend, traj.Tu.extend
-    add_step, add_Tn, add_p = traj.d_step.append, traj.d_Tn.append, traj.d_p.append
+    add_step, add_Tn = traj.d_step.append, traj.d_Tn.append
     comb, dist, apply = space.comb, space.dist, family.apply
     beta, lam = bundle.beta, bundle.lam
-    p = family.fixed_point
     x = x0
     try:
         for n in range(steps + 1):
@@ -152,17 +132,17 @@ def run(
             u_n = comb(u, x, beta_n)
             Tu_n = apply(n, u_n)
             x_next = comb(u_n, Tu_n, lam_n)
-            d_step, d_Tn, d_p = dist(x, x_next), dist(x, apply(n, x)), dist(x, p)
+            d_step, d_Tn = dist(x, x_next), dist(x, apply(n, x))
             # the row is appended only once every call of the step returned
             add_x(x.data)
             add_u(u_n.data)
             add_Tu(Tu_n.data)
             add_step(d_step)
             add_Tn(d_Tn)
-            add_p(d_p)
             x = x_next
     except SolverFailure as exc:
         traj.error = str(exc)
+    traj.d_p.extend(space.dists(traj.x, p))
     return traj
 
 

@@ -184,7 +184,7 @@ class SpaceModel:
     def sample(self, rng: random.Random, radius: float) -> Point:
         """A pseudo-random point in the ball of the given radius around the
         model's base point."""
-        raise NotImplementedError
+        return self.sample_near(rng, self._origin, radius)
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         raise NotImplementedError
@@ -388,11 +388,6 @@ class Euclidean(SpaceModel):
         z = tuple.__new__(Point, ("euclidean", (z0, z1)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
-    # the samplers draw around _origin, built once
-
-    def sample(self, rng: random.Random, radius: float) -> Point:
-        return self.sample_near(rng, self._origin, radius)
-
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         vec = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
         norm = math.sqrt(sum([c * c for c in vec])) or 1.0
@@ -415,16 +410,22 @@ class PoincareDisk(SpaceModel):
         if x.kind != "disk" or y.kind != "disk":
             self._require(x, y)
         zx, zy = complex(*x.data), complex(*y.data)
-        num = abs(zx - zy)
+        try:
+            num = abs(zx - zy)
+        except OverflowError:
+            # a NaN part: abs leaves errno as it was, and raises when a
+            # failed atanh left it at ERANGE (|zx - zy| < 2 never overflows)
+            return math.nan
         den = abs(1.0 - zy.conjugate() * zx)
         return 2.0 * math.atanh(num / den)
 
     def dists(self, column, p: Point) -> list:
-        # dist's formula with p's conjugate hoisted
+        # dist's formula with p's conjugate hoisted; a NaN row is NaN, as in
+        # dist, since abs of a NaN part can raise on a stale errno
         self._require(p)
         zp = complex(*p.data)
         czp, atanh = zp.conjugate(), math.atanh
-        return [2.0 * atanh(abs(z - zp) / abs(1.0 - czp * z))
+        return [math.nan if (w := z - zp) != w else 2.0 * atanh(abs(w) / abs(1.0 - czp * z))
                 for z in map(complex, column[::2], column[1::2])]
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
@@ -483,9 +484,6 @@ class PoincareDisk(SpaceModel):
             cur = nxt
         z = point(cur)
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
-
-    def sample(self, rng: random.Random, radius: float) -> Point:
-        return self.sample_near(rng, self._origin, radius)
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         ang = rng.uniform(0.0, 2.0 * math.pi)

@@ -64,6 +64,8 @@ def _suffix_first_hit(values: Sequence[float], bound: float) -> int:
 
 
 def _ar_check(check_id, values, rate, k, cap, tol, scenario_hash) -> CheckResult:
+    if cap < 0:
+        raise VerifyError(f"{check_id}: cap {cap} is negative")
     bound = 1.0 / (k + 1) + tol
     end = len(values)
     start_cap = min(cap, end)
@@ -77,12 +79,15 @@ def _ar_check(check_id, values, rate, k, cap, tol, scenario_hash) -> CheckResult
         raise VerifyError(
             f"{check_id}: trajectory of length {end} too short for start {start}"
         )
-    bad = next((i for i in range(start, end) if not values[i] <= bound), None)
     first_hit = _suffix_first_hit(values, bound)
-    bound_ok = rate >= first_hit  # RateValue order; Astronomical dominates
-    passed = bad is None and bound_ok
-    if not passed:  # the first NaN is the witness over any number
-        bad = next((i for i, value in enumerate(values) if value != value), bad)
+    # every value from start on is within the bound exactly when first_hit
+    # <= start, and start <= rate, so then rate >= first_hit too
+    passed = first_hit <= start
+    bad = None
+    if not passed:  # the first NaN, else the first violation from start on
+        bad = next((i for i, value in enumerate(values) if value != value), None)
+        if bad is None:
+            bad = next(i for i in range(start, end) if not values[i] <= bound)
     return CheckResult(
         check_id=check_id,
         passed=passed,

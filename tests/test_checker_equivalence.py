@@ -1,8 +1,9 @@
-"""The checkers that compute each distance once, or note their worst case
-in the AxiomReport they return, against the bodies they replaced.  The
-references below are those bodies, copied unchanged with the helpers
-_rng_for and _collect they called; every report, witness included, must be
-equal to the float bit."""
+"""The checkers that compute each distance once, note their worst case in
+the AxiomReport they return, or decide an AR check from one suffix scan,
+against the bodies they replaced.  The references below are those bodies,
+copied unchanged with the helpers _rng_for, _collect and _suffix_first_hit
+they called; every report, witness included, must be equal to the float
+bit."""
 
 import cmath
 import json
@@ -12,6 +13,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_acceptance import SCENARIO_TEXTS
 from test_cli import BrokenModel
@@ -34,8 +37,10 @@ from tmlab.geometry import (
 )
 from tmlab.mappings import (IdentityFamily, MappingFamily, check_condition_c1,
                             check_nonexpansive)
+from tmlab.rates import RateValue
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import ConditionResult, audit_schedule, preset
+from tmlab.verify import CheckResult, VerifyError
 
 # the reference took sigma* products in floats above this horizon
 EXACT_PRODUCT_HORIZON = 10_000
@@ -348,6 +353,52 @@ def sigma_star_result(bundle, horizon, tol):
     return {r.condition_id: r for r in audit_schedule(bundle, horizon, tol).results}["C1_q*"]
 
 
+def _suffix_first_hit(values, bound) -> int:
+    """Least n such that every value from n on stays below the bound; a
+    NaN counts as a value above it."""
+    hit = len(values)
+    for value in reversed(values):
+        if not value <= bound:
+            break
+        hit -= 1
+    return hit
+
+
+def ref_ar_check(check_id, values, rate, k, cap, tol, scenario_hash) -> CheckResult:
+    bound = 1.0 / (k + 1) + tol
+    end = len(values)
+    start_cap = min(cap, end)
+    if rate.is_astronomical:
+        start = start_cap
+        flagged = "rate astronomical; bound comparison vacuous"
+    else:
+        start = min(int(rate.value), start_cap)
+        flagged = ""
+    if end <= start:
+        raise VerifyError(
+            f"{check_id}: trajectory of length {end} too short for start {start}"
+        )
+    bad = next((i for i in range(start, end) if not values[i] <= bound), None)
+    first_hit = _suffix_first_hit(values, bound)
+    bound_ok = rate >= first_hit  # RateValue order; Astronomical dominates
+    passed = bad is None and bound_ok
+    if not passed:  # the first NaN is the witness over any number
+        bad = next((i for i, value in enumerate(values) if value != value), bad)
+    return CheckResult(
+        check_id=check_id,
+        passed=passed,
+        witness=None if bad is None else {"n": bad, "value": values[bad]},
+        horizons={"suffix_start": start, "cap": cap, "length": end},
+        details={
+            "k": k,
+            "first_hit": first_hit,
+            "rate": rate.render(),
+            "flag": flagged,
+        },
+        scenario_hash=scenario_hash,
+    )
+
+
 def same(got, want):
     """Equal JSON text: floats compare by repr, so -0.0 differs from 0.0."""
     as_text = lambda r: json.dumps(
@@ -355,6 +406,47 @@ def same(got, want):
         sort_keys=True,
     )
     assert as_text(got) == as_text(want)
+
+
+# ---------------------------------------------------------------------------
+# AR checks
+# ---------------------------------------------------------------------------
+
+
+def _ar_outcome(check, values, rate, k, cap, tol):
+    """("raise", message) or the result's kind and JSON text."""
+    try:
+        res = check("ar", values, rate, k, cap, tol, "f00d")
+    except VerifyError as exc:
+        return "raise", str(exc)
+    return ("pass" if res.passed else "fail"), json.dumps(res.to_json(), sort_keys=True)
+
+
+def test_one_scan_ar_decision_is_the_reference():
+    seen = set()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def check(data):
+        k = data.draw(st.integers(0, 5))
+        tol = data.draw(st.sampled_from([0.0, 1e-9]))
+        bound = 1.0 / (k + 1) + tol
+        within = [bound, math.nextafter(bound, -math.inf), 0.0, -math.inf]
+        beyond = [math.nextafter(bound, math.inf), math.nan, math.inf]
+        # any values, then values within the bound, so that some draws pass
+        head = data.draw(st.lists(st.sampled_from(within + beyond), max_size=30))
+        tail = data.draw(st.lists(st.sampled_from(within), max_size=30))
+        values = head + tail or [data.draw(st.sampled_from(within + beyond))]
+        n = len(values)
+        rate = data.draw(st.integers(0, n + 3).map(RateValue.finite)
+                         | st.just(RateValue.astronomical("2^(2^20)")))
+        cap = data.draw(st.integers(1, n + 3))
+        got = _ar_outcome(V._ar_check, values, rate, k, cap, tol)
+        assert got == _ar_outcome(ref_ar_check, values, rate, k, cap, tol)
+        seen.add(got[0])
+
+    check()
+    assert {"pass", "fail"} <= seen
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,15 @@ def test_run_rejects_points_of_another_model_or_dimension(u, x0):
         run(space, IdentityFamily(space, u), preset("harmonic"), u, x0, 5)
 
 
+def test_run_rejects_a_fixed_point_of_another_dimension_before_step_0():
+    # d_p is computed after the loop, so the fixed point is checked up front
+    space = Euclidean(2)
+    fam = FailingSecondApply(space, IdentityFamily(space, Point.euclidean(0, 0, 0)), step=-1)
+    with pytest.raises(GeometryError):
+        run(space, fam, preset("harmonic"), Point.euclidean(0, 0), Point.euclidean(1, 0), 5)
+    assert fam.calls == []
+
+
 def reference_csv(traj):
     """The csv.writer loop Trajectory.write_csv used before its one-template
     rewrite, kept as the byte reference."""

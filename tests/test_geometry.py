@@ -561,6 +561,32 @@ def test_disk_comb_endpoints_and_additivity():
     assert sp.dist(m, y) == pytest.approx(0.65 * total, abs=1e-10)
 
 
+def _errno_at_erange():
+    """Leave errno at ERANGE, as a disk dist whose ratio rounds to 1.0
+    leaves it when its atanh raises."""
+    try:
+        math.atanh(1.0)
+    except ValueError:
+        pass
+
+
+def test_disk_nan_coordinate_gives_nan_after_a_failed_atanh():
+    # abs of a complex with a NaN part returns without clearing errno, so
+    # a stale ERANGE used to raise OverflowError from dist and dists
+    sp = PoincareDisk()
+    bad, p = Point("disk", (math.nan, 0.25)), Point.disk(0.0, 0.0)
+    good, q = Point.disk(0.5, 0.25), Point.disk(0.1, -0.3)
+    _errno_at_erange()
+    assert math.isnan(sp.dist(bad, p))
+    _errno_at_erange()
+    nan_row, finite_row = sp.dists(array("d", bad.data + good.data), p)
+    assert math.isnan(nan_row) and finite_row == sp.dist(good, p)
+    _errno_at_erange()
+    assert all(math.isnan(c) for c in sp.comb(bad, p, 0.5).data)
+    _errno_at_erange()
+    assert math.isnan(sp.quasilin(bad, p, good, q))
+
+
 def test_disk_sample_near_stays_within_radius():
     sp = PoincareDisk()
     rng = random.Random(5)

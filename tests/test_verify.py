@@ -108,6 +108,9 @@ def test_ar_insufficient_data(identity_traj):
     big = R.RateValue.finite(10 ** 9)
     with pytest.raises(V.VerifyError):
         V.check_ar(traj, big, k=0, cap=10 ** 9)
+    # a negative cap would start the suffix at a negative index
+    with pytest.raises(V.VerifyError, match="cap -1 is negative"):
+        V.check_ar(traj, R.RateValue.finite(0), k=0, cap=-1)
 
 
 # ---------------------------------------------------------------------------
