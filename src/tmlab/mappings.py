@@ -34,6 +34,9 @@ class MappingFamily:
     """Base class: an indexed family of nonexpansive self-maps."""
 
     name = "family"
+    # True when apply does not read n, so every T_n is the one map T_0 and
+    # each T_n x equals T_0 x to the bit; checks may then reuse one image
+    members_coincide = False
 
     def __init__(self, space: SpaceModel, fixed_point: Point):
         self.space = space
@@ -57,6 +60,7 @@ class MappingFamily:
 
 class IdentityFamily(MappingFamily):
     name = "identity"
+    members_coincide = True
 
     def __init__(self, space: SpaceModel, fixed_point: Optional[Point] = None):
         super().__init__(space, fixed_point or space.base_point())
@@ -69,6 +73,7 @@ class ConstantFamily(MappingFamily):
     """T_n = T for the single nonexpansive map T = base_0 of a base family."""
 
     name = "constant"
+    members_coincide = True
 
     def __init__(self, space, base: MappingFamily):
         super().__init__(space, base.fixed_point)
@@ -84,6 +89,7 @@ class RotationFamily(MappingFamily):
     on the tripod.  All are isometries fixing the base point."""
 
     name = "rotation"
+    members_coincide = True
 
     def __init__(self, space: SpaceModel, angle: float):
         if isinstance(space, Euclidean) and space.dim != 2:
@@ -124,6 +130,7 @@ class MetricProjectionFamily(MappingFamily):
     nonexpansive in any CAT(0) model."""
 
     name = "projection"
+    members_coincide = True
 
     def __init__(self, space: SpaceModel, center: Point, radius: float):
         if radius <= 0:

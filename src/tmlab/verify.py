@@ -11,6 +11,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .geometry import AxiomReport, Point, SpaceModel
@@ -135,8 +136,14 @@ def check_Tm_ar(
     cap: int,
     tol: float = 1e-9,
 ) -> CheckResult:
-    space = traj.space
-    values = [space.dist(x, family.apply(m, x)) for x in traj.points(traj.x)]
+    """d(x_n, T_m x_n) below 1/(k+1) from the rate on.  On the run's own
+    family, when its members coincide, T_m x_n is T_n x_n and the values
+    are the run's d(x_n, T_n x_n), computed in the same argument order."""
+    if family is traj.family and family.members_coincide:
+        values = traj.d_Tn
+    else:
+        dist, apply = traj.space.dist, family.apply
+        values = [dist(x, apply(m, x)) for x in traj.points(traj.x)]
     return _ar_check(f"Tm-ar[m={m}]", values, rate, k, cap, tol, traj.scenario_hash)
 
 
@@ -363,17 +370,24 @@ def check_chi_T_series(
     """chi_T is a Cauchy modulus for the series sum_n d(T_{n+1} u_n, T_n u_n):
     the tail from chi_T(k) on stays below 1/(k+1).  A k whose chi_T(k)
     starts past the trajectory, or passes chi_T_fn's bit cap, is skipped.
-    T_n u_n is the one the run computed, so family must be the run's.  The
-    worst residual is kept by AxiomReport.note, so a NaN one fails, and
-    its witness names the row n of the tail's first NaN term."""
-    dist, apply = traj.space.dist, family.apply
-    terms = [
-        dist(apply(n + 1, u_n), Tu_n)
-        for n, (u_n, Tu_n) in enumerate(zip(traj.points(traj.u), traj.points(traj.Tu)))
-    ]
-    tails = [0.0] * (len(terms) + 1)
-    for i in range(len(terms) - 1, -1, -1):
-        tails[i] = tails[i + 1] + terms[i]
+    T_n u_n is the one the run computed, so family must be the run's.  When
+    its members coincide, each term is d(t, t) for the run's t = T_n u_n,
+    read from the Tu column as dist gives it on every point a model accepts:
+    0.0 on a finite row, NaN on a row with a NaN or infinite coordinate
+    (where c - c is NaN).  The worst residual is kept by AxiomReport.note,
+    so a NaN one fails, and its witness names the row n of the tail's first
+    NaN term."""
+    if family is traj.family and family.members_coincide:
+        zeros = [c - c for c in traj.Tu]
+        terms = list(map(sum, zip(*[iter(zeros)] * traj.width)))
+    else:
+        dist, apply = traj.space.dist, family.apply
+        terms = [
+            dist(apply(n + 1, u_n), Tu_n)
+            for n, (u_n, Tu_n) in enumerate(zip(traj.points(traj.u), traj.points(traj.Tu)))
+        ]
+    # tails[i] = tails[i + 1] + terms[i], summed from the last term back
+    tails = list(accumulate(reversed(terms), initial=0.0))[::-1]
     worst = AxiomReport("chi-T-series", k_max + 1, max_violation=-math.inf, tol=tol)
     for k in range(k_max + 1):
         try:
@@ -417,8 +431,9 @@ def check_recursive_inequalities(
     d(x_n, x), d(u_n, x) and <xu, x x_n> are read from the columns by the
     model's dists and quasilins kernels; d(x_n, x)^2 is computed once a row
     and serves steps n - 1 and n, and d(x, u) is the same for every step.
-    beta_n and d(T_n x, x) are computed once a row, and B(n) at most once,
-    under a bit cap (see _B_column).  The three residual columns are noted by
+    beta_n and d(T_n x, x) are computed once a row (d(T_n x, x) once in all
+    when the family's members coincide), and B(n) at most once, under a bit
+    cap (see _B_column).  The three residual columns are noted by
     AxiomReport.note_rows, so the worst is the one note would keep row by
     row, and a NaN one fails."""
     u, space, w = traj.anchor, traj.space, traj.width
@@ -430,7 +445,10 @@ def check_recursive_inequalities(
     du = space.dists(traj.u[:-w], x)
     ql = space.quasilins(traj.x[:-w], x, u)
     steps = range(len(du))
-    dT = [dist(apply(n, x), x) for n in steps]
+    if family.members_coincide:  # T_n x is T_0 x on every row
+        dT = [dist(apply(0, x), x)] * len(steps)
+    else:
+        dT = [dist(apply(n, x), x) for n in steps]
     beta = [beta_of(n) for n in steps]
     big_B = _B_column(B, len(steps))
     res1 = [d - (a + t) for d, a, t in zip(dx[1:], du, dT)]

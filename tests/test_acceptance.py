@@ -333,24 +333,30 @@ def test_criterion_5_ar_rate_soundness(matrix, long_trajectories):
             assert res.passed, (name, k, res.witness, res.details)
             if res.details["flag"]:
                 flagged.append((name, k, res.details["flag"]))
+        # d(x_n, T_m x_n) from Psi_star(0) on (57,601 on every row)
+        tm_rate = R.Psi_star(0, sc.bundle, sc.K, sc.chi_T_fn)
+        for m in (0, 5):
+            res = V.check_Tm_ar(traj, sc.family, m, tm_rate, k=0, cap=AR_CAP, tol=1e-9)
+            assert res.passed, (name, m, res.witness, res.details)
     print(f"[criterion 5] AR-rate soundness: PASS "
           f"({len(matrix)} scenarios, {len(flagged)} vacuous-bound flags)")
 
 
 # ---------------------------------------------------------------------------
-# 6. Series Cauchy-modulus audit on the proximal scenario
+# 6. Series Cauchy-modulus audit across the scenario matrix
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_6_chi_T_audit(matrix, long_trajectories):
-    sc = matrix["euclidean-proximal"]
-    assert sc.bundle.gamma(0) == 2.0  # gamma_n = 1 + 1/(n+1)
-    traj = long_trajectories["euclidean-proximal"]
-    res = V.check_chi_T_series(traj, sc.family, sc.chi_T_fn,
-                               k_max=20, tol=1e-8)
-    assert res.passed, res.details
+    assert matrix["euclidean-proximal"].bundle.gamma(0) == 2.0  # gamma_n = 1 + 1/(n+1)
+    worst = -math.inf
+    for name, sc in matrix.items():
+        res = V.check_chi_T_series(long_trajectories[name], sc.family, sc.chi_T_fn,
+                                   k_max=20, tol=1e-8)
+        assert res.passed, (name, res.witness, res.details)
+        worst = max(worst, res.details["max_residual"])
     print(f"[criterion 6] series Cauchy modulus: PASS "
-          f"(max residual {res.details['max_residual']:.2e})")
+          f"({len(matrix)} scenarios, max residual {worst:.2e})")
 
 
 # ---------------------------------------------------------------------------

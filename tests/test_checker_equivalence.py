@@ -35,9 +35,9 @@ from tmlab.geometry import (
     check_w_axioms,
     make_model,
 )
-from tmlab.mappings import (IdentityFamily, MappingFamily, check_condition_c1,
-                            check_nonexpansive)
-from tmlab.rates import RateValue
+from tmlab.mappings import (IdentityFamily, MappingFamily, RotationFamily,
+                            check_condition_c1, check_nonexpansive)
+from tmlab.rates import CapExceeded, Psi_star, RateValue
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import ConditionResult, audit_schedule, preset
 from tmlab.verify import CheckResult, VerifyError
@@ -399,6 +399,48 @@ def ref_ar_check(check_id, values, rate, k, cap, tol, scenario_hash) -> CheckRes
     )
 
 
+def ref_check_Tm_ar(traj, family, m, rate, k, cap, tol=1e-9):
+    # the body before families declared members_coincide; its _ar_check is
+    # ref_ar_check, held to the same outcome by the hypothesis test below
+    space = traj.space
+    values = [space.dist(x, family.apply(m, x)) for x in traj.points(traj.x)]
+    return ref_ar_check(f"Tm-ar[m={m}]", values, rate, k, cap, tol, traj.scenario_hash)
+
+
+def ref_check_chi_T_series(traj, family, chi_T_fn, k_max, tol=1e-8):
+    dist, apply = traj.space.dist, family.apply
+    terms = [
+        dist(apply(n + 1, u_n), Tu_n)
+        for n, (u_n, Tu_n) in enumerate(zip(traj.points(traj.u), traj.points(traj.Tu)))
+    ]
+    tails = [0.0] * (len(terms) + 1)
+    for i in range(len(terms) - 1, -1, -1):
+        tails[i] = tails[i + 1] + terms[i]
+    worst = AxiomReport("chi-T-series", k_max + 1, max_violation=-math.inf, tol=tol)
+    for k in range(k_max + 1):
+        try:
+            start = chi_T_fn(k)
+        except CapExceeded:
+            continue
+        if start >= len(terms):
+            continue
+        worst.note(tails[start] - 1.0 / (k + 1),
+                   {"k": k, "start": start, "tail_sum": tails[start]})
+    witness = None if worst.passed else worst.worst_case_inputs
+    if witness is not None and witness["tail_sum"] != witness["tail_sum"]:
+        # a NaN tail: name the first NaN term it sums
+        start = witness["start"]
+        witness["n"] = next(n for n in range(start, len(terms)) if terms[n] != terms[n])
+    return CheckResult(
+        check_id="chi-T-series",
+        passed=worst.passed,
+        witness=witness,
+        horizons={"length": len(terms), "k_max": k_max},
+        details={"max_residual": worst.max_violation},
+        scenario_hash=traj.scenario_hash,
+    )
+
+
 def same(got, want):
     """Equal JSON text: floats compare by repr, so -0.0 differs from 0.0."""
     as_text = lambda r: json.dumps(
@@ -566,6 +608,134 @@ def test_recursive_inequalities_on_short_trajectories():
         assert len(traj) == length
         same(V.check_recursive_inequalities(traj, sc.family, sc.bundle, x),
              ref_check_recursive_inequalities(traj, sc.family, sc.bundle, x))
+
+
+# ---------------------------------------------------------------------------
+# Tm-AR and the chi_T series
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TEXTS))
+def test_Tm_ar_and_chi_T_series_match_reference(matrix_trajectories, name):
+    sc, traj = matrix_trajectories[name]
+    for m in (0, 5):
+        for k in (0, 3):
+            # the row's rate, and a rate of 0, which fails with a witness value
+            for rate in (Psi_star(k, sc.bundle, sc.K, sc.chi_T_fn), RateValue.finite(0)):
+                same(V.check_Tm_ar(traj, sc.family, m, rate, k=k, cap=len(traj) - 1),
+                     ref_check_Tm_ar(traj, sc.family, m, rate, k=k, cap=len(traj) - 1))
+    for fn in (sc.chi_T_fn, lambda k: 0, lambda k: 7 * k):
+        same(V.check_chi_T_series(traj, sc.family, fn, k_max=20),
+             ref_check_chi_T_series(traj, sc.family, fn, k_max=20))
+
+
+class NaNBelow(MappingFamily):
+    """The identity, except that a point whose first coordinate is below
+    0.1 goes to a point of NaN coordinates; its members coincide."""
+
+    members_coincide = True
+
+    def __init__(self, space):
+        super().__init__(space, space.base_point())
+
+    def apply(self, n, x):
+        return Point(x.kind, (math.nan,) * len(x.data)) if x.data[0] < 0.1 else x
+
+
+class NaNBelowPerRow(NaNBelow):
+    """The same maps, not declared to coincide: the checks apply T_n on
+    every row."""
+
+    members_coincide = False
+
+
+@pytest.mark.parametrize("kind,dim", [("euclidean", 1), ("euclidean", 2), ("euclidean", 3),
+                                      ("disk", 2)])
+def test_nan_images_of_coinciding_members_match_reference(kind, dim):
+    # u = 0 and x_0 = (0.9, 0, ...): u_n and x_n approach u along the axis,
+    # so u_n crosses 0.1 first, its image is NaN, and every row after it is
+    # NaN
+    space = make_model(kind, dim)
+    at = lambda *c: Point(kind, (c + (0.0,) * dim)[:dim])
+    fam, bundle = NaNBelow(space), preset("harmonic")
+    traj = run(space, fam, bundle, space.base_point(), at(0.9), 40)
+    first = next(n for n, t in enumerate(traj.Tu[::dim]) if t != t)  # first NaN T_n u_n
+    assert traj.error is None and 0 < first < len(traj) - 2
+    for m in (0, 5):
+        for rate in (RateValue.finite(3), RateValue.finite(first + 3)):
+            got = V.check_Tm_ar(traj, fam, m, rate, k=0, cap=len(traj) - 1)
+            assert not got.passed and math.isnan(got.witness["value"])
+            same(got, ref_check_Tm_ar(traj, fam, m, rate, k=0, cap=len(traj) - 1))
+    for fn, start in ((fam.chi_T_fn(bundle, K=1), 0), (lambda k: first + 2, first + 2)):
+        got = V.check_chi_T_series(traj, fam, fn, k_max=3)
+        assert not got.passed and math.isnan(got.details["max_residual"])
+        assert got.witness["start"] == start and got.witness["n"] == max(first, start)
+        same(got, ref_check_chi_T_series(traj, fam, fn, k_max=3))
+    # the reference skips NaN residuals (see
+    # test_recursive_inequalities_nan_before_the_largest_value), so the NaN
+    # witnesses are held to the check's per-row path, and the reference to
+    # the rows before the first NaN one
+    twin = NaNBelowPerRow(space)
+    finite = Trajectory(space, fam, bundle, traj.anchor, traj.x0)
+    for name in ("x", "u", "Tu"):
+        getattr(finite, name).extend(getattr(traj, name)[:first * dim])
+    for name in ("d_step", "d_Tn", "d_p"):
+        getattr(finite, name).extend(getattr(traj, name)[:first])
+    above, below = at(0.5, 0.1), at(0.0, 0.1)
+    for x, witness in ((above, {"n": first, "part": "i"}), (below, {"n": 0, "part": "i"})):
+        got = V.check_recursive_inequalities(traj, fam, bundle, x)
+        assert got.witness == witness and math.isnan(got.details["max_residual"])
+        same(got, V.check_recursive_inequalities(traj, twin, bundle, x))
+    same(V.check_recursive_inequalities(finite, fam, bundle, above),
+         ref_check_recursive_inequalities(finite, fam, bundle, above))
+    got = V.check_recursive_inequalities(finite, fam, bundle, below)
+    assert got.witness == {"n": 0, "part": "i"}
+    same(got, V.check_recursive_inequalities(finite, twin, bundle, below))
+
+
+@pytest.mark.parametrize("kind,rows", [
+    ("tripod", [(0, 1.0), (1, math.inf), (2, math.nan), (0, 0.5)]),
+    ("euclidean", [(1.0, -2.0), (-math.inf, 0.0), (0.0, math.nan), (-0.0, 3.0)]),
+    ("disk", [(0.5, 0.0), (math.nan, 0.0), (0.0, -math.inf), (-0.0, 0.25)]),
+])
+def test_chi_T_series_terms_on_rows_that_are_not_finite_match_reference(kind, rows):
+    # the identity's run has T_n u_n = u_n: a row with an infinite or NaN
+    # coordinate gives a NaN term, dist(t, t), and a finite row 0.0
+    space = make_model(kind, 2)
+    fam = IdentityFamily(space)
+    traj = Trajectory(space, fam, preset("harmonic"), space.base_point(), space.base_point())
+    for row in rows:
+        traj.x.extend(row)
+        traj.u.extend(row)
+        traj.Tu.extend(row)
+    for name in ("d_step", "d_Tn", "d_p"):
+        getattr(traj, name).extend([0.0] * len(rows))
+    for fn in (lambda k: 0, lambda k: 3):
+        got = V.check_chi_T_series(traj, fam, fn, k_max=2)
+        same(got, ref_check_chi_T_series(traj, fam, fn, k_max=2))
+    assert V.check_chi_T_series(traj, fam, lambda k: 0, k_max=0).witness["n"] == 1
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "disk"])
+def test_a_coinciding_family_not_the_runs_is_applied_on_every_row(kind):
+    # a rotation by 0.5 checked on the run of a rotation by 1.0: reading the
+    # run's d_Tn or Tu column would report the rotation by 1.0
+    space = make_model(kind, 2)
+    bundle = preset("harmonic")
+    ran, other = RotationFamily(space, 1.0), RotationFamily(space, 0.5)
+    traj = run(space, ran, bundle, space.base_point(), Point(kind, (0.8, 0.3)), 200)
+    for m in (0, 5):
+        rate = RateValue.finite(0)
+        got = V.check_Tm_ar(traj, other, m, rate, k=3, cap=200)
+        same(got, ref_check_Tm_ar(traj, other, m, rate, k=3, cap=200))
+        as_run = V.check_Tm_ar(traj, ran, m, rate, k=3, cap=200)
+        assert got.witness["value"] != as_run.witness["value"]
+    zero = other.chi_T_fn(bundle, K=1)
+    got = V.check_chi_T_series(traj, other, zero, k_max=5)
+    same(got, ref_check_chi_T_series(traj, other, zero, k_max=5))
+    as_run = V.check_chi_T_series(traj, ran, zero, k_max=5)
+    assert as_run.details["max_residual"] == -1 / 6
+    assert got.details["max_residual"] != as_run.details["max_residual"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Mapping families: nonexpansiveness, step-size compatibility, solvers."""
 
 import math
+import random
 import re
 import sys
 from functools import partial
@@ -23,6 +24,7 @@ from tmlab.mappings import (
     check_condition_c1,
     check_nonexpansive,
 )
+from tmlab.scenario import scenario_from_text
 from tmlab.schedules import preset
 
 SMALL = SampleSpec(seed=3, count=200)
@@ -232,6 +234,8 @@ def test_condition_c1_fails_for_unrelated_family():
     fam = ConstantFamily(euclid2(), IdentityFamily(euclid2()))
 
     class TwoMaps(ConstantFamily):
+        members_coincide = False  # apply reads n
+
         def apply(self, n, x):
             if n == 0:
                 return x
@@ -267,6 +271,66 @@ def test_chi_T_fn_uses_gamma_modulus():
     # max{N_Gamma, chi_gamma(2*K*Gamma*(k+1) - 1)} with chi_gamma = id
     assert fn(0) == 2 * 2 * 1 * 1 - 1
     assert fn(3) == 2 * 2 * 1 * 4 - 1
+
+
+# ---------------------------------------------------------------------------
+# Families whose members coincide
+# ---------------------------------------------------------------------------
+
+
+def coinciding_families(space):
+    """Every shipped family that declares members_coincide, on a model of
+    dimension 2."""
+    projection = MetricProjectionFamily(space, space.base_point(), 0.5)
+    rotation = RotationFamily(space, 1.0)
+    return [IdentityFamily(space), projection, rotation,
+            ConstantFamily(space, projection), ConstantFamily(space, rotation)]
+
+
+def bits(p):
+    """A point's kind and data, floats by their hex form: equal exactly when
+    the two points are equal to the bit."""
+    return p.kind, tuple(v.hex() if isinstance(v, float) else (type(v), v) for v in p.data)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([euclid2(), PoincareDisk(), Tripod()]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.integers(0, 2 ** 32), st.sampled_from([0.3, 2.0, 5.0]))
+def test_coinciding_members_give_the_same_image_to_the_bit(space, n, m, seed, radius):
+    x = space.sample(random.Random(seed), radius)
+    for fam in coinciding_families(space):
+        assert fam.members_coincide, fam.name
+        assert bits(fam.apply(n, x)) == bits(fam.apply(m, x)), fam.name
+
+
+ORIGIN_TEXT = {"euclidean": "0,0", "disk": "0,0", "tripod": "0:0"}
+START_TEXT = {"euclidean": "0.4,0", "disk": "0.4,0", "tripod": "1:0.4"}
+FAMILY_KEYS = {
+    "identity": ["family.kind = identity"],
+    "constant-identity": ["family.kind = constant"],
+    "constant-rotation": ["family.kind = constant", "family.angle = 1.0"],
+    "rotation": ["family.kind = rotation", "family.angle = 1.0"],
+    "projection": ["family.kind = projection", "family.center = {o}", "family.radius = 0.5"],
+    "proximal": ["family.kind = proximal", "family.center = {o}"],
+    "resolvent-rotation": ["family.kind = resolvent", "family.base.kind = rotation"],
+    "resolvent-projection": ["family.kind = resolvent", "family.base.kind = projection",
+                             "family.base.center = {o}", "family.base.radius = 0.5"],
+}
+
+
+@pytest.mark.parametrize("model", sorted(ORIGIN_TEXT))
+@pytest.mark.parametrize("kind", sorted(FAMILY_KEYS))
+def test_members_coincide_exactly_when_there_are_no_step_sizes(model, kind):
+    # chi_T_fn's zero modulus for a family without gammas rests on the same
+    # fact: T_{n+1} u = T_n u, so every term of the chi_T series is zero
+    o = ORIGIN_TEXT[model]
+    lines = [f"space.kind = {model}", "schedule.preset = harmonic",
+             f"run.u = {o}", f"run.x0 = {START_TEXT[model]}"]
+    lines += [line.format(o=o) for line in FAMILY_KEYS[kind]]
+    fam = scenario_from_text("\n".join(lines)).family
+    assert fam.members_coincide is (fam.gammas is None)
+    assert fam.members_coincide is not kind.startswith(("proximal", "resolvent"))
 
 
 class NaNFamily(IdentityFamily):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from test_geometry import CountingRotation
 from tmlab import rates as R
 from tmlab import verify as V
 from tmlab.engine import run
@@ -477,6 +478,37 @@ def test_chi_T_series_skips_a_modulus_past_its_cap():
     first_four = V.check_chi_T_series(traj, fam, fam.chi_T_fn(bundle, K=1), k_max=3,
                                       tol=1e-8)
     assert capped.passed and capped.details == first_four.details
+
+
+# ---------------------------------------------------------------------------
+# Families whose members coincide
+# ---------------------------------------------------------------------------
+
+
+class CountingRotationPerRow(CountingRotation):
+    members_coincide = False
+
+
+def test_checks_apply_coinciding_members_at_most_once():
+    # on the run's own family, Tm-AR reads d_Tn and the chi_T series the Tu
+    # column, and the recursive inequalities apply T_0 once; a family that
+    # does not declare it is applied on every row, with the same reports
+    space, bundle = Euclidean(2), preset("harmonic")
+    calls, reports = {}, {}
+    for fam in (CountingRotation(space, 1.0), CountingRotationPerRow(space, 1.0)):
+        traj = run(space, fam, bundle, Point.euclidean(0.0, 0.0), Point.euclidean(1.0, 0.0), 50)
+        checks = {
+            "Tm-ar": lambda: V.check_Tm_ar(traj, fam, 3, R.RateValue.finite(0), k=0, cap=50),
+            "chi-T-series": lambda: V.check_chi_T_series(traj, fam, lambda k: 0, k_max=2),
+            "recursive": lambda: V.check_recursive_inequalities(
+                traj, fam, bundle, Point.euclidean(0.5, 0.5)),
+        }
+        for name, check in checks.items():
+            fam.calls = 0
+            reports.setdefault(name, []).append(check().to_json())
+            calls.setdefault(name, []).append(fam.calls)
+    assert calls == {"Tm-ar": [0, 51], "chi-T-series": [0, 51], "recursive": [1, 50]}
+    assert all(declared == per_row for declared, per_row in reports.values())
 
 
 # ---------------------------------------------------------------------------
