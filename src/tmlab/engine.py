@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, Optional, TextIO
 
 from .geometry import AxiomReport, Euclidean, Point, SpaceModel
@@ -62,16 +61,11 @@ class Trajectory:
     def points(self, column: array, start: int = 0,
                stop: Optional[int] = None) -> Iterator[Point]:
         """The Points of rows start to stop - 1 (all rows by default) of the
-        coordinate column x, u or Tu, each rebuilt as the iterator reaches
-        it and equal to the engine's type for type."""
-        w, kind = self.width, self.x0.kind
+        coordinate column x, u or Tu, each rebuilt by the model's ``points``
+        as the iterator reaches it and equal to the engine's type for type."""
+        w = self.width
         stop = len(self) if stop is None else stop
-        rows = column[start * w:stop * w]
-        if kind == "tripod":
-            data = zip(map(int, rows[::2]), rows[1::2])
-        else:
-            data = zip(*[iter(rows)] * w)
-        return map(tuple.__new__, repeat(Point), zip(repeat(kind), data))
+        return self.space.points(column[start * w:stop * w])
 
     @property
     def records(self) -> list:

@@ -12,9 +12,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from itertools import repeat
+from typing import Iterator, NamedTuple, Optional
 
 DISK_MARGIN = 1e-12
 _TRIPOD_LENGTH = "tripod arm length must be finite and >= 0"
@@ -214,6 +216,12 @@ class SpaceModel:
         if not (0.0 <= lam <= 1.0):
             raise GeometryError(f"combination parameter {lam} outside [0, 1]")
 
+    def _require_length(self, column, length: int):
+        # a column kernel's second column, or its lams, must match its rows
+        if len(column) != length:
+            raise GeometryError(
+                f"column of {len(column)} values where {self.describe()} needs {length}")
+
     def midpoint(self, x: Point, y: Point) -> Point:
         return self.comb(x, y, 0.5)
 
@@ -225,14 +233,31 @@ class SpaceModel:
         )
 
     # -- column kernels -----------------------------------------------------
-    # dists and quasilins read a flat coordinate column, the layout
-    # Trajectory stores (a point's data a row; a tripod row is its leg, then
-    # its arm length), and build no Point.  Each gives, to the bit, what
-    # dist(z, p) and quasilin(x, u, x, z) give on the row's Point z; p, x
-    # and u are checked once.
+    # dists, pair_dists, combs and quasilins read flat coordinate columns,
+    # the layout Trajectory stores (a point's data a row; a tripod row is its
+    # leg, then its arm length), and build no Point.  Each gives, to the
+    # bit, what dist(z, p), dist(z, w), comb(z, p, lam) and
+    # quasilin(x, u, x, z) give on the rows' Points z and w; p, x and u are
+    # checked once.  A subclass that changes dist or comb changes these too.
+
+    def points(self, column) -> Iterator[Point]:
+        """The Points of the column's rows, each built as the iterator
+        reaches it: the row's floats as its data."""
+        return map(tuple.__new__, repeat(Point),
+                   zip(repeat(self.kind), zip(column[::2], column[1::2])))
 
     def dists(self, column, p: Point) -> list:
         """d(z, p) for every row z of the column."""
+        raise NotImplementedError
+
+    def pair_dists(self, a, b) -> list:
+        """d(z, w) for every row z of column a and the row w of column b
+        at the same index; columns of unequal lengths raise."""
+        raise NotImplementedError
+
+    def combs(self, column, p: Point, lams) -> array:
+        """The column of comb(z, p, lam) for every row z of the column and
+        its lam in the sequence lams, which has one lam a row."""
         raise NotImplementedError
 
     def quasilins(self, column, x: Point, u: Point) -> list:
@@ -338,6 +363,10 @@ class Euclidean(SpaceModel):
             self._require(x, y, u, v)
         return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
 
+    def points(self, column) -> Iterator[Point]:
+        return map(tuple.__new__, repeat(Point),
+                   zip(repeat("euclidean"), zip(*[iter(column)] * self.dim)))
+
     def dists(self, column, p: Point) -> list:
         self._require(p)
         pd, sqrt = p.data, math.sqrt
@@ -347,6 +376,37 @@ class Euclidean(SpaceModel):
                     for a0, a1 in zip(column[::2], column[1::2])]
         return [sqrt(sum([(a - b) ** 2 for a, b in zip(row, pd)]))
                 for row in zip(*[iter(column)] * self.dim)]
+
+    def pair_dists(self, a, b) -> list:
+        self._require_length(b, len(a))
+        sqrt = math.sqrt
+        if self.dim == 2:
+            return [sqrt((a0 - b0) ** 2 + (a1 - b1) ** 2)
+                    for a0, a1, b0, b1 in zip(a[::2], a[1::2], b[::2], b[1::2])]
+        n = self.dim
+        return [sqrt(sum([(c - d) ** 2 for c, d in zip(r, s)]))
+                for r, s in zip(zip(*[iter(a)] * n), zip(*[iter(b)] * n))]
+
+    def combs(self, column, p: Point, lams) -> array:
+        self._require(p)
+        self._require_length(column, self.dim * len(lams))
+        for lam in lams:
+            if not 0.0 <= lam <= 1.0:
+                self._check_lambda(lam)
+        pd, out = p.data, array("d")
+        if self.dim == 2:
+            # comb's 2-D branch, one coordinate column at a time
+            p0, p1 = pd
+            out.extend(column)
+            out[::2] = array("d", [(1.0 - lam) * a0 + lam * p0
+                                   for a0, lam in zip(column[::2], lams)])
+            out[1::2] = array("d", [(1.0 - lam) * a1 + lam * p1
+                                    for a1, lam in zip(column[1::2], lams)])
+            return out
+        for row, lam in zip(zip(*[iter(column)] * self.dim), lams):
+            mu = 1.0 - lam
+            out.extend([mu * a + lam * b for a, b in zip(row, pd)])
+        return out
 
     def quasilins(self, column, x: Point, u: Point) -> list:
         # quasilin's dot product (u - x) . (z - x), with u - x hoisted
@@ -427,6 +487,34 @@ class PoincareDisk(SpaceModel):
         czp, atanh = zp.conjugate(), math.atanh
         return [math.nan if (w := z - zp) != w else 2.0 * atanh(abs(w) / abs(1.0 - czp * z))
                 for z in map(complex, column[::2], column[1::2])]
+
+    def pair_dists(self, a, b) -> list:
+        # dist's formula row by row, a NaN row NaN as in dists
+        self._require_length(b, len(a))
+        atanh = math.atanh
+        return [math.nan if (w := z - y) != w
+                else 2.0 * atanh(abs(w) / abs(1.0 - y.conjugate() * z))
+                for z, y in zip(map(complex, a[::2], a[1::2]), map(complex, b[::2], b[1::2]))]
+
+    def combs(self, column, p: Point, lams) -> array:
+        # comb's steps row by row, with p checked once.  The complex
+        # division just before abs(w) resets errno, so that abs gives NaN
+        # for a NaN row, as in comb, whatever ran before
+        self._require(p)
+        self._require_length(column, 2 * len(lams))
+        zy, atanh, tanh = complex(*p.data), math.atanh, math.tanh
+        out = []
+        for zx, lam in zip(map(complex, column[::2], column[1::2]), lams):
+            if not 0.0 <= lam <= 1.0:
+                self._check_lambda(lam)
+            czx = zx.conjugate()
+            w = (zy - zx) / (1.0 - czx * zy)
+            r = abs(w)
+            if r != 0.0:
+                w2 = w / r * tanh(0.5 * lam * (2.0 * atanh(r)))
+                zx = (w2 + zx) / (1.0 + czx * w2)
+            out += (zx.real, zx.imag)
+        return array("d", out)
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
         # Moebius-translate x to the origin, walk along the resulting
@@ -515,6 +603,11 @@ class Tripod(SpaceModel):
             return abs(sx - sy)
         return sx + sy
 
+    def points(self, column) -> Iterator[Point]:
+        # a leg read from the column is a float; the Point's leg is an int
+        return map(tuple.__new__, repeat(Point),
+                   zip(repeat("tripod"), zip(map(int, column[::2]), column[1::2])))
+
     def dists(self, column, p: Point) -> list:
         # dist's leg test, with p's half of it hoisted; a leg read from the
         # column is a float, equal to its int
@@ -523,6 +616,37 @@ class Tripod(SpaceModel):
         center = sp == 0.0
         return [abs(s - sp) if center or leg == lp or s == 0.0 else s + sp
                 for leg, s in zip(column[::2], column[1::2])]
+
+    def pair_dists(self, a, b) -> list:
+        self._require_length(b, len(a))
+        return [abs(s - t) if l == m or s == 0.0 or t == 0.0 else s + t
+                for l, s, m, t in zip(a[::2], a[1::2], b[::2], b[1::2])]
+
+    def combs(self, column, p: Point, lams) -> array:
+        # comb's steps row by row, with p checked once; a leg read from the
+        # column is a float, equal to its int
+        self._require(p)
+        self._require_length(column, 2 * len(lams))
+        (ly, sy), inf = p.data, math.inf
+        out = []
+        for lx, sx, lam in zip(column[::2], column[1::2], lams):
+            if not 0.0 <= lam <= 1.0:
+                self._check_lambda(lam)
+            if lx == ly or sx == 0.0 or sy == 0.0:
+                leg = ly if sx == 0.0 else lx
+                s = (1.0 - lam) * sx + lam * sy
+            else:
+                delta = lam * (sx + sy)
+                if delta <= sx:
+                    leg, s = lx, sx - delta
+                else:
+                    leg, s = ly, delta - sx
+            if s == 0.0:
+                leg = 0
+            elif not 0.0 < s < inf:
+                raise GeometryError(_TRIPOD_LENGTH)
+            out += (leg, s)
+        return array("d", out)
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
         if x.kind != "tripod" or y.kind != "tripod":

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .geometry import (
@@ -45,6 +48,15 @@ class MappingFamily:
 
     def apply(self, n: int, x: Point) -> Point:
         raise NotImplementedError
+
+    def images(self, column, ns) -> array:
+        """The column of T_{n_i} z_i for every row z_i of the coordinate
+        column (the Trajectory layout) and its index n_i from the iterable
+        ns, one index a row: apply on each row's Point, rebuilt by the
+        model.  A subclass that changes apply changes this too, so that the
+        two give the same floats."""
+        return array("d", chain.from_iterable(
+            map(itemgetter(1), map(self.apply, ns, self.space.points(column)))))
 
     def chi_T_fn(self, bundle, K: int, cap: Optional[int] = None) -> Callable[[int], int]:
         """Cauchy modulus for the series sum_n d(T_{n+1} u_n, T_n u_n).
@@ -161,6 +173,11 @@ class ProximalFamily(MappingFamily):
     def apply(self, n, x):
         g = self.gammas(n)
         return self.space.comb(x, self.center, g / (1.0 + g))
+
+    def images(self, column, ns):
+        # apply's comb on the whole column, with no Point built
+        return self.space.combs(column, self.center,
+                                [g / (1.0 + g) for g in map(self.gammas, ns)])
 
 
 class ResolventFamily(MappingFamily):

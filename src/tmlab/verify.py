@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 import random
 import sys
+from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Optional, Sequence
 
 from .geometry import AxiomReport, Point, SpaceModel
@@ -65,6 +66,8 @@ def _suffix_first_hit(values: Sequence[float], bound: float) -> int:
 
 
 def _ar_check(check_id, values, rate, k, cap, tol, scenario_hash) -> CheckResult:
+    if k < 0:
+        raise VerifyError(f"{check_id}: k {k} is negative")
     if cap < 0:
         raise VerifyError(f"{check_id}: cap {cap} is negative")
     bound = 1.0 / (k + 1) + tol
@@ -136,15 +139,18 @@ def check_Tm_ar(
     cap: int,
     tol: float = 1e-9,
 ) -> CheckResult:
-    """d(x_n, T_m x_n) below 1/(k+1) from the rate on.  On the run's own
-    family, when its members coincide, T_m x_n is T_n x_n and the values
-    are the run's d(x_n, T_n x_n), computed in the same argument order."""
+    """d(x_n, T_m x_n) below 1/(k+1) from the rate on, for m >= 0.  On the
+    run's own family, when its members coincide, T_m x_n is T_n x_n and the
+    values are the run's d(x_n, T_n x_n), computed in the same argument
+    order; otherwise the family maps the x column with ``images``."""
+    check_id = f"Tm-ar[m={m}]"
+    if m < 0:
+        raise VerifyError(f"{check_id}: m {m} is negative")
     if family is traj.family and family.members_coincide:
         values = traj.d_Tn
     else:
-        dist, apply = traj.space.dist, family.apply
-        values = [dist(x, apply(m, x)) for x in traj.points(traj.x)]
-    return _ar_check(f"Tm-ar[m={m}]", values, rate, k, cap, tol, traj.scenario_hash)
+        values = traj.space.pair_dists(traj.x, family.images(traj.x, repeat(m, len(traj))))
+    return _ar_check(check_id, values, rate, k, cap, tol, traj.scenario_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +375,22 @@ def check_chi_T_series(
 ) -> CheckResult:
     """chi_T is a Cauchy modulus for the series sum_n d(T_{n+1} u_n, T_n u_n):
     the tail from chi_T(k) on stays below 1/(k+1).  A k whose chi_T(k)
-    starts past the trajectory, or passes chi_T_fn's bit cap, is skipped.
-    T_n u_n is the one the run computed, so family must be the run's.  When
-    its members coincide, each term is d(t, t) for the run's t = T_n u_n,
-    read from the Tu column as dist gives it on every point a model accepts:
-    0.0 on a finite row, NaN on a row with a NaN or infinite coordinate
-    (where c - c is NaN).  The worst residual is kept by AxiomReport.note,
-    so a NaN one fails, and its witness names the row n of the tail's first
-    NaN term."""
+    starts past the trajectory, or passes chi_T_fn's bit cap, is skipped;
+    k_max must be >= 0.  T_n u_n is the one the run computed, so family must
+    be the run's.  When its members coincide, each term is d(t, t) for the
+    run's t = T_n u_n, read from the Tu column as dist gives it on every
+    point a model accepts: 0.0 on a finite row, NaN on a row with a NaN or
+    infinite coordinate (where c - c is NaN); otherwise the family maps the
+    u column to T_{n+1} u_n with ``images``.  The worst residual is kept by
+    AxiomReport.note, so a NaN one fails, and its witness names the row n of
+    the tail's first NaN term."""
+    if k_max < 0:
+        raise VerifyError(f"chi-T-series: k_max {k_max} is negative")
     if family is traj.family and family.members_coincide:
         zeros = [c - c for c in traj.Tu]
         terms = list(map(sum, zip(*[iter(zeros)] * traj.width)))
     else:
-        dist, apply = traj.space.dist, family.apply
-        terms = [
-            dist(apply(n + 1, u_n), Tu_n)
-            for n, (u_n, Tu_n) in enumerate(zip(traj.points(traj.u), traj.points(traj.Tu)))
-        ]
+        terms = traj.space.pair_dists(family.images(traj.u, range(1, len(traj) + 1)), traj.Tu)
     # tails[i] = tails[i + 1] + terms[i], summed from the last term back
     tails = list(accumulate(reversed(terms), initial=0.0))[::-1]
     worst = AxiomReport("chi-T-series", k_max + 1, max_violation=-math.inf, tol=tol)
@@ -432,12 +437,12 @@ def check_recursive_inequalities(
     model's dists and quasilins kernels; d(x_n, x)^2 is computed once a row
     and serves steps n - 1 and n, and d(x, u) is the same for every step.
     beta_n and d(T_n x, x) are computed once a row (d(T_n x, x) once in all
-    when the family's members coincide), and B(n) at most once, under a bit
-    cap (see _B_column).  The three residual columns are noted by
-    AxiomReport.note_rows, so the worst is the one note would keep row by
-    row, and a NaN one fails."""
+    when the family's members coincide, else from the family's ``images``
+    of x), and B(n) at most once, under a bit cap (see _B_column).  The
+    three residual columns are noted by AxiomReport.note_rows, so the worst
+    is the one note would keep row by row, and a NaN one fails."""
     u, space, w = traj.anchor, traj.space, traj.width
-    dist, apply, beta_of, B = space.dist, family.apply, bundle.beta, bundle.B
+    dist, beta_of, B = space.dist, bundle.beta, bundle.B
     d2_xu = dist(x, u) ** 2
     dx = space.dists(traj.x, x)
     d2 = [d ** 2 for d in dx]
@@ -446,9 +451,9 @@ def check_recursive_inequalities(
     ql = space.quasilins(traj.x[:-w], x, u)
     steps = range(len(du))
     if family.members_coincide:  # T_n x is T_0 x on every row
-        dT = [dist(apply(0, x), x)] * len(steps)
+        dT = [dist(family.apply(0, x), x)] * len(steps)
     else:
-        dT = [dist(apply(n, x), x) for n in steps]
+        dT = space.dists(family.images(array("d", x.data) * len(steps), steps), x)
     beta = [beta_of(n) for n in steps]
     big_B = _B_column(B, len(steps))
     res1 = [d - (a + t) for d, a, t in zip(dx[1:], du, dT)]

@@ -449,9 +449,10 @@ def test_a_rotation_of_another_model_goes_through_apply():
 # ---------------------------------------------------------------------------
 # The column kernels
 #
-# dists(column, p) and quasilins(column, x, u) on a flat coordinate column
-# against dist(z, p) and quasilin(x, u, x, z) on each row's Point z: the
-# same floats to the bit (every nan one outcome), or the same error.
+# dists(column, p), pair_dists(a, b), combs(column, p, lams) and
+# quasilins(column, x, u) on flat coordinate columns against dist(z, p),
+# dist(z, w), comb(z, p, lam) and quasilin(x, u, x, z) on the rows' Points
+# z and w: the same floats to the bit (every nan one outcome), or an error.
 # ---------------------------------------------------------------------------
 
 COLUMN_MODELS = {"euclidean1": Euclidean(1), "euclidean2": Euclidean(2),
@@ -512,13 +513,26 @@ def test_column_kernels_are_bitwise_dist_and_quasilin(model, data):
     # p, x and u are sometimes a row, so that a row equals them
     fixed = point | st.sampled_from(rows) if rows else point
     p, x, u = data.draw(fixed), data.draw(fixed), data.draw(fixed)
-    column = array("d")
-    for z in rows:
-        column.extend(z.data)
+    # the second column's rows, and a lam a row, the ends of [0, 1] included
+    others = data.draw(st.lists(fixed, min_size=len(rows), max_size=len(rows)))
+    lams = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                              min_size=len(rows), max_size=len(rows)))
+    column, other = _column(rows), _column(others)
     assert _values(lambda: space.dists(column, p)) == _values(
         lambda: [space.dist(z, p) for z in rows])
+    assert _values(lambda: space.pair_dists(column, other)) == _values(
+        lambda: [space.dist(z, w) for z, w in zip(rows, others)])
+    assert _values(lambda: space.combs(column, p, lams)) == _values(
+        lambda: [c for z, lam in zip(rows, lams) for c in space.comb(z, p, lam).data])
     assert _values(lambda: space.quasilins(column, x, u)) == _values(
         lambda: [space.quasilin(x, u, x, z) for z in rows])
+
+
+def _column(points):
+    column = array("d")
+    for z in points:
+        column.extend(z.data)
+    return column
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_POINTS))
@@ -526,13 +540,18 @@ def test_column_kernels_reject_a_foreign_point(kind):
     sp, x, y, foreign = MODEL_POINTS[kind]
     column = array("d", x.data + y.data)
     for call in (lambda: sp.dists(column, foreign), lambda: sp.quasilins(column, foreign, y),
-                 lambda: sp.quasilins(column, x, foreign)):
+                 lambda: sp.quasilins(column, x, foreign),
+                 lambda: sp.combs(column, foreign, [0.5, 0.5]),
+                 # pair_dists takes no point: a second column of another
+                 # length is its foreign input, as is a lam too few for combs
+                 lambda: sp.pair_dists(column, column[:-1]),
+                 lambda: sp.combs(column, x, [0.5])):
         with pytest.raises(GeometryError):
             call()
     if kind == "euclidean":
         p3 = Point.euclidean(1, 2, 3)
         for call in (lambda: sp.dists(column, p3), lambda: sp.quasilins(column, p3, x),
-                     lambda: sp.quasilins(column, x, p3)):
+                     lambda: sp.quasilins(column, x, p3), lambda: sp.combs(column, p3, [0.5])):
             with pytest.raises(GeometryError, match="3 coordinates used in model euclidean"):
                 call()
 

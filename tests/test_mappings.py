@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from array import array
 from functools import partial
 
 import pytest
@@ -319,18 +320,44 @@ FAMILY_KEYS = {
 }
 
 
+def _family(model, kind):
+    """The family that scenario builds from FAMILY_KEYS[kind] on the model."""
+    o = ORIGIN_TEXT[model]
+    lines = [f"space.kind = {model}", "schedule.preset = harmonic",
+             f"run.u = {o}", f"run.x0 = {START_TEXT[model]}"]
+    lines += [line.format(o=o) for line in FAMILY_KEYS[kind]]
+    return scenario_from_text("\n".join(lines)).family
+
+
 @pytest.mark.parametrize("model", sorted(ORIGIN_TEXT))
 @pytest.mark.parametrize("kind", sorted(FAMILY_KEYS))
 def test_members_coincide_exactly_when_there_are_no_step_sizes(model, kind):
     # chi_T_fn's zero modulus for a family without gammas rests on the same
     # fact: T_{n+1} u = T_n u, so every term of the chi_T series is zero
-    o = ORIGIN_TEXT[model]
-    lines = [f"space.kind = {model}", "schedule.preset = harmonic",
-             f"run.u = {o}", f"run.x0 = {START_TEXT[model]}"]
-    lines += [line.format(o=o) for line in FAMILY_KEYS[kind]]
-    fam = scenario_from_text("\n".join(lines)).family
+    fam = _family(model, kind)
     assert fam.members_coincide is (fam.gammas is None)
     assert fam.members_coincide is not kind.startswith(("proximal", "resolvent"))
+
+
+@pytest.mark.parametrize("model", sorted(ORIGIN_TEXT))
+@pytest.mark.parametrize("kind", sorted(FAMILY_KEYS))
+def test_images_are_apply_on_each_row_to_the_bit(model, kind):
+    # a proximal family maps the column with its model's combs, and every
+    # other family applies itself to each row's Point; indices 0 and 1 are
+    # the least, where gamma_n changes most
+    fam = _family(model, kind)
+    space, rng = fam.space, random.Random(7)
+    rows = [space.sample(rng, r) for r in (0.0, 0.3, 1.0, 2.0, 5.0) for _ in range(4)]
+    rows.append(fam.fixed_point)
+    ns = [0, 1, 2, 5, 10 ** 6] * 4 + [3]
+    column = array("d")
+    for z in rows:
+        column.extend(z.data)
+    got = fam.images(column, ns)
+    assert type(got) is array and got.typecode == "d"
+    want = [c for n, z in zip(ns, rows) for c in fam.apply(n, z).data]
+    assert [float(c).hex() for c in got] == [float(c).hex() for c in want]
+    assert fam.images(array("d"), []) == array("d")
 
 
 class NaNFamily(IdentityFamily):

@@ -114,6 +114,40 @@ def test_ar_insufficient_data(identity_traj):
         V.check_ar(traj, R.RateValue.finite(0), k=0, cap=-1)
 
 
+@pytest.fixture(scope="module")
+def proximal_run():
+    sc = scenario_from_text(PROXIMAL_PLANE)
+    return sc, run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, sc.steps)
+
+
+def test_ar_checks_refuse_a_negative_k(proximal_run):
+    # 1/(k + 1) has no meaning for k = -1, where it divided by zero
+    sc, traj = proximal_run
+    rate = R.RateValue.finite(0)
+    for check in (lambda k: V.check_ar(traj, rate, k=k, cap=10),
+                  lambda k: V.check_family_ar(traj, sc.family, rate, k=k, cap=10),
+                  lambda k: V.check_Tm_ar(traj, sc.family, 0, rate, k=k, cap=10)):
+        for k in (-1, -2):
+            with pytest.raises(V.VerifyError, match=f"k {k} is negative"):
+                check(k)
+
+
+def test_Tm_ar_refuses_a_negative_m(proximal_run):
+    # the harmonic gamma_{-1} = 1 + 1/0 divided by zero, and gamma_{-2} = 0
+    # made T_{-2} the identity, so the check passed
+    sc, traj = proximal_run
+    for m in (-1, -2):
+        with pytest.raises(V.VerifyError, match=rf"Tm-ar\[m={m}\]: m {m} is negative"):
+            V.check_Tm_ar(traj, sc.family, m, R.RateValue.finite(0), k=0, cap=10)
+
+
+def test_chi_T_series_refuses_a_negative_k_max(proximal_run):
+    # k_max = -1 checked no k and passed with max_residual -inf
+    sc, traj = proximal_run
+    with pytest.raises(V.VerifyError, match="k_max -1 is negative"):
+        V.check_chi_T_series(traj, sc.family, sc.chi_T_fn, k_max=-1)
+
+
 # ---------------------------------------------------------------------------
 # Metastability
 # ---------------------------------------------------------------------------
@@ -489,26 +523,56 @@ class CountingRotationPerRow(CountingRotation):
     members_coincide = False
 
 
+class CountingProximal(ProximalFamily):
+    """A proximal family that counts the calls of its apply."""
+
+    calls = 0
+
+    def apply(self, n, x):
+        self.calls += 1
+        return super().apply(n, x)
+
+
+class CountingProximalPerRow(CountingProximal):
+    """The same maps, whose images apply T_n to each row's Point."""
+
+    images = MappingFamily.images
+
+
 def test_checks_apply_coinciding_members_at_most_once():
     # on the run's own family, Tm-AR reads d_Tn and the chi_T series the Tu
     # column, and the recursive inequalities apply T_0 once; a family that
-    # does not declare it is applied on every row, with the same reports
+    # does not declare it is applied on every row, with the same reports.
+    # A proximal family maps whole columns and never calls apply, with the
+    # reports of its per-row twin
     space, bundle = Euclidean(2), preset("harmonic")
+    o = space.base_point()
+    pairs = {
+        "rotation": (CountingRotation(space, 1.0), CountingRotationPerRow(space, 1.0)),
+        "proximal": (CountingProximal(space, o, bundle.gamma),
+                     CountingProximalPerRow(space, o, bundle.gamma)),
+    }
     calls, reports = {}, {}
-    for fam in (CountingRotation(space, 1.0), CountingRotationPerRow(space, 1.0)):
-        traj = run(space, fam, bundle, Point.euclidean(0.0, 0.0), Point.euclidean(1.0, 0.0), 50)
-        checks = {
-            "Tm-ar": lambda: V.check_Tm_ar(traj, fam, 3, R.RateValue.finite(0), k=0, cap=50),
-            "chi-T-series": lambda: V.check_chi_T_series(traj, fam, lambda k: 0, k_max=2),
-            "recursive": lambda: V.check_recursive_inequalities(
-                traj, fam, bundle, Point.euclidean(0.5, 0.5)),
-        }
-        for name, check in checks.items():
-            fam.calls = 0
-            reports.setdefault(name, []).append(check().to_json())
-            calls.setdefault(name, []).append(fam.calls)
-    assert calls == {"Tm-ar": [0, 51], "chi-T-series": [0, 51], "recursive": [1, 50]}
-    assert all(declared == per_row for declared, per_row in reports.values())
+    for kind, pair in pairs.items():
+        for fam in pair:
+            traj = run(space, fam, bundle, o, Point.euclidean(1.0, 0.0), 50)
+            checks = {
+                "Tm-ar": lambda: V.check_Tm_ar(traj, fam, 3, R.RateValue.finite(0), k=0, cap=50),
+                "chi-T-series": lambda: V.check_chi_T_series(traj, fam, lambda k: 0, k_max=2),
+                "recursive": lambda: V.check_recursive_inequalities(
+                    traj, fam, bundle, Point.euclidean(0.5, 0.5)),
+            }
+            for name, check in checks.items():
+                fam.calls = 0
+                reports.setdefault((kind, name), []).append(check().to_json())
+                calls.setdefault((kind, name), []).append(fam.calls)
+    assert calls == {
+        ("rotation", "Tm-ar"): [0, 51], ("rotation", "chi-T-series"): [0, 51],
+        ("rotation", "recursive"): [1, 50],
+        ("proximal", "Tm-ar"): [0, 51], ("proximal", "chi-T-series"): [0, 51],
+        ("proximal", "recursive"): [0, 50],
+    }
+    assert all(first == second for first, second in reports.values())
 
 
 # ---------------------------------------------------------------------------
