@@ -56,7 +56,7 @@ class Trajectory:
         self.d_step, self.d_Tn, self.d_p = array("d"), array("d"), array("d")
 
     def __len__(self):
-        return len(self.d_step)
+        return len(self.d_Tn)  # the step loop's column (d_step comes after it)
 
     def points(self, column: array, start: int = 0,
                stop: Optional[int] = None) -> Iterator[Point]:
@@ -103,8 +103,8 @@ def run(
 ) -> Trajectory:
     """Trajectory of length steps + 1 with all derived distance columns.
 
-    The step loop computes what needs the step's Points; d(x_n, p) is
-    read from the x column by the model's ``dists`` once the loop ends.
+    The step loop computes what needs the step's Points; d_step and d_p are
+    read from the x column by the model's ``pair_dists`` and ``dists`` after.
     A solver failure aborts the loop; the partial trajectory, whole rows
     only, is kept on the returned object together with the error record.
     An anchor, start point or fixed point of another model or dimension
@@ -116,7 +116,7 @@ def run(
     space._require(u, x0, p)
     traj = Trajectory(space, family, bundle, u, x0, scenario_hash=scenario_hash)
     add_x, add_u, add_Tu = traj.x.extend, traj.u.extend, traj.Tu.extend
-    add_step, add_Tn = traj.d_step.append, traj.d_Tn.append
+    add_Tn = traj.d_Tn.append
     comb, dist, apply = space.comb, space.dist, family.apply
     beta, lam = bundle.beta, bundle.lam
     x = x0
@@ -126,16 +126,19 @@ def run(
             u_n = comb(u, x, beta_n)
             Tu_n = apply(n, u_n)
             x_next = comb(u_n, Tu_n, lam_n)
-            d_step, d_Tn = dist(x, x_next), dist(x, apply(n, x))
+            d_Tn = dist(x, apply(n, x))
             # the row is appended only once every call of the step returned
             add_x(x.data)
             add_u(u_n.data)
             add_Tu(Tu_n.data)
-            add_step(d_step)
             add_Tn(d_Tn)
             x = x_next
     except SolverFailure as exc:
         traj.error = str(exc)
+    # row n's successor is row n + 1; the last row's is the x the loop ended
+    # on (x_{n+1}, or x_n when step n failed; no row when step 0 did)
+    successors = (traj.x + array("d", x.data))[traj.width:]
+    traj.d_step.extend(space.pair_dists(traj.x, successors))
     traj.d_p.extend(space.dists(traj.x, p))
     return traj
 
@@ -160,16 +163,14 @@ def check_hilbert_special_case(
     if traj.error:
         raise EngineError(traj.error)
 
-    y = tuple(x0.data)
-    devs = []
-    for n, x_n in enumerate(traj.points(traj.x)):
-        devs.append(space.dist(x_n, Point("euclidean", y)))
+    y, ys = x0.data, array("d", x0.data)
+    for n in range(steps):
         beta, lam = bundle.beta(n), bundle.lam(n)
         scaled = tuple(beta * c for c in y)
         image = family.apply(n, Point("euclidean", scaled)).data
-        y = tuple(
-            (1.0 - lam) * s + lam * t for s, t in zip(scaled, image)
-        )
+        y = [(1.0 - lam) * s + lam * t for s, t in zip(scaled, image)]
+        ys.extend(y)
+    devs = space.pair_dists(traj.x, ys)
     report = AxiomReport(f"hilbert-special-case[{family.name}]", steps + 1,
                          max_violation=-math.inf, tol=0.0)
     # the allowance grows with accumulated rounding

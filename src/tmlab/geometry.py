@@ -238,7 +238,8 @@ class SpaceModel:
     # leg, then its arm length), and build no Point.  Each gives, to the
     # bit, what dist(z, p), dist(z, w), comb(z, p, lam) and
     # quasilin(x, u, x, z) give on the rows' Points z and w; p, x and u are
-    # checked once.  A subclass that changes dist or comb changes these too.
+    # checked once, and a second column, lams or dxz of the wrong length
+    # raises.  A subclass that changes dist or comb changes these too.
 
     def points(self, column) -> Iterator[Point]:
         """The Points of the column's rows, each built as the iterator
@@ -260,15 +261,17 @@ class SpaceModel:
         its lam in the sequence lams, which has one lam a row."""
         raise NotImplementedError
 
-    def quasilins(self, column, x: Point, u: Point) -> list:
-        """<xu, xz> for every row z of the column: quasilin_from_distances(
-        d(x, z), d(u, x), d(x, x), d(u, z)) written out, with d(x, z) and
-        d(u, z) read from dists (each model's dist is symmetric to the
-        bit).  d(u, x) and d(x, x) are computed once, and only when there is
-        a row, as quasilin computes them.  d(x, x) is 0.0 for every point a
-        model accepts, but not for a tripod arm of infinite length."""
-        dxz, duz = self.dists(column, x), self.dists(column, u)
-        if not dxz:
+    def quasilins(self, column, x: Point, u: Point, dxz) -> list:
+        """<xu, xz> for every row z of the column and its d(x, z) in dxz, as
+        dists(column, x) gives it: quasilin_from_distances(d(x, z), d(u, x),
+        d(x, x), d(u, z)) written out, d(u, z) read from dists (dist is
+        symmetric to the bit).  d(u, x) and d(x, x) are computed once, and
+        only when there is a row, as quasilin computes them; d(x, x) is 0.0
+        for every point a model accepts, but not for an infinite tripod arm."""
+        self._require(x)
+        duz = self.dists(column, u)
+        self._require_length(dxz, len(duz))
+        if not duz:
             return []
         dux, dxx = self.dist(u, x), self.dist(x, x)
         c, e = dux * dux, dxx * dxx
@@ -393,24 +396,17 @@ class Euclidean(SpaceModel):
         for lam in lams:
             if not 0.0 <= lam <= 1.0:
                 self._check_lambda(lam)
-        pd, out = p.data, array("d")
-        if self.dim == 2:
-            # comb's 2-D branch, one coordinate column at a time
-            p0, p1 = pd
-            out.extend(column)
-            out[::2] = array("d", [(1.0 - lam) * a0 + lam * p0
-                                   for a0, lam in zip(column[::2], lams)])
-            out[1::2] = array("d", [(1.0 - lam) * a1 + lam * p1
-                                    for a1, lam in zip(column[1::2], lams)])
-            return out
-        for row, lam in zip(zip(*[iter(column)] * self.dim), lams):
-            mu = 1.0 - lam
-            out.extend([mu * a + lam * b for a, b in zip(row, pd)])
+        # comb's formula, one coordinate column at a time
+        n, out = self.dim, array("d", column)
+        for i, b in enumerate(p.data):
+            out[i::n] = array("d", [(1.0 - lam) * a + lam * b
+                                    for a, lam in zip(column[i::n], lams)])
         return out
 
-    def quasilins(self, column, x: Point, u: Point) -> list:
-        # quasilin's dot product (u - x) . (z - x), with u - x hoisted
+    def quasilins(self, column, x: Point, u: Point, dxz) -> list:
+        # quasilin's dot product (u - x) . (z - x), u - x hoisted; dxz unread
         self._require(x, u)
+        self._require_length(dxz, len(column) // self.dim)
         xd = x.data
         e = [b - a for a, b in zip(xd, u.data)]
         if self.dim == 2:

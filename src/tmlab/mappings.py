@@ -53,8 +53,11 @@ class MappingFamily:
         """The column of T_{n_i} z_i for every row z_i of the coordinate
         column (the Trajectory layout) and its index n_i from the iterable
         ns, one index a row: apply on each row's Point, rebuilt by the
-        model.  A subclass that changes apply changes this too, so that the
-        two give the same floats."""
+        model.  A column whose row count is not that of ns raises
+        GeometryError.  A subclass that changes apply changes this too, so
+        that the two give the same floats."""
+        ns = list(ns)
+        self.space._require_length(column, len(self.fixed_point.data) * len(ns))
         return array("d", chain.from_iterable(
             map(itemgetter(1), map(self.apply, ns, self.space.points(column)))))
 

@@ -377,20 +377,20 @@ def check_chi_T_series(
     the tail from chi_T(k) on stays below 1/(k+1).  A k whose chi_T(k)
     starts past the trajectory, or passes chi_T_fn's bit cap, is skipped;
     k_max must be >= 0.  T_n u_n is the one the run computed, so family must
-    be the run's.  When its members coincide, each term is d(t, t) for the
-    run's t = T_n u_n, read from the Tu column as dist gives it on every
-    point a model accepts: 0.0 on a finite row, NaN on a row with a NaN or
-    infinite coordinate (where c - c is NaN); otherwise the family maps the
-    u column to T_{n+1} u_n with ``images``.  The worst residual is kept by
-    AxiomReport.note, so a NaN one fails, and its witness names the row n of
-    the tail's first NaN term."""
+    be the run's.  The terms are pair_dists of the T_{n+1} u_n column and
+    the run's Tu column: when the family's members coincide, T_{n+1} u_n is
+    T_n u_n and that column is Tu itself, so each term is d(t, t), 0.0 on a
+    finite row and NaN on a row with a NaN or infinite coordinate;
+    otherwise the family maps the u column with ``images``.  The worst
+    residual is kept by AxiomReport.note, so a NaN one fails, and its
+    witness names the row n of the tail's first NaN term."""
     if k_max < 0:
         raise VerifyError(f"chi-T-series: k_max {k_max} is negative")
     if family is traj.family and family.members_coincide:
-        zeros = [c - c for c in traj.Tu]
-        terms = list(map(sum, zip(*[iter(zeros)] * traj.width)))
+        images = traj.Tu
     else:
-        terms = traj.space.pair_dists(family.images(traj.u, range(1, len(traj) + 1)), traj.Tu)
+        images = family.images(traj.u, range(1, len(traj) + 1))
+    terms = traj.space.pair_dists(images, traj.Tu)
     # tails[i] = tails[i + 1] + terms[i], summed from the last term back
     tails = list(accumulate(reversed(terms), initial=0.0))[::-1]
     worst = AxiomReport("chi-T-series", k_max + 1, max_violation=-math.inf, tol=tol)
@@ -433,9 +433,9 @@ def check_recursive_inequalities(
     """The three per-step inequalities relating d(x_{n+1}, x), d(u_n, x)
     and the quasilinearization term, for an arbitrary reference point x.
 
-    d(x_n, x), d(u_n, x) and <xu, x x_n> are read from the columns by the
-    model's dists and quasilins kernels; d(x_n, x)^2 is computed once a row
-    and serves steps n - 1 and n, and d(x, u) is the same for every step.
+    d(x_n, x), d(u_n, x) and <xu, x x_n> are read from the columns by dists
+    and quasilins, which reuses d(x_n, x); d(x_n, x)^2 is computed once a
+    row and serves steps n - 1 and n, and d(x, u) is the same for every step.
     beta_n and d(T_n x, x) are computed once a row (d(T_n x, x) once in all
     when the family's members coincide, else from the family's ``images``
     of x), and B(n) at most once, under a bit cap (see _B_column).  The
@@ -448,7 +448,7 @@ def check_recursive_inequalities(
     d2 = [d ** 2 for d in dx]
     # the last row's u_n and x_n start no step
     du = space.dists(traj.u[:-w], x)
-    ql = space.quasilins(traj.x[:-w], x, u)
+    ql = space.quasilins(traj.x[:-w], x, u, dx[:-1])
     steps = range(len(du))
     if family.members_coincide:  # T_n x is T_0 x on every row
         dT = [dist(family.apply(0, x), x)] * len(steps)

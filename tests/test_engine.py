@@ -105,6 +105,8 @@ class FailingSecondApply(MappingFamily):
     """A base family whose second apply of one step, engine.run's apply(n, x)
     for d_Tn, raises SolverFailure; records each call as (n, i)."""
 
+    failing_call = 1
+
     def __init__(self, space, base, step):
         super().__init__(space, base.fixed_point)
         self.base, self.step, self.calls = base, step, []
@@ -112,9 +114,62 @@ class FailingSecondApply(MappingFamily):
     def apply(self, n, x):
         i = sum(1 for m, _ in self.calls if m == n)
         self.calls.append((n, i))
-        if n == self.step and i == 1:
+        if n == self.step and i == self.failing_call:
             raise SolverFailure(1.0, 9, 2.0, 1.0)
         return self.base.apply(n, x)
+
+
+class FailingFirstApply(FailingSecondApply):
+    """The same family failing in the first apply of its step, engine.run's
+    T_n u_n."""
+
+    failing_call = 0
+
+
+D_STEP_RUNS = {
+    "euclidean1": (Euclidean(1), Point.euclidean(0.5), Point.euclidean(-2.0)),
+    "euclidean2": (Euclidean(2), Point.euclidean(0.5, 0.0), Point.euclidean(-1.0, 2.0)),
+    "euclidean3": (Euclidean(3), Point.euclidean(0.5, 0.0, 1.0),
+                   Point.euclidean(-1.0, 2.0, 0.25)),
+    "disk": (PoincareDisk(), Point.disk(0.3, -0.2), Point.disk(-0.5, 0.6)),
+    # u and x0 on other legs than the centre's: steps cross the centre
+    "tripod": (Tripod(), Point.tripod(1, 0.5), Point.tripod(2, 1.5)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(D_STEP_RUNS))
+def test_d_step_is_the_distance_of_each_row_to_its_successor(model):
+    # d_step is read after the loop; the reference computes dist(x_n,
+    # x_{n+1}) inside it, on the step's Points
+    space, u, x0 = D_STEP_RUNS[model]
+    bundle = preset("harmonic")
+    fam = ProximalFamily(space, space.base_point(), bundle.gamma)
+    traj = run(space, fam, bundle, u, x0, 60)
+    ref = reference_run(space, fam, bundle, u, x0, 60)
+    assert traj.error is None and len(traj) == len(ref) == 61
+    assert_whole_rows(traj)
+    assert typed(list(traj.d_step)) == typed([rec.d_step for rec in ref])
+
+
+@pytest.mark.parametrize("model", sorted(D_STEP_RUNS))
+@pytest.mark.parametrize("failing,step", [(FailingFirstApply, 0), (FailingFirstApply, 7),
+                                          (FailingSecondApply, 7)])
+def test_d_step_of_a_failed_run_ends_at_the_x_of_the_failed_step(model, failing, step):
+    # a failure in step 0 leaves every column empty; one in step n leaves
+    # rows 0 to n - 1, the last of which steps to x_n, which no row holds
+    space, u, x0 = D_STEP_RUNS[model]
+    bundle = preset("harmonic")
+    base = ProximalFamily(space, space.base_point(), bundle.gamma)
+    traj = run(space, failing(space, base, step), bundle, u, x0, 60)
+    assert traj.error == str(SolverFailure(1.0, 9, 2.0, 1.0)) and len(traj) == step
+    assert_whole_rows(traj)
+    ref = reference_run(space, failing(space, base, step), bundle, u, x0, 60)
+    assert len(ref) == step
+    assert typed(list(traj.d_step)) == typed([rec.d_step for rec in ref])
+    if step:
+        last = ref[-1]
+        x_n = space.comb(last.u, base.apply(last.n, last.u), bundle.lam(last.n))
+        assert typed(traj.d_step[-1]) == typed(space.dist(last.x, x_n))
 
 
 def assert_whole_rows(traj):

@@ -450,9 +450,10 @@ def test_a_rotation_of_another_model_goes_through_apply():
 # The column kernels
 #
 # dists(column, p), pair_dists(a, b), combs(column, p, lams) and
-# quasilins(column, x, u) on flat coordinate columns against dist(z, p),
+# quasilins(column, x, u, dxz) on flat coordinate columns against dist(z, p),
 # dist(z, w), comb(z, p, lam) and quasilin(x, u, x, z) on the rows' Points
 # z and w: the same floats to the bit (every nan one outcome), or an error.
+# dxz is the column of d(x, z) that dists(column, x) gives.
 # ---------------------------------------------------------------------------
 
 COLUMN_MODELS = {"euclidean1": Euclidean(1), "euclidean2": Euclidean(2),
@@ -524,8 +525,17 @@ def test_column_kernels_are_bitwise_dist_and_quasilin(model, data):
         lambda: [space.dist(z, w) for z, w in zip(rows, others)])
     assert _values(lambda: space.combs(column, p, lams)) == _values(
         lambda: [c for z, lam in zip(rows, lams) for c in space.comb(z, p, lam).data])
-    assert _values(lambda: space.quasilins(column, x, u)) == _values(
-        lambda: [space.quasilin(x, u, x, z) for z in rows])
+    want = _values(lambda: [space.quasilin(x, u, x, z) for z in rows])
+    try:
+        dxz = space.dists(column, x)
+    except (ArithmeticError, ValueError):
+        # a disk dist that raises raises in quasilin too; a Euclidean square
+        # may overflow where the dot product does not, and dxz is not read
+        if not isinstance(space, Euclidean):
+            assert want == "raised"
+            return
+        dxz = [math.nan] * len(rows)
+    assert _values(lambda: space.quasilins(column, x, u, dxz)) == want
 
 
 def _column(points):
@@ -539,21 +549,50 @@ def _column(points):
 def test_column_kernels_reject_a_foreign_point(kind):
     sp, x, y, foreign = MODEL_POINTS[kind]
     column = array("d", x.data + y.data)
-    for call in (lambda: sp.dists(column, foreign), lambda: sp.quasilins(column, foreign, y),
-                 lambda: sp.quasilins(column, x, foreign),
+    dxz = [0.0, 1.0]
+    for call in (lambda: sp.dists(column, foreign),
+                 lambda: sp.quasilins(column, foreign, y, dxz),
+                 lambda: sp.quasilins(column, x, foreign, dxz),
                  lambda: sp.combs(column, foreign, [0.5, 0.5]),
                  # pair_dists takes no point: a second column of another
-                 # length is its foreign input, as is a lam too few for combs
+                 # length is its foreign input, as is a lam too few for
+                 # combs, and a dxz of one value too few or too many for
+                 # quasilins, an empty column's included
                  lambda: sp.pair_dists(column, column[:-1]),
-                 lambda: sp.combs(column, x, [0.5])):
+                 lambda: sp.combs(column, x, [0.5]),
+                 lambda: sp.quasilins(column, x, y, dxz[:1]),
+                 lambda: sp.quasilins(column, x, y, dxz + [0.0]),
+                 lambda: sp.quasilins(array("d"), x, y, [0.0]),
+                 lambda: sp.quasilins(array("d"), foreign, y, [])):
         with pytest.raises(GeometryError):
             call()
     if kind == "euclidean":
         p3 = Point.euclidean(1, 2, 3)
-        for call in (lambda: sp.dists(column, p3), lambda: sp.quasilins(column, p3, x),
-                     lambda: sp.quasilins(column, x, p3), lambda: sp.combs(column, p3, [0.5])):
+        for call in (lambda: sp.dists(column, p3), lambda: sp.quasilins(column, p3, x, dxz),
+                     lambda: sp.quasilins(column, x, p3, dxz),
+                     lambda: sp.combs(column, p3, [0.5])):
             with pytest.raises(GeometryError, match="3 coordinates used in model euclidean"):
                 call()
+
+
+NAN_ROWS = {"euclidean": Point("euclidean", (math.nan, 1.0)),
+            "disk": Point("disk", (math.nan, 0.25)),
+            "tripod": Point("tripod", (1, math.nan))}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_POINTS))
+def test_quasilins_of_a_nan_row_is_quasilin(kind):
+    # a NaN row gives NaN, as quasilin(x, u, x, z) does, whether the model
+    # reads it from dxz (disk, tripod) or from its dot product (Euclidean);
+    # the rows around it stay finite
+    sp, x, y, _ = MODEL_POINTS[kind]
+    rows = [y, NAN_ROWS[kind], x]
+    column = _column(rows)
+    dxz = sp.dists(column, x)
+    assert math.isnan(dxz[1])
+    got = sp.quasilins(column, x, y, dxz)
+    assert [_bits(v) for v in got] == [_bits(sp.quasilin(x, y, x, z)) for z in rows]
+    assert math.isnan(got[1]) and not math.isnan(got[0]) and not math.isnan(got[2])
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,19 @@ def test_images_are_apply_on_each_row_to_the_bit(model, kind):
     assert fam.images(array("d"), []) == array("d")
 
 
+@pytest.mark.parametrize("model", sorted(ORIGIN_TEXT))
+@pytest.mark.parametrize("kind", sorted(FAMILY_KEYS))
+def test_images_reject_a_column_whose_rows_are_not_one_an_index(model, kind):
+    # fewer and more indices than rows, and indices for an empty column: the
+    # default images and the proximal combs keep one contract
+    fam = _family(model, kind)
+    column = array("d", fam.fixed_point.data * 3)
+    assert len(fam.images(column, range(3))) == len(column)
+    for col, ns in ((column, range(2)), (column, range(5)), (array("d"), [0])):
+        with pytest.raises(GeometryError, match="needs"):
+            fam.images(col, ns)
+
+
 class NaNFamily(IdentityFamily):
     """Maps every point to a point with NaN coordinates."""
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from test_acceptance import SCENARIO_TEXTS
 from test_geometry import CountingRotation
 from tmlab import rates as R
 from tmlab import verify as V
@@ -573,6 +574,28 @@ def test_checks_apply_coinciding_members_at_most_once():
         ("proximal", "recursive"): [0, 50],
     }
     assert all(first == second for first, second in reports.values())
+
+
+@pytest.mark.parametrize("name,calls", [("disk-rotation", 3), ("disk-proximal", 4),
+                                        ("tripod-rotation", 3), ("tripod-proximal", 4)])
+def test_recursive_inequalities_compute_each_distance_column_once(name, calls):
+    # d(x_n, x), d(u_n, x), d(x_n, u) inside quasilins, and d(T_n x, x) for
+    # a family whose members differ: quasilins takes d(x_n, x) from the check
+    sc = scenario_from_text(SCENARIO_TEXTS[name])
+    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 50)
+    space, x = traj.space, sc.family.fixed_point
+    counted = []
+
+    def dists(column, p):
+        counted.append(p)
+        return type(space).dists(space, column, p)
+
+    space.dists = dists
+    try:
+        assert V.check_recursive_inequalities(traj, sc.family, sc.bundle, x).passed
+    finally:
+        del space.dists
+    assert len(counted) == calls
 
 
 # ---------------------------------------------------------------------------
