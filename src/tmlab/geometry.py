@@ -338,9 +338,19 @@ class Euclidean(SpaceModel):
             self._require(x, y)
         if n == 2:
             # the comprehension written out: no frame, the same floats,
-            # since sum's 0 + t0 + t1 equals t0 + t1 for squares t >= +0.0
+            # since sum's 0 + t0 + t1 equals t0 + t1 for squares t >= +0.0.
+            # That holds for the compensated sum of Python 3.12 on too: it
+            # makes one float addition here, t0 + t1, whose correction is
+            # that addition's exact rounding error, and adding it back
+            # rounds to the same float (an inf or NaN correction is dropped)
             (a0, a1), (b0, b1) = xd, yd
             return math.sqrt((a0 - b0) ** 2 + (a1 - b1) ** 2)
+        if n == 3:
+            # three terms: sum over a tuple, which has no frame and sums as
+            # sum over the comprehension's list does on every Python; from
+            # 3.12 on sum compensates, so a + chain would not give its floats
+            (a0, a1, a2), (b0, b1, b2) = xd, yd
+            return math.sqrt(sum(((a0 - b0) ** 2, (a1 - b1) ** 2, (a2 - b2) ** 2)))
         return math.sqrt(sum([(a - b) ** 2 for a, b in zip(xd, yd)]))
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
@@ -353,6 +363,10 @@ class Euclidean(SpaceModel):
         if n == 2:
             (a0, a1), (b0, b1) = xd, yd
             return tuple.__new__(Point, ("euclidean", (mu * a0 + lam * b0, mu * a1 + lam * b1)))
+        if n == 3:
+            (a0, a1, a2), (b0, b1, b2) = xd, yd
+            return tuple.__new__(Point, ("euclidean", (
+                mu * a0 + lam * b0, mu * a1 + lam * b1, mu * a2 + lam * b2)))
         return tuple.__new__(
             Point, ("euclidean", tuple([mu * a + lam * b for a, b in zip(xd, yd)])))
 
@@ -364,6 +378,10 @@ class Euclidean(SpaceModel):
                 or u.kind != "euclidean" or v.kind != "euclidean"
                 or len(xd) != n or len(yd) != n or len(ud) != n or len(vd) != n):
             self._require(x, y, u, v)
+        if n == 3:
+            # a sum over a tuple, as in dist
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = xd, yd, ud, vd
+            return sum(((b0 - a0) * (d0 - c0), (b1 - a1) * (d1 - c1), (b2 - a2) * (d2 - c2)))
         return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
 
     def points(self, column) -> Iterator[Point]:
@@ -445,11 +463,23 @@ class Euclidean(SpaceModel):
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
-        vec = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
+        cd, n = center.data, self.dim
+        if center.kind != "euclidean" or len(cd) != n:
+            self._require(center)
+        if n == 3:
+            # the draws and floats of the general form, its sums over a tuple
+            gauss = rng.gauss
+            g0, g1, g2 = gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0)
+            norm = math.sqrt(sum((g0 * g0, g1 * g1, g2 * g2))) or 1.0
+            r = radius * rng.random() ** (1.0 / 3)
+            c0, c1, c2 = cd
+            return tuple.__new__(Point, ("euclidean", (
+                c0 + r * g0 / norm, c1 + r * g1 / norm, c2 + r * g2 / norm)))
+        vec = [rng.gauss(0.0, 1.0) for _ in range(n)]
         norm = math.sqrt(sum([c * c for c in vec])) or 1.0
-        r = radius * rng.random() ** (1.0 / self.dim)
+        r = radius * rng.random() ** (1.0 / n)
         return tuple.__new__(Point, (
-            "euclidean", tuple([c + r * v / norm for c, v in zip(center.data, vec)])))
+            "euclidean", tuple([c + r * v / norm for c, v in zip(cd, vec)])))
 
 
 class PoincareDisk(SpaceModel):
@@ -570,6 +600,8 @@ class PoincareDisk(SpaceModel):
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
+        if center.kind != "disk":
+            self._require(center)
         ang = rng.uniform(0.0, 2.0 * math.pi)
         hyp = radius * rng.random()
         w = math.tanh(0.5 * hyp) * cmath.exp(1j * ang)
@@ -708,6 +740,8 @@ class Tripod(SpaceModel):
         return Point.tripod(rng.randrange(3), radius * rng.random())
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
+        if center.kind != "tripod":
+            self._require(center)
         leg, s = center.data
         s += rng.uniform(-radius, radius)
         if s >= 0.0:

@@ -165,11 +165,11 @@ def test_euclidean_quasilin_fast_path_matches_generic(a, b, c, d, e, f, g, h):
 # ---------------------------------------------------------------------------
 # Reference bodies
 #
-# The bodies of dist, comb and quasilin before the 2-D Euclidean branch,
-# copied unchanged: the general comprehensions in every dimension, and
-# result points built by Point(...); fixed_point is the reference loop over
-# them.  The 2-D branch must give the same floats, to the bit, and raise
-# where they raise.
+# The bodies of dist, comb and quasilin before the 2-D and 3-D Euclidean
+# branches, copied unchanged: the general comprehensions in every
+# dimension, and result points built by Point(...); fixed_point is the
+# reference loop over them.  The branches must give the same floats, to the
+# bit, and raise where they raise.
 # ---------------------------------------------------------------------------
 
 
@@ -254,33 +254,42 @@ def _outcome(call):
 any_float = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e154, -1e200,
      1.7976931348623157e308, math.inf, -math.inf, math.nan])
-pair = st.builds(lambda a, b: Point("euclidean", (a, b)), any_float, any_float)
 unit = st.floats(0.0, 1.0) | st.just(-0.0)
+# four points x, y, u, v of one dimension, 2 or 3
+quad = st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(*[st.builds(
+    lambda *c: Point("euclidean", c), *[any_float] * n)] * 4))
 
 
 @settings(max_examples=300)
-@given(pair, pair, pair, pair, unit)
+@given(quad, unit)
 # (y - x) * (v - u) is 0.0 * -1.0 = -0.0 in both coordinates: sum gives 0.0
-@example(Point("euclidean", (0.0, 0.0)), Point("euclidean", (0.0, 0.0)),
-         Point("euclidean", (1.0, 1.0)), Point("euclidean", (0.0, 0.0)), 0.5)
+@example((Point.euclidean(0.0, 0.0), Point.euclidean(0.0, 0.0), Point.euclidean(1.0, 1.0),
+          Point.euclidean(0.0, 0.0)), 0.5)
 # the first square overflows
-@example(Point("euclidean", (1e200, 0.0)), Point("euclidean", (-1e200, 0.0)),
-         Point("euclidean", (0.0, 0.0)), Point("euclidean", (0.0, 0.0)), 1.0)
-def test_euclidean_2d_branch_is_bitwise_the_comprehension(x, y, u, v, lam):
-    fast, ref = Euclidean(2), RefEuclidean(2)
+@example((Point.euclidean(1e200, 0.0), Point.euclidean(-1e200, 0.0), Point.euclidean(0.0, 0.0),
+          Point.euclidean(0.0, 0.0)), 1.0)
+# quasilin's terms are 1.0, 1e-16 and 1e-16: from Python 3.12 on sum
+# compensates and gives 1.0000000000000002, where a + chain gives 1.0
+@example((Point.euclidean(0.0, 0.0, 0.0), Point.euclidean(1.0, 1e-8, 1e-8),
+          Point.euclidean(0.0, 0.0, 0.0), Point.euclidean(1.0, 1e-8, 1e-8)), 0.5)
+def test_euclidean_2d_branch_is_bitwise_the_comprehension(points, lam):
+    x, y, u, v = points
+    fast, ref = Euclidean(len(x.data)), RefEuclidean(len(x.data))
     for op, args in (("dist", (x, y)), ("comb", (x, y, lam)), ("quasilin", (x, y, u, v))):
         assert _outcome(lambda: getattr(fast, op)(*args)) == _outcome(
             lambda: getattr(ref, op)(*args)), op
 
 
 def test_euclidean_rejects_points_of_another_dimension():
-    sp = Euclidean(2)
-    a, b = Point.euclidean(1, 2, 3), Point.euclidean(0, 0, 0)
-    for call in (lambda: sp.dist(a, b), lambda: sp.comb(a, b, 0.5),
-                 lambda: sp.quasilin(a, b, a, b),
-                 lambda: sp.fixed_point(a, lambda z: z, 0.5, 1e-12, 10)):
-        with pytest.raises(GeometryError, match="3 coordinates used in model euclidean"):
-            call()
+    for dim, other in ((2, 3), (3, 2)):
+        sp = Euclidean(dim)
+        a, b = Point.euclidean(*range(1, other + 1)), Point.euclidean(*[0] * other)
+        for call in (lambda: sp.dist(a, b), lambda: sp.comb(a, b, 0.5),
+                     lambda: sp.quasilin(a, b, a, b),
+                     lambda: sp.fixed_point(a, lambda z: z, 0.5, 1e-12, 10)):
+            with pytest.raises(GeometryError,
+                               match=rf"{other} coordinates used in model euclidean\({dim}\)"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +652,24 @@ def test_disk_nan_coordinate_gives_nan_after_a_failed_atanh():
     assert all(math.isnan(c) for c in sp.comb(bad, p, 0.5).data)
     _errno_at_erange()
     assert math.isnan(sp.quasilin(bad, p, good, q))
+
+
+@pytest.mark.parametrize("space, center", [
+    (Euclidean(3), Point.euclidean(0.0, 0.0)),
+    (Euclidean(2), Point.euclidean(0.0, 0.0, 0.0)),
+    (Euclidean(2), Point.disk(0.1, 0.2)),
+    (PoincareDisk(), Point.tripod(1, 0.5)),
+    (PoincareDisk(), Point.euclidean(0.1, 0.2)),
+    (Tripod(), Point.euclidean(1.0, 0.5)),
+    (Tripod(), Point.disk(0.1, 0.2)),
+], ids=["euclidean3-2d", "euclidean2-3d", "euclidean2-disk", "disk-tripod", "disk-euclidean",
+        "tripod-euclidean", "tripod-disk"])
+def test_sample_near_refuses_a_center_of_another_model(space, center):
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(GeometryError, match="used in model"):
+        space.sample_near(rng, center, 1.0)
+    assert rng.getstate() == state
 
 
 def test_disk_sample_near_stays_within_radius():
