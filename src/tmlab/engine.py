@@ -20,6 +20,11 @@ from .mappings import MappingFamily, SolverFailure
 from .schedules import ScheduleBundle
 
 
+# the rows the step loop fills before the family's images maps them: a
+# failure in images lets at most this many steps run past the failing row
+IMAGE_BLOCK = 1024
+
+
 class EngineError(RuntimeError):
     pass
 
@@ -40,7 +45,8 @@ class Trajectory:
     ``x``, ``u`` and ``Tu`` hold the coordinates of x_n, u_n and T_n u_n
     row-major, ``width`` values a row (a tripod row is its leg, then its
     arm length); ``d_step``, ``d_Tn`` and ``d_p`` hold d(x_n, x_{n+1}),
-    d(x_n, T_n x_n) and d(x_n, p).  A reader that needs Points streams
+    d(x_n, T_n x_n) and d(x_n, p), which ``run`` reads from the x column
+    with the model's column kernels.  A reader that needs Points streams
     them with ``points``; a reader of distances to a fixed point hands a
     column to the model's ``dists`` or ``quasilins``.  The trajectory holds
     nothing besides its columns and metadata, whatever has read it."""
@@ -56,7 +62,9 @@ class Trajectory:
         self.d_step, self.d_Tn, self.d_p = array("d"), array("d"), array("d")
 
     def __len__(self):
-        return len(self.d_Tn)  # the step loop's column (d_step comes after it)
+        """The number of rows: those of the x column, the one the step loop
+        fills (the distance columns are read from it)."""
+        return len(self.x) // self.width
 
     def points(self, column: array, start: int = 0,
                stop: Optional[int] = None) -> Iterator[Point]:
@@ -103,42 +111,65 @@ def run(
 ) -> Trajectory:
     """Trajectory of length steps + 1 with all derived distance columns.
 
-    The step loop computes what needs the step's Points; d_step and d_p are
-    read from the x column by the model's ``pair_dists`` and ``dists`` after.
-    A solver failure aborts the loop; the partial trajectory, whole rows
-    only, is kept on the returned object together with the error record.
-    An anchor, start point or fixed point of another model or dimension
-    raises GeometryError before step 0.
+    The step loop computes only u_n, T_n u_n and x_{n+1}: one apply and two
+    combs a step.  d_Tn, d_step and d_p are read from the x column, by the
+    family's ``images`` at n = 0, 1, ... and the model's ``pair_dists`` and
+    ``dists``; the loop runs in blocks of IMAGE_BLOCK rows and ``images``
+    maps each block once the loop has filled it.  A solver failure ends the
+    run at the first failing step, in step order, with T_n u_n before
+    T_n x_n: a failure in the loop ends it at its step, and one in
+    ``images``, which reports the rows it mapped before it, at the row it
+    failed on, when that comes first, so at most one block's steps run past
+    it.  The partial trajectory, whole rows only, is kept on the returned
+    object together with that failure's message.  An anchor, start point or
+    fixed point of another model or dimension raises GeometryError before
+    step 0.
     """
     if steps < 1:
         raise EngineError("steps must be >= 1")
     p = family.fixed_point
     space._require(u, x0, p)
     traj = Trajectory(space, family, bundle, u, x0, scenario_hash=scenario_hash)
-    add_x, add_u, add_Tu = traj.x.extend, traj.u.extend, traj.Tu.extend
-    add_Tn = traj.d_Tn.append
-    comb, dist, apply = space.comb, space.dist, family.apply
+    comb, apply = space.comb, family.apply
     beta, lam = bundle.beta, bundle.lam
-    x = x0
-    try:
-        for n in range(steps + 1):
-            beta_n, lam_n = beta(n), lam(n)
-            u_n = comb(u, x, beta_n)
-            Tu_n = apply(n, u_n)
-            x_next = comb(u_n, Tu_n, lam_n)
-            d_Tn = dist(x, apply(n, x))
-            # the row is appended only once every call of the step returned
-            add_x(x.data)
-            add_u(u_n.data)
-            add_Tu(Tu_n.data)
-            add_Tn(d_Tn)
-            x = x_next
-    except SolverFailure as exc:
-        traj.error = str(exc)
-    # row n's successor is row n + 1; the last row's is the x the loop ended
-    # on (x_{n+1}, or x_n when step n failed; no row when step 0 did)
-    successors = (traj.x + array("d", x.data))[traj.width:]
-    traj.d_step.extend(space.pair_dists(traj.x, successors))
+    w, x = traj.width, x0
+    for start in range(0, steps + 1, IMAGE_BLOCK):
+        # a block's coordinates go to lists, which take a tuple's floats
+        # faster than an array does, and then to the columns
+        xs, us, Tus = [], [], []
+        try:
+            for n in range(start, min(start + IMAGE_BLOCK, steps + 1)):
+                u_n = comb(u, x, beta(n))
+                Tu_n = apply(n, u_n)
+                x_next = comb(u_n, Tu_n, lam(n))
+                # the row is appended only once every call of the step returned
+                xs += x.data
+                us += u_n.data
+                Tus += Tu_n.data
+                x = x_next
+        except SolverFailure as exc:
+            traj.error = str(exc)
+        block = array("d", xs)
+        # the x the last row steps to: x_{n+1}, or x_n when step n failed
+        end = x.data
+        try:
+            images = family.images(block, range(start, start + len(block) // w))
+        except SolverFailure as exc:
+            # T_j x_j failed on row j, before any step after j: rows j on go,
+            # and row j - 1 steps to x_j
+            images, traj.error = exc.images, str(exc)
+            cut = len(images)
+            end = block[cut:cut + w]
+            del block[cut:], us[cut:], Tus[cut:]
+        traj.x.extend(block)
+        traj.u.fromlist(us)
+        traj.Tu.fromlist(Tus)
+        traj.d_Tn.extend(space.pair_dists(block, images))
+        if traj.error:
+            break
+    # row n's successor is row n + 1, and the last row's is end (no row when
+    # step 0 failed)
+    traj.d_step.extend(space.pair_dists(traj.x, (traj.x + array("d", end))[w:]))
     traj.d_p.extend(space.dists(traj.x, p))
     return traj
 

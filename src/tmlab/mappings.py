@@ -16,7 +16,6 @@ import random
 from array import array
 from functools import partial
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .geometry import (
@@ -52,14 +51,25 @@ class MappingFamily:
     def images(self, column, ns) -> array:
         """The column of T_{n_i} z_i for every row z_i of the coordinate
         column (the Trajectory layout) and its index n_i from the iterable
-        ns, one index a row: apply on each row's Point, rebuilt by the
-        model.  A column whose row count is not that of ns raises
-        GeometryError.  A subclass that changes apply changes this too, so
+        ns, one index a row.  This form applies the family to each row's
+        Point, rebuilt by the model, in row order; the identity, rotation,
+        projection and proximal families map the whole column by their
+        closed forms instead.  A column whose row count is not that
+        of ns raises GeometryError.  This form is the only one that meets a
+        SolverFailure: it raises it with ``images``, the column of the rows
+        before the failing one, set on it, so that its length tells the row
+        it stopped at.  A subclass that changes apply changes this too, so
         that the two give the same floats."""
         ns = list(ns)
         self.space._require_length(column, len(self.fixed_point.data) * len(ns))
-        return array("d", chain.from_iterable(
-            map(itemgetter(1), map(self.apply, ns, self.space.points(column)))))
+        out = array("d")
+        try:
+            for n, z in zip(ns, self.space.points(column)):
+                out.extend(self.apply(n, z).data)
+        except SolverFailure as exc:
+            exc.images = out
+            raise
+        return out
 
     def chi_T_fn(self, bundle, K: int, cap: Optional[int] = None) -> Callable[[int], int]:
         """Cauchy modulus for the series sum_n d(T_{n+1} u_n, T_n u_n).
@@ -82,6 +92,10 @@ class IdentityFamily(MappingFamily):
 
     def apply(self, n, x):
         return x
+
+    def images(self, column, ns):
+        self.space._require_length(column, len(self.fixed_point.data) * len(list(ns)))
+        return array("d", column)
 
 
 class ConstantFamily(MappingFamily):
@@ -138,6 +152,20 @@ class RotationFamily(MappingFamily):
         return tuple.__new__(Point, (x.kind, (a * self._cos - b * self._sin,
                                               a * self._sin + b * self._cos)))
 
+    def images(self, column, ns):
+        # apply's formula on the coordinate pairs, one output column at a time
+        self.space._require_length(column, 2 * len(list(ns)))
+        first, second, out = column[::2], column[1::2], array("d", column)
+        if self._on_tripod:
+            shift = self._shift
+            out[::2] = array("d", [(a + shift) % 3 if b != 0.0 else 0
+                                   for a, b in zip(first, second)])
+            return out
+        cos, sin = self._cos, self._sin
+        out[::2] = array("d", [a * cos - b * sin for a, b in zip(first, second)])
+        out[1::2] = array("d", [a * sin + b * cos for a, b in zip(first, second)])
+        return out
+
 
 class MetricProjectionFamily(MappingFamily):
     """Metric projection onto the closed geodesic ball of the given center
@@ -159,6 +187,16 @@ class MetricProjectionFamily(MappingFamily):
         if d <= self.radius:
             return x
         return self.space.comb(self.center, x, self.radius / d)
+
+    def images(self, column, ns):
+        # apply's distance test on the whole column; the rows outside the
+        # ball take apply's comb, on their Points
+        space, center, r = self.space, self.center, self.radius
+        space._require_length(column, len(center.data) * len(list(ns)))
+        comb = space.comb
+        return array("d", chain.from_iterable(
+            z.data if d <= r else comb(center, z, r / d).data
+            for z, d in zip(space.points(column), space.dists(column, center))))
 
 
 class ProximalFamily(MappingFamily):

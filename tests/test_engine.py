@@ -12,6 +12,7 @@ from test_geometry import RefEuclidean, RefTripod
 from tmlab import scenario as scenario_module
 from tmlab import verify as V
 from tmlab.engine import (
+    IMAGE_BLOCK,
     EngineError,
     Trajectory,
     TrajectoryRecord,
@@ -88,12 +89,13 @@ def test_solver_failure_recorded_not_raised():
     assert buf.getvalue() == reference_csv(traj)
 
     # a failure in apply(5, x_5), for d_Tn, after T_5 u_5 has returned:
-    # step 5 leaves no value in any column
+    # step 5 leaves no value in any column.  The loop applies T_n u_n for
+    # every step, and images then T_n x_n from row 0 up to the failing row
     fam = FailingSecondApply(space, RotationFamily(space, 1.0), step=5)
     traj = run(space, fam, preset("harmonic"),
                Point.euclidean(0, 0), Point.euclidean(1, 0), 50)
     assert traj.error == str(SolverFailure(1.0, 9, 2.0, 1.0))
-    assert fam.calls == [(n, i) for n in range(6) for i in (0, 1)]
+    assert fam.calls == [(n, 0) for n in range(51)] + [(n, 1) for n in range(6)]
     assert len(traj) == 5
     assert_whole_rows(traj)
     buf = io.StringIO()
@@ -101,22 +103,32 @@ def test_solver_failure_recorded_not_raised():
     assert buf.getvalue() == reference_csv(traj)
 
 
-class FailingSecondApply(MappingFamily):
-    """A base family whose second apply of one step, engine.run's apply(n, x)
-    for d_Tn, raises SolverFailure; records each call as (n, i)."""
+class FailingApplies(MappingFamily):
+    """A base family whose call i of step n raises failures[(n, i)]: call 0
+    is engine.run's T_n u_n, in its loop, and call 1 the T_n x_n for d_Tn,
+    made by images after the loop; records each call as (n, i)."""
+
+    def __init__(self, space, base, failures):
+        super().__init__(space, base.fixed_point)
+        self.base, self.failures, self.calls, self.counts = base, failures, [], {}
+
+    def apply(self, n, x):
+        i = self.counts[n] = self.counts.get(n, -1) + 1
+        self.calls.append((n, i))
+        if (n, i) in self.failures:
+            raise self.failures[n, i]
+        return self.base.apply(n, x)
+
+
+class FailingSecondApply(FailingApplies):
+    """The family whose second apply of one step, T_n x_n, raises
+    SolverFailure."""
 
     failing_call = 1
 
     def __init__(self, space, base, step):
-        super().__init__(space, base.fixed_point)
-        self.base, self.step, self.calls = base, step, []
-
-    def apply(self, n, x):
-        i = sum(1 for m, _ in self.calls if m == n)
-        self.calls.append((n, i))
-        if n == self.step and i == self.failing_call:
-            raise SolverFailure(1.0, 9, 2.0, 1.0)
-        return self.base.apply(n, x)
+        super().__init__(space, base,
+                         {(step, self.failing_call): SolverFailure(1.0, 9, 2.0, 1.0)})
 
 
 class FailingFirstApply(FailingSecondApply):
@@ -170,6 +182,77 @@ def test_d_step_of_a_failed_run_ends_at_the_x_of_the_failed_step(model, failing,
         last = ref[-1]
         x_n = space.comb(last.u, base.apply(last.n, last.u), bundle.lam(last.n))
         assert typed(traj.d_step[-1]) == typed(space.dist(last.x, x_n))
+
+
+X_FAILURE, U_FAILURE = SolverFailure(1.0, 9, 2.0, 1.0), SolverFailure(3.0, 4, 5.0, 3.0)
+
+
+@pytest.mark.parametrize("model", sorted(D_STEP_RUNS))
+@pytest.mark.parametrize("failures,rows,error", [
+    # T_4 x_4 fails, and the later T_9 u_9: step 4 comes first
+    ({(4, 1): X_FAILURE, (9, 0): U_FAILURE}, 4, X_FAILURE),
+    # T_0 x_0 fails before any later T_n u_n
+    ({(0, 1): X_FAILURE, (3, 0): U_FAILURE}, 0, X_FAILURE),
+    # T_6 u_6 and T_6 x_6 both fail: T_6 u_6 comes first in its step
+    ({(6, 0): U_FAILURE, (6, 1): X_FAILURE}, 6, U_FAILURE),
+], ids=["x-then-later-u", "x0-then-later-u", "u-and-x-of-one-step"])
+def test_the_first_failure_in_step_order_ends_the_run(model, failures, rows, error):
+    # the loop runs every T_n u_n before images runs any T_n x_n; the rows
+    # and the error are still those of the first failure in step order
+    space, u, x0 = D_STEP_RUNS[model]
+    bundle = preset("harmonic")
+    base = ProximalFamily(space, space.base_point(), bundle.gamma)
+    traj = run(space, FailingApplies(space, base, failures), bundle, u, x0, 60)
+    ref = reference_run(space, FailingApplies(space, base, failures), bundle, u, x0, 60)
+    assert traj.error == str(error)
+    assert len(traj) == len(ref) == rows
+    assert_whole_rows(traj)
+    assert typed(list(traj.records)) == typed(ref)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue() == reference_csv(traj)
+
+
+BLOCK_RUN = (Euclidean(2), preset("harmonic"), Point.euclidean(0, 0), Point.euclidean(1, 0),
+             3 * IMAGE_BLOCK)
+
+
+@pytest.mark.parametrize("failing", [FailingFirstApply, FailingSecondApply])
+@pytest.mark.parametrize("row", [5, IMAGE_BLOCK - 1, IMAGE_BLOCK, IMAGE_BLOCK + 5])
+def test_a_failure_lets_at_most_one_block_of_steps_run_past_it(failing, row):
+    # images maps each block of IMAGE_BLOCK rows once the loop has filled it,
+    # so after T_row x_row fails no step past the end of row's block runs,
+    # and after T_row u_row fails no step past row runs
+    space, bundle, u, x0, steps = BLOCK_RUN
+    fam = failing(space, RotationFamily(space, 1.0), step=row)
+    traj = run(space, fam, bundle, u, x0, steps)
+    # each block's T_n u_n, then its T_n x_n, up to the failing call
+    u_fails = failing.failing_call == 0
+    blocks = [range(start, start + IMAGE_BLOCK)
+              for start in range(0, row + 1, IMAGE_BLOCK)]
+    assert fam.calls == (
+        [(n, i) for block in blocks[:-1] for i in (0, 1) for n in block]
+        + [(n, 0) for n in blocks[-1] if not u_fails or n <= row]
+        + [(n, 1) for n in blocks[-1] if n < row or (n == row and not u_fails)]
+    )
+    assert traj.error == str(SolverFailure(1.0, 9, 2.0, 1.0))
+    ref = reference_run(space, failing(space, RotationFamily(space, 1.0), step=row),
+                        bundle, u, x0, steps)
+    assert len(traj) == len(ref) == row
+    assert_whole_rows(traj)
+    assert typed(list(traj.records)) == typed(ref)
+
+
+def test_a_run_crosses_the_blocks_unchanged():
+    # each block's T_n u_n, then its T_n x_n, and the rows of the reference
+    space, bundle, u, x0, steps = BLOCK_RUN
+    fam = FailingApplies(space, RotationFamily(space, 1.0), {})
+    traj = run(space, fam, bundle, u, x0, steps)
+    blocks = [range(start, min(start + IMAGE_BLOCK, steps + 1))
+              for start in range(0, steps + 1, IMAGE_BLOCK)]
+    assert fam.calls == [(n, i) for block in blocks for i in (0, 1) for n in block]
+    ref = reference_run(space, RotationFamily(space, 1.0), bundle, u, x0, steps)
+    assert typed(list(traj.records)) == typed(ref)
 
 
 def assert_whole_rows(traj):

@@ -342,9 +342,10 @@ def test_members_coincide_exactly_when_there_are_no_step_sizes(model, kind):
 @pytest.mark.parametrize("model", sorted(ORIGIN_TEXT))
 @pytest.mark.parametrize("kind", sorted(FAMILY_KEYS))
 def test_images_are_apply_on_each_row_to_the_bit(model, kind):
-    # a proximal family maps the column with its model's combs, and every
-    # other family applies itself to each row's Point; indices 0 and 1 are
-    # the least, where gamma_n changes most
+    # the identity, rotation, projection and proximal families map the
+    # column by their closed forms, and a constant family or a resolvent
+    # applies itself to each row's Point; indices 0 and 1 are the least,
+    # where gamma_n changes most
     fam = _family(model, kind)
     space, rng = fam.space, random.Random(7)
     rows = [space.sample(rng, r) for r in (0.0, 0.3, 1.0, 2.0, 5.0) for _ in range(4)]
@@ -358,6 +359,44 @@ def test_images_are_apply_on_each_row_to_the_bit(model, kind):
     want = [c for n, z in zip(ns, rows) for c in fam.apply(n, z).data]
     assert [float(c).hex() for c in got] == [float(c).hex() for c in want]
     assert fam.images(array("d"), []) == array("d")
+    # the edge rows one at a time, since a row whose apply raises makes the
+    # whole column's images raise
+    for z in edge_rows(space):
+        for n in (0, 1):
+            try:
+                want = fam.apply(n, z).data
+            except Exception as exc:
+                with pytest.raises(Exception) as info:
+                    fam.images(array("d", z.data), [n])
+                assert type(info.value) is type(exc), (z, n)
+            else:
+                got = fam.images(array("d", z.data), [n])
+                assert [c.hex() for c in got] == [float(c).hex() for c in want], (z, n)
+
+
+def edge_rows(space):
+    """-0.0 coordinates, a row at distance 0.5 (the FAMILY_KEYS radius) from
+    the origin (the FAMILY_KEYS center) and the origin itself, and rows with
+    a NaN and an infinite coordinate (on the tripod, its arm)."""
+    nan, inf = math.nan, math.inf
+    if isinstance(space, Tripod):
+        return [Point("tripod", (0, -0.0)), Point("tripod", (1, 0.5)), Point("tripod", (0, 0.0)),
+                Point("tripod", (1, nan)), Point("tripod", (2, inf))]
+    if isinstance(space, PoincareDisk):
+        # the first float up from 9 ulps below tanh(0.25) whose distance to
+        # the origin is 0.5
+        c = math.tanh(0.25)
+        for _ in range(9):
+            c = math.nextafter(c, 0.0)
+        while space.dist(Point("disk", (0.0, c)), space.base_point()) != 0.5:
+            c = math.nextafter(c, 1.0)
+        on_sphere = Point("disk", (0.0, c))
+    else:
+        on_sphere = Point("euclidean", (0.0, -0.5))
+    kind = space.kind
+    return [Point(kind, (-0.0, -0.0)), Point(kind, (-0.0, 0.25)), on_sphere,
+            Point(kind, (0.0, 0.0)), Point(kind, (nan, 0.1)), Point(kind, (0.2, inf)),
+            Point(kind, (-inf, 0.0))]
 
 
 @pytest.mark.parametrize("model", sorted(ORIGIN_TEXT))

@@ -521,7 +521,11 @@ def test_chi_T_series_skips_a_modulus_past_its_cap():
 
 
 class CountingRotationPerRow(CountingRotation):
+    """The same maps, undeclared as coinciding, whose images apply T_n to
+    each row's Point."""
+
     members_coincide = False
+    images = MappingFamily.images
 
 
 class CountingProximal(ProximalFamily):
