@@ -233,13 +233,16 @@ class SpaceModel:
         )
 
     # -- column kernels -----------------------------------------------------
-    # dists, pair_dists, combs and quasilins read flat coordinate columns,
-    # the layout Trajectory stores (a point's data a row; a tripod row is its
-    # leg, then its arm length), and build no Point.  Each gives, to the
-    # bit, what dist(z, p), dist(z, w), comb(z, p, lam) and
-    # quasilin(x, u, x, z) give on the rows' Points z and w; p, x and u are
-    # checked once, and a second column, lams or dxz of the wrong length
-    # raises.  A subclass that changes dist or comb changes these too.
+    # dists, pair_dists, combs, pair_combs, quasilins and pair_quasilins
+    # read flat coordinate columns (sequences of floats), the layout
+    # Trajectory stores (a point's data a row; a tripod row is its leg,
+    # then its arm length), and build no Point.  Each gives, to the bit,
+    # what dist(z, p), dist(z, w), comb(z, p, lam), comb(z, w, lam),
+    # quasilin(x, u, x, z) and quasilin(z, w, s, t) give on the rows'
+    # Points; p, x and u are checked once, and a second column, lams or dxz
+    # of the wrong length raises.  A subclass that changes dist or comb
+    # changes these too; one that changes comb alone may take the
+    # reference form, pair_combs = SpaceModel.pair_combs.
 
     def points(self, column) -> Iterator[Point]:
         """The Points of the column's rows, each built as the iterator
@@ -260,6 +263,27 @@ class SpaceModel:
         """The column of comb(z, p, lam) for every row z of the column and
         its lam in the sequence lams, which has one lam a row."""
         raise NotImplementedError
+
+    def pair_combs(self, a, b, lams) -> list:
+        """The coordinates of comb(z, w, lam), row after row, for every row
+        z of column a, the row w of column b at the same index and its lam
+        in lams.  This reference form calls comb on the rows' Points, built
+        by points; the shipped models override it with their native form."""
+        self._require_length(b, len(a))
+        rows = list(self.points(a))
+        self._require_length(lams, len(rows))
+        out, comb = [], self.comb
+        for z, w, lam in zip(rows, self.points(b), lams):
+            out += comb(z, w, lam).data
+        return out
+
+    def pair_quasilins(self, x, y, u, v) -> list:
+        """quasilin(z, w, s, t) for the rows z, w, s and t of columns x, y,
+        u and v at each index: quasilin_from_distances written out on the
+        four pair_dists columns quasilin's distances come from."""
+        return [0.5 * (a * a + b * b - c * c - d * d)
+                for a, b, c, d in zip(self.pair_dists(x, v), self.pair_dists(y, u),
+                                      self.pair_dists(x, u), self.pair_dists(y, v))]
 
     def quasilins(self, column, x: Point, u: Point, dxz) -> list:
         """<xu, xz> for every row z of the column and its d(x, z) in dxz, as
@@ -404,9 +428,42 @@ class Euclidean(SpaceModel):
         if self.dim == 2:
             return [sqrt((a0 - b0) ** 2 + (a1 - b1) ** 2)
                     for a0, a1, b0, b1 in zip(a[::2], a[1::2], b[::2], b[1::2])]
+        if self.dim == 3:
+            # dist's 3-D branch: a sum over a tuple, no comprehension frame
+            return [sqrt(sum(((a0 - b0) ** 2, (a1 - b1) ** 2, (a2 - b2) ** 2)))
+                    for a0, a1, a2, b0, b1, b2 in zip(a[::3], a[1::3], a[2::3],
+                                                      b[::3], b[1::3], b[2::3])]
         n = self.dim
         return [sqrt(sum([(c - d) ** 2 for c, d in zip(r, s)]))
                 for r, s in zip(zip(*[iter(a)] * n), zip(*[iter(b)] * n))]
+
+    def pair_combs(self, a, b, lams) -> list:
+        self._require_length(b, len(a))
+        self._require_length(a, self.dim * len(lams))
+        for lam in lams:
+            if not 0.0 <= lam <= 1.0:
+                self._check_lambda(lam)
+        # comb's formula, one coordinate column at a time, 1 - lam once a row
+        n, out = self.dim, list(a)
+        mus = [1.0 - lam for lam in lams]
+        for i in range(n):
+            out[i::n] = [mu * c + lam * d for c, d, mu, lam in zip(a[i::n], b[i::n], mus, lams)]
+        return out
+
+    def pair_quasilins(self, x, y, u, v) -> list:
+        # quasilin's dot product (w - z) . (t - s) on each row
+        for column in (y, u, v):
+            self._require_length(column, len(x))
+        n = self.dim
+        if n == 3:
+            # a sum over a tuple, as in quasilin
+            return [sum(((b0 - a0) * (d0 - c0), (b1 - a1) * (d1 - c1), (b2 - a2) * (d2 - c2)))
+                    for a0, a1, a2, b0, b1, b2, c0, c1, c2, d0, d1, d2 in zip(
+                        x[::3], x[1::3], x[2::3], y[::3], y[1::3], y[2::3],
+                        u[::3], u[1::3], u[2::3], v[::3], v[1::3], v[2::3])]
+        x, y, u, v = (zip(*[iter(column)] * n) for column in (x, y, u, v))
+        return [sum([(b - a) * (d - c) for a, b, c, d in zip(r, s, t, w)])
+                for r, s, t, w in zip(x, y, u, v)]
 
     def combs(self, column, p: Point, lams) -> array:
         self._require(p)
@@ -542,6 +599,25 @@ class PoincareDisk(SpaceModel):
             out += (zx.real, zx.imag)
         return array("d", out)
 
+    def pair_combs(self, a, b, lams) -> list:
+        # combs' steps, each row with its own y
+        self._require_length(b, len(a))
+        self._require_length(a, 2 * len(lams))
+        atanh, tanh = math.atanh, math.tanh
+        out = []
+        for zx, zy, lam in zip(map(complex, a[::2], a[1::2]),
+                               map(complex, b[::2], b[1::2]), lams):
+            if not 0.0 <= lam <= 1.0:
+                self._check_lambda(lam)
+            czx = zx.conjugate()
+            w = (zy - zx) / (1.0 - czx * zy)
+            r = abs(w)
+            if r != 0.0:
+                w2 = w / r * tanh(0.5 * lam * (2.0 * atanh(r)))
+                zx = (w2 + zx) / (1.0 + czx * w2)
+            out += (zx.real, zx.imag)
+        return out
+
     def comb(self, x: Point, y: Point, lam: float) -> Point:
         # Moebius-translate x to the origin, walk along the resulting
         # diameter by lam times the hyperbolic distance, translate back
@@ -676,6 +752,30 @@ class Tripod(SpaceModel):
             out += (leg, s)
         return array("d", out)
 
+    def pair_combs(self, a, b, lams) -> list:
+        # combs' steps, each row with its own y
+        self._require_length(b, len(a))
+        self._require_length(a, 2 * len(lams))
+        inf, out = math.inf, []
+        for lx, sx, ly, sy, lam in zip(a[::2], a[1::2], b[::2], b[1::2], lams):
+            if not 0.0 <= lam <= 1.0:
+                self._check_lambda(lam)
+            if lx == ly or sx == 0.0 or sy == 0.0:
+                leg = ly if sx == 0.0 else lx
+                s = (1.0 - lam) * sx + lam * sy
+            else:
+                delta = lam * (sx + sy)
+                if delta <= sx:
+                    leg, s = lx, sx - delta
+                else:
+                    leg, s = ly, delta - sx
+            if s == 0.0:
+                leg = 0
+            elif not 0.0 < s < inf:
+                raise GeometryError(_TRIPOD_LENGTH)
+            out += (leg, s)
+        return out
+
     def comb(self, x: Point, y: Point, lam: float) -> Point:
         if x.kind != "tripod" or y.kind != "tripod":
             self._require(x, y)
@@ -762,7 +862,37 @@ def make_model(kind: str, dim: int = 2) -> SpaceModel:
 
 # ---------------------------------------------------------------------------
 # Axiom checkers
+#
+# Each checker draws its samples in blocks of SAMPLE_BLOCK, with the rng
+# calls of one sample at a time, into one coordinate column per variable.
+# It computes each axiom's residuals on a block as a column, through the
+# model's pair kernels, and notes it with note_rows; a kept row's
+# worst_case_inputs are rebuilt from the columns.  Memory is one block's.
 # ---------------------------------------------------------------------------
+
+SAMPLE_BLOCK = 1024
+
+
+def _blocks(count: int) -> Iterator[int]:
+    """The sizes of the blocks that draw count samples in order."""
+    for start in range(0, count, SAMPLE_BLOCK):
+        yield min(SAMPLE_BLOCK, count - start)
+
+
+def _sample_inputs(space: SpaceModel, rows: int, points: dict, scalars: dict):
+    """note_rows' inputs for a block of rows samples: row n's entry of
+    every column, under its key, in the order of points and then scalars;
+    a point's data is rebuilt from its coordinate column by space.points
+    (a tripod leg as an int)."""
+    def inputs(n, _column):
+        desc = {}
+        for key, column in points.items():
+            width = len(column) // rows
+            desc[key] = next(space.points(column[n * width:(n + 1) * width])).data
+        for key, column in scalars.items():
+            desc[key] = column[n]
+        return desc
+    return inputs
 
 
 def check_w_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
@@ -771,22 +901,29 @@ def check_w_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     rng = random.Random(spec.seed)
     reports = [AxiomReport(name, spec.count, tol=tol) for name in ("W1", "W2", "W3", "W4")]
     w1, w2, w3, w4 = reports
-    R = spec.radius
-    for _ in range(spec.count):
-        x, y, z, w = (space.sample(rng, R) for _ in range(4))
-        lam, theta = rng.random(), rng.random()
-        desc = {
-            "x": x.data, "y": y.data, "z": z.data, "w": w.data,
-            "lambda": lam, "theta": theta,
-        }
-        cxy = space.comb(x, y, lam)
-        w1.note(space.dist(z, cxy)
-                - ((1 - lam) * space.dist(z, x) + lam * space.dist(z, y)), desc)
-        w2.note(abs(space.dist(cxy, space.comb(x, y, theta))
-                    - abs(lam - theta) * space.dist(x, y)), desc)
-        w3.note(space.dist(cxy, space.comb(y, x, 1.0 - lam)), desc)
-        w4.note(space.dist(space.comb(x, z, lam), space.comb(y, w, lam))
-                - ((1 - lam) * space.dist(x, y) + lam * space.dist(z, w)), desc)
+    R, sample, draw = spec.radius, space.sample, rng.random
+    pair_combs, pair_dists = space.pair_combs, space.pair_dists
+    for rows in _blocks(spec.count):
+        xs, ys, zs, ws, lams, thetas = [], [], [], [], [], []
+        for _ in range(rows):
+            xs += sample(rng, R).data
+            ys += sample(rng, R).data
+            zs += sample(rng, R).data
+            ws += sample(rng, R).data
+            lams.append(draw())
+            thetas.append(draw())
+        inputs = _sample_inputs(space, rows, {"x": xs, "y": ys, "z": zs, "w": ws},
+                                {"lambda": lams, "theta": thetas})
+        cxy, dxy = pair_combs(xs, ys, lams), pair_dists(xs, ys)
+        w1.note_rows([[a - ((1 - lam) * b + lam * c) for a, b, c, lam in zip(
+            pair_dists(zs, cxy), pair_dists(zs, xs), pair_dists(zs, ys), lams)]], inputs)
+        w2.note_rows([[abs(a - abs(lam - theta) * b) for a, b, lam, theta in zip(
+            pair_dists(cxy, pair_combs(xs, ys, thetas)), dxy, lams, thetas)]], inputs)
+        w3.note_rows([pair_dists(cxy, pair_combs(ys, xs, [1.0 - lam for lam in lams]))],
+                     inputs)
+        w4.note_rows([[a - ((1 - lam) * b + lam * c) for a, b, c, lam in zip(
+            pair_dists(pair_combs(xs, zs, lams), pair_combs(ys, ws, lams)), dxy,
+            pair_dists(zs, ws), lams)]], inputs)
     return reports
 
 
@@ -799,42 +936,56 @@ def check_cn(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     rng = random.Random(spec.seed)
     minus, plus, eq = (AxiomReport(name, spec.count, tol=tol)
                        for name in ("CN-", "CN+", "CN- equality"))
-    R = spec.radius
-    dist = space.dist
-    for _ in range(spec.count):
-        x, y, z = (space.sample(rng, R) for _ in range(3))
-        lam = rng.random()
-        desc = {"x": x.data, "y": y.data, "z": z.data, "lambda": lam}
-        m = space.midpoint(x, y)
-        d2_zx, d2_zy, d2_xy = dist(z, x) ** 2, dist(z, y) ** 2, dist(x, y) ** 2
-        res_minus = dist(z, m) ** 2 - (0.5 * d2_zx + 0.5 * d2_zy - 0.25 * d2_xy)
-        minus.note(res_minus, desc)
-        eq.note(abs(res_minus), desc)
-        c = space.comb(x, y, lam)
-        plus.note(dist(z, c) ** 2 - (
-            (1 - lam) * d2_zx + lam * d2_zy - lam * (1 - lam) * d2_xy
-        ), desc)
-    return [minus, plus, eq] if space.kind == "euclidean" else [minus, plus]
+    flat = space.kind == "euclidean"
+    R, sample, draw = spec.radius, space.sample, rng.random
+    pair_combs, pair_dists = space.pair_combs, space.pair_dists
+    for rows in _blocks(spec.count):
+        xs, ys, zs, lams = [], [], [], []
+        for _ in range(rows):
+            xs += sample(rng, R).data
+            ys += sample(rng, R).data
+            zs += sample(rng, R).data
+            lams.append(draw())
+        inputs = _sample_inputs(space, rows, {"x": xs, "y": ys, "z": zs}, {"lambda": lams})
+        d2_zx = [d ** 2 for d in pair_dists(zs, xs)]
+        d2_zy = [d ** 2 for d in pair_dists(zs, ys)]
+        d2_xy = [d ** 2 for d in pair_dists(xs, ys)]
+        res_minus = [d ** 2 - (0.5 * a + 0.5 * b - 0.25 * c) for d, a, b, c in zip(
+            pair_dists(zs, pair_combs(xs, ys, [0.5] * rows)), d2_zx, d2_zy, d2_xy)]
+        minus.note_rows([res_minus], inputs)
+        if flat:
+            eq.note_rows([[abs(v) for v in res_minus]], inputs)
+        plus.note_rows([[d ** 2 - ((1 - lam) * a + lam * b - lam * (1 - lam) * c)
+                         for d, a, b, c, lam in zip(
+                             pair_dists(zs, pair_combs(xs, ys, lams)), d2_zx, d2_zy, d2_xy,
+                             lams)]], inputs)
+    return [minus, plus, eq] if flat else [minus, plus]
 
 
 def check_uniform_convexity(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     """Sample (r, a, x, y) with x, y in the ball of radius r around a and
-    check d(a, midpoint) <= (1 - eps^2/8) r for eps = d(x, y)/r."""
+    check d(a, midpoint) <= (1 - eps^2/8) r for eps = d(x, y)/r.  A sample
+    with eps > 2, which cannot occur inside the ball, is skipped (its
+    residual is -inf, which no report keeps)."""
     rng = random.Random(spec.seed)
     report = AxiomReport("uniform convexity eps^2/8", spec.count, tol=tol)
-    R = spec.radius
-    for _ in range(spec.count):
-        a = space.sample(rng, R)
-        r = rng.uniform(0.05 * R, R)
-        x = space.sample_near(rng, a, r)
-        y = space.sample_near(rng, a, r)
-        dxy = space.dist(x, y)
-        eps = dxy / r
-        if eps > 2.0:
-            continue  # cannot happen inside the ball; numerical safety
-        m = space.midpoint(x, y)
-        report.note(space.dist(a, m) - (1.0 - eps * eps / 8.0) * r,
-                    {"a": a.data, "x": x.data, "y": y.data, "r": r, "eps": eps})
+    R, sample, sample_near, uniform = spec.radius, space.sample, space.sample_near, rng.uniform
+    pair_combs, pair_dists = space.pair_combs, space.pair_dists
+    for rows in _blocks(spec.count):
+        as_, xs, ys, rs = [], [], [], []
+        for _ in range(rows):
+            a = sample(rng, R)
+            r = uniform(0.05 * R, R)
+            as_ += a.data
+            xs += sample_near(rng, a, r).data
+            ys += sample_near(rng, a, r).data
+            rs.append(r)
+        eps = [d / r for d, r in zip(pair_dists(xs, ys), rs)]
+        report.note_rows([[-math.inf if e > 2.0 else d - (1.0 - e * e / 8.0) * r
+                           for d, e, r in zip(
+                               pair_dists(as_, pair_combs(xs, ys, [0.5] * rows)), eps, rs)]],
+                         _sample_inputs(space, rows, {"a": as_, "x": xs, "y": ys},
+                                        {"r": rs, "eps": eps}))
     return [report]
 
 
@@ -846,17 +997,25 @@ def check_quasilin_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9
                for name in ("ql-square", "ql-symmetry", "ql-antisymmetry",
                             "ql-additivity", "cauchy-schwarz")]
     square, symmetry, antisymmetry, additivity, cauchy_schwarz = reports
-    R = spec.radius
-    ql, dist = space.quasilin, space.dist
-    for _ in range(spec.count):
-        x, y, u, v, w = (space.sample(rng, R) for _ in range(5))
-        desc = {"x": x.data, "y": y.data, "u": u.data, "v": v.data, "w": w.data}
-        q, dxy = ql(x, y, u, v), dist(x, y)
-        square.note(abs(ql(x, y, x, y) - dxy ** 2), desc)
-        symmetry.note(abs(q - ql(u, v, x, y)), desc)
-        antisymmetry.note(abs(q + ql(y, x, u, v)), desc)
-        additivity.note(abs(q + ql(x, y, v, w) - ql(x, y, u, w)), desc)
-        cauchy_schwarz.note(q - dxy * dist(u, v), desc)
+    R, sample = spec.radius, space.sample
+    ql, pair_dists = space.pair_quasilins, space.pair_dists
+    for rows in _blocks(spec.count):
+        xs, ys, us, vs, ws = [], [], [], [], []
+        for _ in range(rows):
+            xs += sample(rng, R).data
+            ys += sample(rng, R).data
+            us += sample(rng, R).data
+            vs += sample(rng, R).data
+            ws += sample(rng, R).data
+        inputs = _sample_inputs(space, rows, {"x": xs, "y": ys, "u": us, "v": vs, "w": ws}, {})
+        q, dxy = ql(xs, ys, us, vs), pair_dists(xs, ys)
+        square.note_rows([[abs(a - d ** 2) for a, d in zip(ql(xs, ys, xs, ys), dxy)]], inputs)
+        symmetry.note_rows([[abs(a - b) for a, b in zip(q, ql(us, vs, xs, ys))]], inputs)
+        antisymmetry.note_rows([[abs(a + b) for a, b in zip(q, ql(ys, xs, us, vs))]], inputs)
+        additivity.note_rows([[abs(a + b - c) for a, b, c in zip(
+            q, ql(xs, ys, vs, ws), ql(xs, ys, us, ws))]], inputs)
+        cauchy_schwarz.note_rows([[a - d * e for a, d, e in zip(q, dxy, pair_dists(us, vs))]],
+                                 inputs)
     return reports
 
 

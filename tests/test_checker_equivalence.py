@@ -24,6 +24,7 @@ from tmlab.engine import (EngineError, Trajectory, check_boundedness,
 from tmlab.geometry import (
     _TRIPOD_LENGTH,
     DISK_MARGIN,
+    SAMPLE_BLOCK,
     AxiomReport,
     Euclidean,
     GeometryError,
@@ -756,6 +757,16 @@ GEOMETRY_CHECKERS = [
 def test_geometry_checkers_match_reference(kind, seed):
     model = make_model(kind, 3)
     spec = SampleSpec(seed=seed, count=400)
+    for check, ref in GEOMETRY_CHECKERS:
+        same(check(model, spec), ref(model, spec))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "disk", "tripod"])
+@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2500])
+def test_geometry_checkers_match_reference_in_blocks(kind, count):
+    # one sample, one whole block, a block and one sample, and three blocks
+    model = make_model(kind, 3)
+    spec = SampleSpec(seed=0, count=count)
     for check, ref in GEOMETRY_CHECKERS:
         same(check(model, spec), ref(model, spec))
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_geometry import NaNComb
 from tmlab import cli
 from tmlab.cli import main
-from tmlab.geometry import Euclidean
+from tmlab.geometry import Euclidean, SpaceModel
 from tmlab.scenario import FIELDS, _point, parse_config_text
 
 IDENTITY_CFG = """
@@ -163,6 +163,8 @@ def test_verify_geometry_report(runner, tmp_path):
 
 class BrokenModel(Euclidean):
     """A non-geodesic combination that violates the convexity axioms."""
+
+    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls comb
 
     def comb(self, x, y, lam):
         return x if lam < 1.0 else y

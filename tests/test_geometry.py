@@ -3,6 +3,8 @@
 import math
 import random
 import struct
+import sys
+import tracemalloc
 from array import array
 from functools import partial
 
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import geometry_report
 from tmlab.geometry import (
     _TRIPOD_LENGTH,
     DISK_MARGIN,
+    SAMPLE_BLOCK,
     AxiomReport,
     Euclidean,
     GeometryError,
@@ -458,15 +462,18 @@ def test_a_rotation_of_another_model_goes_through_apply():
 # ---------------------------------------------------------------------------
 # The column kernels
 #
-# dists(column, p), pair_dists(a, b), combs(column, p, lams) and
-# quasilins(column, x, u, dxz) on flat coordinate columns against dist(z, p),
-# dist(z, w), comb(z, p, lam) and quasilin(x, u, x, z) on the rows' Points
-# z and w: the same floats to the bit (every nan one outcome), or an error.
-# dxz is the column of d(x, z) that dists(column, x) gives.
+# dists(column, p), pair_dists(a, b), combs(column, p, lams),
+# pair_combs(a, b, lams), quasilins(column, x, u, dxz) and
+# pair_quasilins(a, b, c, d) on flat coordinate columns against dist(z, p),
+# dist(z, w), comb(z, p, lam), comb(z, w, lam), quasilin(x, u, x, z) and
+# quasilin(z, w, s, t) on the rows' Points z, w, s and t: the same floats to
+# the bit (every nan one outcome), or an error.  dxz is the column of
+# d(x, z) that dists(column, x) gives.
 # ---------------------------------------------------------------------------
 
 COLUMN_MODELS = {"euclidean1": Euclidean(1), "euclidean2": Euclidean(2),
-                 "euclidean3": Euclidean(3), "disk": PoincareDisk(), "tripod": Tripod()}
+                 "euclidean3": Euclidean(3), "euclidean4": Euclidean(4),
+                 "disk": PoincareDisk(), "tripod": Tripod()}
 
 
 def _euclidean_points(dim):
@@ -487,7 +494,7 @@ def _tripod_point(leg, s):
 
 
 COLUMN_POINTS = {
-    **{f"euclidean{d}": _euclidean_points(d) for d in (1, 2, 3)},
+    **{f"euclidean{d}": _euclidean_points(d) for d in (1, 2, 3, 4)},
     # near the margin, where dist may raise from atanh, and anywhere inside
     "disk": st.builds(_disk_point,
                       st.sampled_from([DISK_MARGIN, 2e-12, 1e-9, 1e-6]) | st.floats(1e-12, 1.0),
@@ -514,6 +521,15 @@ def _values(call):
         return "raised"
 
 
+def _hexes(call):
+    """Each value of a kernel's list as float.hex (every nan is "nan"), or
+    the type of the error it raises."""
+    try:
+        return [float(v).hex() for v in call()]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize("model", sorted(COLUMN_MODELS))
 @settings(max_examples=150, deadline=None)
 @given(st.data())
@@ -523,8 +539,9 @@ def test_column_kernels_are_bitwise_dist_and_quasilin(model, data):
     # p, x and u are sometimes a row, so that a row equals them
     fixed = point | st.sampled_from(rows) if rows else point
     p, x, u = data.draw(fixed), data.draw(fixed), data.draw(fixed)
-    # the second column's rows, and a lam a row, the ends of [0, 1] included
-    others = data.draw(st.lists(fixed, min_size=len(rows), max_size=len(rows)))
+    # the other columns' rows, and a lam a row, the ends of [0, 1] included
+    others, thirds, fourths = (
+        data.draw(st.lists(fixed, min_size=len(rows), max_size=len(rows))) for _ in range(3))
     lams = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                               min_size=len(rows), max_size=len(rows)))
     column, other = _column(rows), _column(others)
@@ -534,6 +551,15 @@ def test_column_kernels_are_bitwise_dist_and_quasilin(model, data):
         lambda: [space.dist(z, w) for z, w in zip(rows, others)])
     assert _values(lambda: space.combs(column, p, lams)) == _values(
         lambda: [c for z, lam in zip(rows, lams) for c in space.comb(z, p, lam).data])
+    # the pair kernels raise the error type the Point method raises, and
+    # the reference pair_combs, which calls comb, gives the native floats
+    want = _hexes(lambda: [c for z, w, lam in zip(rows, others, lams)
+                           for c in space.comb(z, w, lam).data])
+    assert _hexes(lambda: space.pair_combs(column, other, lams)) == want
+    assert _hexes(lambda: SpaceModel.pair_combs(space, column, other, lams)) == want
+    assert _hexes(lambda: space.pair_quasilins(column, other, _column(thirds),
+                                               _column(fourths))) == _hexes(
+        lambda: [space.quasilin(z, w, s, t) for z, w, s, t in zip(rows, others, thirds, fourths)])
     want = _values(lambda: [space.quasilin(x, u, x, z) for z in rows])
     try:
         dxz = space.dists(column, x)
@@ -572,9 +598,29 @@ def test_column_kernels_reject_a_foreign_point(kind):
                  lambda: sp.quasilins(column, x, y, dxz[:1]),
                  lambda: sp.quasilins(column, x, y, dxz + [0.0]),
                  lambda: sp.quasilins(array("d"), x, y, [0.0]),
-                 lambda: sp.quasilins(array("d"), foreign, y, [])):
+                 lambda: sp.quasilins(array("d"), foreign, y, []),
+                 # the pair kernels: a column of another length in any
+                 # position, or lams one too few or too many
+                 lambda: sp.pair_combs(column, column[:-1], [0.5, 0.5]),
+                 lambda: sp.pair_combs(column[:-1], column, [0.5, 0.5]),
+                 lambda: sp.pair_combs(column, column, [0.5]),
+                 lambda: sp.pair_combs(column, column, [0.5] * 3),
+                 lambda: SpaceModel.pair_combs(sp, column, column[:-1], [0.5, 0.5]),
+                 lambda: SpaceModel.pair_combs(sp, column, column, [0.5]),
+                 lambda: SpaceModel.pair_combs(sp, column, column, [0.5] * 3),
+                 *[lambda i=i: sp.pair_quasilins(
+                     *[column[:-1] if j == i else column for j in range(4)])
+                   for i in range(4)]):
         with pytest.raises(GeometryError):
             call()
+    # a lam outside [0, 1] raises the error comb raises, from either form
+    for lam in (-0.5, 1.5, math.nan):
+        with pytest.raises(GeometryError) as want:
+            sp.comb(x, y, lam)
+        for pair_combs in (sp.pair_combs, partial(SpaceModel.pair_combs, sp)):
+            with pytest.raises(GeometryError) as got:
+                pair_combs(column, column, [0.5, lam])
+            assert str(got.value) == str(want.value)
     if kind == "euclidean":
         p3 = Point.euclidean(1, 2, 3)
         for call in (lambda: sp.dists(column, p3), lambda: sp.quasilins(column, p3, x, dxz),
@@ -762,6 +808,8 @@ def test_curved_models_have_no_equality_claim():
 
 def test_broken_comb_is_detected():
     class Broken(Euclidean):
+        pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls comb
+
         def comb(self, x, y, lam):
             return x if lam < 1.0 else y
 
@@ -858,6 +906,8 @@ def test_note_rows_equals_note_in_row_order(columns, start, as_arrays, with_inpu
 class NaNComb(Euclidean):
     """A combination whose coordinates are NaN."""
 
+    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls comb
+
     def comb(self, x, y, lam):
         return Point("euclidean", (math.nan,) * self.dim)
 
@@ -871,3 +921,96 @@ def test_a_nan_violation_fails_the_check():
         assert reps[name].worst_case_inputs is not None, name
     # quasilinearization reads distances only, so it still passes
     assert reps["ql-square"].passed
+
+
+class LateNaNComb(Euclidean):
+    """A combination that is NaN on the points drawn from draw ``start``
+    on, and geodesic before: a checker that draws k points a sample and
+    is given start = k * n sees its first NaN at sample n."""
+
+    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls comb
+
+    def __init__(self, start):
+        super().__init__(2)
+        self.start, self.drawn = start, {}
+
+    def sample_near(self, rng, center, radius):
+        p = super().sample_near(rng, center, radius)
+        self.drawn[p.data] = len(self.drawn)
+        return p
+
+    def comb(self, x, y, lam):
+        if self.drawn[x.data] >= self.start:
+            return Point("euclidean", (math.nan, math.nan))
+        return super().comb(x, y, lam)
+
+
+def _drawn_inputs(check, space, spec, n):
+    """The inputs of sample n of check, drawn as the checker draws them, one
+    sample at a time."""
+    rng, R = random.Random(spec.seed), spec.radius
+    for _ in range(n + 1):
+        if check is check_uniform_convexity:
+            a = space.sample(rng, R)
+            r = rng.uniform(0.05 * R, R)
+            x, y = space.sample_near(rng, a, r), space.sample_near(rng, a, r)
+            desc = {"a": a.data, "x": x.data, "y": y.data, "r": r,
+                    "eps": space.dist(x, y) / r}
+        else:
+            desc = {key: space.sample(rng, R).data
+                    for key in ("x", "y", "z", "w")[:4 if check is check_w_axioms else 3]}
+            desc["lambda"] = rng.random()
+            if check is check_w_axioms:
+                desc["theta"] = rng.random()
+    return desc
+
+
+@pytest.mark.parametrize("check, per_sample", [(check_w_axioms, 4), (check_cn, 3),
+                                               (check_uniform_convexity, 3)],
+                         ids=["w-axioms", "cn", "uniform-convexity"])
+def test_a_nan_in_a_later_block_names_its_first_sample(check, per_sample):
+    # the first NaN is sample 1,100, in the second block of 2,500 samples
+    spec = SampleSpec(seed=3, count=2500)
+    model = LateNaNComb(per_sample * 1100)
+    reps = check(model, spec)
+    want = _drawn_inputs(check, Euclidean(2), spec, 1100)
+    for rep in reps:
+        assert math.isnan(rep.max_violation) and not rep.passed, rep.axiom
+        assert list(rep.worst_case_inputs.items()) == list(want.items()), rep.axiom
+
+
+def test_geometry_checkers_hold_one_block_of_samples():
+    # the peak is one block's columns, whatever the sample count
+    def peak(count):
+        tracemalloc.start()
+        try:
+            run_all_geometry_checks(Tripod(), SampleSpec(seed=0, count=count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4096) < 1.5 * peak(1024)
+
+
+# The sha256 of tests/geometry_report.py's report bytes, recorded with the
+# per-sample checkers these block checkers replaced, on Python 3.10.13 and
+# 3.11.7 (False) and on 3.12.1 and 3.13.0 (True): from 3.12 on float sum
+# is compensated, and the Euclidean(3) sums give other last bits.
+GEOMETRY_REPORT_SHA256 = {
+    False: {
+        (0, 400): "3750efe382b497793f71ab881e568b39d4d39b2756310a2a3704d181f8f1cbdc",
+        (1, 400): "ef5d1d46afea1b6696cc7bcd441e5e14f22993ff6869b84685b39f6ac929c7f4",
+        (0, 2500): "631e2b6605ae4adfa92e357045ffce6e79c171ee3c839b550d4ed44f03eecbf1",
+    },
+    True: {
+        (0, 400): "93d0247bf0c8fbddbb52f8983e5267c3994d387b40520577919deb38da1f2a65",
+        (1, 400): "ce5f10ef564d7609c0cc8ad7803085b42e7928edbf11f1092d9dfa342f0571b3",
+        (0, 2500): "fa795b3dcca2863b36fa4c50b2e63be2403995960357e9dd8d7d82fc1c49425c",
+    },
+}
+
+
+@pytest.mark.parametrize("seed, samples", geometry_report.PINNED)
+def test_geometry_report_bytes_are_pinned(seed, samples):
+    pins = GEOMETRY_REPORT_SHA256[sys.version_info >= (3, 12)]
+    assert geometry_report.digest(seed, samples) == pins[seed, samples]
