@@ -233,16 +233,18 @@ class SpaceModel:
         )
 
     # -- column kernels -----------------------------------------------------
-    # dists, pair_dists, combs, pair_combs, quasilins and pair_quasilins
-    # read flat coordinate columns (sequences of floats), the layout
-    # Trajectory stores (a point's data a row; a tripod row is its leg,
-    # then its arm length), and build no Point.  Each gives, to the bit,
-    # what dist(z, p), dist(z, w), comb(z, p, lam), comb(z, w, lam),
-    # quasilin(x, u, x, z) and quasilin(z, w, s, t) give on the rows'
-    # Points; p, x and u are checked once, and a second column, lams or dxz
-    # of the wrong length raises.  A subclass that changes dist or comb
-    # changes these too; one that changes comb alone may take the
-    # reference form, pair_combs = SpaceModel.pair_combs.
+    # dists, pair_dists, combs, pair_combs and quasilins read flat
+    # coordinate columns (sequences of floats), the layout Trajectory stores
+    # (a point's data a row; a tripod row is its leg, then its arm length),
+    # and build no Point.  Each gives, to the bit, what dist(z, p),
+    # dist(z, w), comb(z, p, lam), comb(z, w, lam) and quasilin(x, u, x, z)
+    # give on the rows' Points; p, x and u are checked once, and a second
+    # column, lams or dxz of the wrong length raises.  pair_dists(a, b) is
+    # pair_dists(b, a) to the bit.  A subclass that changes dist or comb
+    # changes these too; one that changes comb alone may take the reference
+    # form, pair_combs = SpaceModel.pair_combs.  A model that overrides
+    # quasilin, as Euclidean space does, also gives pair_quasilins, the
+    # column of quasilin(z, w, s, t), for check_quasilin_axioms.
 
     def points(self, column) -> Iterator[Point]:
         """The Points of the column's rows, each built as the iterator
@@ -276,14 +278,6 @@ class SpaceModel:
         for z, w, lam in zip(rows, self.points(b), lams):
             out += comb(z, w, lam).data
         return out
-
-    def pair_quasilins(self, x, y, u, v) -> list:
-        """quasilin(z, w, s, t) for the rows z, w, s and t of columns x, y,
-        u and v at each index: quasilin_from_distances written out on the
-        four pair_dists columns quasilin's distances come from."""
-        return [0.5 * (a * a + b * b - c * c - d * d)
-                for a, b, c, d in zip(self.pair_dists(x, v), self.pair_dists(y, u),
-                                      self.pair_dists(x, u), self.pair_dists(y, v))]
 
     def quasilins(self, column, x: Point, u: Point, dxz) -> list:
         """<xu, xz> for every row z of the column and its d(x, z) in dxz, as
@@ -989,16 +983,41 @@ def check_uniform_convexity(space: SpaceModel, spec: SampleSpec, tol: float = 1e
     return [report]
 
 
+def _distance_quasilins(pair_dists, xs, ys, us, vs, ws):
+    """The columns <xy, uv>, <xy, xy>, <uv, xy>, <yx, uv>, <xy, vw> and
+    <xy, uw>, then d(x, y) and d(u, v), on a model whose quasilin is
+    SpaceModel.quasilin: quasilin_from_distances written out on the squares
+    of 10 pair_dists columns, each quasilin's four distances in quasilin's
+    order, d(b, a) read as d(a, b) (pair_dists is symmetric to the bit).
+    d(x, x) and d(y, y) are computed: 0.0 for every point a model accepts,
+    but not for an infinite tripod arm."""
+    dxy, duv = pair_dists(xs, ys), pair_dists(us, vs)
+    xy, xu, xv, xw, yu, yv, yw, xx, yy = (
+        [d * d for d in column] for column in (
+            dxy, pair_dists(xs, us), pair_dists(xs, vs), pair_dists(xs, ws),
+            pair_dists(ys, us), pair_dists(ys, vs), pair_dists(ys, ws),
+            pair_dists(xs, xs), pair_dists(ys, ys)))
+    return ([0.5 * (a + b - c - d) for a, b, c, d in zip(xv, yu, xu, yv)],
+            [0.5 * (a + b - c - d) for a, b, c, d in zip(xy, xy, xx, yy)],
+            [0.5 * (a + b - c - d) for a, b, c, d in zip(yu, xv, xu, yv)],
+            [0.5 * (a + b - c - d) for a, b, c, d in zip(yv, xu, yu, xv)],
+            [0.5 * (a + b - c - d) for a, b, c, d in zip(xw, yv, xv, yw)],
+            [0.5 * (a + b - c - d) for a, b, c, d in zip(xw, yu, xu, yw)],
+            dxy, duv)
+
+
 def check_quasilin_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     """Check the four characterizing identities of quasilinearization and
-    the Cauchy-Schwarz inequality."""
+    the Cauchy-Schwarz inequality.  On a model whose quasilin is built from
+    distances a block reads 10 distance columns (_distance_quasilins); on
+    Euclidean space, six pair_quasilins columns and two pair_dists ones."""
     rng = random.Random(spec.seed)
     reports = [AxiomReport(name, spec.count, tol=tol)
                for name in ("ql-square", "ql-symmetry", "ql-antisymmetry",
                             "ql-additivity", "cauchy-schwarz")]
     square, symmetry, antisymmetry, additivity, cauchy_schwarz = reports
-    R, sample = spec.radius, space.sample
-    ql, pair_dists = space.pair_quasilins, space.pair_dists
+    R, sample, pair_dists = spec.radius, space.sample, space.pair_dists
+    from_distances = type(space).quasilin is SpaceModel.quasilin
     for rows in _blocks(spec.count):
         xs, ys, us, vs, ws = [], [], [], [], []
         for _ in range(rows):
@@ -1008,14 +1027,19 @@ def check_quasilin_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9
             vs += sample(rng, R).data
             ws += sample(rng, R).data
         inputs = _sample_inputs(space, rows, {"x": xs, "y": ys, "u": us, "v": vs, "w": ws}, {})
-        q, dxy = ql(xs, ys, us, vs), pair_dists(xs, ys)
-        square.note_rows([[abs(a - d ** 2) for a, d in zip(ql(xs, ys, xs, ys), dxy)]], inputs)
-        symmetry.note_rows([[abs(a - b) for a, b in zip(q, ql(us, vs, xs, ys))]], inputs)
-        antisymmetry.note_rows([[abs(a + b) for a, b in zip(q, ql(ys, xs, us, vs))]], inputs)
-        additivity.note_rows([[abs(a + b - c) for a, b, c in zip(
-            q, ql(xs, ys, vs, ws), ql(xs, ys, us, ws))]], inputs)
-        cauchy_schwarz.note_rows([[a - d * e for a, d, e in zip(q, dxy, pair_dists(us, vs))]],
-                                 inputs)
+        if from_distances:
+            q, qxy, quv, qyx, qvw, quw, dxy, duv = _distance_quasilins(
+                pair_dists, xs, ys, us, vs, ws)
+        else:
+            ql = space.pair_quasilins
+            q, qxy, quv, qyx, qvw, quw, dxy, duv = (
+                ql(xs, ys, us, vs), ql(xs, ys, xs, ys), ql(us, vs, xs, ys), ql(ys, xs, us, vs),
+                ql(xs, ys, vs, ws), ql(xs, ys, us, ws), pair_dists(xs, ys), pair_dists(us, vs))
+        square.note_rows([[abs(a - d ** 2) for a, d in zip(qxy, dxy)]], inputs)
+        symmetry.note_rows([[abs(a - b) for a, b in zip(q, quv)]], inputs)
+        antisymmetry.note_rows([[abs(a + b) for a, b in zip(q, qyx)]], inputs)
+        additivity.note_rows([[abs(a + b - c) for a, b, c in zip(q, qvw, quw)]], inputs)
+        cauchy_schwarz.note_rows([[a - d * e for a, d, e in zip(q, dxy, duv)]], inputs)
     return reports
 
 

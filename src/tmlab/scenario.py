@@ -265,11 +265,13 @@ def build_scenario(cfg: dict) -> Scenario:
 
     try:
         M = max(space.dist(x0, p), space.dist(u, p))
-        ceil_M = math.ceil(M)
-    except OverflowError as exc:
-        raise ConfigError(
-            "fields 'run.x0', 'run.u': distance to the fixed point overflows"
-        ) from exc
+    except OverflowError:  # a Euclidean square past the float range
+        M = math.inf
+    # every point of a run lies within M of p, so 2M bounds every distance
+    # the run forms (the tripod's comb forms s_x + s_y): it must be finite
+    if not math.isfinite(2.0 * M):
+        raise ConfigError("fields 'run.x0', 'run.u': distance to the fixed point overflows")
+    ceil_M = math.ceil(M)
     K = read("run.K")
     if K is None:
         K = max(1, ceil_M)

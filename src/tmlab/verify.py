@@ -323,22 +323,32 @@ def check_xu_lemma(
     s_i <= 1/(k+1) must hold from the computed threshold to q.
 
     Pass sigma for the divergence-rate variant, sigma_star for the
-    product-rate variant (exactly one of the two).
+    product-rate variant (exactly one of the two); n must be >= 0.
     """
     if (sigma is None) == (sigma_star is None):
         raise VerifyError("provide exactly one of sigma, sigma_star")
     if q >= len(instance.s):
         raise VerifyError("instance shorter than q")
+    if n < 0:
+        raise VerifyError(f"xu-lemma: n {n} is negative")
     v_bound, r_bound = _window_bounds(k, q)
-    for i in range(n, q + 1):
-        v_unmet = i < len(instance.v) and instance.v[i] > v_bound + tol
-        if v_unmet or (i < len(instance.r) and instance.r[i] > r_bound + tol):
-            key = "v" if v_unmet else "r"
-            return CheckResult(
-                check_id="xu-lemma", passed=True, hypothesis_status="unmet",
-                witness={"i": i, key: getattr(instance, key)[i]},
-                horizons={"n": n, "q": q},
-            )
+    v_bound, r_bound = v_bound + tol, r_bound + tol
+    # the window's maxima decide it when both meet their bounds; a NaN never
+    # counts as a violation, but one first makes max NaN and hides the rest,
+    # so a NaN maximum, like one past its bound, takes the loop that finds
+    # the first violation (v before r at one index)
+    v_max = max(instance.v[n:q + 1], default=-math.inf)
+    r_max = max(instance.r[n:q + 1], default=-math.inf)
+    if not (v_max <= v_bound and r_max <= r_bound):
+        for i in range(n, q + 1):
+            v_unmet = i < len(instance.v) and instance.v[i] > v_bound
+            if v_unmet or (i < len(instance.r) and instance.r[i] > r_bound):
+                key = "v" if v_unmet else "r"
+                return CheckResult(
+                    check_id="xu-lemma", passed=True, hypothesis_status="unmet",
+                    witness={"i": i, key: getattr(instance, key)[i]},
+                    horizons={"n": n, "q": q},
+                )
     if sigma is not None:
         threshold = zeta(k, n, sigma, instance.S)
         variant = "divergence-rate"
@@ -377,20 +387,23 @@ def check_chi_T_series(
     the tail from chi_T(k) on stays below 1/(k+1).  A k whose chi_T(k)
     starts past the trajectory, or passes chi_T_fn's bit cap, is skipped;
     k_max must be >= 0.  T_n u_n is the one the run computed, so family must
-    be the run's.  The terms are pair_dists of the T_{n+1} u_n column and
-    the run's Tu column: when the family's members coincide, T_{n+1} u_n is
-    T_n u_n and that column is Tu itself, so each term is d(t, t), 0.0 on a
-    finite row and NaN on a row with a NaN or infinite coordinate;
-    otherwise the family maps the u column with ``images``.  The worst
-    residual is kept by AxiomReport.note, so a NaN one fails, and its
+    be the run's.  When the family's members coincide, T_{n+1} u_n is
+    T_n u_n, so each term is d(t, t) for the row t of the run's Tu column:
+    0.0 on a row whose coordinates are all finite and NaN on any other, as
+    pair_dists(Tu, Tu) gives it, each coordinate c entering as c - c with
+    no distance formula run.  Otherwise the family maps the u column with
+    ``images`` and the terms are pair_dists of that column and Tu.  The
+    worst residual is kept by AxiomReport.note, so a NaN one fails, and its
     witness names the row n of the tail's first NaN term."""
     if k_max < 0:
         raise VerifyError(f"chi-T-series: k_max {k_max} is negative")
+    Tu, w = traj.Tu, traj.width
     if family is traj.family and family.members_coincide:
-        images = traj.Tu
+        terms = [c - c for c in Tu[::w]]
+        for i in range(1, w):
+            terms = [t + (c - c) for t, c in zip(terms, Tu[i::w])]
     else:
-        images = family.images(traj.u, range(1, len(traj) + 1))
-    terms = traj.space.pair_dists(images, traj.Tu)
+        terms = traj.space.pair_dists(family.images(traj.u, range(1, len(traj) + 1)), Tu)
     # tails[i] = tails[i + 1] + terms[i], summed from the last term back
     tails = list(accumulate(reversed(terms), initial=0.0))[::-1]
     worst = AxiomReport("chi-T-series", k_max + 1, max_violation=-math.inf, tol=tol)

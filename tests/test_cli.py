@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats and the exit-code contract."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -150,6 +151,23 @@ def test_a_huge_finite_angle_runs(runner, tmp_path, space, u, x0, family, angle)
     assert len(res.output.splitlines()) == 2 + 21
 
 
+@pytest.mark.parametrize("u,x0", [("0:1e308", "1:1e308"), ("1:1e308", "1:9e307")],
+                         ids=["two-legs", "one-leg"])
+def test_tripod_arms_past_half_the_float_range_exit_2(runner, tmp_path, u, x0):
+    # every point of a run lies within M = max(d(x0, p), d(u, p)) of p, and
+    # the tripod's comb forms s_x + s_y: a config whose 2M is not finite is
+    # refused, for run as for rates (one leg: T u_0 lies on another leg)
+    p = tmp_path / "tripod.cfg"
+    p.write_text("space.kind = tripod\nfamily.kind = rotation\n"
+                 "family.angle = 2.0943951023931953\nschedule.preset = harmonic\n"
+                 f"run.steps = 5\nrun.u = {u}\nrun.x0 = {x0}\n")
+    for args in (["run", str(p), "--out", "-"], ["rates", str(p), "--k-max", "0"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert "'run.x0'" in res.stderr and "'run.u'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_verify_geometry_report(runner, tmp_path):
     report = tmp_path / "report.json"
     res = runner.invoke(main, ["verify", "--suite", "geometry",
@@ -192,6 +210,25 @@ def test_verify_nan_model_exits_1(runner, monkeypatch):
     assert {f"geometry/euclidean(2)/{name}" for name in
             ("W1", "W2", "W3", "W4", "CN-", "CN+", "uniform convexity eps^2/8")} <= failed
     assert '"max_violation": NaN' in res.output
+
+
+# The sha256 of the report `tmlab verify --suite all --samples 2000 --report`
+# writes, recorded on Python 3.10.13 and 3.11.7 (False) and on 3.12.1 and
+# 3.13.0 (True): from 3.12 on float sum is compensated, and the Euclidean(3)
+# entries give other last bits.
+VERIFY_REPORT_SHA256 = {
+    False: "58e19b9d1535288f86754e385ecd4dd48d7d35348e29096b4fae8fa05a8e09cd",
+    True: "71755fd3ab0e8aaab84a2626355033fa0af55b5d7c70a1f0612be43c6d1d8bec",
+}
+
+
+def test_verify_report_bytes_are_pinned(runner, tmp_path):
+    report = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--suite", "all", "--samples", "2000",
+                               "--report", str(report)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_REPORT_SHA256[
+        sys.version_info >= (3, 12)]
 
 
 def test_verify_engine_and_schedules(runner):
@@ -712,7 +749,7 @@ _counterfunction = st.recursive(_cf_leaf, lambda f: st.one_of(
     f.map("mono({})".format),
 ), max_leaves=4)
 _POINTS = ("0", "0.5", "0,0", "0.5,0", "1,0", "0.3,0.1,0", "0:0", "1:0.5", "2:1.5",
-           "7:1", "nan,0", "1e308,1e308")
+           "7:1", "nan,0", "1e308,1e308", "0:1e308", "1:9e307")
 _WORDS = {"space.kind": ("euclidean", "disk", "tripod", "sphere"),
           "family.kind": ("identity", "constant", "rotation", "projection",
                           "proximal", "resolvent", "spiral"),

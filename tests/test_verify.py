@@ -301,6 +301,92 @@ def test_xu_lemma_argument_validation():
         V.check_xu_lemma(inst, k=0, n=0, q=100, sigma_star=b.sigma_star)
 
 
+def _xu_instance(length=30, v=None, r=None):
+    """The telescoping instance of the given length with v and r replaced
+    (the recurrence still holds: s does not grow as v or r do)."""
+    inst = V.telescoping_instance(length)
+    return V.SyntheticXuInstance(s=inst.s, a=inst.a, v=inst.v if v is None else v,
+                                 r=inst.r if r is None else r, S=inst.S)
+
+
+def _planted(length, **values):
+    column = [0.0] * length
+    for i, value in values.items():
+        column[int(i[1:])] = value
+    return column
+
+
+def _ref_xu_witness(inst, k, n, q, tol=1e-9):
+    """The hypotheses' witness as a per-index loop finds it: the first
+    index in [n, q] whose v, or else r, passes its bound; None when none
+    does (a NaN never passes)."""
+    v_bound, r_bound = V._window_bounds(k, q)
+    for i in range(n, q + 1):
+        if i < len(inst.v) and inst.v[i] > v_bound + tol:
+            return {"i": i, "v": inst.v[i]}
+        if i < len(inst.r) and inst.r[i] > r_bound + tol:
+            return {"i": i, "r": inst.r[i]}
+    return None
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("v, r, n, q, witness", [
+    # a violation in v, in r, and in both at one index: v is named
+    (_planted(30, i5=1.0), None, 0, 20, {"i": 5, "v": 1.0}),
+    (None, _planted(30, i7=1.0), 0, 20, {"i": 7, "r": 1.0}),
+    (_planted(30, i4=1.0, i9=2.0), _planted(30, i4=2.0), 0, 20, {"i": 4, "v": 1.0}),
+    # a NaN first makes the window's max NaN, which hides a later violation
+    (_planted(30, i0=NAN, i6=1.0), None, 0, 20, {"i": 6, "v": 1.0}),
+    (_planted(30, i3=NAN, i6=1.0), _planted(30, i3=1.0), 3, 20, {"i": 3, "r": 1.0}),
+    (_planted(30, i0=NAN), None, 0, 20, None),
+    # a NaN inside the window is no violation, before or after one
+    (_planted(30, i3=NAN), None, 0, 20, None),
+    (_planted(30, i3=NAN, i8=1.0), None, 0, 20, {"i": 8, "v": 1.0}),
+    (None, _planted(30, i2=NAN, i8=1.0, i9=NAN), 0, 20, {"i": 8, "r": 1.0}),
+    # n > 0: a violation before n or past q is outside the window
+    (_planted(30, i2=1.0, i21=1.0), _planted(30, i4=1.0), 5, 20, None),
+    (_planted(30, i2=1.0, i12=1.0), None, 5, 20, {"i": 12, "v": 1.0}),
+    (_planted(30, i5=math.inf), None, 5, 20, {"i": 5, "v": math.inf}),
+    # v or r shorter than q + 1: the window reads what is there
+    (None, _planted(31, i30=1.0), 0, 30, {"i": 30, "r": 1.0}),
+    (_planted(31, i30=1.0), None, 0, 30, {"i": 30, "v": 1.0}),
+    (_planted(30, i29=NAN), _planted(31, i30=NAN), 25, 30, None),
+])
+def test_xu_lemma_hypotheses_witness(v, r, n, q, witness):
+    inst = _xu_instance(v=v, r=r)
+    res = V.check_xu_lemma(inst, k=0, n=n, q=q, sigma_star=preset("harmonic").sigma_star)
+    assert _ref_xu_witness(inst, 0, n, q) == witness
+    assert res.passed
+    if witness is None:
+        assert res.hypothesis_status == "met" and res.witness is None
+    else:
+        assert res.hypothesis_status == "unmet"
+        assert res.witness == witness and res.horizons == {"n": n, "q": q}
+
+
+_xu_values = st.sampled_from([0.0, 0.001, 0.02, 0.5, math.inf, math.nan])
+
+
+@given(st.lists(_xu_values, min_size=30, max_size=31),
+       st.lists(_xu_values, min_size=30, max_size=31),
+       st.integers(0, 32), st.integers(0, 30), st.integers(0, 3))
+def test_xu_lemma_hypotheses_are_the_per_index_loop(v, r, n, q, k):
+    inst = _xu_instance(v=v, r=r)
+    res = V.check_xu_lemma(inst, k=k, n=n, q=q, sigma_star=preset("harmonic").sigma_star)
+    witness = _ref_xu_witness(inst, k, n, q)
+    assert res.hypothesis_status == ("met" if witness is None else "unmet")
+    if witness is not None:
+        assert res.witness == witness
+
+
+def test_xu_lemma_refuses_a_negative_n():
+    with pytest.raises(V.VerifyError, match="n -1 is negative"):
+        V.check_xu_lemma(_xu_instance(), k=0, n=-1, q=10,
+                         sigma_star=preset("harmonic").sigma_star)
+
+
 def test_random_instance_is_valid_and_seeded():
     a = V.random_instance(7, 300, k=2, q=250)
     b = V.random_instance(7, 300, k=2, q=250)
@@ -661,6 +747,37 @@ def test_chi_T_series_fails_on_nan_terms(nan_run):
     # a tail from row 5 names its own first NaN term, not the series'
     res = V.check_chi_T_series(traj, fam, lambda k: 5, k_max=0)
     assert res.witness["start"] == 5 and res.witness["n"] == 5
+
+
+@pytest.mark.parametrize("name", ["euclidean-rotation", "disk-rotation", "tripod-rotation"])
+@pytest.mark.parametrize("planted", [math.inf, -math.inf, math.nan])
+def test_chi_T_series_of_coinciding_members_forms_no_distance(name, planted):
+    # each term is d(t, t) for the row t of Tu, given without pair_dists:
+    # 0.0 on a finite row, and NaN on a row with a coordinate planted
+    # infinite or NaN, as pair_dists(Tu, Tu) gives it; the check then fails
+    # and its witness names that row
+    sc = scenario_from_text(SCENARIO_TEXTS[name])
+    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 20)
+    space, w, calls = traj.space, traj.width, []
+    assert sc.family.members_coincide and traj.error is None
+
+    def pair_dists(a, b):
+        calls.append(len(a))
+        return type(space).pair_dists(space, a, b)
+
+    space.pair_dists = pair_dists
+    try:
+        res = V.check_chi_T_series(traj, sc.family, lambda k: 0, k_max=3)
+        assert res.passed and res.details["max_residual"] == -0.25
+        traj.Tu[7 * w + w - 1] = planted
+        res = V.check_chi_T_series(traj, sc.family, lambda k: 0, k_max=3)
+    finally:
+        del space.pair_dists
+    assert calls == []
+    terms = space.pair_dists(traj.Tu, traj.Tu)
+    assert [n for n, t in enumerate(terms) if t != 0.0] == [7] and math.isnan(terms[7])
+    assert not res.passed and math.isnan(res.details["max_residual"])
+    assert res.witness["start"] == 0 and res.witness["n"] == 7
 
 
 def test_recursive_inequalities_fail_on_nan_residuals(nan_run):
