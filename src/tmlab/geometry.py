@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 DISK_MARGIN = 1e-12
 _TRIPOD_LENGTH = "tripod arm length must be finite and >= 0"
@@ -108,8 +108,11 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise GeometryError("sample count must be >= 1")
-        if self.radius <= 0:
-            raise GeometryError("sample radius must be positive")
+        if not 0 < self.radius < math.inf:
+            # a NaN radius fails every W axiom, an infinite one ends a
+            # checker in a domain error: neither says anything of the model
+            raise GeometryError(
+                f"sample radius must be positive and finite, not {self.radius!r}")
 
 
 @dataclass
@@ -183,21 +186,40 @@ class SpaceModel:
         """The geodesic point (1 - lam) x + lam y."""
         raise NotImplementedError
 
+    def sampler(self, rng: random.Random) -> Callable[..., tuple]:
+        """draw(radius, center=None): the data of one pseudo-random point
+        of this model, drawn from rng, in the ball of the given radius
+        around center (the data of a point of this model, not checked) or,
+        when center is None, around the model's base point.  draw builds no
+        Point: the axiom checkers add its tuples to their columns.  It is a
+        model's one sampling formula, which sample and sample_near wrap,
+        and a model that intercepts draws overrides this method.
+
+        The shipped models write out the random.Random methods their
+        formulas were first written with (gauss, randrange(3), uniform), as
+        CPython 3.10-3.13's random.py has them: the same calls on rng, in
+        the same order, give the same floats and leave rng in the same
+        state, gauss_next included."""
+        raise NotImplementedError
+
     def sample(self, rng: random.Random, radius: float) -> Point:
         """A pseudo-random point in the ball of the given radius around the
         model's base point."""
-        return self.sample_near(rng, self._origin, radius)
+        return tuple.__new__(Point, (self.kind, self.sampler(rng)(radius)))
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
-        raise NotImplementedError
+        """A pseudo-random point in the ball of the given radius around
+        center, which is checked before rng is drawn from."""
+        self._require(center)
+        return tuple.__new__(Point, (self.kind, self.sampler(rng)(radius, center.data)))
 
     def base_point(self) -> Point:
         raise NotImplementedError
 
     @cached_property
     def _origin(self) -> Point:
-        """The base point sample draws around, built on the first draw (a
-        model of huge dimension may never draw)."""
+        """The base point a sampler draws around, built with the first
+        sampler (a model of huge dimension may never draw)."""
         return self.base_point()
 
     # -- generic pieces -----------------------------------------------------
@@ -330,6 +352,8 @@ def quasilin_from_distances(dxv, dyu, dxu, dyv) -> float:
 
 class Euclidean(SpaceModel):
     def __init__(self, dim: int):
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise GeometryError(f"dimension must be an int, not {dim!r}")
         if dim < 1:
             raise GeometryError("dimension must be >= 1")
         self.dim = dim
@@ -513,24 +537,55 @@ class Euclidean(SpaceModel):
         z = tuple.__new__(Point, ("euclidean", (z0, z1)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
-    def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
-        cd, n = center.data, self.dim
-        if center.kind != "euclidean" or len(cd) != n:
-            self._require(center)
+    def sampler(self, rng):
+        # a direction of dim normals over its norm, and a length of radius
+        # times random() ** (1 / dim).  The normals are random.gauss's
+        # Box-Muller written out: a normal kept in rng.gauss_next is read
+        # and cleared, else a pair is drawn from two random() calls, and
+        # its second normal kept; each normal is gauss's mu + z * sigma at
+        # (0.0, 1.0), 0.0 + z, which makes -0.0 0.0
+        n, origin, power = self.dim, self._origin.data, 1.0 / self.dim
+        random, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
+        two_pi = 2.0 * math.pi
         if n == 3:
-            # the draws and floats of the general form, its sums over a tuple
-            gauss = rng.gauss
-            g0, g1, g2 = gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0)
-            norm = math.sqrt(sum((g0 * g0, g1 * g1, g2 * g2))) or 1.0
-            r = radius * rng.random() ** (1.0 / 3)
-            c0, c1, c2 = cd
-            return tuple.__new__(Point, ("euclidean", (
-                c0 + r * g0 / norm, c1 + r * g1 / norm, c2 + r * g2 / norm)))
-        vec = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        norm = math.sqrt(sum([c * c for c in vec])) or 1.0
-        r = radius * rng.random() ** (1.0 / n)
-        return tuple.__new__(Point, (
-            "euclidean", tuple([c + r * v / norm for c, v in zip(cd, vec)])))
+            def draw(radius, center=None):
+                z = rng.gauss_next
+                x2pi = random() * two_pi
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                if z is None:
+                    g0, g1 = 0.0 + cos(x2pi) * g2rad, 0.0 + sin(x2pi) * g2rad
+                    x2pi = random() * two_pi
+                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                    g2 = 0.0 + cos(x2pi) * g2rad
+                    rng.gauss_next = sin(x2pi) * g2rad
+                else:
+                    g0, g1, g2 = 0.0 + z, 0.0 + cos(x2pi) * g2rad, 0.0 + sin(x2pi) * g2rad
+                    rng.gauss_next = None
+                # the general form's sums, over a tuple
+                norm = sqrt(sum((g0 * g0, g1 * g1, g2 * g2))) or 1.0
+                r = radius * random() ** power
+                c0, c1, c2 = origin if center is None else center
+                return (c0 + r * g0 / norm, c1 + r * g1 / norm, c2 + r * g2 / norm)
+            return draw
+
+        def draw(radius, center=None):
+            z = rng.gauss_next
+            vec = [] if z is None else [0.0 + z]
+            z = None
+            while len(vec) < n:
+                x2pi = random() * two_pi
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                vec.append(0.0 + cos(x2pi) * g2rad)
+                z = sin(x2pi) * g2rad
+                if len(vec) < n:
+                    vec.append(0.0 + z)
+                    z = None
+            rng.gauss_next = z
+            norm = sqrt(sum([c * c for c in vec])) or 1.0
+            r = radius * random() ** power
+            return tuple([c + r * v / norm
+                          for c, v in zip(origin if center is None else center, vec)])
+        return draw
 
 
 class PoincareDisk(SpaceModel):
@@ -669,18 +724,25 @@ class PoincareDisk(SpaceModel):
         z = point(cur)
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
-    def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
-        if center.kind != "disk":
-            self._require(center)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        hyp = radius * rng.random()
-        w = math.tanh(0.5 * hyp) * cmath.exp(1j * ang)
-        zc = complex(*center.data)
-        z = (w + zc) / (1.0 + zc.conjugate() * w)
-        # clamp just inside the margin; only reachable for extreme radii
-        if abs(z) >= 1.0 - 2.0 * DISK_MARGIN:
-            z *= (1.0 - 2.0 * DISK_MARGIN) / abs(z)
-        return tuple.__new__(Point, ("disk", (z.real, z.imag)))
+    def sampler(self, rng):
+        # an angle of random.uniform(0.0, 2 pi), written out as uniform's
+        # a + (b - a) * random(), and a hyperbolic length of radius times
+        # random(), Moebius-translated from the origin to center
+        random, tanh, exp = rng.random, math.tanh, cmath.exp
+        two_pi, origin = 2.0 * math.pi, complex(*self._origin.data)
+        edge = 1.0 - 2.0 * DISK_MARGIN
+
+        def draw(radius, center=None):
+            ang = 0.0 + two_pi * random()
+            hyp = radius * random()
+            w = tanh(0.5 * hyp) * exp(1j * ang)
+            zc = origin if center is None else complex(*center)
+            z = (w + zc) / (1.0 + zc.conjugate() * w)
+            # clamp just inside the margin; only reachable for extreme radii
+            if abs(z) >= edge:
+                z *= edge / abs(z)
+            return (z.real, z.imag)
+        return draw
 
 
 class Tripod(SpaceModel):
@@ -830,17 +892,37 @@ class Tripod(SpaceModel):
         z = tuple.__new__(Point, ("tripod", (lz, sz)))
         raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
 
-    def sample(self, rng: random.Random, radius: float) -> Point:
-        return Point.tripod(rng.randrange(3), radius * rng.random())
+    def sampler(self, rng):
+        # around the base point, a leg of random.randrange(3) and an arm of
+        # radius times random(); around a center, its arm moved by
+        # random.uniform(-radius, radius), written out as uniform's
+        # a + (b - a) * random(), and a negative arm reflected onto a leg
+        # of randrange(3).  randrange(3) is written out as
+        # random.py's _randbelow_with_getrandbits(3): two bits until they
+        # are below 3.  The length is checked as Point.tripod checks it,
+        # after the leg is drawn
+        random, getrandbits, inf = rng.random, rng.getrandbits, math.inf
 
-    def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
-        if center.kind != "tripod":
-            self._require(center)
-        leg, s = center.data
-        s += rng.uniform(-radius, radius)
-        if s >= 0.0:
-            return Point.tripod(leg, s)
-        return Point.tripod(rng.randrange(3), -s)
+        def draw(radius, center=None):
+            if center is None:
+                leg = getrandbits(2)
+                while leg >= 3:
+                    leg = getrandbits(2)
+                s = radius * random()
+            else:
+                leg, s = center
+                s += -radius + (radius - -radius) * random()
+                if not s >= 0.0:
+                    leg = getrandbits(2)
+                    while leg >= 3:
+                        leg = getrandbits(2)
+                    s = -s
+            if not 0.0 <= s < inf:
+                raise GeometryError(_TRIPOD_LENGTH)
+            if s == 0.0:
+                leg = 0  # all legs share the center
+            return (leg, s)
+        return draw
 
 
 def make_model(kind: str, dim: int = 2) -> SpaceModel:
@@ -858,7 +940,9 @@ def make_model(kind: str, dim: int = 2) -> SpaceModel:
 # Axiom checkers
 #
 # Each checker draws its samples in blocks of SAMPLE_BLOCK, with the rng
-# calls of one sample at a time, into one coordinate column per variable.
+# calls of one sample at a time, into one coordinate column per variable:
+# each point is one call of the draw space.sampler returns, its tuple added
+# to the column.
 # It computes each axiom's residuals on a block as a column, through the
 # model's pair kernels, and notes it with note_rows; a kept row's
 # worst_case_inputs are rebuilt from the columns.  Memory is one block's.
@@ -895,17 +979,17 @@ def check_w_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     rng = random.Random(spec.seed)
     reports = [AxiomReport(name, spec.count, tol=tol) for name in ("W1", "W2", "W3", "W4")]
     w1, w2, w3, w4 = reports
-    R, sample, draw = spec.radius, space.sample, rng.random
+    R, draw, rand = spec.radius, space.sampler(rng), rng.random
     pair_combs, pair_dists = space.pair_combs, space.pair_dists
     for rows in _blocks(spec.count):
         xs, ys, zs, ws, lams, thetas = [], [], [], [], [], []
         for _ in range(rows):
-            xs += sample(rng, R).data
-            ys += sample(rng, R).data
-            zs += sample(rng, R).data
-            ws += sample(rng, R).data
-            lams.append(draw())
-            thetas.append(draw())
+            xs += draw(R)
+            ys += draw(R)
+            zs += draw(R)
+            ws += draw(R)
+            lams.append(rand())
+            thetas.append(rand())
         inputs = _sample_inputs(space, rows, {"x": xs, "y": ys, "z": zs, "w": ws},
                                 {"lambda": lams, "theta": thetas})
         cxy, dxy = pair_combs(xs, ys, lams), pair_dists(xs, ys)
@@ -931,15 +1015,15 @@ def check_cn(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9):
     minus, plus, eq = (AxiomReport(name, spec.count, tol=tol)
                        for name in ("CN-", "CN+", "CN- equality"))
     flat = space.kind == "euclidean"
-    R, sample, draw = spec.radius, space.sample, rng.random
+    R, draw, rand = spec.radius, space.sampler(rng), rng.random
     pair_combs, pair_dists = space.pair_combs, space.pair_dists
     for rows in _blocks(spec.count):
         xs, ys, zs, lams = [], [], [], []
         for _ in range(rows):
-            xs += sample(rng, R).data
-            ys += sample(rng, R).data
-            zs += sample(rng, R).data
-            lams.append(draw())
+            xs += draw(R)
+            ys += draw(R)
+            zs += draw(R)
+            lams.append(rand())
         inputs = _sample_inputs(space, rows, {"x": xs, "y": ys, "z": zs}, {"lambda": lams})
         d2_zx = [d ** 2 for d in pair_dists(zs, xs)]
         d2_zy = [d ** 2 for d in pair_dists(zs, ys)]
@@ -963,16 +1047,19 @@ def check_uniform_convexity(space: SpaceModel, spec: SampleSpec, tol: float = 1e
     residual is -inf, which no report keeps)."""
     rng = random.Random(spec.seed)
     report = AxiomReport("uniform convexity eps^2/8", spec.count, tol=tol)
-    R, sample, sample_near, uniform = spec.radius, space.sample, space.sample_near, rng.uniform
+    R, draw, rand = spec.radius, space.sampler(rng), rng.random
+    # r is rng.uniform(0.05 R, R), written out as uniform's a + (b - a) * random()
+    low = 0.05 * R
+    span = R - low
     pair_combs, pair_dists = space.pair_combs, space.pair_dists
     for rows in _blocks(spec.count):
         as_, xs, ys, rs = [], [], [], []
         for _ in range(rows):
-            a = sample(rng, R)
-            r = uniform(0.05 * R, R)
-            as_ += a.data
-            xs += sample_near(rng, a, r).data
-            ys += sample_near(rng, a, r).data
+            a = draw(R)
+            r = low + span * rand()
+            as_ += a
+            xs += draw(r, a)
+            ys += draw(r, a)
             rs.append(r)
         eps = [d / r for d, r in zip(pair_dists(xs, ys), rs)]
         report.note_rows([[-math.inf if e > 2.0 else d - (1.0 - e * e / 8.0) * r
@@ -1016,16 +1103,16 @@ def check_quasilin_axioms(space: SpaceModel, spec: SampleSpec, tol: float = 1e-9
                for name in ("ql-square", "ql-symmetry", "ql-antisymmetry",
                             "ql-additivity", "cauchy-schwarz")]
     square, symmetry, antisymmetry, additivity, cauchy_schwarz = reports
-    R, sample, pair_dists = spec.radius, space.sample, space.pair_dists
+    R, draw, pair_dists = spec.radius, space.sampler(rng), space.pair_dists
     from_distances = type(space).quasilin is SpaceModel.quasilin
     for rows in _blocks(spec.count):
         xs, ys, us, vs, ws = [], [], [], [], []
         for _ in range(rows):
-            xs += sample(rng, R).data
-            ys += sample(rng, R).data
-            us += sample(rng, R).data
-            vs += sample(rng, R).data
-            ws += sample(rng, R).data
+            xs += draw(R)
+            ys += draw(R)
+            us += draw(R)
+            vs += draw(R)
+            ws += draw(R)
         inputs = _sample_inputs(space, rows, {"x": xs, "y": ys, "u": us, "v": vs, "w": ws}, {})
         if from_distances:
             q, qxy, quv, qyx, qvw, quw, dxy, duv = _distance_quasilins(

@@ -840,8 +840,12 @@ def test_samplers_match_reference(space):
     """A seeded stream of draws, each from a point the stream drew, gives
     the Points of the reference samplers, repr for repr (so type for type
     and -0.0 apart from 0.0), and leaves the generator in the same state
-    after every draw.  The disk's radii from 40 on reach its clamp; the
-    tripod's radius inf raises GeometryError from both samplers."""
+    after every draw: through sample and sample_near, and through one
+    sampler's draw closure, whose tuples are the Points' data.  Between the
+    closure's draws, outside calls to gauss() and random() start each draw
+    once with gauss_next set and once with it None.  The disk's radii from
+    40 on reach its clamp; the tripod's radius inf raises GeometryError
+    from both samplers."""
     radii = SAMPLE_RADII + [math.inf] if space.kind == "tripod" else SAMPLE_RADII
     rng, ref_rng = random.Random(12), random.Random(12)
     center = ref_center = space.base_point()
@@ -857,6 +861,58 @@ def test_samplers_match_reference(space):
             assert repr(nxt) == repr(ref_center := ref_sample(space, ref_rng, 2.0))
             center = nxt
     assert rng.getstate() == ref_rng.getstate()
+
+    def outside(kept):
+        # gauss() until gauss_next is set (kept) or None, then a random()
+        while (rng.gauss_next is None) == kept:
+            assert rng.gauss(0.0, 1.0) == ref_rng.gauss(0.0, 1.0)
+        assert rng.random() == ref_rng.random()
+
+    rng, ref_rng = random.Random(13), random.Random(13)
+    sample = space.sampler(rng)
+    center, ref_center = space.base_point().data, space.base_point()
+    for _ in range(10):
+        for radius in radii:
+            for kept in (True, False):
+                outside(kept)
+                got = draw(lambda r: Point(space.kind, sample(radius)), rng)
+                assert got == draw(lambda r: ref_sample(space, r, radius), ref_rng)
+                outside(kept)
+                near = draw(lambda r: Point(space.kind, sample(radius, center)), rng)
+                assert near == draw(lambda r: ref_sample_near(space, r, ref_center, radius),
+                                    ref_rng)
+                if radius == math.inf:
+                    assert got[0] == near[0] == repr(GeometryError(_TRIPOD_LENGTH))
+            outside(False)
+            nxt = sample(2.0)
+            assert repr(nxt) == repr((ref_center := ref_sample(space, ref_rng, 2.0)).data)
+            assert rng.getstate() == ref_rng.getstate()
+            center = nxt
+
+
+class ZeroRandom(random.Random):
+    """random() is always 0.0, so random.gauss's Box-Muller draws pairs of
+    normals of -0.0 (its radius is sqrt(-2.0 * log(1.0)), sqrt(-0.0)): gauss
+    returns them as 0.0 + z, 0.0, and keeps the second as -0.0."""
+
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_euclidean_sampler_keeps_the_signed_zeros_of_gauss(dim):
+    # around a center of -0.0 coordinates a normal's sign shows: -0.0 plus
+    # r * v / norm is 0.0 for v = 0.0 and -0.0 for v = -0.0.  gauss_next is
+    # compared by repr, since -0.0 == 0.0
+    space, center = Euclidean(dim), Point.euclidean(*[-0.0] * dim)
+    rng, ref_rng = ZeroRandom(3), ZeroRandom(3)
+    sample = space.sampler(rng)
+    for kept in (True, False, True, False):
+        while (rng.gauss_next is None) == kept:
+            assert repr(rng.gauss(0.0, 1.0)) == repr(ref_rng.gauss(0.0, 1.0))
+        got = sample(1.0, center.data)
+        assert repr(got) == repr(ref_sample_near(space, ref_rng, center, 1.0).data)
+        assert repr(rng.gauss_next) == repr(ref_rng.gauss_next)
 
 
 # ---------------------------------------------------------------------------

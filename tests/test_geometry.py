@@ -296,6 +296,26 @@ def test_euclidean_rejects_points_of_another_dimension():
                 call()
 
 
+@pytest.mark.parametrize("dim", [2.5, 3.0, True, False, "3", None],
+                         ids=["2.5", "3.0", "True", "False", "str", "None"])
+def test_euclidean_refuses_a_dimension_that_is_not_an_int(dim):
+    # 2.5 used to build as euclidean(2.5) and raise TypeError on its first
+    # sample; True used to build as a model of dimension True
+    with pytest.raises(GeometryError, match=rf"dimension must be an int, not {dim!r}"):
+        Euclidean(dim)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, 0, -1.0],
+                         ids=["nan", "inf", "-inf", "0.0", "0", "-1.0"])
+def test_sample_spec_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    # a NaN radius used to fail every W axiom on Euclidean space and the
+    # disk; an infinite one ended the disk's and the tripod's suites in an
+    # exception from the middle of a checker
+    with pytest.raises(GeometryError,
+                       match=rf"sample radius must be positive and finite, not {radius!r}"):
+        SampleSpec(seed=0, count=10, radius=radius)
+
+
 # ---------------------------------------------------------------------------
 # The fixed-point kernels
 #
@@ -968,10 +988,15 @@ class LateNaNComb(Euclidean):
         super().__init__(2)
         self.start, self.drawn = start, {}
 
-    def sample_near(self, rng, center, radius):
-        p = super().sample_near(rng, center, radius)
-        self.drawn[p.data] = len(self.drawn)
-        return p
+    def sampler(self, rng):
+        # the checkers' one sampling hook: every point they draw passes here
+        draw = super().sampler(rng)
+
+        def noted(radius, center=None):
+            data = draw(radius, center)
+            self.drawn[data] = len(self.drawn)
+            return data
+        return noted
 
     def comb(self, x, y, lam):
         if self.drawn[x.data] >= self.start:
