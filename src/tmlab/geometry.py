@@ -108,11 +108,14 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise GeometryError("sample count must be >= 1")
-        if not 0 < self.radius < math.inf:
-            # a NaN radius fails every W axiom, an infinite one ends a
-            # checker in a domain error: neither says anything of the model
-            raise GeometryError(
-                f"sample radius must be positive and finite, not {self.radius!r}")
+        _require_radius(self.radius)
+
+
+def _require_radius(radius: float) -> None:
+    if not 0 < radius < math.inf:
+        # a NaN radius fails every W axiom, an infinite one ends a checker in
+        # a domain error: neither says anything of the model
+        raise GeometryError(f"sample radius must be positive and finite, not {radius!r}")
 
 
 @dataclass
@@ -190,10 +193,12 @@ class SpaceModel:
         """draw(radius, center=None): the data of one pseudo-random point
         of this model, drawn from rng, in the ball of the given radius
         around center (the data of a point of this model, not checked) or,
-        when center is None, around the model's base point.  draw builds no
-        Point: the axiom checkers add its tuples to their columns.  It is a
-        model's one sampling formula, which sample and sample_near wrap,
-        and a model that intercepts draws overrides this method.
+        when center is None, around the model's base point.  The radius is
+        not checked either: draw's callers pass SampleSpec radii.  draw
+        builds no Point: the axiom checkers add its tuples to their
+        columns.  It is a model's one sampling formula, which sample and
+        sample_near wrap, and a model that intercepts draws overrides this
+        method.
 
         The shipped models write out the random.Random methods their
         formulas were first written with (gauss, randrange(3), uniform), as
@@ -204,13 +209,17 @@ class SpaceModel:
 
     def sample(self, rng: random.Random, radius: float) -> Point:
         """A pseudo-random point in the ball of the given radius around the
-        model's base point."""
+        model's base point.  The radius must be positive and finite, as a
+        SampleSpec's, and is checked before rng is drawn from."""
+        _require_radius(radius)
         return tuple.__new__(Point, (self.kind, self.sampler(rng)(radius)))
 
     def sample_near(self, rng: random.Random, center: Point, radius: float) -> Point:
         """A pseudo-random point in the ball of the given radius around
-        center, which is checked before rng is drawn from."""
+        center.  center and the radius, which must be positive and finite,
+        are checked before rng is drawn from."""
         self._require(center)
+        _require_radius(radius)
         return tuple.__new__(Point, (self.kind, self.sampler(rng)(radius, center.data)))
 
     def base_point(self) -> Point:

@@ -65,19 +65,28 @@ def ceil_ln(m: int) -> int:
             return k if m << p < lo else k + 1
 
 
-_E = (0, 2)  # (q, E) with E <= e * 2**q < E + 2, at the largest q asked for
+# (q, squares) with squares[j] = (X, s), X * 2**s <= e**(2**j): squares[0] is
+# E * 2**-q with E <= e * 2**q < E + 2, squares[j] squares[j - 1] squared and
+# cut to q bits, at the largest q asked for
+_E_SQUARES = (0, [])
 
 
-def _e_lower(w: int) -> int:
-    """E with E <= e * 2**w < E + 2: sum_{j<=N} 1/j! by binary splitting,
-    with N! > 2**(w+1), so the terms past N sum to less than 2**-(w+1)."""
-    global _E
-    q, E = _E
+def _e_squares(w: int, j: int) -> list:
+    """Entries 0..j (at least) of the cache of e's squares, at a q >= w.
+
+    A w above q rebuilds the cache at q = w: E is sum_{i<=N} 1/i! by binary
+    splitting, with N! > 2**(w+1), so the terms past N sum to less than
+    2**-(w+1); a j past the last entry extends it by squaring."""
+    global _E_SQUARES
+    q, squares = _E_SQUARES
     if w > q:
         N = next(N for N in count(2) if math.lgamma(N + 1) > (w + 1) * _LN2)
         T, Q = _split(0, N)
-        q, E = _E = (w, ((Q + T) << w) // Q)
-    return E >> (q - w)
+        q, squares = _E_SQUARES = (w, [(((Q + T) << w) // Q, -w)])
+    while len(squares) <= j:
+        X, s = squares[-1]
+        squares.append(_cut(X * X, 2 * s, q))
+    return squares
 
 
 def _split(a: int, b: int) -> tuple:
@@ -91,19 +100,29 @@ def _split(a: int, b: int) -> tuple:
 
 def _exp_enclosures(n: int, p: int):
     """Yield (p, lo, hi) with lo <= e**n * 2**p <= hi <= lo + 2 for p, 2p, 4p,
-    ... (n >= 1): e**n is x * 2**s by square-and-multiply from E = _e_lower(W),
-    each product cut to W bits.  E's relative error (< 2**-W) enters n times,
-    the cuts (each < 2**(1-W)) at most 2n - 2 times with the later squarings'
-    repeats, so e**n <= x * 2**s * (1 + 6n * 2**(1-W)) while 3n * 2**(1-W) <=
-    1/2; W exceeds p plus the bits of e**n by 2 bits(n) + 7, so hi - lo <= 2."""
+    ... (n >= 1): e**n is x * 2**s, the product of the cached e**(2**j) over
+    n's set bits j, each cut to W bits and each product cut to W bits.  A
+    call whose n and W the cache holds makes popcount(n) - 1 products; a
+    cold one also makes the bits(n) - 1 squarings, and the cache then holds
+    bits(n) numbers of q bits for the largest n and W asked (16 entries,
+    142 KiB, at ceil(2 e**47051)).
+
+    The error count, in relative deficits (x * 2**s = e**n * (1 - delta)):
+    E's is below 2**-q and a cut to q bits loses below 2**(1-q), so entry j,
+    entry j - 1 squared and cut, is below 2**j * 2**-q + (2**j - 1) *
+    2**(1-q) < 3 * 2**j * 2**-W, as q >= W; over n's set bits these sum to
+    below 3n * 2**-W.  The popcount(n) shifts to W bits and the
+    popcount(n) - 1 products add 2 popcount(n) - 1 cuts below 2**(1-W), so
+    delta < (1.5n + 2 popcount(n) - 1) * 2**(1-W) <= 3n * 2**(1-W) <= 1/2
+    and e**n <= x * 2**s * (1 + 6n * 2**(1-W)); W exceeds p plus the bits
+    of e**n by 2 bits(n) + 7, so hi - lo <= 2."""
     while True:
         w = p + int(n * 1.4427) + 2 * n.bit_length() + 8
-        e = _e_lower(w)
-        x, s = e, -w
-        for bit in bin(n)[3:]:
-            x, s = _cut(x * x, 2 * s, w)
-            if bit == "1":
-                x, s = _cut(x * e, s - w, w)
+        squares = _e_squares(w, n.bit_length() - 1)
+        factors = [_cut(X, s, w) for j, (X, s) in enumerate(squares) if n >> j & 1]
+        x, s = factors[0]
+        for X, t in factors[1:]:
+            x, s = _cut(x * X, s + t, w)
         d = -(s + p)  # > 2 bits(n) + 6, as x * 2**s <= e**n < 2**(1.4427n)
         hi = x + (x * 6 * n >> (w - 1)) + 1
         yield p, x >> d, -(-hi >> d)

@@ -844,19 +844,26 @@ def test_samplers_match_reference(space):
     sampler's draw closure, whose tuples are the Points' data.  Between the
     closure's draws, outside calls to gauss() and random() start each draw
     once with gauss_next set and once with it None.  The disk's radii from
-    40 on reach its clamp; the tripod's radius inf raises GeometryError
-    from both samplers."""
+    40 on reach its clamp.  sample and sample_near refuse the radius 0.0,
+    and the tripod's inf, before drawing; at 0.0 the closure draws zero
+    lengths, and at inf the tripod's closure raises GeometryError."""
     radii = SAMPLE_RADII + [math.inf] if space.kind == "tripod" else SAMPLE_RADII
     rng, ref_rng = random.Random(12), random.Random(12)
     center = ref_center = space.base_point()
     for _ in range(25):
         for radius in radii:
-            got = draw(lambda r: space.sample(r, radius), rng)
-            assert got == draw(lambda r: ref_sample(space, r, radius), ref_rng)
-            near = draw(lambda r: space.sample_near(r, center, radius), rng)
-            assert near == draw(lambda r: ref_sample_near(space, r, ref_center, radius), ref_rng)
-            if radius == math.inf:
-                assert got[0] == near[0] == repr(GeometryError(_TRIPOD_LENGTH))
+            if 0 < radius < math.inf:
+                got = draw(lambda r: space.sample(r, radius), rng)
+                assert got == draw(lambda r: ref_sample(space, r, radius), ref_rng)
+                near = draw(lambda r: space.sample_near(r, center, radius), rng)
+                assert near == draw(lambda r: ref_sample_near(space, r, ref_center, radius),
+                                    ref_rng)
+            else:
+                refused = (repr(GeometryError(
+                    f"sample radius must be positive and finite, not {radius!r}")),
+                    ref_rng.getstate())
+                assert draw(lambda r: space.sample(r, radius), rng) == refused
+                assert draw(lambda r: space.sample_near(r, center, radius), rng) == refused
             nxt = space.sample(rng, 2.0)
             assert repr(nxt) == repr(ref_center := ref_sample(space, ref_rng, 2.0))
             center = nxt

@@ -316,6 +316,23 @@ def test_sample_spec_refuses_a_radius_that_is_not_positive_and_finite(radius):
         SampleSpec(seed=0, count=10, radius=radius)
 
 
+@pytest.mark.parametrize("space", [Euclidean(2), PoincareDisk(), Tripod()],
+                         ids=["euclidean", "disk", "tripod"])
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "0.0", "-1.0"])
+def test_samplers_refuse_a_radius_that_is_not_positive_and_finite(space, radius):
+    # the disk used to draw (nan, nan) at a NaN radius and Euclidean(2)
+    # (inf, -inf) at an infinite one; both now refuse before drawing
+    rng = random.Random(0)
+    state = rng.getstate()
+    message = rf"sample radius must be positive and finite, not {radius!r}"
+    with pytest.raises(GeometryError, match=message):
+        space.sample(rng, radius)
+    with pytest.raises(GeometryError, match=message):
+        space.sample_near(rng, space.base_point(), radius)
+    assert rng.getstate() == state
+
+
 # ---------------------------------------------------------------------------
 # The fixed-point kernels
 #

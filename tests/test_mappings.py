@@ -345,10 +345,12 @@ def test_images_are_apply_on_each_row_to_the_bit(model, kind):
     # the identity, rotation, projection and proximal families map the
     # column by their closed forms, and a constant family or a resolvent
     # applies itself to each row's Point; indices 0 and 1 are the least,
-    # where gamma_n changes most
+    # where gamma_n changes most.  The rows come from the model's draw
+    # closure, which sample wraps and which, unlike sample, takes the
+    # radius 0.0: its rows have zero lengths
     fam = _family(model, kind)
-    space, rng = fam.space, random.Random(7)
-    rows = [space.sample(rng, r) for r in (0.0, 0.3, 1.0, 2.0, 5.0) for _ in range(4)]
+    space, draw = fam.space, fam.space.sampler(random.Random(7))
+    rows = [Point(space.kind, draw(r)) for r in (0.0, 0.3, 1.0, 2.0, 5.0) for _ in range(4)]
     rows.append(fam.fixed_point)
     ns = [0, 1, 2, 5, 10 ** 6] * 4 + [3]
     column = array("d")

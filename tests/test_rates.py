@@ -1,10 +1,11 @@
 """Counterfunction algebra, big-natural helpers and rate formulas."""
 
 import decimal
+import hashlib
 import math
 import time
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -236,11 +237,13 @@ def test_power_cap_precheck():
 
 
 def test_ceil_scaled_exp_matches_float():
+    # exact against decimal at 60 digits, where the float ceiling
+    # ceil(2 * math.e ** n) may be one off near an integer
     f = R.CeilScaledExp(2)
-    for n in range(0, 30):
-        assert f(n) == math.ceil(2 * math.e ** n) or abs(
-            f(n) - math.ceil(2 * math.e ** n)
-        ) <= 1  # float ceiling may differ by one ulp-step near integers
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for n in range(0, 30):
+            assert f(n) == _decimal_ceil(2 * decimal.Decimal(n).exp()), n
 
 
 def test_ceil_scaled_exp_overflow_detected_early():
@@ -309,6 +312,57 @@ def test_ceil_scaled_exp_at_zero_is_the_scale():
     for c in (1, 2, 3, 10 ** 30, 2 ** 100):
         assert R.CeilScaledExp(c)(0) == c
         assert R.CeilScaledExp(c)(0, cap=c.bit_length()) == c
+
+
+# n near a power of two: a call can then need one more entry of e's squares
+# than the calls before it, at a W no larger than the cache's q, which takes
+# the extend path
+_near_powers_of_two = st.builds(lambda k, d: max(1, 2 ** k + d),
+                                st.integers(0, 11), st.integers(-40, 40))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2 ** 300),
+                          st.integers(1, 3000) | _near_powers_of_two),
+                min_size=1, max_size=8))
+@example([(2 ** 300, 2047), (2, 2048), (2, 5), (2, 3000), (2, 3000), (10 ** 30, 1)])
+def test_exp_enclosures_hold_on_every_cache_path(calls):
+    # from a cold cache, calls in any order: a W past the cache's q rebuilds
+    # it, a bits(n) past its entries extends it, and a W below q shifts the
+    # entries down; each call's second enclosure asks for twice its p
+    R._E_SQUARES = (0, [])
+    for c, n in calls:
+        p = c.bit_length() + 64
+        # e**n to 20 digits past the integer part of e**n * 2**(2p) > c * e**n
+        with decimal.localcontext() as ctx:
+            ctx.prec = math.ceil((n * math.log2(math.e) + 2 * p) * math.log10(2)) + 20
+            exp_n = decimal.Decimal(n).exp()
+            assert R._ceil_scaled_exp(c, n, None) == _decimal_ceil(c * exp_n), (c, n)
+            for p_got, lo, hi in islice(R._exp_enclosures(n, p), 2):
+                assert p_got == p
+                assert lo <= exp_n * 2 ** p <= hi <= lo + 2, (c, n, p)
+                p *= 2
+
+
+# sha256 of the decimal digits of ceil(2 e**47051), the largest value the
+# rates benchmark forms, as square-and-multiply from E formed it before
+# the cache of e's squares
+_CEIL_2E_47051_SHA256 = "270962b45cfb0b84fb6cbae195e4336e2b2741341d67e3c3bf025887a3b63b65"
+
+
+def test_ceil_2e_47051_is_pinned():
+    def digest():
+        value = R._ceil_scaled_exp(2, 47051, None)
+        return hashlib.sha256(R._decimal(value).encode()).hexdigest()
+
+    R._E_SQUARES = (0, [])
+    assert digest() == _CEIL_2E_47051_SHA256
+    q, squares = R._E_SQUARES
+    # a larger n widens the cache: one more entry, all at a larger q, which
+    # the next ceil(2 e**47051) shifts down
+    R._ceil_scaled_exp(2, 65536, None)
+    assert R._E_SQUARES[0] > q and len(R._E_SQUARES[1]) == len(squares) + 1 == 17
+    assert digest() == _CEIL_2E_47051_SHA256
 
 
 # ---------------------------------------------------------------------------
