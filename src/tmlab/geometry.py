@@ -253,9 +253,6 @@ class SpaceModel:
             raise GeometryError(
                 f"column of {len(column)} values where {self.describe()} needs {length}")
 
-    def midpoint(self, x: Point, y: Point) -> Point:
-        return self.comb(x, y, 0.5)
-
     def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
         """<xy, uv> = (d2(x,v) + d2(y,u) - d2(x,u) - d2(y,v)) / 2.  The four
         distances check the point kinds."""
@@ -271,11 +268,13 @@ class SpaceModel:
     # dist(z, w), comb(z, p, lam), comb(z, w, lam) and quasilin(x, u, x, z)
     # give on the rows' Points; p, x and u are checked once, and a second
     # column, lams or dxz of the wrong length raises.  pair_dists(a, b) is
-    # pair_dists(b, a) to the bit.  A subclass that changes dist or comb
-    # changes these too; one that changes comb alone may take the reference
-    # form, pair_combs = SpaceModel.pair_combs.  A model that overrides
-    # quasilin, as Euclidean space does, also gives pair_quasilins, the
-    # column of quasilin(z, w, s, t), for check_quasilin_axioms.
+    # pair_dists(b, a) to the bit.  dists and combs are pair_dists and
+    # pair_combs against p's data repeated once a row, so a subclass that
+    # changes dist or comb changes pair_dists or pair_combs, and dists and
+    # combs follow; one that changes comb alone may take the reference form,
+    # pair_combs = SpaceModel.pair_combs.  A model that overrides quasilin,
+    # as Euclidean space does, also gives pair_quasilins, the column of
+    # quasilin(z, w, s, t), for check_quasilin_axioms.
 
     def points(self, column) -> Iterator[Point]:
         """The Points of the column's rows, each built as the iterator
@@ -284,8 +283,11 @@ class SpaceModel:
                    zip(repeat(self.kind), zip(column[::2], column[1::2])))
 
     def dists(self, column, p: Point) -> list:
-        """d(z, p) for every row z of the column."""
-        raise NotImplementedError
+        """d(z, p) for every row z of the column; a column that is not a
+        whole number of rows raises.  p's data is repeated as floats, the
+        type a column holds (a tripod leg included)."""
+        self._require(p)
+        return self.pair_dists(column, array("d", p.data) * (len(column) // len(p.data)))
 
     def pair_dists(self, a, b) -> list:
         """d(z, w) for every row z of column a and the row w of column b
@@ -295,7 +297,8 @@ class SpaceModel:
     def combs(self, column, p: Point, lams) -> array:
         """The column of comb(z, p, lam) for every row z of the column and
         its lam in the sequence lams, which has one lam a row."""
-        raise NotImplementedError
+        self._require(p)
+        return array("d", self.pair_combs(column, array("d", p.data) * len(lams), lams))
 
     def pair_combs(self, a, b, lams) -> list:
         """The coordinates of comb(z, w, lam), row after row, for every row
@@ -439,16 +442,6 @@ class Euclidean(SpaceModel):
         return map(tuple.__new__, repeat(Point),
                    zip(repeat("euclidean"), zip(*[iter(column)] * self.dim)))
 
-    def dists(self, column, p: Point) -> list:
-        self._require(p)
-        pd, sqrt = p.data, math.sqrt
-        if self.dim == 2:
-            p0, p1 = pd
-            return [sqrt((a0 - p0) ** 2 + (a1 - p1) ** 2)
-                    for a0, a1 in zip(column[::2], column[1::2])]
-        return [sqrt(sum([(a - b) ** 2 for a, b in zip(row, pd)]))
-                for row in zip(*[iter(column)] * self.dim)]
-
     def pair_dists(self, a, b) -> list:
         self._require_length(b, len(a))
         sqrt = math.sqrt
@@ -491,19 +484,6 @@ class Euclidean(SpaceModel):
         x, y, u, v = (zip(*[iter(column)] * n) for column in (x, y, u, v))
         return [sum([(b - a) * (d - c) for a, b, c, d in zip(r, s, t, w)])
                 for r, s, t, w in zip(x, y, u, v)]
-
-    def combs(self, column, p: Point, lams) -> array:
-        self._require(p)
-        self._require_length(column, self.dim * len(lams))
-        for lam in lams:
-            if not 0.0 <= lam <= 1.0:
-                self._check_lambda(lam)
-        # comb's formula, one coordinate column at a time
-        n, out = self.dim, array("d", column)
-        for i, b in enumerate(p.data):
-            out[i::n] = array("d", [(1.0 - lam) * a + lam * b
-                                    for a, lam in zip(column[i::n], lams)])
-        return out
 
     def quasilins(self, column, x: Point, u: Point, dxz) -> list:
         # quasilin's dot product (u - x) . (z - x), u - x hoisted; dxz unread
@@ -620,45 +600,19 @@ class PoincareDisk(SpaceModel):
         den = abs(1.0 - zy.conjugate() * zx)
         return 2.0 * math.atanh(num / den)
 
-    def dists(self, column, p: Point) -> list:
-        # dist's formula with p's conjugate hoisted; a NaN row is NaN, as in
-        # dist, since abs of a NaN part can raise on a stale errno
-        self._require(p)
-        zp = complex(*p.data)
-        czp, atanh = zp.conjugate(), math.atanh
-        return [math.nan if (w := z - zp) != w else 2.0 * atanh(abs(w) / abs(1.0 - czp * z))
-                for z in map(complex, column[::2], column[1::2])]
-
     def pair_dists(self, a, b) -> list:
-        # dist's formula row by row, a NaN row NaN as in dists
+        # dist's formula row by row; a NaN row is NaN, as in dist, since abs
+        # of a NaN part can raise on a stale errno
         self._require_length(b, len(a))
         atanh = math.atanh
         return [math.nan if (w := z - y) != w
                 else 2.0 * atanh(abs(w) / abs(1.0 - y.conjugate() * z))
                 for z, y in zip(map(complex, a[::2], a[1::2]), map(complex, b[::2], b[1::2]))]
 
-    def combs(self, column, p: Point, lams) -> array:
-        # comb's steps row by row, with p checked once.  The complex
-        # division just before abs(w) resets errno, so that abs gives NaN
-        # for a NaN row, as in comb, whatever ran before
-        self._require(p)
-        self._require_length(column, 2 * len(lams))
-        zy, atanh, tanh = complex(*p.data), math.atanh, math.tanh
-        out = []
-        for zx, lam in zip(map(complex, column[::2], column[1::2]), lams):
-            if not 0.0 <= lam <= 1.0:
-                self._check_lambda(lam)
-            czx = zx.conjugate()
-            w = (zy - zx) / (1.0 - czx * zy)
-            r = abs(w)
-            if r != 0.0:
-                w2 = w / r * tanh(0.5 * lam * (2.0 * atanh(r)))
-                zx = (w2 + zx) / (1.0 + czx * w2)
-            out += (zx.real, zx.imag)
-        return array("d", out)
-
     def pair_combs(self, a, b, lams) -> list:
-        # combs' steps, each row with its own y
+        # comb's steps row by row.  The complex division just before abs(w)
+        # resets errno, so that abs gives NaN for a NaN row, as in comb,
+        # whatever ran before
         self._require_length(b, len(a))
         self._require_length(a, 2 * len(lams))
         atanh, tanh = math.atanh, math.tanh
@@ -777,48 +731,14 @@ class Tripod(SpaceModel):
         return map(tuple.__new__, repeat(Point),
                    zip(repeat("tripod"), zip(map(int, column[::2]), column[1::2])))
 
-    def dists(self, column, p: Point) -> list:
-        # dist's leg test, with p's half of it hoisted; a leg read from the
-        # column is a float, equal to its int
-        self._require(p)
-        lp, sp = p.data
-        center = sp == 0.0
-        return [abs(s - sp) if center or leg == lp or s == 0.0 else s + sp
-                for leg, s in zip(column[::2], column[1::2])]
-
     def pair_dists(self, a, b) -> list:
         self._require_length(b, len(a))
         return [abs(s - t) if l == m or s == 0.0 or t == 0.0 else s + t
                 for l, s, m, t in zip(a[::2], a[1::2], b[::2], b[1::2])]
 
-    def combs(self, column, p: Point, lams) -> array:
-        # comb's steps row by row, with p checked once; a leg read from the
-        # column is a float, equal to its int
-        self._require(p)
-        self._require_length(column, 2 * len(lams))
-        (ly, sy), inf = p.data, math.inf
-        out = []
-        for lx, sx, lam in zip(column[::2], column[1::2], lams):
-            if not 0.0 <= lam <= 1.0:
-                self._check_lambda(lam)
-            if lx == ly or sx == 0.0 or sy == 0.0:
-                leg = ly if sx == 0.0 else lx
-                s = (1.0 - lam) * sx + lam * sy
-            else:
-                delta = lam * (sx + sy)
-                if delta <= sx:
-                    leg, s = lx, sx - delta
-                else:
-                    leg, s = ly, delta - sx
-            if s == 0.0:
-                leg = 0
-            elif not 0.0 < s < inf:
-                raise GeometryError(_TRIPOD_LENGTH)
-            out += (leg, s)
-        return array("d", out)
-
     def pair_combs(self, a, b, lams) -> list:
-        # combs' steps, each row with its own y
+        # comb's steps row by row; a leg read from a column is a float, equal
+        # to its int
         self._require_length(b, len(a))
         self._require_length(a, 2 * len(lams))
         inf, out = math.inf, []

@@ -117,7 +117,7 @@ def ref_check_cn(space, spec, tol=1e-9):
         x, y, z = (space.sample(rng, R) for _ in range(3))
         lam = rng.random()
         desc = {"x": x.data, "y": y.data, "z": z.data, "lambda": lam}
-        m = space.midpoint(x, y)
+        m = space.comb(x, y, 0.5)
         d2 = lambda a, b: space.dist(a, b) ** 2
         res_minus = d2(z, m) - (0.5 * d2(z, x) + 0.5 * d2(z, y) - 0.25 * d2(x, y))
         if res_minus > worst_minus[0]:
@@ -208,7 +208,7 @@ def ref_check_uniform_convexity(space, spec, tol=1e-9):
         eps = dxy / r
         if eps > 2.0:
             continue  # cannot happen inside the ball; numerical safety
-        m = space.midpoint(x, y)
+        m = space.comb(x, y, 0.5)
         v = space.dist(a, m) - (1.0 - eps * eps / 8.0) * r
         if v > worst[0]:
             worst = (v, {"a": a.data, "x": x.data, "y": y.data, "r": r, "eps": eps})

@@ -1,6 +1,7 @@
 """Trajectory generation, the coordinate cross-check and CSV output."""
 
 import csv
+import hashlib
 import io
 import math
 import tracemalloc
@@ -489,6 +490,33 @@ def test_csv_bytes_match_the_reference_model_bodies(name, monkeypatch):
     assert len(shipped) > 100
     # lists, not one long string: pytest reports the first differing row
     assert shipped == ref
+
+
+# The sha256 of write_csv on each matrix scenario at 2,000 steps, recorded on
+# Python 3.11.7 before dists and combs were folded into the pair kernels.
+# The disk rows are pinned here alone: the reference-body test above skips
+# them.  No kernel these runs take makes a float sum, so the bytes do not
+# depend on the compensated sum of Python 3.12 on.
+MATRIX_CSV_SHA256 = {
+    "disk-identity": "2735de7ff4df50079a2adeb6b70916b21f83f81a29fa5efc035812f9c0d1815f",
+    "disk-projection": "a808a110f13a4112e84228447aed44d1d67fd189b84cb4ebd5c06eae4ffe4030",
+    "disk-proximal": "0401b4394957c1a13661eee98688629252089247918bdfc0adff8f5b83830310",
+    "disk-rotation": "f7481cefd669d7794c7541adbe9d96e7698e66faadc54f153358bab03b0e7f6e",
+    "euclidean-identity": "56de0e606ec50f072d8c5c68550647a2066bb470bcf4be95a7dd5ea99cd68c51",
+    "euclidean-projection": "41e62ae400dee75191937731569cc12259615b333c657656c955a9c1fecd1061",
+    "euclidean-proximal": "5ed5ce94be93c77873bdad03b6ee112b8c380a17f685623577972ba6dea9f674",
+    "euclidean-rotation": "7d9247202e12a5137081ed62ffbac5420b345d1d9df9db9755df0e9e19bdfcbe",
+    "tripod-identity": "7a4b3c99b1958f322cc14b8cbbe2c9d84ef5b213c9775748a6c492c9e5a08c2a",
+    "tripod-projection": "81738eeea0cd17cd0636c460b1b2d2b1dca4d4623178fc6a34023f6830084e53",
+    "tripod-proximal": "d90ff33add262cbd8b8727bad4141504484bea16bb680bb73579a5b737130ba1",
+    "tripod-rotation": "7906cf874810695f57bdd69d33e81b7efa347468ec7c033602a6243cd24227a4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TEXTS))
+def test_matrix_csv_bytes_are_pinned(name):
+    _, csv_text = _run_csv(SCENARIO_TEXTS[name] + "run.steps = 2000\n")
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == MATRIX_CSV_SHA256[name]
 
 
 @pytest.mark.parametrize("family_kind", ["identity", "rotation", "proximal"])

@@ -638,6 +638,8 @@ def test_column_kernels_reject_a_foreign_point(kind):
                  # quasilins, an empty column's included
                  lambda: sp.pair_dists(column, column[:-1]),
                  lambda: sp.combs(column, x, [0.5]),
+                 # a column that ends in a partial row
+                 lambda: sp.dists(column[:-1], x),
                  lambda: sp.quasilins(column, x, y, dxz[:1]),
                  lambda: sp.quasilins(column, x, y, dxz + [0.0]),
                  lambda: sp.quasilins(array("d"), x, y, [0.0]),

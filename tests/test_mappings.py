@@ -376,6 +376,48 @@ def test_images_are_apply_on_each_row_to_the_bit(model, kind):
                 assert [c.hex() for c in got] == [float(c).hex() for c in want], (z, n)
 
 
+class SquaredLamComb:
+    """A combination that walks lam ** 2 of the geodesic, not lam, on the
+    model it is mixed into; the column kernels read it through the reference
+    pair_combs, as a model that changes comb alone is to take it."""
+
+    pair_combs = SpaceModel.pair_combs
+
+    def comb(self, x, y, lam):
+        return super().comb(x, y, lam * lam)
+
+
+class SquaredLamEuclidean(SquaredLamComb, Euclidean):
+    pass
+
+
+class SquaredLamDisk(SquaredLamComb, PoincareDisk):
+    pass
+
+
+class SquaredLamTripod(SquaredLamComb, Tripod):
+    pass
+
+
+@pytest.mark.parametrize("space", [SquaredLamEuclidean(2), SquaredLamDisk(), SquaredLamTripod()],
+                         ids=lambda space: space.kind)
+def test_images_are_apply_on_a_model_that_changes_comb(space):
+    # the proximal and projection images go through the model's combs and
+    # dists, which follow its pair_combs and so its comb
+    center = space.base_point()
+    draw = space.sampler(random.Random(11))
+    rows = [Point(space.kind, draw(r)) for r in (0.3, 1.0, 2.0) for _ in range(3)] + [center]
+    ns = [0, 1, 2, 5, 10 ** 6, 3, 4, 7, 9, 8]
+    column = array("d")
+    for z in rows:
+        column.extend(z.data)
+    for fam in (ProximalFamily(space, center, HARMONIC_GAMMA),
+                MetricProjectionFamily(space, center, 0.5)):
+        got = fam.images(column, ns)
+        want = [c for n, z in zip(ns, rows) for c in fam.apply(n, z).data]
+        assert [c.hex() for c in got] == [float(c).hex() for c in want], fam.name
+
+
 def edge_rows(space):
     """-0.0 coordinates, a row at distance 0.5 (the FAMILY_KEYS radius) from
     the origin (the FAMILY_KEYS center) and the origin itself, and rows with
