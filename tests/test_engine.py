@@ -4,10 +4,13 @@ import csv
 import hashlib
 import io
 import math
+import sys
 import tracemalloc
 
 import pytest
 
+import engine_pins
+from engine_pins import RESOLVENT_TEXTS
 from test_acceptance import SCENARIO_TEXTS
 from test_geometry import RefEuclidean, RefTripod
 from tmlab import scenario as scenario_module
@@ -408,54 +411,6 @@ class RefRotation(RotationFamily):
                               a * self._sin + b * self._cos))
 
 
-RESOLVENT_TEXTS = {
-    "euclidean-resolvent-rotation": """
-        space.kind = euclidean
-        space.dim = 2
-        family.kind = resolvent
-        family.base.kind = rotation
-        family.base.angle = 1.0
-        schedule.preset = harmonic
-        run.u = 0.41,-0.33
-        run.x0 = -1.1,0.9
-        run.steps = 100
-    """,
-    "tripod-resolvent-rotation": """
-        space.kind = tripod
-        family.kind = resolvent
-        family.base.kind = rotation
-        family.base.angle = 2.0943951023931953
-        schedule.preset = harmonic
-        run.u = 2:0.55
-        run.x0 = 1:1.6
-        run.steps = 100
-    """,
-    "disk-resolvent-rotation": """
-        space.kind = disk
-        family.kind = resolvent
-        family.base.kind = rotation
-        family.base.angle = 2.0943951023931953
-        schedule.preset = harmonic
-        run.u = 0.21,-0.33
-        run.x0 = -0.5,0.4
-        run.steps = 100
-    """,
-    # u outside the ball, so the projection takes geodesic steps
-    **{f"{model}-resolvent-projection": f"""
-        {space}
-        family.kind = resolvent
-        family.base.kind = projection
-        family.base.center = {center}
-        family.base.radius = 0.3
-        schedule.preset = harmonic
-        run.u = {u}
-        run.x0 = {x0}
-        run.steps = 100
-    """ for model, space, center, u, x0 in (
-        ("euclidean", "space.kind = euclidean\nspace.dim = 2", "0.2,0.1", "0.41,-0.33", "-1.1,0.9"),
-        ("disk", "space.kind = disk", "0.1,0.05", "0.21,-0.33", "-0.5,0.4"),
-        ("tripod", "space.kind = tripod", "0:0.2", "2:0.55", "1:1.6"))},
-}
 BYTE_IDENTITY_TEXTS = {
     **{name: text + "run.steps = 2000\n" for name, text in SCENARIO_TEXTS.items()
        if name.startswith(("euclidean-", "tripod-"))},
@@ -517,6 +472,41 @@ MATRIX_CSV_SHA256 = {
 def test_matrix_csv_bytes_are_pinned(name):
     _, csv_text = _run_csv(SCENARIO_TEXTS[name] + "run.steps = 2000\n")
     assert hashlib.sha256(csv_text.encode()).hexdigest() == MATRIX_CSV_SHA256[name]
+
+
+# The sha256 of tests/engine_pins.py's runs, recorded with the Point-level
+# step loop, before the loop ran on coordinate tuples, on Python 3.10.13 and
+# 3.11.7 (False) and on 3.12.1 and 3.13.0 (True): from 3.12 on float sum is
+# compensated, and the Euclidean(3) distances give other last bits.
+_ENGINE_PINS = {
+    "euclidean-resolvent-rotation": "194c5c744a906f647532bb1e377c0a806e27731ff79505290a6b0352b5c34b78",
+    "tripod-resolvent-rotation": "7b472b357ea753441fd4f3368ca414606f8825e92520a1bc9bbb4097fb0c7b2f",
+    "disk-resolvent-rotation": "bfaeb8b40529ce7180fe11a15c9b861caa52f54e0f15c7be99303ca82df0a937",
+    "euclidean-resolvent-projection": "d89a430b1a1bf9de377797401287413a50709be58f91d1b667b6a443987c4913",
+    "disk-resolvent-projection": "f130b5391f503794e40373c822173f47b7dac3a4e387225f5e8313769eb753e2",
+    "tripod-resolvent-projection": "5fd39173007fb2c97e0845488b684103ac160d37062a3685c63f134dea032a83",
+    "euclidean-constant": "af2d3087e15fddf10308d3d68e892b974aae7ef4781db1baa7c0af7ed302da88",
+    "disk-constant": "f5068c27c4abc04039abe9ccd289f3e916a903af07b749877369a9cabba3dcd4",
+    "tripod-constant": "06387540aec85162eceb06f64e27b19ddb0a7956131720bfb667477723578257",
+    "euclidean1-identity": "ef2e149676ef99f2076c16093968893f028a787a35f2358ba668d6d2f00b27ce",
+    "euclidean1-projection": "76bc59b409ff2fb132001d956504ba3475efb94f8c30ab542a25293b101b6bec",
+    "euclidean1-proximal": "36d9b519c6f7a8ee76a3c14764eb54c2650abf72a113719dd2c92ebe73f2639f",
+}
+ENGINE_PINS_SHA256 = {
+    False: {**_ENGINE_PINS,
+            "euclidean3-identity": "f475b0b1163adbf2f1428af3e90189ce307676333b75fc856d164b04cff275bd",
+            "euclidean3-projection": "02be4894f3d43857933c8cd7dc793af89a0ab6b0e3e4d9b987595465c49952c9",
+            "euclidean3-proximal": "8ef541b9d491be7ccadaab6ba7ddc8cda25d682f5c59305f87bf0d5a26b15133"},
+    True: {**_ENGINE_PINS,
+           "euclidean3-identity": "7da8d01eb66a6d04f24b6383d46d691d0de508e391a089406da329e81c7ee2f2",
+           "euclidean3-projection": "e545cf2784eb0d04dbbd57c96a23756c0349c3da728b78f84c0e67e967603abb",
+           "euclidean3-proximal": "e3404a8989a0a7c471b59d6967788479b7c5d5956cf4ae4ef0fc7b92760999f9"},
+}
+
+
+@pytest.mark.parametrize("name", list(engine_pins.PINNED_TEXTS))
+def test_engine_pin_csv_bytes_are_pinned(name):
+    assert engine_pins.digest(name) == ENGINE_PINS_SHA256[sys.version_info >= (3, 12)][name]
 
 
 @pytest.mark.parametrize("family_kind", ["identity", "rotation", "proximal"])
