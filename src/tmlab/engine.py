@@ -111,28 +111,28 @@ def run(
 ) -> Trajectory:
     """Trajectory of length steps + 1 with all derived distance columns.
 
-    The step loop computes only u_n, T_n u_n and x_{n+1}: one apply and two
-    combs a step.  d_Tn, d_step and d_p are read from the x column, by the
-    family's ``images`` at n = 0, 1, ... and the model's ``pair_dists`` and
-    ``dists``; the loop runs in blocks of IMAGE_BLOCK rows and ``images``
-    maps each block once the loop has filled it.  A solver failure ends the
-    run at the first failing step, in step order, with T_n u_n before
-    T_n x_n: a failure in the loop ends it at its step, and one in
-    ``images``, which reports the rows it mapped before it, at the row it
-    failed on, when that comes first, so at most one block's steps run past
-    it.  The partial trajectory, whole rows only, is kept on the returned
-    object together with that failure's message.  An anchor, start point or
-    fixed point of another model or dimension raises GeometryError before
-    step 0.
-    """
+    u, x0 and the fixed point are checked once, before step 0 (a point of
+    another model or dimension raises GeometryError).  The step loop then
+    computes only u_n, T_n u_n and x_{n+1} on data tuples, by the model's
+    _comb, the family's image and _comb again (each _comb checks its lam),
+    and builds no Point.  d_Tn, d_step and d_p are read from the x column,
+    by the family's ``images`` at n = 0, 1, ... and the model's
+    ``pair_dists`` and ``dists``; the loop runs in blocks of IMAGE_BLOCK
+    rows and ``images`` maps each block once the loop has filled it.  A
+    solver failure ends the run at the first failing step, in step order,
+    with T_n u_n before T_n x_n: a failure in the loop ends it at its step,
+    and one in ``images``, which reports the rows it mapped before it, at
+    the row it failed on, when that comes first, so at most one block's
+    steps run past it.  The partial trajectory, whole rows only, is kept
+    on the returned object with that failure's message."""
     if steps < 1:
         raise EngineError("steps must be >= 1")
     p = family.fixed_point
     space._require(u, x0, p)
     traj = Trajectory(space, family, bundle, u, x0, scenario_hash=scenario_hash)
-    comb, apply = space.comb, family.apply
+    comb, image = space._comb, family.image
     beta, lam = bundle.beta, bundle.lam
-    w, x = traj.width, x0
+    w, u, x = traj.width, u.data, x0.data
     for start in range(0, steps + 1, IMAGE_BLOCK):
         # a block's coordinates go to lists, which take a tuple's floats
         # faster than an array does, and then to the columns
@@ -140,18 +140,18 @@ def run(
         try:
             for n in range(start, min(start + IMAGE_BLOCK, steps + 1)):
                 u_n = comb(u, x, beta(n))
-                Tu_n = apply(n, u_n)
+                Tu_n = image(n, u_n)
                 x_next = comb(u_n, Tu_n, lam(n))
                 # the row is appended only once every call of the step returned
-                xs += x.data
-                us += u_n.data
-                Tus += Tu_n.data
+                xs += x
+                us += u_n
+                Tus += Tu_n
                 x = x_next
         except SolverFailure as exc:
             traj.error = str(exc)
         block = array("d", xs)
         # the x the last row steps to: x_{n+1}, or x_n when step n failed
-        end = x.data
+        end = x
         try:
             images = family.images(block, range(start, start + len(block) // w))
         except SolverFailure as exc:
@@ -198,8 +198,7 @@ def check_hilbert_special_case(
     for n in range(steps):
         beta, lam = bundle.beta(n), bundle.lam(n)
         scaled = tuple(beta * c for c in y)
-        image = family.apply(n, Point("euclidean", scaled)).data
-        y = [(1.0 - lam) * s + lam * t for s, t in zip(scaled, image)]
+        y = [(1.0 - lam) * s + lam * t for s, t in zip(scaled, family.image(n, scaled))]
         ys.extend(y)
     devs = space.pair_dists(traj.x, ys)
     report = AxiomReport(f"hilbert-special-case[{family.name}]", steps + 1,

@@ -178,16 +178,34 @@ class AxiomReport:
 
 
 class SpaceModel:
-    """Common interface of the shipped models; immutable after construction."""
+    """Common interface of the shipped models; immutable after construction.
+    A model writes each formula once, on data tuples: _dist(a, b) and
+    _comb(a, b, lam), which checks lam but no point.  dist and comb check
+    the Points and call them, so a model changes a formula in its kernel."""
 
     kind: str
+    width: int  # the floats of a point's data
+
+    def _dist(self, a: tuple, b: tuple) -> float:
+        raise NotImplementedError
+
+    def _comb(self, a: tuple, b: tuple, lam: float) -> tuple:
+        """The data of the geodesic point (1 - lam) a + lam b."""
+        raise NotImplementedError
 
     def dist(self, x: Point, y: Point) -> float:
-        raise NotImplementedError
+        xd, yd, kind, w = x.data, y.data, self.kind, self.width
+        if x.kind != kind or y.kind != kind or len(xd) != w or len(yd) != w:
+            self._require(x, y)
+        return self._dist(xd, yd)
 
     def comb(self, x: Point, y: Point, lam: float) -> Point:
-        """The geodesic point (1 - lam) x + lam y."""
-        raise NotImplementedError
+        """The geodesic point (1 - lam) x + lam y; x itself if _comb gives x.data."""
+        xd, yd, kind, w = x.data, y.data, self.kind, self.width
+        if x.kind != kind or y.kind != kind or len(xd) != w or len(yd) != w:
+            self._require(x, y)
+        data = self._comb(xd, yd, lam)
+        return x if data is xd else tuple.__new__(Point, (kind, data))
 
     def sampler(self, rng: random.Random) -> Callable[..., tuple]:
         """draw(radius, center=None): the data of one pseudo-random point
@@ -232,16 +250,18 @@ class SpaceModel:
         return self.base_point()
 
     # -- generic pieces -----------------------------------------------------
-    # dist, comb and Euclidean.quasilin test point kinds and lam inline, on
-    # the hot path, and call _require / _check_lambda to raise when that
-    # test fails.
+    # dist and comb test point kinds and widths inline, on the hot path, and
+    # call _require to raise when that test fails; the kernels call
+    # _check_lambda when lam is outside [0, 1].
 
     def _require(self, *pts: Point):
         for p in pts:
             if p.kind != self.kind:
+                raise GeometryError(f"point of model {p.kind!r} used in model {self.kind!r}")
+        for p in pts:
+            if len(p.data) != self.width:
                 raise GeometryError(
-                    f"point of model {p.kind!r} used in model {self.kind!r}"
-                )
+                    f"point with {len(p.data)} coordinates used in model {self.describe()}")
 
     def _check_lambda(self, lam: float):
         if not (0.0 <= lam <= 1.0):
@@ -266,28 +286,34 @@ class SpaceModel:
     # (a point's data a row; a tripod row is its leg, then its arm length),
     # and build no Point.  Each gives, to the bit, what dist(z, p),
     # dist(z, w), comb(z, p, lam), comb(z, w, lam) and quasilin(x, u, x, z)
-    # give on the rows' Points; p, x and u are checked once, and a second
-    # column, lams or dxz of the wrong length raises.  pair_dists(a, b) is
-    # pair_dists(b, a) to the bit.  dists and combs are pair_dists and
-    # pair_combs against p's data repeated once a row, so a subclass that
-    # changes dist or comb changes pair_dists or pair_combs, and dists and
-    # combs follow; one that changes comb alone may take the reference form,
-    # pair_combs = SpaceModel.pair_combs.  A model that overrides quasilin,
-    # as Euclidean space does, also gives pair_quasilins, the column of
-    # quasilin(z, w, s, t), for check_quasilin_axioms.
+    # give on the rows' Points; p, x and u are checked once, and a column
+    # that is not whole rows, or a second column, lams or dxz of the wrong
+    # length, raises.  pair_dists(a, b) is pair_dists(b, a) to the bit.
+    # dists and combs are pair_dists and pair_combs against p's data
+    # repeated once a row.  The shipped models write out pair_dists and
+    # pair_combs; a subclass that changes _dist changes pair_dists, and one
+    # that changes _comb takes the reference form, pair_combs =
+    # SpaceModel.pair_combs, which calls _comb on the rows' data.
+    # A model that overrides quasilin, as Euclidean space does, also gives
+    # pair_quasilins, the column of quasilin(z, w, s, t), for
+    # check_quasilin_axioms.
+
+    def rows(self, column) -> Iterator[tuple]:
+        """The data of the column's rows, built as the iterator reaches them."""
+        return zip(*[iter(column)] * self.width)
 
     def points(self, column) -> Iterator[Point]:
-        """The Points of the column's rows, each built as the iterator
-        reaches it: the row's floats as its data."""
-        return map(tuple.__new__, repeat(Point),
-                   zip(repeat(self.kind), zip(column[::2], column[1::2])))
+        """The Points of the column's rows, their data given by rows."""
+        return map(tuple.__new__, repeat(Point), zip(repeat(self.kind), self.rows(column)))
 
     def dists(self, column, p: Point) -> list:
-        """d(z, p) for every row z of the column; a column that is not a
-        whole number of rows raises.  p's data is repeated as floats, the
-        type a column holds (a tripod leg included)."""
+        """d(z, p) for every row z of the column.  p's data is repeated as
+        floats, the type a column holds (a tripod leg included)."""
         self._require(p)
-        return self.pair_dists(column, array("d", p.data) * (len(column) // len(p.data)))
+        if len(column) % self.width:
+            raise GeometryError(f"column of {len(column)} values where {self.describe()} "
+                                f"needs whole rows of {self.width}")
+        return self.pair_dists(column, array("d", p.data) * (len(column) // self.width))
 
     def pair_dists(self, a, b) -> list:
         """d(z, w) for every row z of column a and the row w of column b
@@ -298,19 +324,21 @@ class SpaceModel:
         """The column of comb(z, p, lam) for every row z of the column and
         its lam in the sequence lams, which has one lam a row."""
         self._require(p)
+        if len(column) != self.width * len(lams):
+            raise GeometryError(f"column of {len(column)} values where {self.describe()} "
+                                f"needs {self.width * len(lams)} for lams of length {len(lams)}")
         return array("d", self.pair_combs(column, array("d", p.data) * len(lams), lams))
 
     def pair_combs(self, a, b, lams) -> list:
         """The coordinates of comb(z, w, lam), row after row, for every row
         z of column a, the row w of column b at the same index and its lam
-        in lams.  This reference form calls comb on the rows' Points, built
-        by points; the shipped models override it with their native form."""
+        in lams.  This reference form calls _comb on the rows' data, given
+        by rows; the shipped models override it with their native form."""
         self._require_length(b, len(a))
-        rows = list(self.points(a))
-        self._require_length(lams, len(rows))
-        out, comb = [], self.comb
-        for z, w, lam in zip(rows, self.points(b), lams):
-            out += comb(z, w, lam).data
+        self._require_length(a, self.width * len(lams))
+        out, comb = [], self._comb
+        for z, w, lam in zip(self.rows(a), self.rows(b), lams):
+            out += comb(z, w, lam)
         return out
 
     def quasilins(self, column, x: Point, u: Point, dxz) -> list:
@@ -342,12 +370,13 @@ class SpaceModel:
         iterate itself, with the same floating-point operations, in the
         same order, as this loop's T, comb and dist; it calls T only for
         the SolverFailure residual.  This loop ignores ``turn``."""
-        comb, dist = self.comb, self.dist
+        # z is x, which the first comb checks, or a comb's result
+        comb, dist = self.comb, self._dist
         first = best = None
         z = x
         for _ in range(max_iterations):
             z_next = comb(x, T(z), c)
-            d = dist(z, z_next)
+            d = dist(z.data, z_next.data)
             if d <= tol:
                 return z_next
             if first is None:
@@ -355,7 +384,7 @@ class SpaceModel:
             elif d < best:
                 best = d
             z = z_next
-        raise _stalled(first, best, dist(z, comb(x, T(z), c)), max_iterations)
+        raise _stalled(first, best, self.dist(z, comb(x, T(z), c)), max_iterations)
 
 
 def quasilin_from_distances(dxv, dyu, dxu, dyv) -> float:
@@ -368,7 +397,7 @@ class Euclidean(SpaceModel):
             raise GeometryError(f"dimension must be an int, not {dim!r}")
         if dim < 1:
             raise GeometryError("dimension must be >= 1")
-        self.dim = dim
+        self.dim = self.width = dim
         self.kind = "euclidean"
 
     def describe(self) -> str:
@@ -377,19 +406,8 @@ class Euclidean(SpaceModel):
     def base_point(self) -> Point:
         return Point.euclidean(*([0.0] * self.dim))
 
-    def _require(self, *pts: Point):
-        super()._require(*pts)
-        for p in pts:
-            if len(p.data) != self.dim:
-                raise GeometryError(
-                    f"point with {len(p.data)} coordinates used in model "
-                    f"{self.describe()}"
-                )
-
-    def dist(self, x: Point, y: Point) -> float:
-        xd, yd, n = x.data, y.data, self.dim
-        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != n or len(yd) != n:
-            self._require(x, y)
+    def _dist(self, a, b):
+        n = self.dim
         if n == 2:
             # the comprehension written out: no frame, the same floats,
             # since sum's 0 + t0 + t1 equals t0 + t1 for squares t >= +0.0.
@@ -397,50 +415,32 @@ class Euclidean(SpaceModel):
             # makes one float addition here, t0 + t1, whose correction is
             # that addition's exact rounding error, and adding it back
             # rounds to the same float (an inf or NaN correction is dropped)
-            (a0, a1), (b0, b1) = xd, yd
+            (a0, a1), (b0, b1) = a, b
             return math.sqrt((a0 - b0) ** 2 + (a1 - b1) ** 2)
         if n == 3:
             # three terms: sum over a tuple, which has no frame and sums as
             # sum over the comprehension's list does on every Python; from
             # 3.12 on sum compensates, so a + chain would not give its floats
-            (a0, a1, a2), (b0, b1, b2) = xd, yd
+            (a0, a1, a2), (b0, b1, b2) = a, b
             return math.sqrt(sum(((a0 - b0) ** 2, (a1 - b1) ** 2, (a2 - b2) ** 2)))
-        return math.sqrt(sum([(a - b) ** 2 for a, b in zip(xd, yd)]))
+        return math.sqrt(sum([(c - d) ** 2 for c, d in zip(a, b)]))
 
-    def comb(self, x: Point, y: Point, lam: float) -> Point:
-        xd, yd, n = x.data, y.data, self.dim
-        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != n or len(yd) != n:
-            self._require(x, y)
+    def _comb(self, a, b, lam):
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
-        mu = 1.0 - lam
+        mu, n = 1.0 - lam, self.dim
         if n == 2:
-            (a0, a1), (b0, b1) = xd, yd
-            return tuple.__new__(Point, ("euclidean", (mu * a0 + lam * b0, mu * a1 + lam * b1)))
+            (a0, a1), (b0, b1) = a, b
+            return (mu * a0 + lam * b0, mu * a1 + lam * b1)
         if n == 3:
-            (a0, a1, a2), (b0, b1, b2) = xd, yd
-            return tuple.__new__(Point, ("euclidean", (
-                mu * a0 + lam * b0, mu * a1 + lam * b1, mu * a2 + lam * b2)))
-        return tuple.__new__(
-            Point, ("euclidean", tuple([mu * a + lam * b for a, b in zip(xd, yd)])))
+            (a0, a1, a2), (b0, b1, b2) = a, b
+            return (mu * a0 + lam * b0, mu * a1 + lam * b1, mu * a2 + lam * b2)
+        return tuple([mu * c + lam * d for c, d in zip(a, b)])
 
     def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
-        # fast path: the coordinate dot product (y - x) . (v - u)
-        xd, yd, ud, vd = x.data, y.data, u.data, v.data
-        n = self.dim
-        if (x.kind != "euclidean" or y.kind != "euclidean"
-                or u.kind != "euclidean" or v.kind != "euclidean"
-                or len(xd) != n or len(yd) != n or len(ud) != n or len(vd) != n):
-            self._require(x, y, u, v)
-        if n == 3:
-            # a sum over a tuple, as in dist
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = xd, yd, ud, vd
-            return sum(((b0 - a0) * (d0 - c0), (b1 - a1) * (d1 - c1), (b2 - a2) * (d2 - c2)))
-        return sum([(b - a) * (d - c) for a, b, c, d in zip(xd, yd, ud, vd)])
-
-    def points(self, column) -> Iterator[Point]:
-        return map(tuple.__new__, repeat(Point),
-                   zip(repeat("euclidean"), zip(*[iter(column)] * self.dim)))
+        # pair_quasilins' dot product (y - x) . (v - u), on one row each
+        self._require(x, y, u, v)
+        return self.pair_quasilins(x.data, y.data, u.data, v.data)[0]
 
     def pair_dists(self, a, b) -> list:
         self._require_length(b, len(a))
@@ -501,7 +501,7 @@ class Euclidean(SpaceModel):
 
     def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
         # 2-D rotation kernel: the iterate as two floats, turned by
-        # RotationFamily.apply's formula, comb's and dist's 2-D branches
+        # RotationFamily.image's formula, comb's and dist's 2-D branches
         # inline; x, c and the dimension are checked once (a bad one raises
         # from the reference loop's first comb, after T(x))
         xd = x.data
@@ -581,16 +581,16 @@ class PoincareDisk(SpaceModel):
     """The open unit disk with the hyperbolic metric d(z, w) =
     2 artanh |(z - w) / (1 - conj(w) z)|."""
 
+    width = 2
+
     def __init__(self):
         self.kind = "disk"
 
     def base_point(self) -> Point:
         return Point("disk", (0.0, 0.0))
 
-    def dist(self, x: Point, y: Point) -> float:
-        if x.kind != "disk" or y.kind != "disk":
-            self._require(x, y)
-        zx, zy = complex(*x.data), complex(*y.data)
+    def _dist(self, a, b):
+        zx, zy = complex(*a), complex(*b)
         try:
             num = abs(zx - zy)
         except OverflowError:
@@ -610,9 +610,7 @@ class PoincareDisk(SpaceModel):
                 for z, y in zip(map(complex, a[::2], a[1::2]), map(complex, b[::2], b[1::2]))]
 
     def pair_combs(self, a, b, lams) -> list:
-        # comb's steps row by row.  The complex division just before abs(w)
-        # resets errno, so that abs gives NaN for a NaN row, as in comb,
-        # whatever ran before
+        # _comb's steps row by row, a's conjugate once a row
         self._require_length(b, len(a))
         self._require_length(a, 2 * len(lams))
         atanh, tanh = math.atanh, math.tanh
@@ -630,28 +628,26 @@ class PoincareDisk(SpaceModel):
             out += (zx.real, zx.imag)
         return out
 
-    def comb(self, x: Point, y: Point, lam: float) -> Point:
-        # Moebius-translate x to the origin, walk along the resulting
-        # diameter by lam times the hyperbolic distance, translate back
-        if x.kind != "disk" or y.kind != "disk":
-            self._require(x, y)
+    def _comb(self, a, b, lam):
+        # Moebius-translate a to the origin, walk lam of the distance along
+        # the diameter, translate back (the division resets errno for abs)
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
-        zx, zy = complex(*x.data), complex(*y.data)
+        zx, zy = complex(*a), complex(*b)
         w = (zy - zx) / (1.0 - zx.conjugate() * zy)
         r = abs(w)
         if r == 0.0:
-            return x
+            return a
         total = 2.0 * math.atanh(r)
         step = math.tanh(0.5 * lam * total)
         w2 = w / r * step
         z = (w2 + zx) / (1.0 + zx.conjugate() * w2)
-        return tuple.__new__(Point, ("disk", (z.real, z.imag)))
+        return (z.real, z.imag)
 
     def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
         # rotation kernel: the iterate as a complex number, turned by a
         # product with the turn's unit, whose floats are
-        # RotationFamily.apply's (a*cos - b*sin, a*sin + b*cos); x's
+        # RotationFamily.image's (a*cos - b*sin, a*sin + b*cos); x's
         # conjugate hoisted, comb and dist inline.  x and c are checked once
         # (a bad one raises from the reference loop's first comb, after
         # T(x)).  point() gives x itself for x's own value, as comb returns
@@ -712,24 +708,23 @@ class Tripod(SpaceModel):
     """Three half-lines glued at a center: the simplest non-Hilbert CAT(0)
     model.  Intra-leg distance |s - t|, inter-leg distance s + t."""
 
+    width = 2
+
     def __init__(self):
         self.kind = "tripod"
 
     def base_point(self) -> Point:
         return Point("tripod", (0, 0.0))
 
-    def dist(self, x: Point, y: Point) -> float:
-        if x.kind != "tripod" or y.kind != "tripod":
-            self._require(x, y)
-        (lx, sx), (ly, sy) = x.data, y.data
+    def _dist(self, a, b):
+        (lx, sx), (ly, sy) = a, b
         if lx == ly or sx == 0.0 or sy == 0.0:
             return abs(sx - sy)
         return sx + sy
 
-    def points(self, column) -> Iterator[Point]:
-        # a leg read from the column is a float; the Point's leg is an int
-        return map(tuple.__new__, repeat(Point),
-                   zip(repeat("tripod"), zip(map(int, column[::2]), column[1::2])))
+    def rows(self, column) -> Iterator[tuple]:
+        # a leg read from the column is a float; the data's leg is an int
+        return zip(map(int, column[::2]), column[1::2])
 
     def pair_dists(self, a, b) -> list:
         self._require_length(b, len(a))
@@ -737,8 +732,7 @@ class Tripod(SpaceModel):
                 for l, s, m, t in zip(a[::2], a[1::2], b[::2], b[1::2])]
 
     def pair_combs(self, a, b, lams) -> list:
-        # comb's steps row by row; a leg read from a column is a float, equal
-        # to its int
+        # _comb's steps row by row; a leg read from a column is a float
         self._require_length(b, len(a))
         self._require_length(a, 2 * len(lams))
         inf, out = math.inf, []
@@ -761,12 +755,10 @@ class Tripod(SpaceModel):
             out += (leg, s)
         return out
 
-    def comb(self, x: Point, y: Point, lam: float) -> Point:
-        if x.kind != "tripod" or y.kind != "tripod":
-            self._require(x, y)
+    def _comb(self, a, b, lam):
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
-        (lx, sx), (ly, sy) = x.data, y.data
+        (lx, sx), (ly, sy) = a, b
         if lx == ly or sx == 0.0 or sy == 0.0:
             leg = ly if sx == 0.0 else lx
             s = (1.0 - lam) * sx + lam * sy
@@ -782,11 +774,11 @@ class Tripod(SpaceModel):
             leg = 0  # all legs share the center
         elif not 0.0 < s < math.inf:
             raise GeometryError(_TRIPOD_LENGTH)
-        return tuple.__new__(Point, ("tripod", (leg, s)))
+        return (leg, s)
 
     def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
         # rotation kernel: the iterate as (leg, s), its leg shifted as
-        # RotationFamily.apply does (the center stays on leg 0), comb and
+        # RotationFamily.image does (the center stays on leg 0), comb and
         # dist inline; x and c are checked once (a bad one raises from the
         # reference loop's first comb, after T(x))
         if turn is None or x.kind != "tripod" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
@@ -889,13 +881,13 @@ def _blocks(count: int) -> Iterator[int]:
 def _sample_inputs(space: SpaceModel, rows: int, points: dict, scalars: dict):
     """note_rows' inputs for a block of rows samples: row n's entry of
     every column, under its key, in the order of points and then scalars;
-    a point's data is rebuilt from its coordinate column by space.points
+    a point's data is rebuilt from its coordinate column by space.rows
     (a tripod leg as an int)."""
     def inputs(n, _column):
         desc = {}
         for key, column in points.items():
             width = len(column) // rows
-            desc[key] = next(space.points(column[n * width:(n + 1) * width])).data
+            desc[key] = next(space.rows(column[n * width:(n + 1) * width]))
         for key, column in scalars.items():
             desc[key] = column[n]
         return desc

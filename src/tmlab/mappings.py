@@ -36,7 +36,7 @@ class MappingFamily:
     """Base class: an indexed family of nonexpansive self-maps."""
 
     name = "family"
-    # True when apply does not read n, so every T_n is the one map T_0 and
+    # True when image does not read n, so every T_n is the one map T_0 and
     # each T_n x equals T_0 x to the bit; checks may then reuse one image
     members_coincide = False
 
@@ -46,26 +46,39 @@ class MappingFamily:
         self.gammas: Optional[Callable[[int], float]] = None
 
     def apply(self, n: int, x: Point) -> Point:
-        raise NotImplementedError
+        """T_n x: x checked, then image (x itself when image gives x's data)."""
+        space, xd = self.space, x.data
+        if x.kind != space.kind or len(xd) != space.width:
+            space._require(x)
+        data = self.image(n, xd)
+        return x if data is xd else tuple.__new__(Point, (space.kind, data))
+
+    def image(self, n: int, data: tuple) -> tuple:
+        """The data of T_n x for x of this data, unchecked: a family writes
+        its map here (and in images), and apply follows.  This default, for a
+        family that defines apply alone, applies it to the rebuilt Point."""
+        if type(self).apply is MappingFamily.apply:
+            raise NotImplementedError(f"{type(self).__name__} defines neither image nor apply")
+        space = self.space
+        y = self.apply(n, tuple.__new__(Point, (space.kind, data)))
+        space._require(y)
+        return y.data
 
     def images(self, column, ns) -> array:
         """The column of T_{n_i} z_i for every row z_i of the coordinate
         column (the Trajectory layout) and its index n_i from the iterable
-        ns, one index a row.  This form applies the family to each row's
-        Point, rebuilt by the model, in row order; the identity, rotation,
-        projection and proximal families map the whole column by their
-        closed forms instead.  A column whose row count is not that
-        of ns raises GeometryError.  This form is the only one that meets a
-        SolverFailure: it raises it with ``images``, the column of the rows
-        before the failing one, set on it, so that its length tells the row
-        it stopped at.  A subclass that changes apply changes this too, so
-        that the two give the same floats."""
-        ns = list(ns)
-        self.space._require_length(column, len(self.fixed_point.data) * len(ns))
-        out = array("d")
+        ns, one a row; a row count that is not that of ns raises
+        GeometryError.  This form calls image on each row's data in row
+        order, and is the only one that meets a SolverFailure: it raises it
+        with ``images``, the column of the rows before the failing one, set
+        on it.  A subclass that changes image changes this too, so that the
+        two give the same floats."""
+        ns, space = list(ns), self.space
+        space._require_length(column, space.width * len(ns))
+        out, image = array("d"), self.image
         try:
-            for n, z in zip(ns, self.space.points(column)):
-                out.extend(self.apply(n, z).data)
+            for n, z in zip(ns, space.rows(column)):
+                out.extend(image(n, z))
         except SolverFailure as exc:
             exc.images = out
             raise
@@ -90,11 +103,11 @@ class IdentityFamily(MappingFamily):
     def __init__(self, space: SpaceModel, fixed_point: Optional[Point] = None):
         super().__init__(space, fixed_point or space.base_point())
 
-    def apply(self, n, x):
-        return x
+    def image(self, n, data):
+        return data
 
     def images(self, column, ns):
-        self.space._require_length(column, len(self.fixed_point.data) * len(list(ns)))
+        self.space._require_length(column, self.space.width * len(list(ns)))
         return array("d", column)
 
 
@@ -108,8 +121,8 @@ class ConstantFamily(MappingFamily):
         super().__init__(space, base.fixed_point)
         self.base = base
 
-    def apply(self, n, x):
-        return self.base.apply(0, x)
+    def image(self, n, data):
+        return self.base.image(0, data)
 
 
 class RotationFamily(MappingFamily):
@@ -136,24 +149,17 @@ class RotationFamily(MappingFamily):
         self._on_tripod = isinstance(space, Tripod)
         self.turn = Turn(self._cos, self._sin, complex(self._cos, self._sin), self._shift)
 
-    def apply(self, n, x):
-        # an isometry maps valid points to valid points: no factory checks;
-        # x.kind is kept, so a foreign point fails at the next model call
-        try:
-            a, b = x.data
-        except ValueError:  # not two coordinates: the model names the point
-            self.space._require(x)
-            raise
+    def image(self, n, data):
+        # an isometry maps valid points to valid points: no factory checks
+        a, b = data
         if self._on_tripod:
             # (a, b) is (leg, s); all legs share the center, which is leg 0
             # (as in Point.tripod)
-            leg = (a + self._shift) % 3 if b != 0.0 else 0
-            return tuple.__new__(Point, (x.kind, (leg, b)))
-        return tuple.__new__(Point, (x.kind, (a * self._cos - b * self._sin,
-                                              a * self._sin + b * self._cos)))
+            return ((a + self._shift) % 3 if b != 0.0 else 0, b)
+        return (a * self._cos - b * self._sin, a * self._sin + b * self._cos)
 
     def images(self, column, ns):
-        # apply's formula on the coordinate pairs, one output column at a time
+        # image's formula on the coordinate pairs, one output column at a time
         self.space._require_length(column, 2 * len(list(ns)))
         first, second, out = column[::2], column[1::2], array("d", column)
         if self._on_tripod:
@@ -178,25 +184,26 @@ class MetricProjectionFamily(MappingFamily):
     def __init__(self, space: SpaceModel, center: Point, radius: float):
         if radius <= 0:
             raise GeometryError("ball radius must be positive")
+        space._require(center)  # image reads its data unchecked
         super().__init__(space, center)
         self.center = center
         self.radius = radius
 
-    def apply(self, n, x):
-        d = self.space.dist(x, self.center)
+    def image(self, n, data):
+        space, c = self.space, self.center.data
+        d = space._dist(data, c)
         if d <= self.radius:
-            return x
-        return self.space.comb(self.center, x, self.radius / d)
+            return data
+        return space._comb(c, data, self.radius / d)
 
     def images(self, column, ns):
-        # apply's distance test on the whole column; the rows outside the
-        # ball take apply's comb, on their Points
-        space, center, r = self.space, self.center, self.radius
-        space._require_length(column, len(center.data) * len(list(ns)))
-        comb = space.comb
+        # image's distance test on the whole column; the rows outside the
+        # ball take image's comb, on their data
+        space, c, r, comb = self.space, self.center.data, self.radius, self.space._comb
+        space._require_length(column, space.width * len(list(ns)))
         return array("d", chain.from_iterable(
-            z.data if d <= r else comb(center, z, r / d).data
-            for z, d in zip(space.points(column), space.dists(column, center))))
+            z if d <= r else comb(c, z, r / d)
+            for z, d in zip(space.rows(column), space.dists(column, self.center))))
 
 
 class ProximalFamily(MappingFamily):
@@ -207,16 +214,17 @@ class ProximalFamily(MappingFamily):
     name = "proximal"
 
     def __init__(self, space, center: Point, gammas: Callable[[int], float]):
+        space._require(center)  # image reads its data unchecked
         super().__init__(space, center)
         self.center = center
         self.gammas = gammas
 
-    def apply(self, n, x):
+    def image(self, n, data):
         g = self.gammas(n)
-        return self.space.comb(x, self.center, g / (1.0 + g))
+        return self.space._comb(data, self.center.data, g / (1.0 + g))
 
     def images(self, column, ns):
-        # apply's comb on the whole column, with no Point built
+        # image's comb on the whole column
         return self.space.combs(column, self.center,
                                 [g / (1.0 + g) for g in map(self.gammas, ns)])
 
@@ -247,10 +255,11 @@ class ResolventFamily(MappingFamily):
         self._turn = (base.turn if isinstance(base, RotationFamily)
                       and base.space.kind == space.kind else None)
 
-    def apply(self, n, x):
-        g = self.gammas(n)
-        return self.space.fixed_point(x, partial(self.base.apply, 0), g / (1.0 + g),
-                                      self.inner_tol, self.max_iterations, self._turn)
+    def image(self, n, data):
+        g, space = self.gammas(n), self.space
+        return space.fixed_point(tuple.__new__(Point, (space.kind, data)),
+                                 partial(self.base.apply, 0), g / (1.0 + g),
+                                 self.inner_tol, self.max_iterations, self._turn).data
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,8 @@ def search_metastable(
     """Least n <= cap with all pairwise distances on {n, ..., f(n)} below
     1/(k+1); windows with f(n) < n hold vacuously."""
     bound = 1 / (query.k + 1) + tol
-    length = len(traj)
-    dist = traj.space.dist
+    length, space, w = len(traj), traj.space, traj.width
+    dist = space._dist  # on the rows' data, which the run made
     xs = []  # x_0, x_1, ... as far as a window has reached
     truncated = False
     for n in range(min(query.cap, length) + 1):
@@ -194,7 +194,7 @@ def search_metastable(
             truncated = True
             break
         if end >= len(xs):
-            xs += traj.points(traj.x, len(xs), end + 1)
+            xs += space.rows(traj.x[len(xs) * w:(end + 1) * w])
         if _window_ok(xs[n:end + 1], dist, bound):
             return MetastabilitySearch(found=n, truncated=False, scanned=n)
     return MetastabilitySearch(found=None, truncated=truncated, scanned=n)

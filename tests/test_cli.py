@@ -182,10 +182,10 @@ def test_verify_geometry_report(runner, tmp_path):
 class BrokenModel(Euclidean):
     """A non-geodesic combination that violates the convexity axioms."""
 
-    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls comb
+    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls _comb
 
-    def comb(self, x, y, lam):
-        return x if lam < 1.0 else y
+    def _comb(self, a, b, lam):
+        return a if lam < 1.0 else b
 
 
 def test_verify_broken_model_exits_1(runner, monkeypatch):

@@ -6,6 +6,7 @@ import io
 import math
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -140,6 +141,55 @@ class FailingFirstApply(FailingSecondApply):
     T_n u_n."""
 
     failing_call = 0
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TEXTS))
+def test_the_step_loop_calls_no_point_method(name, monkeypatch):
+    # u, x0 and p are checked once; the loop, images and the distance
+    # columns then run on coordinates, with no Point-level comb, dist or apply
+    sc = scenario_from_text(SCENARIO_TEXTS[name])
+    calls = []
+    for owner, attr in ((SpaceModel, "comb"), (SpaceModel, "dist"), (MappingFamily, "apply")):
+        def counted(*args, method=getattr(owner, attr), attr=attr):
+            calls.append(attr)
+            return method(*args)
+        monkeypatch.setattr(owner, attr, counted)
+    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 200)
+    assert traj.error is None and len(traj) == 201
+    assert calls == []
+    # the wrappers are the methods the shipped classes run
+    sc.space.comb(sc.u, sc.x0, 0.5), sc.space.dist(sc.u, sc.x0), sc.family.apply(0, sc.u)
+    assert calls == ["comb", "dist", "apply"]
+
+
+def test_a_family_that_defines_apply_alone_drives_run_and_images():
+    # image's default applies apply to the rebuilt Point: the loop's T_n u_n,
+    # then images' T_n x_n, each through FailingApplies.apply
+    space, bundle = Euclidean(2), preset("harmonic")
+    base = ProximalFamily(space, space.base_point(), bundle.gamma)
+    u, x0 = Point.euclidean(0.5, 0.0), Point.euclidean(-1.0, 2.0)
+    fam = FailingApplies(space, base, {})
+    traj = run(space, fam, bundle, u, x0, 10)
+    assert fam.calls == [(n, 0) for n in range(11)] + [(n, 1) for n in range(11)]
+    ref = reference_run(space, base, bundle, u, x0, 10)
+    assert typed(list(traj.records)) == typed(ref)
+    fam.calls = []
+    got = fam.images(traj.x, range(11))
+    assert fam.calls == [(n, 2) for n in range(11)]
+    assert list(got) == [c for rec in ref for c in base.apply(rec.n, rec.x).data]
+
+
+def test_a_family_that_defines_neither_image_nor_apply_raises_not_implemented():
+    class Bare(MappingFamily):
+        pass
+
+    space = Euclidean(2)
+    fam, p = Bare(space, space.base_point()), Point.euclidean(1.0, 0.0)
+    for call in (lambda: fam.apply(0, p), lambda: fam.image(0, p.data),
+                 lambda: fam.images(array("d", p.data), [0]),
+                 lambda: run(space, fam, preset("harmonic"), p, p, 3)):
+        with pytest.raises(NotImplementedError, match="Bare defines neither image nor apply"):
+            call()
 
 
 D_STEP_RUNS = {
@@ -400,15 +450,14 @@ class RefDisk(PoincareDisk):
 
 class RefRotation(RotationFamily):
     """RotationFamily.apply before its points were built by tuple.__new__,
-    copied unchanged."""
+    as the coordinate map image: the tripod's image checked by Point.tripod."""
 
-    def apply(self, n, x):
+    def image(self, n, data):
         if self._on_tripod:
-            leg, s = x.data
-            return Point.tripod((leg + self._shift) % 3, s)
-        a, b = x.data
-        return Point(x.kind, (a * self._cos - b * self._sin,
-                              a * self._sin + b * self._cos))
+            leg, s = data
+            return Point.tripod((leg + self._shift) % 3, s).data
+        a, b = data
+        return (a * self._cos - b * self._sin, a * self._sin + b * self._cos)
 
 
 BYTE_IDENTITY_TEXTS = {

@@ -170,30 +170,27 @@ def test_euclidean_quasilin_fast_path_matches_generic(a, b, c, d, e, f, g, h):
 # Reference bodies
 #
 # The bodies of dist, comb and quasilin before the 2-D and 3-D Euclidean
-# branches, copied unchanged: the general comprehensions in every
-# dimension, and result points built by Point(...); fixed_point is the
-# reference loop over them.  The branches must give the same floats, to the
-# bit, and raise where they raise.
+# branches: the general comprehensions in every dimension, dist's and
+# comb's as the coordinate kernels _dist and _comb, which the Point methods,
+# the step loop and (through the reference pair_combs) the column
+# combinations call; fixed_point is the reference loop over them.  The
+# branches must give the same floats, to the bit, and raise where they
+# raise.
 # ---------------------------------------------------------------------------
 
 
 class RefEuclidean(Euclidean):
     fixed_point = SpaceModel.fixed_point
+    pair_combs = SpaceModel.pair_combs
 
-    def dist(self, x: Point, y: Point) -> float:
-        xd, yd = x.data, y.data
-        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
-            self._require(x, y)
+    def _dist(self, xd: tuple, yd: tuple) -> float:
         return math.sqrt(sum([(a - b) ** 2 for a, b in zip(xd, yd)]))
 
-    def comb(self, x: Point, y: Point, lam: float) -> Point:
-        xd, yd = x.data, y.data
-        if x.kind != "euclidean" or y.kind != "euclidean" or len(xd) != len(yd):
-            self._require(x, y)
+    def _comb(self, xd: tuple, yd: tuple, lam: float) -> tuple:
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
         mu = 1.0 - lam
-        return Point("euclidean", tuple([mu * a + lam * b for a, b in zip(xd, yd)]))
+        return tuple([mu * a + lam * b for a, b in zip(xd, yd)])
 
     def quasilin(self, x: Point, y: Point, u: Point, v: Point) -> float:
         # fast path: the coordinate dot product (y - x) . (v - u)
@@ -209,12 +206,10 @@ class RefEuclidean(Euclidean):
 class RefTripod(Tripod):
     fixed_point = SpaceModel.fixed_point
 
-    def comb(self, x: Point, y: Point, lam: float) -> Point:
-        if x.kind != "tripod" or y.kind != "tripod":
-            self._require(x, y)
+    def _comb(self, xd: tuple, yd: tuple, lam: float) -> tuple:
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
-        (lx, sx), (ly, sy) = x.data, y.data
+        (lx, sx), (ly, sy) = xd, yd
         if lx == ly or sx == 0.0 or sy == 0.0:
             leg = ly if sx == 0.0 else lx
             s = (1.0 - lam) * sx + lam * sy
@@ -230,7 +225,7 @@ class RefTripod(Tripod):
             leg = 0  # all legs share the center
         elif not 0.0 < s < math.inf:
             raise GeometryError(_TRIPOD_LENGTH)
-        return Point("tripod", (leg, s))
+        return (leg, s)
 
 
 def _bits(value):
@@ -409,13 +404,13 @@ def test_fixed_point_kernels_are_bitwise_the_reference(model, kind, seed, pick, 
 # and the kernel turns its own iterate instead of calling apply.
 
 class CountingRotation(RotationFamily):
-    """A rotation that counts the calls of its apply."""
+    """A rotation that counts the calls of its image, which apply calls."""
 
     calls = 0
 
-    def apply(self, n, x):
+    def image(self, n, data):
         self.calls += 1
-        return super().apply(n, x)
+        return super().image(n, data)
 
 
 @pytest.mark.parametrize("model", ["disk", "euclidean2", "tripod"])
@@ -486,12 +481,13 @@ def test_native_tripod_rotation_is_apply_bitwise(turns, leg, s):
 
 
 def test_a_rotation_of_another_model_goes_through_apply():
-    # a tripod's leg shift on plane points is not the plane rotation: the
-    # kernel calls it as it calls any other map
-    space, rot = Euclidean(2), CountingRotation(Tripod(), 2.0 * math.pi / 3.0)
+    # a tripod's leg shift is not the plane rotation: the solve calls it as
+    # it calls any other map, and its apply refuses the plane point, where
+    # the plane's kernel would have turned it
+    space, rot = Euclidean(2), RotationFamily(Tripod(), 2.0 * math.pi / 3.0)
     x = Point.euclidean(0.4, -0.3)
     got = _settled(lambda: ResolventFamily(space, rot, lambda n: 1.0).apply(0, x))
-    assert rot.calls > 0
+    assert got == ("GeometryError", "point of model 'euclidean' used in model 'tripod'")
     assert got == _settled(lambda: SpaceModel.fixed_point(
         space, x, partial(rot.apply, 0), 0.5, 1e-12, 10_000))
 
@@ -675,6 +671,20 @@ def test_column_kernels_reject_a_foreign_point(kind):
                      lambda: sp.combs(column, p3, [0.5])):
             with pytest.raises(GeometryError, match="3 coordinates used in model euclidean"):
                 call()
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_POINTS))
+def test_column_length_errors_name_the_callers_column_and_lams(kind):
+    # dists and combs check the caller's column (whole rows) and lams (one
+    # a row) before they repeat p's data, and name their lengths
+    sp, x, _, _ = MODEL_POINTS[kind]
+    with pytest.raises(GeometryError) as info:
+        sp.dists(array("d", [1.0, 2.0, 3.0]), x)
+    assert str(info.value) == f"column of 3 values where {sp.describe()} needs whole rows of 2"
+    with pytest.raises(GeometryError) as info:
+        sp.combs(_column([x, x]), x, [0.5])
+    assert str(info.value) == (f"column of 4 values where {sp.describe()} needs 2 "
+                               "for lams of length 1")
 
 
 NAN_ROWS = {"euclidean": Point("euclidean", (math.nan, 1.0)),
@@ -881,10 +891,10 @@ def test_curved_models_have_no_equality_claim():
 
 def test_broken_comb_is_detected():
     class Broken(Euclidean):
-        pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls comb
+        pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls _comb
 
-        def comb(self, x, y, lam):
-            return x if lam < 1.0 else y
+        def _comb(self, a, b, lam):
+            return a if lam < 1.0 else b
 
     reps = check_w_axioms(Broken(2), SMALL, 1e-9)
     assert any(not r.passed for r in reps)
@@ -979,10 +989,10 @@ def test_note_rows_equals_note_in_row_order(columns, start, as_arrays, with_inpu
 class NaNComb(Euclidean):
     """A combination whose coordinates are NaN."""
 
-    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls comb
+    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls _comb
 
-    def comb(self, x, y, lam):
-        return Point("euclidean", (math.nan,) * self.dim)
+    def _comb(self, a, b, lam):
+        return (math.nan,) * self.dim
 
 
 def test_a_nan_violation_fails_the_check():
@@ -1001,7 +1011,7 @@ class LateNaNComb(Euclidean):
     on, and geodesic before: a checker that draws k points a sample and
     is given start = k * n sees its first NaN at sample n."""
 
-    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls comb
+    pair_combs = SpaceModel.pair_combs  # the checkers' kernel calls _comb
 
     def __init__(self, start):
         super().__init__(2)
@@ -1017,10 +1027,10 @@ class LateNaNComb(Euclidean):
             return data
         return noted
 
-    def comb(self, x, y, lam):
-        if self.drawn[x.data] >= self.start:
-            return Point("euclidean", (math.nan, math.nan))
-        return super().comb(x, y, lam)
+    def _comb(self, a, b, lam):
+        if self.drawn[a] >= self.start:
+            return (math.nan, math.nan)
+        return super()._comb(a, b, lam)
 
 
 def _drawn_inputs(check, space, spec, n):

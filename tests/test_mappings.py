@@ -92,14 +92,11 @@ def test_tripod_shift_is_the_nearest_third_of_a_turn_for_every_finite_angle(angl
         assert shift in (0, 1, 2)
 
 
-def test_tripod_rotation_keeps_a_foreign_point_foreign():
+def test_tripod_rotation_refuses_a_foreign_point():
+    # apply checks its point before it maps it, as dist and comb do
     sp = Tripod()
-    image = RotationFamily(sp, 2.0 * math.pi / 3.0).apply(0, Point.euclidean(1.0, 0.5))
-    assert image.kind == "euclidean"
-    with pytest.raises(GeometryError):
-        sp.dist(image, sp.base_point())
-    with pytest.raises(GeometryError):
-        sp.comb(sp.base_point(), image, 0.5)
+    with pytest.raises(GeometryError, match="point of model 'euclidean' used in model 'tripod'"):
+        RotationFamily(sp, 2.0 * math.pi / 3.0).apply(0, Point.euclidean(1.0, 0.5))
 
 
 @pytest.mark.parametrize("space,via_resolvent,named", [
@@ -344,7 +341,7 @@ def test_members_coincide_exactly_when_there_are_no_step_sizes(model, kind):
 def test_images_are_apply_on_each_row_to_the_bit(model, kind):
     # the identity, rotation, projection and proximal families map the
     # column by their closed forms, and a constant family or a resolvent
-    # applies itself to each row's Point; indices 0 and 1 are the least,
+    # calls its image on each row's data; indices 0 and 1 are the least,
     # where gamma_n changes most.  The rows come from the model's draw
     # closure, which sample wraps and which, unlike sample, takes the
     # radius 0.0: its rows have zero lengths
@@ -379,12 +376,12 @@ def test_images_are_apply_on_each_row_to_the_bit(model, kind):
 class SquaredLamComb:
     """A combination that walks lam ** 2 of the geodesic, not lam, on the
     model it is mixed into; the column kernels read it through the reference
-    pair_combs, as a model that changes comb alone is to take it."""
+    pair_combs, as a model that changes _comb is to take it."""
 
     pair_combs = SpaceModel.pair_combs
 
-    def comb(self, x, y, lam):
-        return super().comb(x, y, lam * lam)
+    def _comb(self, a, b, lam):
+        return super()._comb(a, b, lam * lam)
 
 
 class SquaredLamEuclidean(SquaredLamComb, Euclidean):

@@ -607,25 +607,26 @@ def test_chi_T_series_skips_a_modulus_past_its_cap():
 
 
 class CountingRotationPerRow(CountingRotation):
-    """The same maps, undeclared as coinciding, whose images apply T_n to
-    each row's Point."""
+    """The same maps, undeclared as coinciding, whose images call image on
+    each row's data."""
 
     members_coincide = False
     images = MappingFamily.images
 
 
 class CountingProximal(ProximalFamily):
-    """A proximal family that counts the calls of its apply."""
+    """A proximal family that counts the calls of its image, which apply
+    calls."""
 
     calls = 0
 
-    def apply(self, n, x):
+    def image(self, n, data):
         self.calls += 1
-        return super().apply(n, x)
+        return super().image(n, data)
 
 
 class CountingProximalPerRow(CountingProximal):
-    """The same maps, whose images apply T_n to each row's Point."""
+    """The same maps, whose images call image on each row's data."""
 
     images = MappingFamily.images
 
