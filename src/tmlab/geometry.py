@@ -360,23 +360,23 @@ class SpaceModel:
     def describe(self) -> str:
         return self.kind
 
-    def fixed_point(self, x: Point, T, c: float, tol: float, max_iterations: int,
-                    turn: Optional[Turn] = None) -> Point:
-        """The Banach iteration z <- comb(x, T(z), c) from z = x: the first
-        iterate within tol of its predecessor, or SolverFailure after
-        max_iterations steps.  This loop solves for every map but one: when
-        T is a rotation of this model, ``turn`` may carry its constants,
-        and the shipped models then run a kernel that turns its native
-        iterate itself, with the same floating-point operations, in the
-        same order, as this loop's T, comb and dist; it calls T only for
-        the SolverFailure residual.  This loop ignores ``turn``."""
-        # z is x, which the first comb checks, or a comb's result
-        comb, dist = self.comb, self._dist
+    def fixed_point(self, xd: tuple, image, c: float, tol: float, max_iterations: int,
+                    turn: Optional[Turn] = None) -> tuple:
+        """The Banach iteration z <- _comb(xd, image(0, z), c) from z = xd,
+        on data checked by the caller (apply, engine.run) and building no
+        Point: the first iterate within tol of its predecessor, or
+        SolverFailure after max_iterations steps.  image is a base family's
+        image.  When it is a rotation of this model, ``turn`` may carry its
+        constants, and the shipped models then run a kernel that turns its
+        native iterate itself, with the same floating-point operations, in
+        the same order, as this loop; it calls image only for the
+        SolverFailure residual.  This loop ignores ``turn``."""
+        comb, dist = self._comb, self._dist
         first = best = None
-        z = x
+        z = xd
         for _ in range(max_iterations):
-            z_next = comb(x, T(z), c)
-            d = dist(z.data, z_next.data)
+            z_next = comb(xd, image(0, z), c)
+            d = dist(z, z_next)
             if d <= tol:
                 return z_next
             if first is None:
@@ -384,7 +384,7 @@ class SpaceModel:
             elif d < best:
                 best = d
             z = z_next
-        raise _stalled(first, best, self.dist(z, comb(x, T(z), c)), max_iterations)
+        raise _stalled(first, best, dist(z, comb(xd, image(0, z), c)), max_iterations)
 
 
 def quasilin_from_distances(dxv, dyu, dxu, dyv) -> float:
@@ -499,15 +499,13 @@ class Euclidean(SpaceModel):
         return [sum([f * (d - c) for f, c, d in zip(e, xd, row)])
                 for row in zip(*[iter(column)] * self.dim)]
 
-    def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
+    def fixed_point(self, xd, image, c, tol, max_iterations, turn=None):
         # 2-D rotation kernel: the iterate as two floats, turned by
-        # RotationFamily.image's formula, comb's and dist's 2-D branches
-        # inline; x, c and the dimension are checked once (a bad one raises
-        # from the reference loop's first comb, after T(x))
-        xd = x.data
-        if (turn is None or self.dim != 2 or x.kind != "euclidean" or len(xd) != 2
-                or not 0.0 <= c <= 1.0):
-            return super().fixed_point(x, T, c, tol, max_iterations)
+        # RotationFamily.image's formula, _comb's and _dist's 2-D branches
+        # inline; c and the widths are checked once (a bad c raises from
+        # the reference loop's first _comb, after image(0, xd))
+        if turn is None or self.dim != 2 or len(xd) != 2 or not 0.0 <= c <= 1.0:
+            return super().fixed_point(xd, image, c, tol, max_iterations)
         (a0, a1), mu, sqrt = xd, 1.0 - c, math.sqrt
         cos, sin = turn.cos, turn.sin
         z0, z1 = a0, a1
@@ -517,14 +515,14 @@ class Euclidean(SpaceModel):
             n0, n1 = mu * a0 + c * b0, mu * a1 + c * b1
             d = sqrt((z0 - n0) ** 2 + (z1 - n1) ** 2)
             if d <= tol:
-                return tuple.__new__(Point, ("euclidean", (n0, n1)))
+                return (n0, n1)
             if first is None:
                 first = best = d
             elif d < best:
                 best = d
             z0, z1 = n0, n1
-        z = tuple.__new__(Point, ("euclidean", (z0, z1)))
-        raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
+        z = (z0, z1)
+        raise _stalled(first, best, self._dist(z, self._comb(xd, image(0, z), c)), max_iterations)
 
     def sampler(self, rng):
         # a direction of dim normals over its norm, and a length of radius
@@ -644,20 +642,20 @@ class PoincareDisk(SpaceModel):
         z = (w2 + zx) / (1.0 + zx.conjugate() * w2)
         return (z.real, z.imag)
 
-    def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
+    def fixed_point(self, xd, image, c, tol, max_iterations, turn=None):
         # rotation kernel: the iterate as a complex number, turned by a
         # product with the turn's unit, whose floats are
         # RotationFamily.image's (a*cos - b*sin, a*sin + b*cos); x's
-        # conjugate hoisted, comb and dist inline.  x and c are checked once
-        # (a bad one raises from the reference loop's first comb, after
-        # T(x)).  point() gives x itself for x's own value, as comb returns
-        # x when it does not move
-        if turn is None or x.kind != "disk" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
-            return super().fixed_point(x, T, c, tol, max_iterations)
-        zx = complex(*x.data)
+        # conjugate hoisted, _comb and _dist inline.  c and the width are
+        # checked once (a bad c raises from the reference loop's first
+        # _comb, after image(0, xd)).  point() gives xd itself for x's own
+        # value, as _comb returns its first argument when it does not move
+        if turn is None or len(xd) != 2 or not 0.0 <= c <= 1.0:
+            return super().fixed_point(xd, image, c, tol, max_iterations)
+        zx = complex(*xd)
 
         def point(w):
-            return x if w is zx else tuple.__new__(Point, ("disk", (w.real, w.imag)))
+            return xd if w is zx else (w.real, w.imag)
 
         czx, half_c, atanh, tanh = zx.conjugate(), 0.5 * c, math.atanh, math.tanh
         unit = turn.unit
@@ -681,7 +679,7 @@ class PoincareDisk(SpaceModel):
                 best = d
             cur = nxt
         z = point(cur)
-        raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
+        raise _stalled(first, best, self._dist(z, self._comb(xd, image(0, z), c)), max_iterations)
 
     def sampler(self, rng):
         # an angle of random.uniform(0.0, 2 pi), written out as uniform's
@@ -776,14 +774,14 @@ class Tripod(SpaceModel):
             raise GeometryError(_TRIPOD_LENGTH)
         return (leg, s)
 
-    def fixed_point(self, x, T, c, tol, max_iterations, turn=None):
+    def fixed_point(self, xd, image, c, tol, max_iterations, turn=None):
         # rotation kernel: the iterate as (leg, s), its leg shifted as
-        # RotationFamily.image does (the center stays on leg 0), comb and
-        # dist inline; x and c are checked once (a bad one raises from the
-        # reference loop's first comb, after T(x))
-        if turn is None or x.kind != "tripod" or len(x.data) != 2 or not 0.0 <= c <= 1.0:
-            return super().fixed_point(x, T, c, tol, max_iterations)
-        (lx, sx), mu, inf = x.data, 1.0 - c, math.inf
+        # RotationFamily.image does (the center stays on leg 0), _comb and
+        # _dist inline; c and the width are checked once (a bad c raises
+        # from the reference loop's first _comb, after image(0, xd))
+        if turn is None or len(xd) != 2 or not 0.0 <= c <= 1.0:
+            return super().fixed_point(xd, image, c, tol, max_iterations)
+        (lx, sx), mu, inf = xd, 1.0 - c, math.inf
         shift = turn.shift
         lz, sz = lx, sx
         first = best = None
@@ -804,14 +802,14 @@ class Tripod(SpaceModel):
                 raise GeometryError(_TRIPOD_LENGTH)
             d = abs(sz - s) if lz == leg or sz == 0.0 or s == 0.0 else sz + s
             if d <= tol:
-                return tuple.__new__(Point, ("tripod", (leg, s)))
+                return (leg, s)
             if first is None:
                 first = best = d
             elif d < best:
                 best = d
             lz, sz = leg, s
-        z = tuple.__new__(Point, ("tripod", (lz, sz)))
-        raise _stalled(first, best, self.dist(z, self.comb(x, T(z), c)), max_iterations)
+        z = (lz, sz)
+        raise _stalled(first, best, self._dist(z, self._comb(xd, image(0, z), c)), max_iterations)
 
     def sampler(self, rng):
         # around the base point, a leg of random.randrange(3) and an arm of

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from functools import partial
 from itertools import chain
 from typing import Callable, Optional
 
@@ -230,12 +229,12 @@ class ProximalFamily(MappingFamily):
 
 
 class ResolventFamily(MappingFamily):
-    """Resolvents J_n of the nonexpansive map T = base_0 of a base family:
-    the fixed point z of z -> (1 - c) x + c T(z) with c = gamma_n / (1 +
-    gamma_n), solved by the model's Banach iteration SpaceModel.fixed_point
-    (contraction factor c < 1).  A rotation base of the same model hands its
-    Turn to the solve, whose kernel then rotates the iterate without calling
-    T; every other base is called by the reference loop."""
+    """Resolvents J_n of the nonexpansive map T = base_0 of a base family of
+    this model (another is refused: its image reads data unchecked): the
+    fixed point z of z -> (1 - c) x + c T(z), c = gamma_n / (1 + gamma_n),
+    solved on x's data by SpaceModel.fixed_point over the base's image
+    (contraction factor c < 1).  A rotation base hands the solve its Turn,
+    whose kernel then rotates the iterate without calling image."""
 
     name = "resolvent"
 
@@ -247,19 +246,20 @@ class ResolventFamily(MappingFamily):
         inner_tol: float = 1e-12,
         max_iterations: int = 10_000,
     ):
+        if base.space.kind != space.kind or base.space.width != space.width:
+            raise GeometryError(f"resolvent base of model {base.space.describe()} "
+                                f"used in model {space.describe()}")
         super().__init__(space, base.fixed_point)
         self.base = base
         self.gammas = gammas
         self.inner_tol = inner_tol
         self.max_iterations = max_iterations
-        self._turn = (base.turn if isinstance(base, RotationFamily)
-                      and base.space.kind == space.kind else None)
+        self._turn = base.turn if isinstance(base, RotationFamily) else None
 
     def image(self, n, data):
-        g, space = self.gammas(n), self.space
-        return space.fixed_point(tuple.__new__(Point, (space.kind, data)),
-                                 partial(self.base.apply, 0), g / (1.0 + g),
-                                 self.inner_tol, self.max_iterations, self._turn).data
+        g = self.gammas(n)
+        return self.space.fixed_point(data, self.base.image, g / (1.0 + g),
+                                      self.inner_tol, self.max_iterations, self._turn)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from tmlab.geometry import Euclidean, GeometryError, PoincareDisk, Point, SpaceM
 from tmlab.mappings import (
     IdentityFamily,
     MappingFamily,
+    MetricProjectionFamily,
     ProximalFamily,
     ResolventFamily,
     RotationFamily,
@@ -143,23 +144,37 @@ class FailingFirstApply(FailingSecondApply):
     failing_call = 0
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_TEXTS))
-def test_the_step_loop_calls_no_point_method(name, monkeypatch):
-    # u, x0 and p are checked once; the loop, images and the distance
-    # columns then run on coordinates, with no Point-level comb, dist or apply
-    sc = scenario_from_text(SCENARIO_TEXTS[name])
+def _point_method_calls(text, steps, monkeypatch):
+    """The Point-level comb, dist and apply calls of the run of the scenario
+    text, each wrapped to count it."""
+    sc = scenario_from_text(text)
     calls = []
     for owner, attr in ((SpaceModel, "comb"), (SpaceModel, "dist"), (MappingFamily, "apply")):
         def counted(*args, method=getattr(owner, attr), attr=attr):
             calls.append(attr)
             return method(*args)
         monkeypatch.setattr(owner, attr, counted)
-    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, 200)
-    assert traj.error is None and len(traj) == 201
-    assert calls == []
+    traj = run(sc.space, sc.family, sc.bundle, sc.u, sc.x0, steps)
+    assert traj.error is None and len(traj) == steps + 1
+    got = list(calls)
     # the wrappers are the methods the shipped classes run
     sc.space.comb(sc.u, sc.x0, 0.5), sc.space.dist(sc.u, sc.x0), sc.family.apply(0, sc.u)
-    assert calls == ["comb", "dist", "apply"]
+    assert calls[len(got):] == ["comb", "dist", "apply"]
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TEXTS))
+def test_the_step_loop_calls_no_point_method(name, monkeypatch):
+    # u, x0 and p are checked once; the loop, images and the distance
+    # columns then run on coordinates, with no Point-level comb, dist or apply
+    assert _point_method_calls(SCENARIO_TEXTS[name], 200, monkeypatch) == []
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVENT_TEXTS))
+def test_the_resolvent_solve_calls_no_point_method(name, monkeypatch):
+    # the reference solve of a ball-projection base and the rotation kernels
+    # run on x's data and the base's image
+    assert _point_method_calls(RESOLVENT_TEXTS[name], 100, monkeypatch) == []
 
 
 def test_a_family_that_defines_apply_alone_drives_run_and_images():
@@ -177,6 +192,31 @@ def test_a_family_that_defines_apply_alone_drives_run_and_images():
     got = fam.images(traj.x, range(11))
     assert fam.calls == [(n, 2) for n in range(11)]
     assert list(got) == [c for rec in ref for c in base.apply(rec.n, rec.x).data]
+
+
+@pytest.mark.parametrize("space, center, u, x0", [
+    (Euclidean(2), Point.euclidean(0.3, -0.1), Point.euclidean(1.2, 0.7),
+     Point.euclidean(-1.0, 2.0)),
+    (PoincareDisk(), Point.disk(0.2, 0.1), Point.disk(-0.6, 0.5), Point.disk(0.5, -0.4)),
+    (Tripod(), Point.tripod(1, 0.4), Point.tripod(2, 1.1), Point.tripod(0, 0.9)),
+], ids=["euclidean", "disk", "tripod"])
+def test_a_base_that_defines_apply_alone_drives_the_resolvent_solve(space, center, u, x0):
+    # the solve calls the base's default image, which applies apply to the
+    # rebuilt Point: the same run as the projection's own image gives
+    bundle = preset("harmonic")
+    ball = MetricProjectionFamily(space, center, 0.3)
+    base = FailingApplies(space, ball, {})
+    got = run(space, ResolventFamily(space, base, bundle.gamma), bundle, u, x0, 20)
+    want = run(space, ResolventFamily(space, ball, bundle.gamma), bundle, u, x0, 20)
+    assert got.error is None and len(got) == 21
+    assert {n for n, _ in base.calls} == {0} and len(base.calls) >= 2 * 21
+    got_csv, want_csv = io.StringIO(), io.StringIO()
+    got.write_csv(got_csv), want.write_csv(want_csv)
+    assert got_csv.getvalue() == want_csv.getvalue()
+    g = bundle.gamma(3)
+    assert base.image(3, x0.data) == ball.image(3, x0.data)
+    assert (ResolventFamily(space, base, bundle.gamma).apply(3, x0).data
+            == SpaceModel.fixed_point(space, x0.data, ball.image, g / (1.0 + g), 1e-12, 10_000))
 
 
 def test_a_family_that_defines_neither_image_nor_apply_raises_not_implemented():

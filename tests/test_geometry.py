@@ -245,6 +245,8 @@ def _outcome(call):
         return "OverflowError"
     if isinstance(out, Point):
         return out.kind, [_bits(c) for c in out.data]
+    if isinstance(out, tuple):  # a point's data
+        return [_bits(c) for c in out]
     return _bits(out)
 
 
@@ -283,9 +285,10 @@ def test_euclidean_rejects_points_of_another_dimension():
     for dim, other in ((2, 3), (3, 2)):
         sp = Euclidean(dim)
         a, b = Point.euclidean(*range(1, other + 1)), Point.euclidean(*[0] * other)
+        resolvent = ResolventFamily(sp, MetricProjectionFamily(sp, sp.base_point(), 1.0),
+                                    lambda n: 1.0)
         for call in (lambda: sp.dist(a, b), lambda: sp.comb(a, b, 0.5),
-                     lambda: sp.quasilin(a, b, a, b),
-                     lambda: sp.fixed_point(a, lambda z: z, 0.5, 1e-12, 10)):
+                     lambda: sp.quasilin(a, b, a, b), lambda: resolvent.apply(0, a)):
             with pytest.raises(GeometryError,
                                match=rf"{other} coordinates used in model euclidean\({dim}\)"):
                 call()
@@ -332,8 +335,10 @@ def test_samplers_refuse_a_radius_that_is_not_positive_and_finite(space, radius)
 # The fixed-point kernels
 #
 # Each model's fixed_point against SpaceModel.fixed_point, the loop over the
-# model's own comb and dist: the same iterates passed to T, the same result
-# to the bit, or the same error with the same fields.
+# model's own _comb and _dist on data: the same iterates passed to the base's
+# image, the same result to the bit, or the same error with the same fields.
+# A point of another model or width never reaches the solve: the resolvent's
+# apply refuses it.
 # ---------------------------------------------------------------------------
 
 FP_MODELS = {"disk": PoincareDisk(), "euclidean2": Euclidean(2), "tripod": Tripod(),
@@ -343,26 +348,42 @@ FOREIGN = [Point("disk", (0.1, 0.2)), Point("tripod", (1, 0.5)),
 
 
 def _base_map(space, kind, seed):
-    """T and the log of the points it is given."""
+    """A base image(n, data) and the log of the data it is given."""
     rng, log = random.Random(seed), []
     if kind == "rotation" and not (isinstance(space, Euclidean) and space.dim != 2):
-        T = partial(RotationFamily(space, rng.uniform(0.0, 2.0 * math.pi)).apply, 0)
+        image = RotationFamily(space, rng.uniform(0.0, 2.0 * math.pi)).image
     elif kind == "identity":
-        T = lambda z: z  # noqa: E731
+        image = lambda n, z: z  # noqa: E731
     elif kind == "scatter":  # not a contraction: residuals rise and fall
-        T = lambda z: space.sample(rng, 2.0)  # noqa: E731
+        image = lambda n, z: space.sample(rng, 2.0).data  # noqa: E731
     else:
-        T = partial(MetricProjectionFamily(space, space.sample(rng, 1.0),
-                                           rng.choice([1e-3, 0.5, 2.0])).apply, 0)
-    if kind == "foreign":  # a foreign point from the k-th call on
-        k, other, inner = rng.randrange(1, 6), rng.choice(FOREIGN), T
-        T = lambda z: other if len(log) >= k else inner(z)  # noqa: E731
+        image = MetricProjectionFamily(space, space.sample(rng, 1.0),
+                                       rng.choice([1e-3, 0.5, 2.0])).image
+    if kind == "foreign":  # a foreign point's data from the k-th call on
+        k, other, inner = rng.randrange(1, 6), rng.choice(FOREIGN), image
+        image = lambda n, z: other.data if len(log) >= k else inner(n, z)  # noqa: E731
 
-    def logged(z):
+    def logged(n, z):
         log.append(_outcome(lambda: z))
-        return T(z)
+        return image(n, z)
 
     return logged, log
+
+
+def _refused(space, x):
+    """The GeometryError message with which apply refuses x, or None when
+    x is a point of the model."""
+    if x.kind != space.kind:
+        return f"point of model {x.kind!r} used in model {space.kind!r}"
+    if len(x.data) != space.width:
+        return f"point with {len(x.data)} coordinates used in model {space.describe()}"
+    return None
+
+
+def _apply_refuses(space, x, base, message):
+    # the resolvent's apply raises before its solve is reached
+    fam = ResolventFamily(space, base, lambda n: 1.0)
+    assert _settled(lambda: fam.apply(0, x)) == ("GeometryError", message)
 
 
 def _settled(solve):
@@ -378,9 +399,9 @@ def _settled(solve):
         return (type(exc).__name__, str(exc))
 
 
-def _solve(solve, space, kind, seed, x, c, tol, max_iterations):
-    T, log = _base_map(space, kind, seed)
-    return _settled(lambda: solve(x, T, c, tol, max_iterations)), log
+def _solve(solve, space, kind, seed, xd, c, tol, max_iterations):
+    image, log = _base_map(space, kind, seed)
+    return _settled(lambda: solve(xd, image, c, tol, max_iterations)), log
 
 
 @pytest.mark.parametrize("kind", ["rotation", "projection", "identity", "scatter", "foreign"])
@@ -395,7 +416,12 @@ def test_fixed_point_kernels_are_bitwise_the_reference(model, kind, seed, pick, 
     space = FP_MODELS[model]
     # a foreign x one time in five
     x = FOREIGN[pick] if pick < len(FOREIGN) else space.sample(random.Random(seed), radius)
-    args = (space, kind, seed, x, c, tol, max_iterations)
+    refused = _refused(space, x)
+    if refused is not None:
+        _apply_refuses(space, x, MetricProjectionFamily(space, space.base_point(), 1.0),
+                       refused)
+        return
+    args = (space, kind, seed, x.data, c, tol, max_iterations)
     assert _solve(space.fixed_point, *args) == _solve(
         partial(SpaceModel.fixed_point, space), *args)
 
@@ -404,7 +430,7 @@ def test_fixed_point_kernels_are_bitwise_the_reference(model, kind, seed, pick, 
 # and the kernel turns its own iterate instead of calling apply.
 
 class CountingRotation(RotationFamily):
-    """A rotation that counts the calls of its image, which apply calls."""
+    """A rotation that counts the calls of its image."""
 
     calls = 0
 
@@ -427,13 +453,18 @@ def test_resolvent_of_a_rotation_is_bitwise_the_reference_loop(model, angle, see
     space = FP_MODELS[model]
     x = FOREIGN[pick] if pick < len(FOREIGN) else space.sample(random.Random(seed), radius)
     rot = CountingRotation(space, angle)
+    refused = _refused(space, x)
+    if refused is not None:
+        _apply_refuses(space, x, rot, refused)
+        assert rot.calls == 0
+        return
     got = _settled(lambda: ResolventFamily(space, rot, lambda n: gamma, tol,
-                                           max_iterations).apply(0, x))
+                                           max_iterations).apply(0, x).data)
     native_calls, c = rot.calls, gamma / (1.0 + gamma)
     assert got == _settled(lambda: SpaceModel.fixed_point(
-        space, x, partial(rot.apply, 0), c, tol, max_iterations))
-    if x.kind == space.kind and len(x.data) == 2 and 0.0 <= c <= 1.0:
-        # the kernel's own rotation: apply only for a SolverFailure residual
+        space, x.data, rot.image, c, tol, max_iterations))
+    if 0.0 <= c <= 1.0:
+        # the kernel's own rotation: image only for a SolverFailure residual
         assert native_calls == (len(got) == 3)
 
 
@@ -443,11 +474,11 @@ EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.25, -0.6,
 
 
 def _first_step(space, x, rot, c, tol):
-    # tol = inf returns the first iterate comb(x, R(x), c), and tol = -inf
-    # fails with d(x, comb(x, R(x), c)) as its first residual
-    T = partial(rot.apply, 0)
-    return (_settled(lambda: space.fixed_point(x, T, c, tol, 1, rot.turn)),
-            _settled(lambda: SpaceModel.fixed_point(space, x, T, c, tol, 1)))
+    # tol = inf returns the first iterate _comb(x, R(x), c), and tol = -inf
+    # fails with d(x, _comb(x, R(x), c)) as its first residual
+    xd = x.data
+    return (_settled(lambda: space.fixed_point(xd, rot.image, c, tol, 1, rot.turn)),
+            _settled(lambda: SpaceModel.fixed_point(space, xd, rot.image, c, tol, 1)))
 
 
 @pytest.mark.parametrize("model", ["disk", "euclidean2"])
@@ -476,20 +507,25 @@ def test_native_tripod_rotation_is_apply_bitwise(turns, leg, s):
             assert got == want
     if s == 0.0:
         # the center is on leg 0, whatever the shift
-        assert space.fixed_point(x, partial(rot.apply, 0), 1.0, math.inf, 1,
-                                 rot.turn) == Point.tripod(0, 0.0)
+        assert space.fixed_point(x.data, rot.image, 1.0, math.inf, 1,
+                                 rot.turn) == Point.tripod(0, 0.0).data
 
 
-def test_a_rotation_of_another_model_goes_through_apply():
-    # a tripod's leg shift is not the plane rotation: the solve calls it as
-    # it calls any other map, and its apply refuses the plane point, where
-    # the plane's kernel would have turned it
-    space, rot = Euclidean(2), RotationFamily(Tripod(), 2.0 * math.pi / 3.0)
-    x = Point.euclidean(0.4, -0.3)
-    got = _settled(lambda: ResolventFamily(space, rot, lambda n: 1.0).apply(0, x))
-    assert got == ("GeometryError", "point of model 'euclidean' used in model 'tripod'")
-    assert got == _settled(lambda: SpaceModel.fixed_point(
-        space, x, partial(rot.apply, 0), 0.5, 1e-12, 10_000))
+@pytest.mark.parametrize("model, base, message", [
+    # a tripod's leg shift is not the plane rotation, and its image would
+    # read the plane's data unchecked
+    ("euclidean2", RotationFamily(Tripod(), 2.0 * math.pi / 3.0),
+     "resolvent base of model tripod used in model euclidean(2)"),
+    ("euclidean2", MetricProjectionFamily(Euclidean(3), Point.euclidean(0, 0, 0), 1.0),
+     "resolvent base of model euclidean(3) used in model euclidean(2)"),
+    ("tripod", RotationFamily(PoincareDisk(), 1.0),
+     "resolvent base of model disk used in model tripod"),
+], ids=["tripod-in-plane", "3d-in-plane", "disk-in-tripod"])
+def test_a_base_of_another_model_is_refused_when_the_resolvent_is_built(model, base,
+                                                                         message):
+    with pytest.raises(GeometryError) as exc:
+        ResolventFamily(FP_MODELS[model], base, lambda n: 1.0)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

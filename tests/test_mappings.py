@@ -5,7 +5,6 @@ import random
 import re
 import sys
 from array import array
-from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -191,8 +190,7 @@ def test_resolvent_reports_solver_failure():
     assert f"(first {e.first:.3e}, best {e.best:.3e})" in str(e)
     # the kernel reports what the reference loop over comb and dist reports
     with pytest.raises(SolverFailure) as ref:
-        SpaceModel.fixed_point(space, Point.euclidean(5.0, 5.0), partial(base.apply, 0),
-                               0.5, 1e-16, 3)
+        SpaceModel.fixed_point(space, (5.0, 5.0), base.image, 0.5, 1e-16, 3)
     got, want = ((f.residual, f.iterations, f.first, f.best, str(f))
                  for f in (e, ref.value))
     assert got == want
@@ -429,8 +427,14 @@ def edge_rows(space):
         c = math.tanh(0.25)
         for _ in range(9):
             c = math.nextafter(c, 0.0)
-        while space.dist(Point("disk", (0.0, c)), space.base_point()) != 0.5:
+        for _ in range(64):
+            d = space.dist(Point("disk", (0.0, c)), space.base_point())
+            if d == 0.5:
+                break
             c = math.nextafter(c, 1.0)
+        else:
+            pytest.fail("no float of the 64 up from 9 ulps below tanh(0.25) is at disk "
+                        f"distance 0.5 from the origin: the last reached {d!r}")
         on_sphere = Point("disk", (0.0, c))
     else:
         on_sphere = Point("euclidean", (0.0, -0.5))
