@@ -369,8 +369,9 @@ class SpaceModel:
         image.  When it is a rotation of this model, ``turn`` may carry its
         constants, and the shipped models then run a kernel that turns its
         native iterate itself, with the same floating-point operations, in
-        the same order, as this loop; it calls image only for the
-        SolverFailure residual.  This loop ignores ``turn``."""
+        the same order, as this loop, and calls no image; a kernel that
+        reaches max_iterations hands the solve to this loop, which replays
+        it and raises the SolverFailure.  This loop ignores ``turn``."""
         comb, dist = self._comb, self._dist
         first = best = None
         z = xd
@@ -502,27 +503,27 @@ class Euclidean(SpaceModel):
     def fixed_point(self, xd, image, c, tol, max_iterations, turn=None):
         # 2-D rotation kernel: the iterate as two floats, turned by
         # RotationFamily.image's formula, _comb's and _dist's 2-D branches
-        # inline; c and the widths are checked once (a bad c raises from
-        # the reference loop's first _comb, after image(0, xd))
+        # inline (mu * x hoisted); c and the widths are checked once (a bad
+        # c raises from the reference loop's first _comb, after
+        # image(0, xd)).  The step's sqrt is taken only when its square is
+        # within near: sqrt(s) <= tol needs s <= 4 tol^2, and the floor
+        # 2^-1000 covers a tol^2 that underflows (tol < 2^-500 < sqrt(s)
+        # for s above it).  A stall is replayed by the reference loop,
+        # which raises its SolverFailure
         if turn is None or self.dim != 2 or len(xd) != 2 or not 0.0 <= c <= 1.0:
             return super().fixed_point(xd, image, c, tol, max_iterations)
         (a0, a1), mu, sqrt = xd, 1.0 - c, math.sqrt
-        cos, sin = turn.cos, turn.sin
+        m0, m1, cos, sin = mu * a0, mu * a1, turn.cos, turn.sin
+        near = max(4.0 * tol * tol, 2.0 ** -1000)
         z0, z1 = a0, a1
-        first = best = None
         for _ in range(max_iterations):
             b0, b1 = z0 * cos - z1 * sin, z0 * sin + z1 * cos
-            n0, n1 = mu * a0 + c * b0, mu * a1 + c * b1
-            d = sqrt((z0 - n0) ** 2 + (z1 - n1) ** 2)
-            if d <= tol:
+            n0, n1 = m0 + c * b0, m1 + c * b1
+            s = (z0 - n0) ** 2 + (z1 - n1) ** 2
+            if s <= near and sqrt(s) <= tol:
                 return (n0, n1)
-            if first is None:
-                first = best = d
-            elif d < best:
-                best = d
             z0, z1 = n0, n1
-        z = (z0, z1)
-        raise _stalled(first, best, self._dist(z, self._comb(xd, image(0, z), c)), max_iterations)
+        return super().fixed_point(xd, image, c, tol, max_iterations)
 
     def sampler(self, rng):
         # a direction of dim normals over its norm, and a length of radius
@@ -648,19 +649,19 @@ class PoincareDisk(SpaceModel):
         # RotationFamily.image's (a*cos - b*sin, a*sin + b*cos); x's
         # conjugate hoisted, _comb and _dist inline.  c and the width are
         # checked once (a bad c raises from the reference loop's first
-        # _comb, after image(0, xd)).  point() gives xd itself for x's own
-        # value, as _comb returns its first argument when it does not move
+        # _comb, after image(0, xd)).  The step's atanh is taken only when
+        # its Euclidean length is within near = 2 tol: on the disk
+        # |1 - conj(n) z| < 2, so its quotient exceeds step / 2 and
+        # 2 atanh(q) >= 2q > tol once step > 2 tol.  A stall is replayed by
+        # the reference loop, which raises its SolverFailure.  xd itself is
+        # returned for x's own value, as _comb returns its first argument
+        # when it does not move
         if turn is None or len(xd) != 2 or not 0.0 <= c <= 1.0:
             return super().fixed_point(xd, image, c, tol, max_iterations)
         zx = complex(*xd)
-
-        def point(w):
-            return xd if w is zx else (w.real, w.imag)
-
         czx, half_c, atanh, tanh = zx.conjugate(), 0.5 * c, math.atanh, math.tanh
-        unit = turn.unit
+        unit, near = turn.unit, 2.0 * tol
         cur = zx
-        first = best = None
         for _ in range(max_iterations):
             zy = cur * unit
             w = (zy - zx) / (1.0 - czx * zy)
@@ -670,16 +671,11 @@ class PoincareDisk(SpaceModel):
             else:
                 w2 = w / r * tanh(half_c * (2.0 * atanh(r)))
                 nxt = (w2 + zx) / (1.0 + czx * w2)
-            d = 2.0 * atanh(abs(cur - nxt) / abs(1.0 - nxt.conjugate() * cur))
-            if d <= tol:
-                return point(nxt)
-            if first is None:
-                first = best = d
-            elif d < best:
-                best = d
+            step = abs(cur - nxt)
+            if step <= near and 2.0 * atanh(step / abs(1.0 - nxt.conjugate() * cur)) <= tol:
+                return xd if nxt is zx else (nxt.real, nxt.imag)
             cur = nxt
-        z = point(cur)
-        raise _stalled(first, best, self._dist(z, self._comb(xd, image(0, z), c)), max_iterations)
+        return super().fixed_point(xd, image, c, tol, max_iterations)
 
     def sampler(self, rng):
         # an angle of random.uniform(0.0, 2 pi), written out as uniform's
@@ -777,19 +773,20 @@ class Tripod(SpaceModel):
     def fixed_point(self, xd, image, c, tol, max_iterations, turn=None):
         # rotation kernel: the iterate as (leg, s), its leg shifted as
         # RotationFamily.image does (the center stays on leg 0), _comb and
-        # _dist inline; c and the width are checked once (a bad c raises
-        # from the reference loop's first _comb, after image(0, xd))
+        # _dist inline (mu * sx hoisted); c and the width are checked once
+        # (a bad c raises from the reference loop's first _comb, after
+        # image(0, xd)).  A stall is replayed by the reference loop, which
+        # raises its SolverFailure
         if turn is None or len(xd) != 2 or not 0.0 <= c <= 1.0:
             return super().fixed_point(xd, image, c, tol, max_iterations)
-        (lx, sx), mu, inf = xd, 1.0 - c, math.inf
-        shift = turn.shift
+        (lx, sx), inf = xd, math.inf
+        msx, shift = (1.0 - c) * sx, turn.shift
         lz, sz = lx, sx
-        first = best = None
         for _ in range(max_iterations):
             ly, sy = (lz + shift) % 3 if sz != 0.0 else 0, sz
             if lx == ly or sx == 0.0 or sy == 0.0:
                 leg = ly if sx == 0.0 else lx
-                s = mu * sx + c * sy
+                s = msx + c * sy
             else:
                 delta = c * (sx + sy)
                 if delta <= sx:
@@ -803,13 +800,8 @@ class Tripod(SpaceModel):
             d = abs(sz - s) if lz == leg or sz == 0.0 or s == 0.0 else sz + s
             if d <= tol:
                 return (leg, s)
-            if first is None:
-                first = best = d
-            elif d < best:
-                best = d
             lz, sz = leg, s
-        z = (lz, sz)
-        raise _stalled(first, best, self._dist(z, self._comb(xd, image(0, z), c)), max_iterations)
+        return super().fixed_point(xd, image, c, tol, max_iterations)
 
     def sampler(self, rng):
         # around the base point, a leg of random.randrange(3) and an arm of
