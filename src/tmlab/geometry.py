@@ -44,18 +44,6 @@ class SolverFailure(RuntimeError):
         self.best = best
 
 
-def _stalled(first, best, last, iterations) -> SolverFailure:
-    """The SolverFailure of a stalled solve: ``first`` and ``best`` are the
-    first and the least residual of its steps (None when it took none), and
-    ``last`` is the residual at its last iterate.  best is kept by ``<``, so
-    a nan first residual stays best."""
-    if first is None:
-        first = best = last
-    elif last < best:
-        best = last
-    return SolverFailure(last, iterations, first, best)
-
-
 class Turn(NamedTuple):
     """A rotation about the base point in the kernels' native terms: its
     cosine and sine (and unit = complex(cos, sin)) for the plane and the
@@ -385,7 +373,15 @@ class SpaceModel:
             elif d < best:
                 best = d
             z = z_next
-        raise _stalled(first, best, dist(z, comb(xd, image(0, z), c)), max_iterations)
+        # first and best are the first and the least residual of the steps
+        # taken, best kept by `<` so that a nan first residual stays best;
+        # with no step taken both are the residual at the last iterate
+        last = dist(z, comb(xd, image(0, z), c))
+        if first is None:
+            first = best = last
+        elif last < best:
+            best = last
+        raise SolverFailure(last, max_iterations, first, best)
 
 
 def quasilin_from_distances(dxv, dyu, dxu, dyv) -> float:

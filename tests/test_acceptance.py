@@ -12,6 +12,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from pins import SCENARIO_TEXTS
 from tmlab import rates as R
 from tmlab import verify as V
 from tmlab.cli import main as cli_main
@@ -19,113 +20,6 @@ from tmlab.engine import check_hilbert_special_case, run
 from tmlab.geometry import SampleSpec, make_model, run_all_geometry_checks
 from tmlab.scenario import scenario_from_text
 from tmlab.schedules import preset
-
-# ---------------------------------------------------------------------------
-# Shared scenario matrix: 3 models x 4 families
-# ---------------------------------------------------------------------------
-
-SCENARIO_TEXTS = {
-    "euclidean-identity": """
-        space.kind = euclidean
-        space.dim = 2
-        family.kind = identity
-        schedule.preset = harmonic
-        run.u = 0,0
-        run.x0 = 1,0
-    """,
-    "euclidean-rotation": """
-        space.kind = euclidean
-        space.dim = 2
-        family.kind = rotation
-        family.angle = 1.5707963267948966
-        schedule.preset = harmonic
-        run.u = 0,0
-        run.x0 = 1,0
-    """,
-    "euclidean-projection": """
-        space.kind = euclidean
-        space.dim = 2
-        family.kind = projection
-        family.center = 0,0
-        family.radius = 0.5
-        schedule.preset = harmonic
-        run.u = 0.3,0
-        run.x0 = 1,0
-    """,
-    "euclidean-proximal": """
-        space.kind = euclidean
-        space.dim = 2
-        family.kind = proximal
-        family.center = 0,0
-        schedule.preset = harmonic
-        run.u = 0.5,0
-        run.x0 = 1,0
-    """,
-    "disk-identity": """
-        space.kind = disk
-        family.kind = identity
-        schedule.preset = harmonic
-        run.u = 0,0
-        run.x0 = 0.4,0
-    """,
-    "disk-rotation": """
-        space.kind = disk
-        family.kind = rotation
-        family.angle = 1.5707963267948966
-        schedule.preset = harmonic
-        run.u = 0,0
-        run.x0 = 0.4,0
-    """,
-    "disk-projection": """
-        space.kind = disk
-        family.kind = projection
-        family.center = 0,0
-        family.radius = 0.3
-        schedule.preset = harmonic
-        run.u = 0.1,0
-        run.x0 = 0.4,0.1
-    """,
-    "disk-proximal": """
-        space.kind = disk
-        family.kind = proximal
-        family.center = 0,0
-        schedule.preset = harmonic
-        run.u = 0.2,0
-        run.x0 = 0.4,0.1
-    """,
-    "tripod-identity": """
-        space.kind = tripod
-        family.kind = identity
-        schedule.preset = harmonic
-        run.u = 0:0
-        run.x0 = 1:1.0
-    """,
-    "tripod-rotation": """
-        space.kind = tripod
-        family.kind = rotation
-        family.angle = 2.0943951023931953
-        schedule.preset = harmonic
-        run.u = 0:0
-        run.x0 = 1:1.0
-    """,
-    "tripod-projection": """
-        space.kind = tripod
-        family.kind = projection
-        family.center = 0:0
-        family.radius = 0.5
-        schedule.preset = harmonic
-        run.u = 0:0.2
-        run.x0 = 1:1.0
-    """,
-    "tripod-proximal": """
-        space.kind = tripod
-        family.kind = proximal
-        family.center = 0:0
-        schedule.preset = harmonic
-        run.u = 0:0.3
-        run.x0 = 2:1.0
-    """,
-}
 
 AR_CAP = 100_000
 

@@ -1,6 +1,5 @@
 """Command-line interface: commands, formats and the exit-code contract."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -13,8 +12,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pins
+from pins import ALL_RATES
 from test_geometry import NaNComb
-from tmlab import cli
+from tmlab import cli, reports
 from tmlab.cli import main
 from tmlab.geometry import Euclidean, SpaceModel
 from tmlab.scenario import FIELDS, _point, parse_config_text
@@ -189,8 +190,8 @@ class BrokenModel(Euclidean):
 
 
 def test_verify_broken_model_exits_1(runner, monkeypatch):
-    models = cli._geometry_models
-    monkeypatch.setattr(cli, "_geometry_models",
+    models = reports._geometry_models
+    monkeypatch.setattr(reports, "_geometry_models",
                         lambda: models() + [BrokenModel(2)])
     res = runner.invoke(main, ["verify", "--suite", "geometry",
                                "--samples", "200"])
@@ -201,8 +202,8 @@ def test_verify_broken_model_exits_1(runner, monkeypatch):
 
 
 def test_verify_nan_model_exits_1(runner, monkeypatch):
-    models = cli._geometry_models
-    monkeypatch.setattr(cli, "_geometry_models", lambda: models() + [NaNComb(2)])
+    models = reports._geometry_models
+    monkeypatch.setattr(reports, "_geometry_models", lambda: models() + [NaNComb(2)])
     res = runner.invoke(main, ["verify", "--suite", "geometry", "--samples", "50"])
     assert res.exit_code == 1, res.output
     data = json.loads(res.output)
@@ -212,23 +213,14 @@ def test_verify_nan_model_exits_1(runner, monkeypatch):
     assert '"max_violation": NaN' in res.output
 
 
-# The sha256 of the report `tmlab verify --suite all --samples 2000 --report`
-# writes, recorded on Python 3.10.13 and 3.11.7 (False) and on 3.12.1 and
-# 3.13.0 (True): from 3.12 on float sum is compensated, and the Euclidean(3)
-# entries give other last bits.
-VERIFY_REPORT_SHA256 = {
-    False: "58e19b9d1535288f86754e385ecd4dd48d7d35348e29096b4fae8fa05a8e09cd",
-    True: "71755fd3ab0e8aaab84a2626355033fa0af55b5d7c70a1f0612be43c6d1d8bec",
-}
-
-
-def test_verify_report_bytes_are_pinned(runner, tmp_path):
+def test_verify_report_is_the_pinned_artifact(runner, tmp_path):
+    # the command writes what write_verify_report writes, whose bytes the
+    # manifest pins, and exits 0 as every check passes
     report = tmp_path / "report.json"
     res = runner.invoke(main, ["verify", "--suite", "all", "--samples", "2000",
                                "--report", str(report)])
     assert res.exit_code == 0, res.output
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_REPORT_SHA256[
-        sys.version_info >= (3, 12)]
+    assert report.read_bytes() == pins.artifact("verify/all/2000")
 
 
 def test_verify_engine_and_schedules(runner):
@@ -296,10 +288,6 @@ def test_log_level_flag_accepted(runner, cfg_path):
     assert res.exit_code == 0
 
 
-ALL_RATES = ("chi", "Sigma", "Sigma_tilde", "Sigma_star", "Sigma_tilde_star",
-             "Psi", "Psi_star", "mu", "mu_star")
-
-
 def test_rates_routes_every_name(runner, cfg_path):
     import csv
     import io
@@ -331,65 +319,18 @@ def test_rates_routes_every_name(runner, cfg_path):
             assert cell == want.render(), (name, k)
 
 
-GOLDEN_ROW_CFG = """
-space.kind = euclidean
-space.dim = 1
-family.kind = constant
-schedule.preset = constant-gamma-harmonic-beta
-run.u = 0
-run.x0 = 1
-"""
-
-# K = 2 and a proximal family, whose chi_T is nonzero
-PROXIMAL_K2_CFG = """
-space.kind = euclidean
-space.dim = 2
-family.kind = proximal
-family.center = 0,0
-schedule.preset = harmonic
-run.u = 0.5,0
-run.x0 = 1.5,0
-run.K = 2
-"""
-
-# sha256 of `tmlab rates --which <all nine> --k-max 3 <flags>`, recorded
-# before the metastability chain was rewritten as plain integer functions
-RATES_SHA256 = {
-    ("golden-row", "phi-const"):
-        "5d6a1b7f6bee208b1b12ee3421276aacefa9cd034f9fc474cdc11b7e1cf40c5c",
-    ("golden-row", "phi-default"):
-        "f0d2e09b34f831043242aecca2e9cf36bbf738abbb97cd761101786de85ad30d",
-    ("golden-row", "cf-affine-phi-id"):
-        "e59bd5215247c006447cf42634128a57acdfe497744900722932903e0eb528c3",
-    ("proximal-K2", "phi-const"):
-        "24df27ff673cfdd0f38f6b3ab2ab485fd4421569a31842deb7d79e3312aa84da",
-    ("proximal-K2", "phi-default"):
-        "99d51a265a938323012121067b1d139da68cb54801d73ad26367eff7476450cd",
-    ("proximal-K2", "cf-affine-phi-id"):
-        "ff8123c133b4ab41b42c31fda7267ae7b715b473930930f13eedece689a91b8e",
-}
-RATES_FLAGS = {
-    "phi-const": ["--phi", "const:0"],
-    "phi-default": [],
-    "cf-affine-phi-id": ["--cf", "affine:2,0", "--phi", "id"],
-}
-
-
-@pytest.mark.parametrize("config, flags", list(RATES_SHA256),
-                         ids=lambda v: v)
-def test_rates_bytes_are_pinned(runner, tmp_path, config, flags):
-    import hashlib
-
+def test_rates_table_is_the_pinned_artifact(runner, tmp_path):
+    # the command writes what write_rate_table writes, whose bytes the
+    # manifest pins: here the default-Phi table of the K = 2 proximal
+    # config, whose mu and mu_star are Astronomical
     p = tmp_path / "scenario.cfg"
-    p.write_text({"golden-row": GOLDEN_ROW_CFG,
-                  "proximal-K2": PROXIMAL_K2_CFG}[config])
-    res = runner.invoke(main, [
-        "rates", str(p), "--which", ",".join(ALL_RATES), "--k-max", "3",
-        *RATES_FLAGS[flags],
-    ])
-    assert res.exit_code == 0
-    digest = hashlib.sha256(res.stdout_bytes).hexdigest()
-    assert digest == RATES_SHA256[config, flags]
+    p.write_text(pins.RATES_CONFIGS["proximal-K2"])
+    cf, phi = pins.RATES_FLAGS["phi-default"]
+    assert phi is None
+    res = runner.invoke(main, ["rates", str(p), "--which", ",".join(ALL_RATES),
+                               "--k-max", "3", "--cf", cf])
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == pins.artifact("rates/proximal-K2/phi-default")
 
 
 def test_rates_mu_default_phi_exits_0(runner, cfg_path):

